@@ -28,10 +28,10 @@ from .fedsim import (FedAvgDivergence, FedConfig, MessageLog, PrivacyError,
 from .harness import (CellStats, SweepResult, SweepSpec, ci_grid,
                       oracle_meta_site_variances, oracle_shift_propensity,
                       run_monte_carlo, sweep_kl)
-from .nuisance import (FoldPlan, OutcomeModel, PropensitySet,
+from .nuisance import (FoldPlan, OutcomeModel, PropensitySet, ScoreTable,
                        assemble_propensity, crossfit_split,
                        fit_outcome_direct, invert_balancing_model,
-                       pooled_score, weighted_loss_and_grad,
+                       score_table, weighted_loss_and_grad,
                        zero_outcome_model)
 from .synthgen import (OverlapReport, SelectConfig, ShiftConfig, check_overlap,
                        gen_covariate_shift, gen_sampling_selecting,
@@ -45,7 +45,7 @@ __all__ = [
     "FedConfig", "FoldPlan", "IDENTITY", "IDENTITY_PLUS_INTERCEPT",
     "MISSPECIFIED", "MessageLog", "MetaDeltas", "OutcomeModel",
     "OverlapError", "OverlapReport", "PrivacyError", "PropensitySet",
-    "RatioModel", "SeedSpec", "SelectConfig", "SelectionLabel",
+    "RatioModel", "ScoreTable", "SeedSpec", "SelectConfig", "SelectionLabel",
     "ShiftConfig", "SiteAggregates", "SiteDataset", "SiteMessage",
     "SweepResult", "SweepSpec", "TargetCovariates", "TiltingError",
     "UnitRecord", "ValidationReport", "aipw_combine", "aipw_corrections",
@@ -57,9 +57,9 @@ __all__ = [
     "gen_sampling_selecting", "invert_balancing_model", "meta_combine",
     "meta_ipw", "meta_ipw_site", "misspecify_features",
     "oracle_gaussian_ratio", "oracle_meta_site_variances",
-    "oracle_shift_propensity", "place_site_means", "pooled_score",
+    "oracle_shift_propensity", "place_site_means",
     "read_sites_csv", "read_target_csv", "replay", "run_algorithm1",
-    "run_algorithm2", "run_monte_carlo", "sweep_kl", "validate_dataset",
-    "weighted_loss_and_grad", "write_sites_csv", "write_target_csv",
-    "zero_outcome_model",
+    "run_algorithm2", "run_monte_carlo", "score_table", "sweep_kl",
+    "validate_dataset", "weighted_loss_and_grad", "write_sites_csv",
+    "write_target_csv", "zero_outcome_model",
 ]

@@ -17,7 +17,8 @@ from .density_ratio import IDENTITY_PLUS_INTERCEPT, fit_knn, fit_tilting
 from .estimators import clb_ipw, decoupled_aipw, meta_ipw
 from .fedsim import FedConfig, run_algorithm1, run_algorithm2
 from .harness import SweepSpec, ci_grid, oracle_shift_propensity, sweep_kl
-from .nuisance import PropensitySet, invert_balancing_model
+from .nuisance import (PropensitySet, assemble_propensity, invert_balancing_model,
+                       score_table)
 from .synthgen import ShiftConfig, gen_covariate_shift, place_site_means
 
 _EST_IDS = {"meta-ipw": "meta_ipw", "clb-ipw": "clb_ipw",
@@ -97,22 +98,10 @@ def _build_scores(args, sites, target, manifest) -> PropensitySet:
                                "beta1": tuple(cfg["beta1"]),
                                "beta0": tuple(cfg["beta0"])})
         return oracle_shift_propensity(shift, manifest["site_means"])
-    n_pooled = sum(s.n for s in sites)
-    fns = {}
-    for s in sites:
-        for arm in (1, 0):
-            src = s.x_matrix[s.z_vec == arm]
-            if len(src) == 0:
-                continue
-            share = len(src) / n_pooled
-            if args.ratio == "tilting":
-                bal = fit_tilting(src, target.xs, psi=IDENTITY_PLUS_INTERCEPT)
-                model = invert_balancing_model(bal, len(src), target.n)
-            else:
-                model = fit_knn(src, target.xs)
-            fns[(s.site_id, arm)] = (lambda x, m=model, sh=share:
-                                     sh * np.atleast_1d(m.eval(np.atleast_2d(x))))
-    return PropensitySet(e=fns, kind="assembled", global_constant_unknown=True)
+    ratios = {pair: m for pair, m in _fitted_ratio_models(args, sites, target).items()
+              if m is not None}
+    counts = {(s.site_id, arm): int(np.sum(s.z_vec == arm)) for s in sites for arm in (1, 0)}
+    return assemble_propensity(ratios, counts, sum(s.n for s in sites))
 
 
 def _fitted_ratio_models(args, sites, target):
@@ -148,8 +137,8 @@ def _cmd_estimate(args) -> int:
                 "--federated supports clb-ipw and clb-aipw; the per-site "
                 "estimators need no protocol beyond their own aggregates")
         if est == "clb_ipw":
-            p = _build_scores(args, sites, target, manifest)
-            report, log = run_algorithm1(sites, p, ci_level=args.ci)
+            table = score_table(sites, _build_scores(args, sites, target, manifest))
+            report, log = run_algorithm1(sites, table, ci_level=args.ci)
         else:
             if args.ratio == "oracle":
                 raise RuntimeError("--federated clb-aipw publishes fitted "
@@ -166,14 +155,14 @@ def _cmd_estimate(args) -> int:
         print(report.to_json())
         return 0
 
-    p = _build_scores(args, sites, target, manifest)
+    table = score_table(sites, _build_scores(args, sites, target, manifest))
     if est == "meta_ipw":
-        report = meta_ipw(sites, p, ci_level=args.ci)
+        report = meta_ipw(sites, table, ci_level=args.ci)
     elif est == "clb_ipw":
-        report = clb_ipw(sites, p, ci_level=args.ci)
+        report = clb_ipw(sites, table, ci_level=args.ci)
     else:
         flavor = "meta" if est == "meta_aipw" else "clb"
-        report = decoupled_aipw(sites, target, p, IDENTITY_PLUS_INTERCEPT,
+        report = decoupled_aipw(sites, target, table, IDENTITY_PLUS_INTERCEPT,
                                 flavor=flavor, F=args.folds,
                                 rng=np.random.default_rng(args.seed),
                                 ci_level=args.ci)

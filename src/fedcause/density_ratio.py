@@ -103,6 +103,20 @@ class TiltingError(Exception):
         self.separated = separated
 
 
+# probes per block of the nearest-neighbour counting kernel
+KNN_BLOCK = 256
+
+
+def _sq_dists(probes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(len(probes), len(points)) squared Euclidean distances, accumulated one
+    coordinate at a time from the left; for fewer than 8 coordinates this is
+    bitwise the sum over the last axis of the broadcast difference."""
+    out = (probes[:, 0, None] - points[None, :, 0]) ** 2
+    for j in range(1, probes.shape[1]):
+        out += (probes[:, j, None] - points[None, :, j]) ** 2
+    return out
+
+
 @dataclass
 class RatioModel:
     """A fitted density-ratio function of x.
@@ -145,15 +159,13 @@ class RatioModel:
             pts = pts / self.scale
         # squared distances on both sides so boundary ties (duplicate points)
         # land inside the closed ball regardless of sqrt rounding
-        src, tgt = self.source_points, self.target_points
         w = np.empty(len(pts), dtype=float)
-        block = max(1, 2 ** 21 // max(len(src) + len(tgt), 1))
-        for lo in range(0, len(pts), block):
-            chunk = pts[lo:lo + block]
-            d2s = np.sum((chunk[:, None, :] - src[None, :, :]) ** 2, axis=2)
+        for lo in range(0, len(pts), KNN_BLOCK):
+            block = pts[lo:lo + KNN_BLOCK]
+            d2s = _sq_dists(block, self.source_points)
             rho2 = np.partition(d2s, self.M - 1, axis=1)[:, self.M - 1]
-            d2t = np.sum((chunk[:, None, :] - tgt[None, :, :]) ** 2, axis=2)
-            w[lo:lo + block] = np.sum(d2t <= rho2[:, None], axis=1)
+            d2t = _sq_dists(block, self.target_points)
+            w[lo:lo + KNN_BLOCK] = np.count_nonzero(d2t <= rho2[:, None], axis=1)
         n_floored = int(np.sum(w < 1))
         vals = (self.n_target / self.n_source) * self.M / np.maximum(w, 1)
         return (float(vals[0]) if single else vals), n_floored

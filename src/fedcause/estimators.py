@@ -9,16 +9,16 @@ self-normalized for the same reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from statistics import NormalDist
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import EstimateReport, SiteDataset, TargetCovariates
 from .density_ratio import FeatureMap
-from .nuisance import (SCORE_FLOOR, FoldPlan, OutcomeModel, PropensitySet,
-                       crossfit_split, fit_outcome_direct, pooled_score)
+from .nuisance import (SCORE_FLOOR, FoldPlan, OutcomeModel, ScoreTable,
+                       crossfit_split, fit_outcome_direct)
 
 
 class OverlapError(RuntimeError):
@@ -34,8 +34,19 @@ class Excluded:
     reason: str
 
 
+class _Payload:
+    """Message payload of a dataclass: its fields, in declaration order."""
+
+    def to_payload(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_payload(cls, obj: dict):
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+
+
 @dataclass
-class SiteAggregates:
+class SiteAggregates(_Payload):
     """Un-normalized IPW sums G and estimated arm sizes N for one site, plus
     the squared-weight moments needed to rebuild the plug-in variance after
     the across-site combination."""
@@ -54,19 +65,6 @@ class SiteAggregates:
     n_units: int = 0
     n_floored: int = 0
 
-    def to_payload(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "site_id", "G1", "G0", "N1", "N0",
-            "w2_1", "w2y_1", "w2y2_1", "w2_0", "w2y_0", "w2y2_0",
-            "n_units", "n_floored")}
-
-    @classmethod
-    def from_payload(cls, obj: dict) -> "SiteAggregates":
-        return cls(**{k: obj[k] for k in (
-            "site_id", "G1", "G0", "N1", "N0",
-            "w2_1", "w2y_1", "w2y2_1", "w2_0", "w2y_0", "w2y2_0",
-            "n_units", "n_floored")})
-
 
 @dataclass
 class VarAccumulator:
@@ -76,21 +74,13 @@ class VarAccumulator:
     sum_w2: float = 0.0
     sum_w2y: float = 0.0
     sum_w2y2: float = 0.0
-    n_used: int = 0
-
-    def add(self, w: np.ndarray, y: np.ndarray) -> None:
-        w2 = w * w
-        self.sum_w2 += float(np.sum(w2))
-        self.sum_w2y += float(np.sum(w2 * y))
-        self.sum_w2y2 += float(np.sum(w2 * y * y))
-        self.n_used += len(w)
 
     def centred(self, mu: float) -> float:
         return max(self.sum_w2y2 - 2.0 * mu * self.sum_w2y + mu * mu * self.sum_w2, 0.0)
 
 
 @dataclass
-class MetaDeltas:
+class MetaDeltas(_Payload):
     """Per-site Hajek residual means and their variance moments, one arm each,
     computed with the site's own scores."""
 
@@ -102,15 +92,6 @@ class MetaDeltas:
     s2_1: float
     s2_0: float
     n_units: int = 0
-
-    def to_payload(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "site_id", "d1", "d0", "n1_hat", "n0_hat", "s2_1", "s2_0", "n_units")}
-
-    @classmethod
-    def from_payload(cls, obj: dict) -> "MetaDeltas":
-        return cls(**{k: obj[k] for k in (
-            "site_id", "d1", "d0", "n1_hat", "n0_hat", "s2_1", "s2_0", "n_units")})
 
 
 @dataclass
@@ -150,8 +131,9 @@ def confidence_interval(report: EstimateReport, level: float):
 # Meta: per-site Hajek estimates combined with precision weights
 
 
-def meta_ipw_site(site: SiteDataset, e1: Callable, e0: Callable):
-    """Hajek IPW contrast on one site with its own arm scores.
+def meta_ipw_site(site: SiteDataset, scores: np.ndarray):
+    """Hajek IPW contrast on one site with its own scores: scores[i] is the
+    site's score of unit i at the unit's own arm (ScoreTable.own).
 
     Returns (tau_k, var_k) or Excluded. var_k is the self-normalized plug-in
     squared standard error sum_w^2 (y - mu_hat)^2 / (sum_w)^2 per arm, so it
@@ -159,14 +141,13 @@ def meta_ipw_site(site: SiteDataset, e1: Callable, e0: Callable):
     """
     z = site.z_vec
     y = site.y_vec
-    x = site.x_matrix
     treated = z == 1
     if not np.any(treated):
         return Excluded("no treated units")
     if np.all(treated):
         return Excluded("no control units")
-    s1 = np.asarray(e1(x[treated]), dtype=float).reshape(-1)
-    s0 = np.asarray(e0(x[~treated]), dtype=float).reshape(-1)
+    s1 = scores[treated]
+    s0 = scores[~treated]
     if np.any(s1 <= 0.0):
         return Excluded("non-positive treated-arm score")
     if np.any(s0 <= 0.0):
@@ -231,17 +212,15 @@ def meta_combine(site_results: Dict[int, Union[Tuple[float, float], Excluded]],
                           per_site_diagnostics=diagnostics)
 
 
-def meta_ipw(sites: Sequence[SiteDataset], p: PropensitySet,
+def meta_ipw(sites: Sequence[SiteDataset], table: ScoreTable,
              mode="inverse_variance", ci_level: float = 0.95) -> EstimateReport:
     """Per-site Meta-IPW over all sites whose two arm scores are available."""
     results = {}
     for s in sites:
-        if not (p.has(s.site_id, 1) and p.has(s.site_id, 0)):
+        if not (table.has(s.site_id, 1) and table.has(s.site_id, 0)):
             results[s.site_id] = Excluded("missing arm score model")
             continue
-        e1 = lambda x, k=s.site_id: p.eval(k, 1, x)
-        e0 = lambda x, k=s.site_id: p.eval(k, 0, x)
-        results[s.site_id] = meta_ipw_site(s, e1, e0)
+        results[s.site_id] = meta_ipw_site(s, table.own(s.site_id))
     return meta_combine(results, mode=mode, ci_level=ci_level)
 
 
@@ -249,17 +228,19 @@ def meta_ipw(sites: Sequence[SiteDataset], p: PropensitySet,
 # CLB: pooled Hajek over heterogeneous scores, assembled from site aggregates
 
 
-def _clb_aggregate_arrays(site_id: int, x: np.ndarray, z: np.ndarray, y: np.ndarray,
-                          p: PropensitySet, eta: Optional[Dict[int, float]],
+def _clb_aggregate_arrays(site: SiteDataset, y: np.ndarray, table: ScoreTable,
+                          eta: Optional[Dict[int, float]],
                           include: Optional[np.ndarray]) -> SiteAggregates:
-    agg = SiteAggregates(site_id=site_id)
-    eta_k = 1.0 if eta is None else float(eta.get(site_id, 1.0))
+    agg = SiteAggregates(site_id=site.site_id)
+    eta_k = 1.0 if eta is None else float(eta.get(site.site_id, 1.0))
+    z = site.z_vec
     keep = np.ones(len(z), dtype=bool) if include is None else np.asarray(include, dtype=bool)
+    pooled = table.pooled(site.site_id, eta)
     for arm in (1, 0):
         mask = (z == arm) & keep
         if not np.any(mask):
             continue
-        s = pooled_score(p, eta, x[mask], arm)
+        s = pooled[mask]
         agg.n_floored += int(np.sum(s < SCORE_FLOOR))
         w = eta_k / np.maximum(s, SCORE_FLOOR)
         ya = y[mask]
@@ -277,15 +258,14 @@ def _clb_aggregate_arrays(site_id: int, x: np.ndarray, z: np.ndarray, y: np.ndar
     return agg
 
 
-def clb_site_aggregates(site: SiteDataset, p: PropensitySet,
+def clb_site_aggregates(site: SiteDataset, table: ScoreTable,
                         eta: Optional[Dict[int, float]] = None,
                         include: Optional[np.ndarray] = None) -> SiteAggregates:
     """One site's contribution to the pooled Hajek sums: G = sum eta_k y / score
     and N = sum eta_k / score per arm, pooled scores in the denominator.
     A site missing an arm still contributes valid sums for the other arm.
     """
-    return _clb_aggregate_arrays(site.site_id, site.x_matrix, site.z_vec, site.y_vec,
-                                 p, eta, include)
+    return _clb_aggregate_arrays(site, site.y_vec, table, eta, include)
 
 
 def clb_combine(aggs: Sequence[SiteAggregates], n_pooled: Optional[int] = None,
@@ -326,11 +306,11 @@ def clb_combine(aggs: Sequence[SiteAggregates], n_pooled: Optional[int] = None,
                           ci_lo=lo, ci_hi=hi, per_site_diagnostics=diagnostics)
 
 
-def clb_ipw(sites: Sequence[SiteDataset], p: PropensitySet,
+def clb_ipw(sites: Sequence[SiteDataset], table: ScoreTable,
             eta: Optional[Dict[int, float]] = None, ci_level: float = 0.95,
             include: Optional[Dict[int, np.ndarray]] = None,
             n_pooled: Optional[int] = None) -> EstimateReport:
-    aggs = [clb_site_aggregates(s, p, eta,
+    aggs = [clb_site_aggregates(s, table, eta,
                                 None if include is None else include.get(s.site_id))
             for s in sorted(sites, key=lambda t: t.site_id)]
     return clb_combine(aggs, n_pooled=n_pooled, ci_level=ci_level)
@@ -341,7 +321,7 @@ def clb_ipw(sites: Sequence[SiteDataset], p: PropensitySet,
 
 
 def aipw_corrections(site: SiteDataset, m1: OutcomeModel, m0: OutcomeModel,
-                     p: PropensitySet, flavor: str = "clb",
+                     table: ScoreTable, flavor: str = "clb",
                      eta: Optional[Dict[int, float]] = None,
                      include: Optional[np.ndarray] = None):
     """Residualized IPW terms for one site: every y is replaced by
@@ -359,20 +339,21 @@ def aipw_corrections(site: SiteDataset, m1: OutcomeModel, m0: OutcomeModel,
                      y - np.atleast_1d(m1.predict(x)),
                      y - np.atleast_1d(m0.predict(x)))
     if flavor == "clb":
-        return _clb_aggregate_arrays(site.site_id, x, z, resid, p, eta, include)
+        return _clb_aggregate_arrays(site, resid, table, eta, include)
     if flavor != "meta":
         raise ValueError(f"unknown flavor {flavor!r}")
 
     keep = np.ones(len(z), dtype=bool) if include is None else np.asarray(include, dtype=bool)
-    if not (p.has(site.site_id, 1) and p.has(site.site_id, 0)):
+    if not (table.has(site.site_id, 1) and table.has(site.site_id, 0)):
         return Excluded("missing arm score model")
+    own = table.own(site.site_id)
     out = {}
     n_units = 0
     for arm in (1, 0):
         mask = (z == arm) & keep
         if not np.any(mask):
             return Excluded(f"no arm-{arm} units")
-        s = np.asarray(p.eval(site.site_id, arm, x[mask]), dtype=float)
+        s = own[mask]
         if np.any(s <= 0.0):
             return Excluded(f"non-positive arm-{arm} score")
         w = 1.0 / s
@@ -460,30 +441,23 @@ def aipw_combine(inputs, flavor: str = "clb",
 
 
 def decoupled_aipw(sites: Sequence[SiteDataset], target: TargetCovariates,
-                   p: PropensitySet, psi_om: FeatureMap, flavor: str = "clb",
+                   table: ScoreTable, psi_om: FeatureMap, flavor: str = "clb",
                    F: int = 2, rng=None, eta: Optional[Dict[int, float]] = None,
                    weights: Optional[Dict[int, float]] = None,
                    include: Optional[Dict[int, np.ndarray]] = None,
-                   ci_level: float = 0.95, model_trainer=None,
+                   ci_level: float = 0.95,
                    fold_plan: Optional[FoldPlan] = None) -> EstimateReport:
     """Cross-fitted decoupled AIPW, centralized reference implementation.
 
-    Outcome models train on the complement of each fold (by default an exact
-    weighted least-squares solve of the score-weighted loss) and correct only
+    Outcome models train on the complement of each fold (an exact weighted
+    least-squares solve of the score-weighted loss) and correct only
     that fold's units; the target-mean term is recomputed per fold. ``include``
-    masks units out of both training and corrections. ``model_trainer`` may
-    replace the direct solve; it receives (arm, train_include) and returns an
-    OutcomeModel, letting a federated trainer stand in.
+    masks units out of both training and corrections.
     """
     sites = sorted(sites, key=lambda s: s.site_id)
     if fold_plan is None:
         fold_plan = crossfit_split(sites, target, F, rng)
     F = fold_plan.F
-
-    def _train(arm: int, train_include: Dict[int, np.ndarray]) -> OutcomeModel:
-        if model_trainer is not None:
-            return model_trainer(arm, train_include)
-        return fit_outcome_direct(sites, arm, psi_om, p, eta=None, include=train_include)
 
     base = {s.site_id: (np.ones(s.n, dtype=bool) if include is None or s.site_id not in include
                         else np.asarray(include[s.site_id], dtype=bool))
@@ -498,10 +472,10 @@ def decoupled_aipw(sites: Sequence[SiteDataset], target: TargetCovariates,
                      for s in sites}
         eval_inc = {s.site_id: base[s.site_id] & fold_plan.eval_mask(s.site_id, f)
                     for s in sites}
-        m1 = _train(1, train_inc)
-        m0 = _train(0, train_inc)
+        m1 = fit_outcome_direct(sites, 1, psi_om, table, include=train_inc)
+        m0 = fit_outcome_direct(sites, 0, psi_om, table, include=train_inc)
         diff = np.atleast_1d(m1.predict(target.xs)) - np.atleast_1d(m0.predict(target.xs))
-        deltas = [aipw_corrections(s, m1, m0, p, flavor, eta, eval_inc[s.site_id])
+        deltas = [aipw_corrections(s, m1, m0, table, flavor, eta, eval_inc[s.site_id])
                   for s in sites]
         inputs.append(AipwInputs(target_mean_term=float(np.mean(diff)),
                                  target_sq_term=float(np.var(diff, ddof=1)),

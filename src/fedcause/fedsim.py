@@ -18,7 +18,7 @@ per fold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,8 +28,8 @@ from .density_ratio import RatioModel
 from .estimators import (AipwInputs, Excluded, MetaDeltas, SiteAggregates,
                          aipw_combine, aipw_corrections, clb_combine,
                          clb_site_aggregates)
-from .nuisance import (FoldPlan, OutcomeModel, PropensitySet,
-                       assemble_propensity, crossfit_split,
+from .nuisance import (FoldPlan, OutcomeModel, ScoreTable,
+                       assemble_propensity, crossfit_split, score_table,
                        weighted_loss_and_grad, zero_outcome_model)
 
 MESSAGE_KINDS = ("publish_ratio_model", "aggregates", "model_params",
@@ -141,7 +141,7 @@ def _wire(obj, enabled: bool):
 # Federated averaging of the weighted outcome regressions, both arms at once
 
 
-def _site_local_update(site: SiteDataset, p: PropensitySet, psi, payload: dict,
+def _site_local_update(site: SiteDataset, table: ScoreTable, psi, payload: dict,
                        cfg: FedConfig, lr: float, eta, inc) -> dict:
     out = {"fold": payload["fold"], "round": payload["round"]}
     for arm in (1, 0):
@@ -155,7 +155,7 @@ def _site_local_update(site: SiteDataset, p: PropensitySet, psi, payload: dict,
         mean_loss = 0.0
         for step in range(cfg.local_steps):
             m = OutcomeModel(arm=arm, psi=psi, theta=th)
-            loss, grad, n_excl = weighted_loss_and_grad(m, site, p, eta, inc)
+            loss, grad, n_excl = weighted_loss_and_grad(m, site, table, eta, inc)
             n_used = n_arm - n_excl
             if step == 0:
                 mean_loss = loss / n_used if n_used > 0 else 0.0
@@ -168,33 +168,25 @@ def _site_local_update(site: SiteDataset, p: PropensitySet, psi, payload: dict,
     return out
 
 
-def suggest_learning_rate(sites: Sequence[SiteDataset], p: PropensitySet, psi,
+def suggest_learning_rate(sites: Sequence[SiteDataset], table: ScoreTable, psi,
                           eta=None, include: Optional[Dict[int, np.ndarray]] = None
                           ) -> float:
     """1 / L for the pooled mean weighted loss, the largest single step that
     keeps one-local-step averaging monotone; L is the top curvature over arms.
     """
     worst = 0.0
-    from .nuisance import SCORE_FLOOR, pooled_score
     for arm in (1, 0):
         H = None
         n = 0
         for s in sorted(sites, key=lambda t: t.site_id):
-            mask = s.z_vec == arm
-            if include is not None and s.site_id in include:
-                mask = mask & np.asarray(include[s.site_id], dtype=bool)
-            if not np.any(mask):
+            x, _, w, _ = table.arm_weights(s, arm, eta,
+                                           None if include is None else include.get(s.site_id))
+            if len(w) == 0:
                 continue
-            x = s.x_matrix[mask]
-            sc = pooled_score(p, eta, x, arm)
-            use = sc > 0.0
-            if not np.any(use):
-                continue
-            w = 1.0 / np.maximum(sc[use], SCORE_FLOOR)
-            design = np.atleast_2d(psi.design(x[use]))
+            design = np.atleast_2d(psi.design(x))
             contrib = design.T @ (design * w[:, None])
             H = contrib if H is None else H + contrib
-            n += int(np.sum(use))
+            n += len(w)
         if H is None or n == 0:
             continue
         lam = float(np.linalg.eigvalsh(2.0 * H / n)[-1])
@@ -204,7 +196,7 @@ def suggest_learning_rate(sites: Sequence[SiteDataset], p: PropensitySet, psi,
     return 1.0 / worst
 
 
-def _fedavg_engine(sites: Sequence[SiteDataset], p: PropensitySet, psi,
+def _fedavg_engine(sites: Sequence[SiteDataset], table: ScoreTable, psi,
                    cfg: FedConfig, eta=None,
                    include: Optional[Dict[int, np.ndarray]] = None,
                    fold: int = 0, emit=None, wire: bool = False):
@@ -218,7 +210,7 @@ def _fedavg_engine(sites: Sequence[SiteDataset], p: PropensitySet, psi,
     d = sites[0].d
     lr = cfg.learning_rate
     if lr is None:
-        lr = suggest_learning_rate(sites, p, psi, eta, include)
+        lr = suggest_learning_rate(sites, table, psi, eta, include)
     pdim = len(zero_outcome_model(1, psi, d).theta)
     theta = {1: [0.0] * pdim, 0: [0.0] * pdim}
     trace: List[float] = []
@@ -236,7 +228,7 @@ def _fedavg_engine(sites: Sequence[SiteDataset], p: PropensitySet, psi,
         updates = []
         for s in sites:
             inc = None if include is None else include.get(s.site_id)
-            upd = _site_local_update(s, p, psi, broadcast[s.site_id], cfg, lr, eta, inc)
+            upd = _site_local_update(s, table, psi, broadcast[s.site_id], cfg, lr, eta, inc)
             if emit is not None:
                 emit(SiteMessage(s.site_id, "gradient_update", r, upd))
             updates.append(_wire(upd, wire))
@@ -273,10 +265,10 @@ def _fedavg_engine(sites: Sequence[SiteDataset], p: PropensitySet, psi,
     return m1, m0, info
 
 
-def fedavg_train(sites, p, psi, cfg: Optional[FedConfig] = None, eta=None,
-                 include=None, fold: int = 0):
+def fedavg_train(sites, table: ScoreTable, psi, cfg: Optional[FedConfig] = None,
+                 eta=None, include=None, fold: int = 0):
     """The averaging engine without any message recording."""
-    return _fedavg_engine(sites, p, psi, cfg or FedConfig(), eta=eta,
+    return _fedavg_engine(sites, table, psi, cfg or FedConfig(), eta=eta,
                           include=include, fold=fold)
 
 
@@ -341,7 +333,7 @@ def replay(log: MessageLog, ci_level: float = 0.95,
 # Protocol one: aggregate once, combine once
 
 
-def run_algorithm1(sites: Sequence[SiteDataset], p: PropensitySet,
+def run_algorithm1(sites: Sequence[SiteDataset], table: ScoreTable,
                    eta: Optional[Dict[int, float]] = None,
                    ci_level: float = 0.95,
                    include: Optional[Dict[int, np.ndarray]] = None
@@ -350,7 +342,7 @@ def run_algorithm1(sites: Sequence[SiteDataset], p: PropensitySet,
     log = MessageLog()
     for s in sorted(sites, key=lambda t: t.site_id):
         inc = None if include is None else include.get(s.site_id)
-        agg = clb_site_aggregates(s, p, eta, inc)
+        agg = clb_site_aggregates(s, table, eta, inc)
         log.append(SiteMessage(s.site_id, "aggregates", 0,
                                _wire(agg.to_payload(), True)))
     return _report_from_log(log, ci_level=ci_level), log
@@ -437,7 +429,7 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng, eta,
                 counts[(sid, arm)] = pay[f"n{arm}"]
     if not models:
         raise ValueError("no ratio models were published")
-    p = assemble_propensity(models, counts, n_published)
+    table = score_table(sites, assemble_propensity(models, counts, n_published))
 
     base = {s.site_id: (np.ones(s.n, dtype=bool)
                         if include is None or s.site_id not in include
@@ -455,7 +447,7 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng, eta,
         if train:
             train_inc = {s.site_id: base[s.site_id] & fold_plan.train_mask(s.site_id, f)
                          for s in sites}
-            m1, m0, _ = _fedavg_engine(sites, p, psi_om, cfg, eta=eta,
+            m1, m0, _ = _fedavg_engine(sites, table, psi_om, cfg, eta=eta,
                                        include=train_inc, fold=f,
                                        emit=log.append, wire=wire)
             eval_inc = {s.site_id: base[s.site_id] & fold_plan.eval_mask(s.site_id, f)
@@ -475,7 +467,7 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng, eta,
                                 "target_var": tvar, "n_target": int(target.n)}))
 
         for s in sites:
-            res = aipw_corrections(s, m1, m0, p, flavor, eta, eval_inc[s.site_id])
+            res = aipw_corrections(s, m1, m0, table, flavor, eta, eval_inc[s.site_id])
             if isinstance(res, Excluded):
                 payload = {"fold": f, "site_id": s.site_id, "excluded": res.reason}
             else:
@@ -493,10 +485,8 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng, eta,
 # Transcript auditing
 
 
-_AGG_KEYS = {"site_id", "G1", "G0", "N1", "N0", "w2_1", "w2y_1", "w2y2_1",
-             "w2_0", "w2y_0", "w2y2_0", "n_units", "n_floored", "fold"}
-_META_KEYS = {"site_id", "d1", "d0", "n1_hat", "n0_hat", "s2_1", "s2_0",
-              "n_units", "fold"}
+_AGG_KEYS = {f.name for f in fields(SiteAggregates)} | {"fold"}
+_META_KEYS = {f.name for f in fields(MetaDeltas)} | {"fold"}
 _EXCL_KEYS = {"site_id", "fold", "excluded"}
 _MODEL_KEYS = {"backend", "gamma", "psi", "M", "n_source", "n_target",
                "source_points_ref"}

@@ -22,7 +22,7 @@ from .density_ratio import (IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, FeatureMap,
                             fit_logistic_ratio, oracle_gaussian_ratio)
 from .estimators import (AllSitesExcludedError, OverlapError, clb_ipw,
                          decoupled_aipw, meta_ipw)
-from .nuisance import PropensitySet, crossfit_split
+from .nuisance import PropensitySet, crossfit_split, score_table
 from .synthgen import (ShiftConfig, gen_covariate_shift, misspecify_features,
                        place_site_means)
 
@@ -248,7 +248,8 @@ def _fit_knn_scores(sites: Sequence[SiteDataset], target: TargetCovariates,
     """Fit one nearest-neighbour selection ratio per (site, arm). Returns
     (score_fns, failed)."""
     n_pooled = sum(s.n for s in sites)
-    tgt_feat = misspecify_features(target.xs) if wrong else target.xs
+    feat = misspecify_features if wrong else (lambda x: x)
+    tgt_feat = feat(target.xs)
     fns = {}
     failed = []
     for s in sites:
@@ -259,18 +260,13 @@ def _fit_knn_scores(sites: Sequence[SiteDataset], target: TargetCovariates,
                 continue
             share = len(src) / n_pooled
             try:
-                src_f = misspecify_features(src) if wrong else src
-                model = fit_knn(src_f, tgt_feat)
+                model = fit_knn(feat(src), tgt_feat)
             except ValueError as exc:
                 failed.append((s.site_id, arm, str(exc)))
                 continue
-            if wrong:
-                fn = (lambda x, m=model, sh=share:
-                      sh * np.atleast_1d(m.eval(misspecify_features(np.atleast_2d(x)))))
-            else:
-                fn = (lambda x, m=model, sh=share:
-                      sh * np.atleast_1d(m.eval(np.atleast_2d(x))))
-            fns[(s.site_id, arm)] = fn
+            fns[(s.site_id, arm)] = (
+                lambda x, m=model, sh=share:
+                sh * np.atleast_1d(m.eval(feat(np.atleast_2d(x)))))
     return fns, failed
 
 
@@ -319,6 +315,7 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
     try:
         p, include, n_usable, n_failed = _build_nuisance(spec, sites, target, means)
         out["excised"] = n_failed > 0
+        table = score_table(sites, p)
     except (OverlapError, TiltingError, ValueError) as exc:
         out["excised"] = True
         for est in spec.estimators:
@@ -342,14 +339,14 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
     for est in spec.estimators:
         try:
             if est == "meta_ipw":
-                rep_out = meta_ipw(sites, p, mode=meta_mode, ci_level=spec.ci_level)
+                rep_out = meta_ipw(sites, table, mode=meta_mode, ci_level=spec.ci_level)
             elif est == "clb_ipw":
-                rep_out = clb_ipw(sites, p, ci_level=spec.ci_level,
+                rep_out = clb_ipw(sites, table, ci_level=spec.ci_level,
                                   include=include, n_pooled=n_usable)
             else:
                 flavor = "meta" if est == "meta_aipw" else "clb"
                 rep_out = decoupled_aipw(
-                    sites, target, p, psi_om, flavor=flavor,
+                    sites, target, table, psi_om, flavor=flavor,
                     weights=aipw_weights if flavor == "meta" else None,
                     include=include, ci_level=spec.ci_level, fold_plan=fold_plan)
             covered = bool(rep_out.ci_lo <= true_tau <= rep_out.ci_hi)
@@ -380,7 +377,8 @@ def run_monte_carlo(spec: SweepSpec, seed: int, jobs: int = 1) -> SweepResult:
     need_oracle_w = spec.meta_weight_mode == "oracle" and (
         "meta_ipw" in spec.estimators or "meta_aipw" in spec.estimators)
     for gi, d_kl in enumerate(spec.d_kl_grid):
-        for pi in range(spec.placements):
+        # replication r uses placement r % placements; draw only those
+        for pi in range(min(spec.placements, spec.replications)):
             mrng = np.random.default_rng((seed, 9000 + gi, pi))
             means = place_site_means(float(d_kl), spec.shift.n_sites,
                                      spec.shift.sigma, spec.shift.mu_target, mrng)

@@ -1,10 +1,10 @@
-"""Propensity assembly, pooled assignment scores, cross-fit folds, and the
-inverse-propensity-weighted outcome loss with its analytic gradient."""
+"""Propensity assembly, the per-replication score table, cross-fit folds, and
+the inverse-propensity-weighted outcome loss with its analytic gradient."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,7 +20,8 @@ SCORE_FLOOR = 1e-12
 class PropensitySet:
     """Selection-arm probability functions e[(site_id, z)](x), known either
     exactly (kind "oracle") or assembled from fitted ratios up to one shared
-    positive constant (kind "assembled")."""
+    positive constant (kind "assembled"). Estimators never call them: they
+    read the ScoreTable that score_table evaluates once per replication."""
 
     e: Dict[Tuple[int, int], Callable]
     kind: str = "assembled"
@@ -94,21 +95,75 @@ def invert_balancing_model(model: RatioModel, n_source: int, n_target: int) -> R
     return RatioModel(backend="tilting", gamma=gamma, psi=model.psi, fit_info=info)
 
 
-def pooled_score(p: PropensitySet, eta: Optional[Dict[int, float]], x, z: int) -> np.ndarray:
-    """Weighted pooled assignment score sum_k eta_k * e_hat[(k, z)](x).
-    eta defaults to 1 for every site."""
+@dataclass(frozen=True)
+class ScoreTable:
+    """Every selection score one replication needs, evaluated once per unit.
+
+    ``scores[k]`` is an (n_k, K) read-only array for site k: column j holds
+    e[(site_ids[j], z_i)](x_i), the j-th site's score at unit i's own arm,
+    with columns in ascending site order and zeros where that pair has no
+    model. ``pairs`` lists the (site, arm) pairs that have one.
+    """
+
+    site_ids: Tuple[int, ...]
+    scores: Dict[int, np.ndarray]
+    pairs: frozenset
+
+    def has(self, site_id: int, z: int) -> bool:
+        return (site_id, int(z)) in self.pairs
+
+    def own(self, site_id: int) -> np.ndarray:
+        """Each unit's score under its own site's model."""
+        return self.scores[site_id][:, self.site_ids.index(site_id)]
+
+    def pooled(self, site_id: int, eta: Optional[Dict[int, float]] = None) -> np.ndarray:
+        """Each unit's pooled score sum_k eta_k * e[(k, z_i)](x_i), summed over
+        the columns from the left; eta defaults to 1 and a zero weight drops
+        its column."""
+        cols = self.scores[site_id]
+        total = np.zeros(len(cols))
+        for j, k in enumerate(self.site_ids):
+            w = 1.0 if eta is None else float(eta.get(k, 1.0))
+            if w != 0.0:
+                total += w * cols[:, j]
+        return total
+
+    def arm_weights(self, site: SiteDataset, arm: int,
+                    eta: Optional[Dict[int, float]] = None,
+                    include: Optional[np.ndarray] = None):
+        """(x, y, w, n_excluded) for one arm of a site: the units with a
+        positive pooled score, their weights 1 / max(score, SCORE_FLOOR), and
+        the count of zero-score units left out."""
+        mask = site.z_vec == arm
+        if include is not None:
+            mask = mask & np.asarray(include, dtype=bool)
+        s = self.pooled(site.site_id, eta)[mask]
+        use = s > 0.0
+        keep = np.flatnonzero(mask)[use]
+        return (site.x_matrix[keep], site.y_vec[keep],
+                1.0 / np.maximum(s[use], SCORE_FLOOR), len(s) - len(keep))
+
+
+def score_table(sites: Sequence[SiteDataset], p: PropensitySet) -> ScoreTable:
+    """Evaluate every score of p once on each unit of each site, at the unit's
+    own arm; each score function sees each arm's units as one batch."""
     if not p.e:
         raise ValueError("empty propensity set")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    total = np.zeros(len(x))
-    for (k, zz) in p.pairs:
-        if zz != int(z):
-            continue
-        w = 1.0 if eta is None else float(eta.get(k, 1.0))
-        if w == 0.0:
-            continue
-        total += w * p.eval(k, zz, x)
-    return total
+    cols = tuple(p.site_ids)
+    scores = {}
+    for s in sites:
+        table = np.zeros((s.n, len(cols)))
+        for arm in (1, 0):
+            rows = s.z_vec == arm
+            if not np.any(rows):
+                continue
+            x = s.x_matrix[rows]
+            for j, k in enumerate(cols):
+                if p.has(k, arm):
+                    table[rows, j] = p.eval(k, arm, x)
+        table.flags.writeable = False
+        scores[s.site_id] = table
+    return ScoreTable(site_ids=cols, scores=scores, pairs=frozenset(p.e))
 
 
 @dataclass(frozen=True)
@@ -185,7 +240,7 @@ def zero_outcome_model(arm: int, psi: FeatureMap, d: int) -> OutcomeModel:
     return OutcomeModel(arm=arm, psi=psi, theta=np.zeros(p))
 
 
-def weighted_loss_and_grad(m: OutcomeModel, site: SiteDataset, p: PropensitySet,
+def weighted_loss_and_grad(m: OutcomeModel, site: SiteDataset, table: ScoreTable,
                            eta: Optional[Dict[int, float]] = None,
                            include: Optional[np.ndarray] = None):
     """Squared loss on one site's arm-matching units, each term divided by the
@@ -194,30 +249,18 @@ def weighted_loss_and_grad(m: OutcomeModel, site: SiteDataset, p: PropensitySet,
     Returns (loss, grad, n_excluded). Units whose pooled score is exactly zero
     are excluded and counted; near-zero scores are floored at 1e-12.
     """
-    z = site.z_vec
-    mask = z == m.arm
-    if include is not None:
-        mask = mask & np.asarray(include, dtype=bool)
-    pdim = len(m.theta)
-    if not np.any(mask):
-        return 0.0, np.zeros(pdim), 0
-    x = site.x_matrix[mask]
-    y = site.y_vec[mask]
-    s = pooled_score(p, eta, x, m.arm)
-    use = s > 0.0
-    n_excluded = int(np.sum(~use))
-    if not np.any(use):
-        return 0.0, np.zeros(pdim), n_excluded
-    w = 1.0 / np.maximum(s[use], SCORE_FLOOR)
-    design = np.atleast_2d(m.psi.design(x[use]))
-    resid = y[use] - design @ m.theta
+    x, y, w, n_excluded = table.arm_weights(site, m.arm, eta, include)
+    if len(w) == 0:
+        return 0.0, np.zeros(len(m.theta)), n_excluded
+    design = np.atleast_2d(m.psi.design(x))
+    resid = y - design @ m.theta
     loss = float(np.sum(w * resid ** 2))
     grad = -2.0 * design.T @ (w * resid)
     return loss, grad, n_excluded
 
 
 def fit_outcome_direct(sites: Sequence[SiteDataset], arm: int, psi: FeatureMap,
-                       p: PropensitySet, eta: Optional[Dict[int, float]] = None,
+                       table: ScoreTable, eta: Optional[Dict[int, float]] = None,
                        include: Optional[Dict[int, np.ndarray]] = None) -> OutcomeModel:
     """Minimize the pooled weighted squared loss exactly via least squares.
 
@@ -227,19 +270,12 @@ def fit_outcome_direct(sites: Sequence[SiteDataset], arm: int, psi: FeatureMap,
     """
     rows, ys, ws = [], [], []
     for s in sorted(sites, key=lambda t: t.site_id):
-        mask = s.z_vec == arm
-        if include is not None and s.site_id in include:
-            mask = mask & np.asarray(include[s.site_id], dtype=bool)
-        if not np.any(mask):
-            continue
-        x = s.x_matrix[mask]
-        sc = pooled_score(p, eta, x, arm)
-        use = sc > 0.0
-        if not np.any(use):
-            continue
-        rows.append(np.atleast_2d(psi.design(x[use])))
-        ys.append(s.y_vec[mask][use])
-        ws.append(1.0 / np.maximum(sc[use], SCORE_FLOOR))
+        x, y, w, _ = table.arm_weights(s, arm, eta,
+                                       None if include is None else include.get(s.site_id))
+        if len(w):
+            rows.append(np.atleast_2d(psi.design(x)))
+            ys.append(y)
+            ws.append(w)
     if not rows:
         raise ValueError(f"no usable units to fit the arm-{arm} outcome model")
     D = np.vstack(rows)

@@ -32,10 +32,10 @@ from fedcause import (
     meta_ipw,
     meta_ipw_site,
     oracle_gaussian_ratio,
-    pooled_score,
     run_algorithm1,
     run_algorithm2,
     run_monte_carlo,
+    score_table,
 )
 from conftest import (
     brute_knn_ratio,
@@ -157,19 +157,18 @@ def test_criterion_6_disjoint_domain_collaboration():
     for r in range(R):
         sites, target, _, oracle = draw_disjoint_two_site(3000, seed=(SEED, 6, r))
         screen = check_overlap(oracle, target.xs[:400], c=1e-9)
+        table = score_table(sites, oracle)
         results = {}
         for s in sites:
             if screen.individual_ok.get(s.site_id, False):
-                e1 = lambda x, k=s.site_id: oracle.eval(k, 1, x)
-                e0 = lambda x, k=s.site_id: oracle.eval(k, 0, x)
-                results[s.site_id] = meta_ipw_site(s, e1, e0)
+                results[s.site_id] = meta_ipw_site(s, table.own(s.site_id))
             else:
                 results[s.site_id] = Excluded("fails individual overlap on target support")
         try:
             meta_combine(results)
         except AllSitesExcludedError:
             meta_refused += 1
-        rep = clb_ipw(sites, oracle)
+        rep = clb_ipw(sites, table)
         se = math.sqrt(rep.var_hat / rep.n_effective)
         assert np.isfinite(rep.tau_hat)
         zs.append(abs(rep.tau_hat - DISJOINT_TRUE_TAU) / se)
@@ -220,9 +219,9 @@ def test_criterion_7_federated_equals_centralized_and_audits_clean():
             sites, target, ratios, rng=np.random.default_rng((SEED, 70, i)), **kw)[0])
         if out_f != out_c:
             mismatches += 1
-        p = fuzz_scores(rng, sites, d)
-        rep_a1, _ = run_algorithm1(sites, p)
-        if rep_a1 != clb_ipw(sites, p):
+        table = score_table(sites, fuzz_scores(rng, sites, d))
+        rep_a1, _ = run_algorithm1(sites, table)
+        if rep_a1 != clb_ipw(sites, table):
             mismatches += 1
 
     violations = 0
@@ -235,8 +234,8 @@ def test_criterion_7_federated_equals_centralized_and_audits_clean():
         d = sites[0].d
         try:
             if i % 10 < 9:
-                p = fuzz_scores(rng, sites, d)
-                _, log = run_algorithm1(sites, p)
+                table = score_table(sites, fuzz_scores(rng, sites, d))
+                _, log = run_algorithm1(sites, table)
             else:
                 ratios = _fuzz_ratio_models(rng, sites, d)
                 _, log = run_algorithm2(
@@ -270,7 +269,7 @@ def test_criterion_8_shared_score_constant_is_irrelevant():
         d = sites[0].d
         p = fuzz_scores(rng, sites, d)
         c = float(10.0 ** rng.uniform(-3.0, 3.0))
-        ps = p.scaled(c)
+        tp, tps = score_table(sites, p), score_table(sites, p.scaled(c))
         runs = [
             lambda q: meta_ipw(sites, q),
             lambda q: clb_ipw(sites, q),
@@ -282,7 +281,7 @@ def test_criterion_8_shared_score_constant_is_irrelevant():
                 rng=np.random.default_rng((SEED, 80, t))),
         ]
         try:
-            pairs = [(fn(p), fn(ps)) for fn in runs]
+            pairs = [(fn(tp), fn(tps)) for fn in runs]
         except (ValueError, OverlapError):
             continue  # a fold lost an arm; draw a fresh dataset
         for a, b in pairs:
@@ -345,13 +344,13 @@ def test_criterion_9_density_ratio_oracles():
 
 def _ht_estimate(sites, oracle, n_true: int) -> float:
     tot1 = tot0 = 0.0
+    table = score_table(sites, oracle)
     for s in sites:
-        x, z, y = s.x_matrix, s.z_vec, s.y_vec
-        s1 = pooled_score(oracle, None, x, 1)
-        s0 = pooled_score(oracle, None, x, 0)
+        z, y = s.z_vec, s.y_vec
+        pooled = table.pooled(s.site_id)
         m1, m0 = z == 1, z == 0
-        tot1 += float(np.sum(y[m1] / s1[m1]))
-        tot0 += float(np.sum(y[m0] / s0[m0]))
+        tot1 += float(np.sum(y[m1] / pooled[m1]))
+        tot0 += float(np.sum(y[m0] / pooled[m0]))
     return tot1 / n_true - tot0 / n_true
 
 
@@ -360,7 +359,7 @@ def test_criterion_10_self_normalized_tracks_true_size_weighting():
     for s in range(50):
         for n in gaps:
             sites, _, dropped, oracle = draw_smooth_two_site(n, seed=(SEED, 10, s, n))
-            hajek = clb_ipw(sites, oracle).tau_hat
+            hajek = clb_ipw(sites, score_table(sites, oracle)).tau_hat
             ht = _ht_estimate(sites, oracle, n_true=sum(t.n for t in sites) + dropped)
             gaps[n].append(abs(hajek - ht))
     med_small, med_big = np.median(gaps[500]), np.median(gaps[8000])

@@ -17,7 +17,7 @@ from fedcause import (
     oracle_gaussian_ratio,
 )
 from fedcause import density_ratio
-from fedcause.density_ratio import expit, fit_logistic, fit_logistic_ratio
+from fedcause.density_ratio import _sq_dists, expit, fit_logistic, fit_logistic_ratio
 from conftest import brute_knn_ratio
 
 
@@ -256,6 +256,52 @@ def test_knn_rigid_motion_invariance():
     base = fit_knn(src, tgt, M=3).eval(probes)
     moved = fit_knn(src @ q.T + shift, tgt @ q.T + shift, M=3).eval(probes @ q.T + shift)
     assert np.array_equal(base, moved)
+
+
+def _broadcast_knn(model, x):
+    """Reference for the blocked kernel: the former single-broadcast count,
+    one (probes, points, d) difference array per side."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if model.scale is not None:
+        pts = pts / model.scale
+    src, tgt = model.source_points, model.target_points
+    d2s = np.sum((pts[:, None, :] - src[None, :, :]) ** 2, axis=2)
+    rho2 = np.partition(d2s, model.M - 1, axis=1)[:, model.M - 1]
+    d2t = np.sum((pts[:, None, :] - tgt[None, :, :]) ** 2, axis=2)
+    w = np.sum(d2t <= rho2[:, None], axis=1).astype(float)
+    vals = (model.n_target / model.n_source) * model.M / np.maximum(w, 1)
+    return vals, int(np.sum(w < 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("standardize", [False, True])
+def test_knn_blocked_kernel_is_bitwise_the_broadcast(d, standardize):
+    rng = np.random.default_rng(100 + d)
+    # lattice points: many exact distance ties, and duplicates of source
+    # points in the target sit exactly on the ball boundary
+    src = rng.integers(-3, 4, size=(40, d)).astype(float)
+    tgt = np.vstack([rng.integers(-3, 4, size=(60, d)).astype(float), src[:15],
+                     rng.normal(size=(30, d)) + 40.0])
+    for n_probe in (1, 255, 256, 257, 513):
+        probes = np.vstack([src, rng.integers(-3, 4, size=(n_probe // 2, d)).astype(float),
+                            rng.normal(size=(n_probe, d))])[:n_probe]
+        for M in (1, 7, len(src)):
+            m = fit_knn(src, tgt, M=M, standardize=standardize)
+            vals, n_floored = m.eval_with_diagnostics(probes)
+            ref_vals, ref_floored = _broadcast_knn(m, probes)
+            assert np.array_equal(vals, ref_vals), (n_probe, M)
+            assert n_floored == ref_floored
+    noisy = rng.normal(size=(300, d))
+    assert np.array_equal(_sq_dists(noisy, tgt),
+                          np.sum((noisy[:, None, :] - tgt[None, :, :]) ** 2, axis=2))
+    # probes beside the source but far from every target point floor their
+    # empty balls, and the count of them is unchanged
+    far = fit_knn(src, tgt[-30:], M=3, standardize=standardize)
+    probes = rng.integers(-3, 4, size=(300, d)).astype(float)
+    vals, n_floored = far.eval_with_diagnostics(probes)
+    ref_vals, ref_floored = _broadcast_knn(far, probes)
+    assert n_floored == ref_floored > 0
+    assert np.array_equal(vals, ref_vals)
 
 
 def test_knn_refuses_json_round_trip():

@@ -26,6 +26,7 @@ from fedcause import (
     meta_ipw,
     meta_ipw_site,
     oracle_shift_propensity,
+    score_table,
     zero_outcome_model,
 )
 from conftest import fuzz_dataset, fuzz_scores
@@ -44,21 +45,29 @@ def _const_set(v, site_ids=(1,)):
     return PropensitySet(e=e)
 
 
+def _own(site, e1, e0):
+    """The site's own scores at each unit's arm, read from a score table."""
+    table = score_table([site], PropensitySet(e={(site.site_id, 1): e1,
+                                                 (site.site_id, 0): e0}))
+    return table.own(site.site_id)
+
+
 # -- per-site Meta-IPW --------------------------------------------------------
 
 
 def test_meta_site_constant_scores():
-    tau, var = meta_ipw_site(_two_unit_site(), _const(0.5), _const(0.5))
+    site = _two_unit_site()
+    tau, var = meta_ipw_site(site, _own(site, _const(0.5), _const(0.5)))
     assert tau == pytest.approx(1.0)
     assert var >= 0.0
 
 
 def test_meta_site_excludes_missing_arm():
     all_treated = SiteDataset.from_arrays(1, np.zeros((3, 1)), [1, 1, 1], [1.0, 2.0, 3.0])
-    out = meta_ipw_site(all_treated, _const(0.5), _const(0.5))
+    out = meta_ipw_site(all_treated, _own(all_treated, _const(0.5), _const(0.5)))
     assert isinstance(out, Excluded) and "no control units" in out.reason
     all_control = SiteDataset.from_arrays(1, np.zeros((3, 1)), [0, 0, 0], [1.0, 2.0, 3.0])
-    out = meta_ipw_site(all_control, _const(0.5), _const(0.5))
+    out = meta_ipw_site(all_control, _own(all_control, _const(0.5), _const(0.5)))
     assert isinstance(out, Excluded) and "no treated units" in out.reason
 
 
@@ -68,8 +77,8 @@ def test_meta_site_scale_invariant(rng):
         rng.normal(size=30))
     e1 = lambda x: 0.2 + 0.1 / (1 + np.exp(-np.atleast_2d(x)[:, 0]))
     e0 = lambda x: 0.3 + 0.1 / (1 + np.exp(np.atleast_2d(x)[:, 0]))
-    t1, v1 = meta_ipw_site(site, e1, e0)
-    t2, v2 = meta_ipw_site(site, lambda x: 2 * e1(x), lambda x: 2 * e0(x))
+    t1, v1 = meta_ipw_site(site, _own(site, e1, e0))
+    t2, v2 = meta_ipw_site(site, _own(site, lambda x: 2 * e1(x), lambda x: 2 * e0(x)))
     assert t1 == pytest.approx(t2, rel=1e-12)
     assert v1 == pytest.approx(v2, rel=1e-12)
 
@@ -111,27 +120,30 @@ def test_meta_combine_all_excluded_raises():
 
 
 def test_clb_aggregates_worked_example():
-    agg = clb_site_aggregates(_two_unit_site(), _const_set(0.5))
+    site = _two_unit_site()
+    agg = clb_site_aggregates(site, score_table([site], _const_set(0.5)))
     assert (agg.G1, agg.N1, agg.G0, agg.N0) == (4.0, 2.0, 2.0, 2.0)
     assert agg.n_units == 2
 
 
 def test_clb_aggregates_tolerate_missing_arm():
     treated_only = SiteDataset.from_arrays(1, np.zeros((2, 1)), [1, 1], [1.0, 3.0])
-    agg = clb_site_aggregates(treated_only, _const_set(0.5))
+    agg = clb_site_aggregates(treated_only, score_table([treated_only], _const_set(0.5)))
     assert agg.G1 == pytest.approx(8.0) and agg.N1 == pytest.approx(4.0)
     assert (agg.G0, agg.N0) == (0.0, 0.0)
 
 
 def test_clb_aggregates_scale_linearly():
-    base = clb_site_aggregates(_two_unit_site(), _const_set(0.5))
-    half = clb_site_aggregates(_two_unit_site(), _const_set(0.5).scaled(2.0))
+    site = _two_unit_site()
+    base = clb_site_aggregates(site, score_table([site], _const_set(0.5)))
+    half = clb_site_aggregates(site, score_table([site], _const_set(0.5).scaled(2.0)))
     for f in ("G1", "N1", "G0", "N0"):
         assert getattr(half, f) == pytest.approx(getattr(base, f) / 2.0)
 
 
 def test_clb_combine_worked_example():
-    rep = clb_combine([clb_site_aggregates(_two_unit_site(), _const_set(0.5))])
+    site = _two_unit_site()
+    rep = clb_combine([clb_site_aggregates(site, score_table([site], _const_set(0.5)))])
     assert rep.tau_hat == pytest.approx(1.0)
     assert rep.n_effective == 2
 
@@ -139,14 +151,15 @@ def test_clb_combine_worked_example():
 def test_clb_combine_empty_arm_raises():
     control_only = SiteDataset.from_arrays(1, np.zeros((2, 1)), [0, 0], [1.0, 3.0])
     with pytest.raises(OverlapError):
-        clb_combine([clb_site_aggregates(control_only, _const_set(0.5))])
+        clb_combine([clb_site_aggregates(control_only,
+                                         score_table([control_only], _const_set(0.5)))])
 
 
 def test_clb_report_scale_invariant(rng):
     sites, _ = fuzz_dataset(rng, n_sites=3, d=2)
     p = fuzz_scores(rng, sites, 2)
-    a = clb_ipw(sites, p)
-    b = clb_ipw(sites, p.scaled(41.5))
+    a = clb_ipw(sites, score_table(sites, p))
+    b = clb_ipw(sites, score_table(sites, p.scaled(41.5)))
     assert a.tau_hat == pytest.approx(b.tau_hat, rel=1e-12)
     assert a.var_hat == pytest.approx(b.var_hat, rel=1e-12)
 
@@ -154,7 +167,7 @@ def test_clb_report_scale_invariant(rng):
 def test_clb_multi_site_matches_pooled_single_site(rng):
     sites, _ = fuzz_dataset(rng, n_sites=3, d=2, min_n=20, max_n=40)
     p = fuzz_scores(rng, sites, 2)
-    multi = clb_ipw(sites, p)
+    multi = clb_ipw(sites, score_table(sites, p))
 
     # same units as one site, scored by the pooled across-site sums
     x = np.vstack([s.x_matrix for s in sites])
@@ -164,7 +177,7 @@ def test_clb_multi_site_matches_pooled_single_site(rng):
     pool = {z_: (lambda xs, z_=z_: sum(p.eval(s.site_id, z_, xs) for s in sites))
             for z_ in (0, 1)}
     p_merged = PropensitySet(e={(1, 1): pool[1], (1, 0): pool[0]})
-    single = clb_ipw([merged], p_merged)
+    single = clb_ipw([merged], score_table([merged], p_merged))
 
     assert multi.tau_hat == pytest.approx(single.tau_hat, rel=1e-12, abs=1e-12)
     assert multi.var_hat == pytest.approx(single.var_hat, rel=1e-12)
@@ -178,7 +191,7 @@ def test_corrections_vanish_with_perfect_models():
     rng = np.random.default_rng(7)
     sites, target, _ = gen_covariate_shift(cfg, rng)
     means = [0.4, -0.6, -0.1]
-    p = oracle_shift_propensity(cfg, means)
+    p = score_table(sites, oracle_shift_propensity(cfg, means))
     # regression designs always carry a constant column; true intercept is 0
     m1 = OutcomeModel(arm=1, psi=IDENTITY, theta=np.r_[0.0, cfg.beta1])
     m0 = OutcomeModel(arm=0, psi=IDENTITY, theta=np.r_[0.0, cfg.beta0])
@@ -191,7 +204,7 @@ def test_corrections_vanish_with_perfect_models():
 
 def test_corrections_with_zero_model_equal_ipw_terms():
     site = _two_unit_site()
-    p = _const_set(0.5)
+    p = score_table([site], _const_set(0.5))
     m1 = zero_outcome_model(1, IDENTITY, d=1)
     m0 = zero_outcome_model(0, IDENTITY, d=1)
     agg = aipw_corrections(site, m1, m0, p, flavor="clb")
@@ -204,7 +217,7 @@ def test_corrections_with_zero_model_equal_ipw_terms():
 
 def test_correction_single_unit_residual():
     site = SiteDataset.from_arrays(1, np.array([[3.0]]), [1], [2.0])
-    p = _const_set(0.5)
+    p = score_table([site], _const_set(0.5))
     m1 = OutcomeModel(arm=1, psi=IDENTITY, theta=np.array([0.0, 0.5]))
     m0 = zero_outcome_model(0, IDENTITY, d=1)
     agg = aipw_corrections(site, m1, m0, p, flavor="clb")
@@ -224,7 +237,7 @@ def test_aipw_combine_lambda_one_zero_residuals():
 
 def test_aipw_combine_zero_models_reduces_to_clb():
     sites = [_two_unit_site(1), _two_unit_site(2)]
-    p = _const_set(0.5, site_ids=(1, 2))
+    p = score_table(sites, _const_set(0.5, site_ids=(1, 2)))
     m1 = zero_outcome_model(1, IDENTITY, d=1)
     m0 = zero_outcome_model(0, IDENTITY, d=1)
     deltas = [aipw_corrections(s, m1, m0, p, flavor="clb") for s in sites]
@@ -236,9 +249,10 @@ def test_aipw_combine_zero_models_reduces_to_clb():
 
 
 def test_aipw_meta_flavor_weighted_combine():
-    d_a = aipw_corrections(_two_unit_site(), zero_outcome_model(1, IDENTITY, 1),
-                           zero_outcome_model(0, IDENTITY, 1), _const_set(0.5),
-                           flavor="meta")
+    site = _two_unit_site()
+    d_a = aipw_corrections(site, zero_outcome_model(1, IDENTITY, 1),
+                           zero_outcome_model(0, IDENTITY, 1),
+                           score_table([site], _const_set(0.5)), flavor="meta")
     inputs = AipwInputs(target_mean_term=0.25, target_sq_term=0.0, n_target=8,
                         deltas=[d_a], lambda_hat=2.0, n_pooled=4, fold=0)
     rep = aipw_combine([inputs], flavor="meta", weights={1: 1.0})
@@ -256,7 +270,7 @@ def test_decoupled_aipw_exact_on_linear_outcomes():
     rng = np.random.default_rng(8)
     means = [1.2, -0.8, -0.1]
     sites, target, true_tau = gen_covariate_shift(cfg, rng, means=np.asarray(means))
-    p = oracle_shift_propensity(cfg, means)
+    p = score_table(sites, oracle_shift_propensity(cfg, means))
     rep = decoupled_aipw(sites, target, p, psi_om=IDENTITY, flavor="clb",
                          F=2, rng=np.random.default_rng(9))
     # noise-free linear outcomes are fit exactly, so only the target-mean
@@ -289,6 +303,6 @@ def test_estimator_reports_scale_invariant_fuzz():
         p = fuzz_scores(rng, sites, d)
         c = float(10.0 ** rng.uniform(-3, 3))
         for fn in (lambda q: meta_ipw(sites, q), lambda q: clb_ipw(sites, q)):
-            a, b = fn(p), fn(p.scaled(c))
+            a, b = fn(score_table(sites, p)), fn(score_table(sites, p.scaled(c)))
             assert a.tau_hat == pytest.approx(b.tau_hat, rel=1e-12, abs=1e-12)
             assert a.var_hat == pytest.approx(b.var_hat, rel=1e-12, abs=1e-12)

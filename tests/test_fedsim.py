@@ -23,7 +23,9 @@ from fedcause import (
     replay,
     run_algorithm1,
     run_algorithm2,
+    score_table,
 )
+from fedcause.density_ratio import RatioModel
 from fedcause.fedsim import MESSAGE_KINDS, fedavg_train, suggest_learning_rate
 from fedcause.nuisance import assemble_propensity, invert_balancing_model
 from conftest import fuzz_dataset, fuzz_scores
@@ -65,7 +67,7 @@ def test_message_count_formula():
 
 def test_algorithm1_matches_direct_pooled_estimate(rng):
     sites, _ = fuzz_dataset(rng, n_sites=3, d=2)
-    p = fuzz_scores(rng, sites, 2)
+    p = score_table(sites, fuzz_scores(rng, sites, 2))
     rep, log = run_algorithm1(sites, p)
     direct = clb_ipw(sites, p)
     assert rep.tau_hat == direct.tau_hat
@@ -77,7 +79,7 @@ def test_algorithm1_matches_direct_pooled_estimate(rng):
 
 def test_algorithm1_replay_is_bitwise(rng):
     sites, _ = fuzz_dataset(rng, n_sites=2, d=1)
-    p = fuzz_scores(rng, sites, 1)
+    p = score_table(sites, fuzz_scores(rng, sites, 1))
     rep, log = run_algorithm1(sites, p)
     again = replay(log)
     assert again == rep
@@ -85,7 +87,7 @@ def test_algorithm1_replay_is_bitwise(rng):
 
 def test_log_jsonl_round_trip(tmp_path, rng):
     sites, _ = fuzz_dataset(rng, n_sites=2, d=2)
-    p = fuzz_scores(rng, sites, 2)
+    p = score_table(sites, fuzz_scores(rng, sites, 2))
     _, log = run_algorithm1(sites, p)
     line = log.messages[0].to_json_line()
     import json
@@ -133,7 +135,8 @@ def test_algorithm2_without_training_reduces_to_pooled_ipw():
     rep, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY,
                               train=False, rng=np.random.default_rng(0))
     counts = {(s.site_id, z): int(np.sum(s.z_vec == z)) for s in sites for z in (0, 1)}
-    p = assemble_propensity(ratios, counts, n_pooled=sum(counts.values()))
+    p = score_table(sites, assemble_propensity(ratios, counts,
+                                               n_pooled=sum(counts.values())))
     direct = clb_ipw(sites, p, n_pooled=sum(counts.values()))
     assert rep.tau_hat == direct.tau_hat
     assert rep.var_hat >= 0.0
@@ -152,7 +155,7 @@ def test_algorithm2_rejects_neighbour_ratio_models():
 def test_fedavg_reaches_pooled_weighted_least_squares():
     rng = np.random.default_rng(7)
     sites = _linear_sites(rng, n_sites=3, n=40)
-    p = _const_scores([1, 2, 3])
+    p = score_table(sites, _const_scores([1, 2, 3]))
     cfg = FedConfig(rounds=400)
     m1, m0, info = fedavg_train(sites, p, IDENTITY, cfg=cfg)
     assert np.allclose(m1.theta, [0.0, 1.0, -0.5], atol=1e-6)
@@ -161,10 +164,45 @@ def test_fedavg_reaches_pooled_weighted_least_squares():
     assert info["converged"] in (True, False)
 
 
+def test_fedavg_evaluates_no_score_after_the_table_is_built():
+    rng = np.random.default_rng(12)
+    sites = _linear_sites(rng, n_sites=3, n=30)
+    calls = []
+
+    def half(x):
+        calls.append(None)
+        return np.full(len(np.atleast_2d(x)), 0.5)
+
+    table = score_table(sites, PropensitySet(e={(k, z): half for k in (1, 2, 3)
+                                                for z in (0, 1)}))
+    assert len(calls) == 3 * 2 * 3  # sites x arms x score columns
+    calls.clear()
+    fedavg_train(sites, table, IDENTITY, cfg=FedConfig(rounds=5, local_steps=2))
+    assert calls == []
+
+
+def test_algorithm2_evaluates_each_published_score_once_per_unit(monkeypatch):
+    rng = np.random.default_rng(13)
+    sites = _linear_sites(rng, n_sites=2, n=30)
+    target = TargetCovariates(rng.normal(size=(40, 2)))
+    ratios = _fitted_ratios(rng, sites, target)
+    rows = []
+    real = RatioModel.eval
+
+    def counted(self, x):
+        rows.append(len(np.atleast_2d(x)))
+        return real(self, x)
+
+    monkeypatch.setattr(RatioModel, "eval", counted)
+    run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
+                   cfg=FedConfig(rounds=4), F=2, rng=np.random.default_rng(14))
+    assert sum(rows) == sum(s.n for s in sites) * len(sites)
+
+
 def test_fedavg_loss_trace_decreases_with_suggested_rate():
     rng = np.random.default_rng(8)
     sites = _linear_sites(rng, n_sites=2, n=30)
-    p = _const_scores([1, 2])
+    p = score_table(sites, _const_scores([1, 2]))
     lr = suggest_learning_rate(sites, p, IDENTITY)
     assert lr > 0
     _, _, info = fedavg_train(sites, p, IDENTITY, cfg=FedConfig(rounds=30))
@@ -175,7 +213,7 @@ def test_fedavg_loss_trace_decreases_with_suggested_rate():
 def test_fedavg_divergence_detection():
     rng = np.random.default_rng(9)
     sites = _linear_sites(rng, n_sites=2, n=30)
-    p = _const_scores([1, 2])
+    p = score_table(sites, _const_scores([1, 2]))
     with pytest.raises(FedAvgDivergence) as err:
         fedavg_train(sites, p, IDENTITY, cfg=FedConfig(rounds=60, learning_rate=25.0))
     assert len(err.value.trace) >= 6
@@ -184,7 +222,7 @@ def test_fedavg_divergence_detection():
 def test_fedavg_early_stop_only_when_enabled():
     rng = np.random.default_rng(10)
     sites = _linear_sites(rng, n_sites=2, n=30)
-    p = _const_scores([1, 2])
+    p = score_table(sites, _const_scores([1, 2]))
     _, _, info_fixed = fedavg_train(sites, p, IDENTITY, cfg=FedConfig(rounds=200))
     assert info_fixed["rounds_run"] == 200
     _, _, info_tol = fedavg_train(sites, p, IDENTITY,
@@ -194,7 +232,7 @@ def test_fedavg_early_stop_only_when_enabled():
 
 def test_audit_passes_live_logs(rng):
     sites, _ = fuzz_dataset(rng, n_sites=3, d=2)
-    p = fuzz_scores(rng, sites, 2)
+    p = score_table(sites, fuzz_scores(rng, sites, 2))
     _, log = run_algorithm1(sites, p)
     assert audit_messages(log) == []
 

@@ -1,7 +1,9 @@
 """Monte Carlo harness: cell statistics, CSV layout, and determinism."""
 import dataclasses
+import hashlib
 
 import numpy as np
+import pytest
 
 from fedcause import (ShiftConfig, SweepSpec, TiltingError, ci_grid,
                       gen_covariate_shift, oracle_shift_propensity,
@@ -141,3 +143,71 @@ def test_failed_fit_is_counted_as_an_excision(monkeypatch, tmp_path):
         cell = forced.cells[(1.0, est)]
         assert cell.n_excised == 1 and cell.n_reps == 3
     assert out.read_text().splitlines()[0] == ",".join(SWEEP_COLUMNS)
+
+
+SMALL = ShiftConfig(site_sizes=(60, 120, 180), n_target=600)
+
+# sha256 of the sweep CSV for each nuisance mode on the small design, seed 42;
+# a change to these bytes is a change to the estimates
+SWEEP_SHA256 = {
+    ("oracle", "correct"): "20c899c1e51e86d5f624f24157d18ec5d90d37a38acb056ca2301c35d72b5df5",
+    ("oracle", "wrong"): "11944a3ca161665a88b3dda45e369cc7b93252c5f78d207b51deeb74ef027977",
+    ("tilting", "correct"): "d69d23f9ef74c5fcd05e55a7cdc1d79ee0e6cc3b11a87f42a62bd12bec390bbf",
+    ("tilting", "wrong"): "2bb7b436d3e8177815564f16fd170b47040f69a570b18f41d76273aa466c84d0",
+    ("knn", "correct"): "9dd7f2a63fa1afae1d4d26dc3b93d8d660d1caf1babe3df235cd0a24e66722ce",
+    ("knn", "wrong"): "450efd70be72e9d0b15cc85e5835398405143317c4bb978d98f9214f68f59755",
+}
+
+
+@pytest.mark.parametrize("mode,spec_kind", sorted(SWEEP_SHA256))
+def test_small_sweep_csv_bytes_are_pinned(tmp_path, mode, spec_kind):
+    spec = SweepSpec(d_kl_grid=(1.0, 3.0), replications=2, nuisance_mode=mode,
+                     ps_spec=spec_kind, om_spec=spec_kind, shift=SMALL)
+    out = tmp_path / "sweep.csv"
+    sweep_kl(spec, seed=42, out_path=out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[(mode, spec_kind)]
+
+
+def test_only_used_placements_get_oracle_weights(monkeypatch):
+    real = harness.oracle_meta_site_variances
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "oracle_meta_site_variances", counted)
+    run_monte_carlo(_tiny_spec(replications=2, placements=4, meta_weight_mode="oracle",
+                               estimators=("meta_ipw",)), seed=3)
+    assert len(calls) == 2 * 2  # dial values x placements in use
+    calls.clear()
+    run_monte_carlo(_tiny_spec(replications=5, placements=4, meta_weight_mode="oracle",
+                               estimators=("meta_ipw",)), seed=3)
+    assert len(calls) == 2 * 4
+
+
+@pytest.mark.parametrize("mode", ["oracle", "tilting", "knn"])
+def test_replication_evaluates_each_score_once_per_unit(monkeypatch, mode):
+    real = harness._build_nuisance
+    rows = []
+    failed = []
+
+    def counting(fn):
+        def score(x):
+            rows.append(len(np.atleast_2d(x)))
+            return fn(x)
+        return score
+
+    def counted(*args):
+        p, include, n_usable, n_failed = real(*args)
+        failed.append(n_failed)
+        p.e = {pair: counting(fn) for pair, fn in p.e.items()}
+        return p, include, n_usable, n_failed
+
+    monkeypatch.setattr(harness, "_build_nuisance", counted)
+    spec = SweepSpec(d_kl_grid=(1.0,), replications=1, nuisance_mode=mode,
+                     meta_weight_mode="vanilla", shift=SMALL)
+    out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0), None)
+    assert failed == [0]
+    assert all(res[0] != "fail" for res in out["results"].values())
+    assert sum(rows) == sum(SMALL.site_sizes) * SMALL.n_sites

@@ -19,7 +19,7 @@ from fedcause import (
     gen_covariate_shift,
     invert_balancing_model,
     oracle_shift_propensity,
-    pooled_score,
+    score_table,
     weighted_loss_and_grad,
     zero_outcome_model,
 )
@@ -68,9 +68,10 @@ def test_pooled_score_examples():
         (2, 1): lambda x: np.full(len(np.atleast_2d(x)), 0.3),
     }
     p = PropensitySet(e=e)
-    x = np.zeros((1, 2))
-    assert pooled_score(p, None, x, 1)[0] == pytest.approx(0.5)
-    assert pooled_score(p, {1: 2.0, 2: 0.0}, x, 1)[0] == pytest.approx(0.4)
+    site = SiteDataset.from_arrays(1, np.zeros((1, 2)), [1], [0.0])
+    table = score_table([site], p)
+    assert table.pooled(1)[0] == pytest.approx(0.5)
+    assert table.pooled(1, {1: 2.0, 2: 0.0})[0] == pytest.approx(0.4)
 
 
 def test_propensity_scaled_validates_and_scales():
@@ -149,7 +150,8 @@ def _const_score_set(val: float):
 def test_weighted_loss_single_unit():
     site = SiteDataset.from_arrays(1, np.array([[2.0]]), [1], [3.0])
     m = OutcomeModel(arm=1, psi=IDENTITY, theta=np.array([0.0, 0.5]))
-    loss, grad, n_exc = weighted_loss_and_grad(m, site, _const_score_set(0.4))
+    table = score_table([site], _const_score_set(0.4))
+    loss, grad, n_exc = weighted_loss_and_grad(m, site, table)
     # (3 - 0.5*2)^2 / 0.4
     assert loss == pytest.approx(4.0 / 0.4)
     assert n_exc == 0
@@ -163,9 +165,9 @@ def test_weighted_loss_gradient_matches_finite_differences():
         site = SiteDataset.from_arrays(
             1, rng.normal(size=(n, d)), rng.integers(0, 2, size=n), rng.normal(size=n))
         a = rng.normal(0, 0.5, size=d)
-        p = PropensitySet(e={
+        p = score_table([site], PropensitySet(e={
             (1, 1): lambda x, a=a: 0.1 + 0.5 / (1 + np.exp(-np.atleast_2d(x) @ a)),
-            (1, 0): lambda x, a=a: 0.1 + 0.5 / (1 + np.exp(np.atleast_2d(x) @ a))})
+            (1, 0): lambda x, a=a: 0.1 + 0.5 / (1 + np.exp(np.atleast_2d(x) @ a))}))
         m = OutcomeModel(arm=int(rng.integers(0, 2)), psi=IDENTITY_PLUS_INTERCEPT,
                          theta=rng.normal(size=d + 1))
         loss, grad, _ = weighted_loss_and_grad(m, site, p)
@@ -188,7 +190,8 @@ def test_weighted_loss_gradient_matches_finite_differences():
 
 def test_weighted_loss_counts_zero_score_exclusions():
     site = SiteDataset.from_arrays(1, np.array([[1.0], [-1.0]]), [1, 1], [1.0, 2.0])
-    p = PropensitySet(e={(1, 1): lambda x: (np.atleast_2d(x)[:, 0] > 0) * 0.5})
+    p = score_table([site], PropensitySet(
+        e={(1, 1): lambda x: (np.atleast_2d(x)[:, 0] > 0) * 0.5}))
     m = OutcomeModel(arm=1, psi=IDENTITY, theta=np.array([0.0, 0.0]))
     loss, grad, n_exc = weighted_loss_and_grad(m, site, p)
     assert n_exc == 1
@@ -198,7 +201,7 @@ def test_weighted_loss_counts_zero_score_exclusions():
 def test_constant_weights_recover_plain_least_squares(rng):
     sites = _toy_sites(rng, sizes=(40, 40))
     m = fit_outcome_direct(sites, arm=1, psi=IDENTITY_PLUS_INTERCEPT,
-                           p=_const_score_set(0.3))
+                           table=score_table(sites, _const_score_set(0.3)))
     rows = np.vstack([s.x_matrix[s.z_vec == 1] for s in sites])
     ys = np.concatenate([s.y_vec[s.z_vec == 1] for s in sites])
     D = np.hstack([np.ones((len(rows), 1)), rows])
@@ -211,7 +214,7 @@ def test_direct_fit_recovers_exact_linear_outcomes():
     rng = np.random.default_rng(42)
     sites, _, _ = gen_covariate_shift(cfg, rng)
     means = [1.0, -0.5, 0.2]
-    p = oracle_shift_propensity(cfg, means)
+    p = score_table(sites, oracle_shift_propensity(cfg, means))
     m1 = fit_outcome_direct(sites, 1, IDENTITY, p)
     m0 = fit_outcome_direct(sites, 0, IDENTITY, p)
     # outcomes have no intercept, so the guaranteed constant column gets ~0
@@ -226,8 +229,9 @@ def test_direct_fit_ignores_score_scale(rng):
         (k, z): (lambda x, a=a, k=k, z=z:
                  0.05 * k + 0.3 / (1 + np.exp((-1) ** z * np.atleast_2d(x) @ a)))
         for k in (1, 2) for z in (0, 1)})
-    m = fit_outcome_direct(sites, 1, IDENTITY_PLUS_INTERCEPT, p)
-    ms = fit_outcome_direct(sites, 1, IDENTITY_PLUS_INTERCEPT, p.scaled(137.0))
+    m = fit_outcome_direct(sites, 1, IDENTITY_PLUS_INTERCEPT, score_table(sites, p))
+    ms = fit_outcome_direct(sites, 1, IDENTITY_PLUS_INTERCEPT,
+                            score_table(sites, p.scaled(137.0)))
     assert np.allclose(m.theta, ms.theta, rtol=1e-9)
 
 

@@ -7,11 +7,12 @@ from scipy import stats
 from fedcause import (
     PropensitySet,
     ShiftConfig,
+    SiteDataset,
     check_overlap,
     gen_covariate_shift,
     misspecify_features,
     place_site_means,
-    pooled_score,
+    score_table,
 )
 from conftest import draw_smooth_two_site, smooth_two_site_config
 
@@ -135,7 +136,9 @@ def test_sampling_selecting_oracle_pooled_score_identity():
     sites, target, _, oracle = gen_sampling_selecting(
         cfg, (SMOOTH_Y1, SMOOTH_Y0), np.random.default_rng(12))
     xs = target.xs[:50]
-    s1 = pooled_score(oracle, None, xs, 1)
+    # the probes as the treated units of one site
+    probe_site = SiteDataset.from_arrays(1, xs, np.ones(len(xs), dtype=int), np.zeros(len(xs)))
+    s1 = score_table([probe_site], oracle).pooled(1)
     direct = cfg.selection[(1, 1)](xs) + cfg.selection[(2, 1)](xs)
     assert np.allclose(s1, direct, atol=1e-15)
 

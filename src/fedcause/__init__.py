@@ -9,8 +9,7 @@ a decoupled outcome-model-corrected variant), together with density-ratio
 fitting, an auditable federated message protocol, and a Monte Carlo harness.
 """
 
-from .core import (DROPPED, EstimateReport, SeedSpec, SelectionLabel,
-                   SiteDataset, TargetCovariates, UnitRecord,
+from .core import (EstimateReport, SiteDataset, TargetCovariates,
                    ValidationReport, read_sites_csv, read_target_csv,
                    validate_dataset, write_sites_csv, write_target_csv)
 from .density_ratio import (IDENTITY, IDENTITY_PLUS_INTERCEPT, MISSPECIFIED,
@@ -40,15 +39,14 @@ from .synthgen import (OverlapReport, SelectConfig, ShiftConfig, check_overlap,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AipwInputs", "AllSitesExcludedError", "CellStats", "DROPPED",
-    "EstimateReport", "Excluded", "FeatureMap", "FedAvgDivergence",
-    "FedConfig", "FoldPlan", "IDENTITY", "IDENTITY_PLUS_INTERCEPT",
-    "MISSPECIFIED", "MessageLog", "MetaDeltas", "OutcomeModel",
-    "OverlapError", "OverlapReport", "PrivacyError", "PropensitySet",
-    "RatioModel", "ScoreTable", "SeedSpec", "SelectConfig", "SelectionLabel",
-    "ShiftConfig", "SiteAggregates", "SiteDataset", "SiteMessage",
-    "SweepResult", "SweepSpec", "TargetCovariates", "TiltingError",
-    "UnitRecord", "ValidationReport", "aipw_combine", "aipw_corrections",
+    "AipwInputs", "AllSitesExcludedError", "CellStats", "EstimateReport",
+    "Excluded", "FeatureMap", "FedAvgDivergence", "FedConfig", "FoldPlan",
+    "IDENTITY", "IDENTITY_PLUS_INTERCEPT", "MISSPECIFIED", "MessageLog",
+    "MetaDeltas", "OutcomeModel", "OverlapError", "OverlapReport",
+    "PrivacyError", "PropensitySet", "RatioModel", "ScoreTable",
+    "SelectConfig", "ShiftConfig", "SiteAggregates", "SiteDataset",
+    "SiteMessage", "SweepResult", "SweepSpec", "TargetCovariates",
+    "TiltingError", "ValidationReport", "aipw_combine", "aipw_corrections",
     "assemble_propensity", "audit_messages", "centralized_algorithm2",
     "check_overlap", "ci_grid", "clb_combine", "clb_ipw",
     "clb_site_aggregates", "confidence_interval", "crossfit_split",

@@ -1,4 +1,4 @@
-"""Shared data model, validation, CSV round-trip, and deterministic seeding.
+"""Shared data model, validation and CSV round-trip.
 
 All estimator and simulator modules consume the types defined here. Types are
 treated as immutable after construction and are safe to share across parallel
@@ -8,11 +8,9 @@ workers.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,31 +25,25 @@ def _fmt(v) -> str:
 
 
 @dataclass(frozen=True)
-class UnitRecord:
-    """One observed unit: covariates x, treatment arm z in {0,1}, outcome y."""
-
-    x: np.ndarray
-    z: int
-    y: float
-
-
-@dataclass(frozen=True)
 class SiteDataset:
-    """All units held by one data site.
+    """All units held by one data site, as three aligned arrays.
 
     Parameters
     ----------
     site_id : int
         1-based site index.
-    records : tuple of UnitRecord
-        The site's units; non-empty, all sharing dimension ``d``.
-    d : int
-        Covariate dimension.
+    x_matrix : ndarray, shape (n, d)
+        Covariates, one row per unit.
+    z_vec : ndarray of int, shape (n,)
+        Treatment arms in {0, 1}.
+    y_vec : ndarray, shape (n,)
+        Outcomes.
     """
 
     site_id: int
-    records: tuple
-    d: int
+    x_matrix: np.ndarray
+    z_vec: np.ndarray
+    y_vec: np.ndarray
 
     @classmethod
     def from_arrays(cls, site_id: int, x: np.ndarray, z, y) -> "SiteDataset":
@@ -60,29 +52,17 @@ class SiteDataset:
         y = np.asarray(y, dtype=float)
         if x.ndim != 2:
             raise ValueError("x must be a 2-d array of shape (n, d)")
-        recs = tuple(UnitRecord(x[i], int(z[i]), float(y[i])) for i in range(len(y)))
-        ds = cls(site_id=site_id, records=recs, d=x.shape[1])
-        # seed the array caches so estimators never restack per-record rows
-        ds.__dict__["x_matrix"] = x
-        ds.__dict__["z_vec"] = z
-        ds.__dict__["y_vec"] = y
-        return ds
+        if z.shape != (len(x),) or y.shape != (len(x),):
+            raise ValueError("z and y must be 1-d arrays with one entry per row of x")
+        return cls(site_id=site_id, x_matrix=x, z_vec=z, y_vec=y)
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.y_vec)
 
-    @cached_property
-    def x_matrix(self) -> np.ndarray:
-        return np.array([r.x for r in self.records], dtype=float)
-
-    @cached_property
-    def z_vec(self) -> np.ndarray:
-        return np.array([r.z for r in self.records], dtype=int)
-
-    @cached_property
-    def y_vec(self) -> np.ndarray:
-        return np.array([r.y for r in self.records], dtype=float)
+    @property
+    def d(self) -> int:
+        return self.x_matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -101,33 +81,6 @@ class TargetCovariates:
     @property
     def d(self) -> int:
         return self.xs.shape[1]
-
-
-@dataclass(frozen=True)
-class SelectionLabel:
-    """Routing label for one sampled unit.
-
-    Either Selected(site_id, z) with site_id in [1..K], or Dropped
-    (site_id is None), in which case the unit is discarded.
-    """
-
-    site_id: Optional[int] = None
-    z: Optional[int] = None
-
-    def __post_init__(self):
-        if self.site_id is not None and self.site_id < 1:
-            raise ValueError("site_id must be >= 1 when selected")
-
-    @property
-    def dropped(self) -> bool:
-        return self.site_id is None
-
-    @classmethod
-    def selected(cls, site_id: int, z: int) -> "SelectionLabel":
-        return cls(site_id=site_id, z=int(z))
-
-
-DROPPED = SelectionLabel()
 
 
 @dataclass
@@ -181,25 +134,6 @@ class EstimateReport:
         return cls(**obj)
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Deterministic stream derivation: replication r and site k map to a
-    child seed hashed from the master seed. Identical SeedSpec values yield
-    bit-identical generated data on any platform."""
-
-    master_seed: int
-
-    def child_seed(self, r: int, k: int) -> int:
-        msg = f"{self.master_seed}:{r}:{k}".encode()
-        return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "big")
-
-    def rng(self, r: int, k: int) -> np.random.Generator:
-        return np.random.default_rng(self.child_seed(r, k))
-
-    def root_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.master_seed)
-
-
 @dataclass
 class ValidationReport:
     ok: bool
@@ -220,7 +154,7 @@ def validate_dataset(sites: Sequence[SiteDataset], target: TargetCovariates) -> 
         return ValidationReport(False, errors, warnings)
 
     seen = set()
-    d = sites[0].d
+    d = np.shape(sites[0].x_matrix)[-1]
     for s in sites:
         if s.site_id in seen:
             errors.append(f"duplicate site_id {s.site_id}")
@@ -230,10 +164,8 @@ def validate_dataset(sites: Sequence[SiteDataset], target: TargetCovariates) -> 
         if s.n == 0:
             errors.append(f"site {s.site_id} has no records")
             continue
-        if s.d != d:
-            errors.append(f"dimension mismatch site {s.site_id}")
-        bad_dim = any(np.shape(r.x) != (s.d,) for r in s.records)
-        if bad_dim:
+        if (np.shape(s.x_matrix) != (s.n, d) or np.shape(s.z_vec) != (s.n,)
+                or np.ndim(s.y_vec) != 1):
             errors.append(f"dimension mismatch site {s.site_id}")
         x = s.x_matrix
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(s.y_vec)):

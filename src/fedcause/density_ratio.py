@@ -291,9 +291,14 @@ def fit_tilting(source, target, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT,
                 step *= 4.0 / sn
             ts = 1.0
             for _ in range(50):
-                cand = dual(g + ts * step)
+                g_new = g + ts * step
+                if np.array_equal(g_new, g):
+                    # the dual here is cur exactly, and rounding is monotone,
+                    # so no shorter step gives a different candidate
+                    break
+                cand = dual(g_new)
                 if np.isfinite(cand) and cand < cur - 1e-14 * abs(cur):
-                    g = g + ts * step
+                    g = g_new
                     cur = cand
                     trace.append(cur)
                     moved = True

@@ -36,6 +36,8 @@ MESSAGE_KINDS = ("publish_ratio_model", "aggregates", "model_params",
                  "gradient_update", "target_mean_term")
 
 _SERVER_KINDS = ("model_params", "target_mean_term")
+# the only kinds _report_from_log reads
+_REPORT_KINDS = ("aggregates", "target_mean_term")
 
 
 class PrivacyError(RuntimeError):
@@ -476,7 +478,7 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng, eta,
 
     # the log's own parse path produces the report, so replay is exact
     wired = MessageLog([SiteMessage(m.sender, m.kind, m.round, _wire(m.payload, wire))
-                        for m in log])
+                        for m in log if m.kind in _REPORT_KINDS])
     report = _report_from_log(wired, ci_level=ci_level, weights=weights)
     return report, log
 

@@ -191,15 +191,19 @@ def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float], rng,
     c = np.asarray(shift.prop_coef, dtype=float)
     b1 = np.asarray(shift.beta1, dtype=float)
     b0 = np.asarray(shift.beta0, dtype=float)
-    mu1 = float(b1 @ np.full(shift.d, shift.mu_target))
-    mu0 = float(b0 @ np.full(shift.d, shift.mu_target))
-    p = oracle_shift_propensity(shift, means)
+    mu_t = np.full(shift.d, shift.mu_target)
+    mu1 = float(b1 @ mu_t)
+    mu0 = float(b0 @ mu_t)
+    n_pooled = sum(shift.site_sizes)
     out = {}
     for k, mu_k in enumerate(np.asarray(means, dtype=float), start=1):
         x = rng.normal(mu_k, shift.sigma, size=(n_draws, shift.d))
         p1 = 1.0 / (1.0 + np.exp(x @ c))
-        e1 = p.eval(k, 1, x)
-        e0 = p.eval(k, 0, x)
+        # the oracle_shift_propensity scores, in their operation order
+        sr = (shift.site_sizes[k - 1] / n_pooled
+              * oracle_gaussian_ratio(np.full(shift.d, mu_k), mu_t, shift.sigma, x))
+        e1 = sr * p1
+        e0 = sr * (1.0 - p1)
         y1 = x @ b1
         y0 = x @ b0
         V1 = float(np.mean(p1 * (y1 - mu1) ** 2 / e1 ** 2))

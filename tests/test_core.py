@@ -1,10 +1,9 @@
-"""Data model, validation report, CSV round-trip, and seed derivation."""
+"""Data model, validation report and CSV round-trip."""
 import numpy as np
 import pytest
 
 from fedcause import (
     EstimateReport,
-    SeedSpec,
     SiteDataset,
     TargetCovariates,
     read_sites_csv,
@@ -13,7 +12,6 @@ from fedcause import (
     write_sites_csv,
     write_target_csv,
 )
-from fedcause.core import DROPPED, SelectionLabel
 
 
 def _random_sites(rng, n_sites=3, d=3):
@@ -72,6 +70,20 @@ def test_validate_dimension_mismatch():
     assert any("dimension mismatch site 2" in e for e in rep.errors)
 
 
+def test_from_arrays_rejects_misaligned_arrays():
+    x = np.zeros((3, 2))
+    with pytest.raises(ValueError):
+        SiteDataset.from_arrays(1, x, [0, 1], [0.0, 1.0])  # x longer than z, y
+    with pytest.raises(ValueError):
+        SiteDataset.from_arrays(1, x, [0, 1, 0, 1], [0.0, 1.0, 2.0, 3.0])  # x shorter
+    with pytest.raises(ValueError):
+        SiteDataset.from_arrays(1, x, [0, 1, 0], [0.0, 1.0])  # y alone too short
+    with pytest.raises(ValueError):
+        SiteDataset.from_arrays(1, x, [[0, 1, 0]], [0.0, 1.0, 2.0])  # z not 1-d
+    site = SiteDataset.from_arrays(1, x, [0, 1, 0], [0.0, 1.0, 2.0])
+    assert (site.n, site.d) == (3, 2)
+
+
 def test_validate_missing_arm_is_warning_not_error():
     rng = np.random.default_rng(3)
     s1 = SiteDataset.from_arrays(1, rng.normal(size=(4, 3)), [1, 1, 1, 1], rng.normal(size=4))
@@ -97,14 +109,6 @@ def test_validate_z_outside_binary():
     assert any("z outside {0,1}" in e for e in rep.errors)
 
 
-def test_selection_label():
-    assert DROPPED.dropped
-    lab = SelectionLabel.selected(2, 1)
-    assert (lab.site_id, lab.z, lab.dropped) == (2, 1, False)
-    with pytest.raises(ValueError):
-        SelectionLabel(site_id=0, z=1)
-
-
 def test_report_json_round_trip():
     rep = EstimateReport(
         estimator_name="ClbIPW", tau_hat=-0.25, var_hat=1.75, n_effective=6000,
@@ -124,15 +128,3 @@ def test_report_validation():
     with pytest.raises(ValueError):
         EstimateReport(estimator_name="MetaIPW", tau_hat=0.0, var_hat=-1.0,
                        n_effective=1, ci_level=0.95, ci_lo=-1, ci_hi=1)
-
-
-def test_seed_spec_is_deterministic_and_spreads():
-    a, b = SeedSpec(42), SeedSpec(42)
-    assert a.child_seed(3, 7) == b.child_seed(3, 7)
-    assert a.child_seed(3, 7) != a.child_seed(3, 8)
-    assert a.child_seed(3, 7) != a.child_seed(4, 7)
-    assert SeedSpec(43).child_seed(3, 7) != a.child_seed(3, 7)
-    x1 = a.rng(0, 1).normal(size=5)
-    x2 = b.rng(0, 1).normal(size=5)
-    assert np.array_equal(x1, x2)
-    assert not np.array_equal(x1, a.rng(0, 2).normal(size=5))

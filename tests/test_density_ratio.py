@@ -79,6 +79,24 @@ def test_tilting_dual_trace_monotone():
     assert m.fit_info["residual"] <= 1e-9
 
 
+def test_tilting_soft_stop_is_pinned():
+    # A fit that stalls above tol and stops soft after accepting one step at
+    # 2**-23 of its length. Backtracking gives up on a damping value once the
+    # step no longer moves gamma; that short-cut must leave every bit of the
+    # result as the full 50 halvings would.
+    rng = np.random.default_rng(1022)
+    src = rng.normal(0.8, 0.8, size=(120, 2))
+    tgt = rng.normal(0.0, 1.0, size=(100, 2))
+    m = fit_tilting(src, tgt, psi=IDENTITY_PLUS_INTERCEPT)
+    assert m.fit_info["soft"] is True
+    assert m.gamma.tobytes().hex() == "b38b4228dd4ff53fee1e7c0a56d5f3bf4b9f4b53f37202c0"
+    assert m.fit_info["iterations"] == 9
+    assert [v.hex() for v in m.fit_info["dual_trace"]] == [
+        "0x1.e000000000000p+6", "0x1.b893ea94a49f0p+5", "0x1.fcdf61689d460p+2",
+        "-0x1.ae2bdac35e000p-7", "-0x1.1c27e08a69b80p-1", "-0x1.1e7775864ad80p-1",
+        "-0x1.1e7782b8e0e80p-1", "-0x1.1e7782b8e0f00p-1", "-0x1.1e7782b8e0f80p-1"]
+
+
 def test_tilting_separation_is_reported_distinctly():
     # target mean far outside the source hull: no finite reweighting matches
     with pytest.raises(TiltingError) as err:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -204,27 +205,28 @@ def write_sites_csv(sites: Sequence[SiteDataset], path) -> None:
                 w.writerow([s.site_id, int(zv[i]), _fmt(yv[i])] + [_fmt(v) for v in x[i]])
 
 
+def _read_body(fh, dtype, ndmin: int) -> np.ndarray:
+    # the rows after the header, parsed in bulk; numpy's float parser is
+    # correctly rounded, blank lines are skipped, and a short, long or
+    # non-numeric row (or an int column holding "1.0") raises ValueError
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=ndmin)
+
+
 def read_sites_csv(path) -> list:
-    groups: dict = {}
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        d = len(header) - 3
-        for row in r:
-            sid = int(row[0])
-            groups.setdefault(sid, []).append(
-                (int(row[1]), float(row[2]), [float(v) for v in row[3:]])
-            )
-    sites = []
-    for sid in sorted(groups):
-        rows = groups[sid]
-        x = np.array([t[2] for t in rows], dtype=float)
-        z = np.array([t[0] for t in rows], dtype=int)
-        y = np.array([t[1] for t in rows], dtype=float)
-        if x.shape[1] != d:
-            raise ValueError("inconsistent covariate dimension in CSV")
-        sites.append(SiteDataset.from_arrays(sid, x, z, y))
-    return sites
+    """Sites in ascending site_id order, each keeping its rows' file order."""
+    with open(path) as fh:
+        d = len(fh.readline().split(",")) - 3
+        if d < 1:
+            raise ValueError(f"{path}: header must be site_id,z,y,x1,...,xd")
+        rows = _read_body(fh, [("site_id", np.int64), ("z", np.int64), ("y", float),
+                               ("x", float, (d,))], 1)
+    if len(rows) == 0:
+        raise ValueError(f"{path}: no data rows")
+    ids = rows["site_id"]
+    return [SiteDataset.from_arrays(int(k), rows["x"][ids == k], rows["z"][ids == k],
+                                    rows["y"][ids == k]) for k in np.unique(ids)]
 
 
 def write_target_csv(target: TargetCovariates, path) -> None:
@@ -236,8 +238,6 @@ def write_target_csv(target: TargetCovariates, path) -> None:
 
 
 def read_target_csv(path) -> TargetCovariates:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        xs = np.array([[float(v) for v in row] for row in r], dtype=float)
-    return TargetCovariates(xs=xs)
+    with open(path) as fh:
+        fh.readline()
+        return TargetCovariates(xs=_read_body(fh, float, 2))

@@ -28,9 +28,9 @@ from .density_ratio import RatioModel
 from .estimators import (AipwInputs, Excluded, MetaDeltas, SiteAggregates,
                          aipw_combine, aipw_corrections, clb_combine,
                          clb_site_aggregates)
-from .nuisance import (FoldPlan, OutcomeModel, ScoreTable,
+from .nuisance import (FoldPlan, OutcomeModel, ScoreTable, _arm_design,
                        assemble_propensity, crossfit_split, score_table,
-                       weighted_loss_and_grad, zero_outcome_model)
+                       zero_outcome_model)
 
 MESSAGE_KINDS = ("publish_ratio_model", "aggregates", "model_params",
                  "gradient_update", "target_mean_term")
@@ -143,29 +143,23 @@ def _wire(obj, enabled: bool):
 # Federated averaging of the weighted outcome regressions, both arms at once
 
 
-def _site_local_update(site: SiteDataset, table: ScoreTable, psi, payload: dict,
-                       cfg: FedConfig, lr: float, eta, inc) -> dict:
+def _site_local_update(arms: dict, payload: dict, cfg: FedConfig, lr: float) -> dict:
+    """Local steps on both arms of one site; arms maps each arm to its cached
+    (design, y, w) from nuisance._arm_design."""
     out = {"fold": payload["fold"], "round": payload["round"]}
     for arm in (1, 0):
+        design, y, w = arms[arm]
         th0 = np.asarray(payload[f"theta{arm}"], dtype=float)
         th = th0.copy()
-        mask = site.z_vec == arm
-        if inc is not None:
-            mask = mask & np.asarray(inc, dtype=bool)
-        n_arm = int(np.sum(mask))
-        n_used = 0
+        n_used = len(w)
         mean_loss = 0.0
-        for step in range(cfg.local_steps):
-            m = OutcomeModel(arm=arm, psi=psi, theta=th)
-            loss, grad, n_excl = weighted_loss_and_grad(m, site, table, eta, inc)
-            n_used = n_arm - n_excl
+        for step in range(cfg.local_steps if n_used else 0):
+            resid = y - design @ th
             if step == 0:
-                mean_loss = loss / n_used if n_used > 0 else 0.0
-            if n_used == 0:
-                break
-            th = th - (lr / n_used) * grad
+                mean_loss = float(np.sum(w * resid ** 2)) / n_used
+            th = th - (lr / n_used) * (-2.0 * design.T @ (w * resid))
         out[f"delta{arm}"] = [float(v) for v in (th - th0)]
-        out[f"n{arm}"] = int(n_used)
+        out[f"n{arm}"] = n_used
         out[f"loss{arm}"] = float(mean_loss)
     return out
 
@@ -181,11 +175,10 @@ def suggest_learning_rate(sites: Sequence[SiteDataset], table: ScoreTable, psi,
         H = None
         n = 0
         for s in sorted(sites, key=lambda t: t.site_id):
-            x, _, w, _ = table.arm_weights(s, arm, eta,
-                                           None if include is None else include.get(s.site_id))
+            design, _, w, _ = _arm_design(s, table, psi, arm, eta,
+                                          None if include is None else include.get(s.site_id))
             if len(w) == 0:
                 continue
-            design = np.atleast_2d(psi.design(x))
             contrib = design.T @ (design * w[:, None])
             H = contrib if H is None else H + contrib
             n += len(w)
@@ -214,6 +207,10 @@ def _fedavg_engine(sites: Sequence[SiteDataset], table: ScoreTable, psi,
     if lr is None:
         lr = suggest_learning_rate(sites, table, psi, eta, include)
     pdim = len(zero_outcome_model(1, psi, d).theta)
+    # a site's local objective is fixed for every round of the fold
+    arms = {s.site_id: {arm: _arm_design(s, table, psi, arm, eta,
+                                         None if include is None else include.get(s.site_id))[:3]
+                        for arm in (1, 0)} for s in sites}
     theta = {1: [0.0] * pdim, 0: [0.0] * pdim}
     trace: List[float] = []
     prev = None
@@ -229,8 +226,7 @@ def _fedavg_engine(sites: Sequence[SiteDataset], table: ScoreTable, psi,
             broadcast[s.site_id] = _wire(payload, wire)
         updates = []
         for s in sites:
-            inc = None if include is None else include.get(s.site_id)
-            upd = _site_local_update(s, table, psi, broadcast[s.site_id], cfg, lr, eta, inc)
+            upd = _site_local_update(arms[s.site_id], broadcast[s.site_id], cfg, lr)
             if emit is not None:
                 emit(SiteMessage(s.site_id, "gradient_update", r, upd))
             updates.append(_wire(upd, wire))

@@ -240,6 +240,16 @@ def zero_outcome_model(arm: int, psi: FeatureMap, d: int) -> OutcomeModel:
     return OutcomeModel(arm=arm, psi=psi, theta=np.zeros(p))
 
 
+def _arm_design(site: SiteDataset, table: ScoreTable, psi: FeatureMap, arm: int,
+                eta: Optional[Dict[int, float]] = None,
+                include: Optional[np.ndarray] = None):
+    """(design, y, w, n_excluded) of one arm's weighted loss: table.arm_weights
+    with the covariates mapped through psi.design. FedAvg builds it once per
+    fold, since only the parameters move between rounds."""
+    x, y, w, n_excluded = table.arm_weights(site, arm, eta, include)
+    return np.atleast_2d(psi.design(x)), y, w, n_excluded
+
+
 def weighted_loss_and_grad(m: OutcomeModel, site: SiteDataset, table: ScoreTable,
                            eta: Optional[Dict[int, float]] = None,
                            include: Optional[np.ndarray] = None):
@@ -249,10 +259,9 @@ def weighted_loss_and_grad(m: OutcomeModel, site: SiteDataset, table: ScoreTable
     Returns (loss, grad, n_excluded). Units whose pooled score is exactly zero
     are excluded and counted; near-zero scores are floored at 1e-12.
     """
-    x, y, w, n_excluded = table.arm_weights(site, m.arm, eta, include)
+    design, y, w, n_excluded = _arm_design(site, table, m.psi, m.arm, eta, include)
     if len(w) == 0:
         return 0.0, np.zeros(len(m.theta)), n_excluded
-    design = np.atleast_2d(m.psi.design(x))
     resid = y - design @ m.theta
     loss = float(np.sum(w * resid ** 2))
     grad = -2.0 * design.T @ (w * resid)
@@ -268,19 +277,13 @@ def fit_outcome_direct(sites: Sequence[SiteDataset], arm: int, psi: FeatureMap,
     the minimizer unchanged and makes the fit invariant to the shared unknown
     constant in assembled scores by construction.
     """
-    rows, ys, ws = [], [], []
-    for s in sorted(sites, key=lambda t: t.site_id):
-        x, y, w, _ = table.arm_weights(s, arm, eta,
-                                       None if include is None else include.get(s.site_id))
-        if len(w):
-            rows.append(np.atleast_2d(psi.design(x)))
-            ys.append(y)
-            ws.append(w)
-    if not rows:
+    parts = [_arm_design(s, table, psi, arm, eta,
+                         None if include is None else include.get(s.site_id))
+             for s in sorted(sites, key=lambda t: t.site_id)]
+    parts = [t for t in parts if len(t[2])]
+    if not parts:
         raise ValueError(f"no usable units to fit the arm-{arm} outcome model")
-    D = np.vstack(rows)
-    y = np.concatenate(ys)
-    w = np.concatenate(ws)
+    D, y, w = (np.concatenate([t[j] for t in parts]) for j in range(3))
     w = w / w.mean()
     sw = np.sqrt(w)
     theta, *_ = np.linalg.lstsq(D * sw[:, None], y * sw, rcond=None)

@@ -1,4 +1,5 @@
 """End-to-end command line contracts."""
+import hashlib
 import json
 import os
 
@@ -91,6 +92,37 @@ def test_estimate_federated_aipw_round_trip(capsys, data_dir, tmp_path):
     back = replay(log)
     assert back.tau_hat == rep["tau_hat"]
     assert back.var_hat == rep["var_hat"]
+
+
+# sha256 of the printed report and of the transcript of one federated
+# clb-aipw run on data_dir; a change to these bytes is a change to the
+# protocol's arithmetic or messages
+FEDERATED_SHA256 = {
+    "report": "cb461b9ef54adc01624ba5638b04fc6eaece287208fb4f57d7a0848aa06721c1",
+    "transcript": "c49617516d0c2f830900676389b22805ff4aa883192a0cc001620d3c8caf633e",
+}
+
+
+def test_estimate_federated_aipw_bytes_are_pinned(capsys, data_dir, tmp_path):
+    log_path = tmp_path / "pinned.msgs.jsonl"
+    rc = main(["estimate", "--data", str(data_dir), "--estimator", "clb-aipw",
+               "--ratio", "tilting", "--federated", "--log", str(log_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FEDERATED_SHA256["report"]
+    assert hashlib.sha256(log_path.read_bytes()).hexdigest() == FEDERATED_SHA256["transcript"]
+
+
+def test_estimate_rejects_an_empty_site_file(capsys, data_dir, tmp_path):
+    clone = tmp_path / "emptysite"
+    clone.mkdir()
+    for name in ("site_1.csv", "site_2.csv", "target.csv"):
+        (clone / name).write_bytes((data_dir / name).read_bytes())
+    header = (data_dir / "site_3.csv").read_text().splitlines()[0]
+    (clone / "site_3.csv").write_text(header + "\n")
+    rc = main(["estimate", "--data", str(clone), "--estimator", "clb-ipw"])
+    err = capsys.readouterr().err
+    assert rc == 1 and "error:" in err and "site_3.csv" in err
 
 
 def test_estimate_federated_rejects_per_site_estimator(capsys, data_dir):

@@ -54,6 +54,67 @@ def test_csv_headers(tmp_path, rng):
     assert (tmp_path / "t.csv").read_text().splitlines()[0] == "x1,x2"
 
 
+_HEADER = "site_id,z,y,x1,x2\n"
+
+
+@pytest.mark.parametrize("row", ["1,1.0,0.5,1,2", "1.0,1,0.5,1,2", "1,1,0.5,1",
+                                 "1,1,0.5,1,2,3", "1,1,abc,1,2", "1,1,0.5,,2"])
+def test_sites_csv_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "s.csv"
+    path.write_text(_HEADER + "1,0,0.25,3,4\n" + row + "\n")
+    with pytest.raises(ValueError):
+        read_sites_csv(path)
+
+
+def test_sites_csv_without_rows_names_the_file(tmp_path):
+    path = tmp_path / "site_3.csv"
+    path.write_text(_HEADER)
+    with pytest.raises(ValueError, match="site_3.csv"):
+        read_sites_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", "site_id,z,y\n1,0,0.5\n"])
+def test_sites_csv_needs_a_covariate_column(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="header"):
+        read_sites_csv(path)
+
+
+def test_csv_blank_lines_are_ignored(tmp_path, rng):
+    sites = _random_sites(rng)
+    target = TargetCovariates(rng.normal(size=(7, 3)))
+    write_sites_csv(sites, tmp_path / "s.csv")
+    write_target_csv(target, tmp_path / "t.csv")
+    for name in ("s.csv", "t.csv"):
+        (tmp_path / f"blank_{name}").write_text((tmp_path / name).read_text() + "\n")
+    back = read_sites_csv(tmp_path / "blank_s.csv")
+    for a, b in zip(sites, back, strict=True):
+        assert a.site_id == b.site_id
+        assert np.array_equal(a.x_matrix, b.x_matrix)
+        assert np.array_equal(a.z_vec, b.z_vec)
+        assert np.array_equal(a.y_vec, b.y_vec)
+    assert np.array_equal(read_target_csv(tmp_path / "blank_t.csv").xs, target.xs)
+
+
+def test_header_only_target_is_reported_empty(tmp_path, rng):
+    path = tmp_path / "t.csv"
+    path.write_text("x1,x2,x3\n")
+    rep = validate_dataset(_random_sites(rng), read_target_csv(path))
+    assert "target covariate set is empty" in rep.errors
+
+
+def test_multi_site_csv_keeps_row_order(tmp_path):
+    path = tmp_path / "sites.csv"
+    path.write_text(_HEADER + "2,1,0.5,1,2\n1,0,1.5,3,4\n2,0,2.5,5,6\n"
+                    "1,1,3.5,7,8\n2,1,4.5,9,10\n")
+    s1, s2 = read_sites_csv(path)
+    assert (s1.site_id, s2.site_id) == (1, 2)
+    assert s1.y_vec.tolist() == [1.5, 3.5] and s1.z_vec.tolist() == [0, 1]
+    assert s2.y_vec.tolist() == [0.5, 2.5, 4.5] and s2.z_vec.tolist() == [1, 0, 1]
+    assert s2.x_matrix.tolist() == [[1, 2], [5, 6], [9, 10]]
+
+
 def test_validate_well_formed_ok():
     rng = np.random.default_rng(1)
     sites = _random_sites(rng)

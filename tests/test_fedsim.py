@@ -27,7 +27,8 @@ from fedcause import (
 )
 from fedcause.density_ratio import RatioModel
 from fedcause.fedsim import MESSAGE_KINDS, fedavg_train, suggest_learning_rate
-from fedcause.nuisance import assemble_propensity, invert_balancing_model
+from fedcause.nuisance import (OutcomeModel, assemble_propensity,
+                               invert_balancing_model, weighted_loss_and_grad)
 from conftest import fuzz_dataset, fuzz_scores
 
 
@@ -197,6 +198,57 @@ def test_algorithm2_evaluates_each_published_score_once_per_unit(monkeypatch):
     run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
                    cfg=FedConfig(rounds=4), F=2, rng=np.random.default_rng(14))
     assert sum(rows) == sum(s.n for s in sites) * len(sites)
+
+
+def _reference_fedavg(sites, table, psi, cfg, include):
+    """Averaging rounds that rebuild each local objective at every step
+    through weighted_loss_and_grad."""
+    lr = suggest_learning_rate(sites, table, psi, include=include)
+    theta = {arm: np.zeros(psi.output_dim(sites[0].d)) for arm in (1, 0)}
+    for _ in range(cfg.rounds):
+        updates = []
+        for s in sites:
+            inc = include.get(s.site_id)
+            n_arm = {arm: int(np.sum((s.z_vec == arm) & inc)) for arm in (1, 0)}
+            upd = {}
+            for arm in (1, 0):
+                th, n_used = theta[arm].copy(), 0
+                for _ in range(cfg.local_steps):
+                    m = OutcomeModel(arm=arm, psi=psi, theta=th)
+                    _, grad, n_excl = weighted_loss_and_grad(m, s, table, include=inc)
+                    n_used = n_arm[arm] - n_excl
+                    if n_used == 0:
+                        break
+                    th = th - (lr / n_used) * grad
+                upd[arm] = (th - theta[arm], n_used)
+            updates.append(upd)
+        for arm in (1, 0):
+            tot = sum(float(u[arm][1]) for u in updates)
+            if tot <= 0.0:
+                continue
+            step = np.zeros(len(theta[arm]))
+            for u in updates:
+                if u[arm][1] > 0:
+                    step += (float(u[arm][1]) / tot) * u[arm][0]
+            theta[arm] = theta[arm] + step
+    return theta
+
+
+def test_fedavg_cached_local_step_is_bitwise_the_per_step_loss():
+    rng = np.random.default_rng(15)
+    sites = _linear_sites(rng, n_sites=3, n=40)
+    e = {(k, z): (lambda x, c=0.1 * k + 0.05 * z: c * (1.5 + np.tanh(np.atleast_2d(x)[:, 0])))
+         for k in (1, 2, 3) for z in (0, 1) if (k, z) != (2, 0)}
+    table = score_table(sites, PropensitySet(e=e))
+    include = {s.site_id: rng.random(s.n) < 0.7 for s in sites}
+    include[3] &= sites[2].z_vec == 1  # site 3 trains no control units
+    cfg = FedConfig(rounds=6, local_steps=2)
+    m1, m0, _ = fedavg_train(sites, table, IDENTITY_PLUS_INTERCEPT, cfg=cfg,
+                             include=include)
+    ref = _reference_fedavg(sites, table, IDENTITY_PLUS_INTERCEPT, cfg, include)
+    assert m1.theta.tobytes() == ref[1].tobytes()
+    assert m0.theta.tobytes() == ref[0].tobytes()
+    assert not np.array_equal(m1.theta, 0.0) and not np.array_equal(m0.theta, 0.0)
 
 
 def test_fedavg_loss_trace_decreases_with_suggested_rate():

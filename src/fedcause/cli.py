@@ -27,11 +27,7 @@ _EST_IDS = {"meta-ipw": "meta_ipw", "clb-ipw": "clb_ipw",
 
 def _load_shift_config(path) -> ShiftConfig:
     with open(path) as fh:
-        obj = json.load(fh)
-    for k in ("site_sizes", "prop_coef", "beta1", "beta0"):
-        if k in obj:
-            obj[k] = tuple(obj[k])
-    return ShiftConfig(**obj)
+        return ShiftConfig(**json.load(fh))
 
 
 def _cmd_generate(args) -> int:
@@ -91,12 +87,7 @@ def _build_scores(args, sites, target, manifest) -> PropensitySet:
     if args.ratio == "oracle":
         if manifest is None:
             raise RuntimeError("--ratio oracle needs manifest.json in the data dir")
-        cfg = manifest["config"]
-        shift = ShiftConfig(**{**cfg,
-                               "site_sizes": tuple(cfg["site_sizes"]),
-                               "prop_coef": tuple(cfg["prop_coef"]),
-                               "beta1": tuple(cfg["beta1"]),
-                               "beta0": tuple(cfg["beta0"])})
+        shift = ShiftConfig(**manifest["config"])
         return oracle_shift_propensity(shift, manifest["site_means"])
     ratios = {pair: m for pair, m in _fitted_ratio_models(args, sites, target).items()
               if m is not None}
@@ -175,14 +166,18 @@ def _load_sweep_spec(path) -> SweepSpec:
         return SweepSpec.from_json_obj(json.load(fh))
 
 
+def _report_excisions(label: str, cell) -> None:
+    """One stderr line for a sweep cell whose replications excised units."""
+    if cell.n_excised:
+        print(f"{label}: {cell.n_excised} of {cell.n_reps} replications excised "
+              "units of a failed fit", file=sys.stderr)
+
+
 def _cmd_sweep_kl(args) -> int:
     spec = _load_sweep_spec(args.config) if args.config else SweepSpec()
     result = sweep_kl(spec, args.seed, args.out, jobs=args.jobs)
     for d_kl in spec.d_kl_grid:
-        cell = result.cells[(float(d_kl), spec.estimators[0])]
-        if cell.n_excised:
-            print(f"d_kl {float(d_kl):g}: {cell.n_excised} of {cell.n_reps} "
-                  f"replications excised units of a failed fit", file=sys.stderr)
+        _report_excisions(f"d_kl {float(d_kl):g}", result.cells[(float(d_kl), spec.estimators[0])])
     print(f"wrote {args.out}")
     return 0
 
@@ -190,7 +185,9 @@ def _cmd_sweep_kl(args) -> int:
 def _cmd_ci_grid(args) -> int:
     spec = _load_sweep_spec(args.config) if args.config else SweepSpec(
         nuisance_mode="tilting")
-    ci_grid(spec, args.seed, args.out, jobs=args.jobs)
+    for (est, ps, om), cell in ci_grid(spec, args.seed, args.out, jobs=args.jobs).items():
+        if est == spec.estimators[0]:
+            _report_excisions(f"ps_spec {ps}, om_spec {om}", cell)
     print(f"wrote {args.out}")
     return 0
 

@@ -103,18 +103,51 @@ class TiltingError(Exception):
         self.separated = separated
 
 
-# probes per block of the nearest-neighbour counting kernel
-KNN_BLOCK = 256
+# probes per block of the nearest-neighbour kernel; a block's distances stay in L2
+KNN_BLOCK = 32
 
 
-def _sq_dists(probes: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _sq_dists(probes: np.ndarray, points: np.ndarray, buf=None) -> np.ndarray:
     """(len(probes), len(points)) squared Euclidean distances, accumulated one
     coordinate at a time from the left; for fewer than 8 coordinates this is
-    bitwise the sum over the last axis of the broadcast difference."""
-    out = (probes[:, 0, None] - points[None, :, 0]) ** 2
+    bitwise the sum over the last axis of the broadcast difference. The result
+    and a temporary of its size live in buf when given."""
+    shape = (2, len(probes), len(points))
+    out, diff = np.empty(shape) if buf is None else buf[:np.prod(shape)].reshape(shape)
+    np.subtract(probes[:, 0, None], points[None, :, 0], out=out)
+    out *= out
     for j in range(1, probes.shape[1]):
-        out += (probes[:, j, None] - points[None, :, j]) ** 2
+        np.subtract(probes[:, j, None], points[None, :, j], out=diff)
+        diff *= diff
+        out += diff
     return out
+
+
+def eval_knn(models, x):
+    """(values, n_floored) at probes x of knn models sharing one target_points
+    array and one scale: a (K, n) array and K counts. A probe block's target
+    distances are computed once for all models; squared distances on both
+    sides keep boundary ties (duplicate points) inside the closed ball."""
+    tgt, scale = models[0].target_points, models[0].scale
+    if not all(m.backend == "knn" and np.array_equal(m.target_points, tgt)
+               and (m.scale is scale or np.array_equal(m.scale, scale)) for m in models):
+        raise ValueError("eval_knn needs knn models sharing one target and scale")
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if pts.shape[1] != tgt.shape[1]:
+        raise ValueError(f"probes have {pts.shape[1]} columns; the knn model has {tgt.shape[1]}")
+    if scale is not None:
+        pts = pts / scale
+    w = np.empty((len(models), len(pts)))
+    buf = np.empty(2 * KNN_BLOCK * (len(tgt) + max(m.n_source for m in models)))
+    for lo in range(0, len(pts), KNN_BLOCK):
+        block = pts[lo:lo + KNN_BLOCK]
+        d2t = _sq_dists(block, tgt, buf)
+        for wk, m in zip(w, models):
+            d2s = _sq_dists(block, m.source_points, buf[d2t.size:])
+            d2s.partition(m.M - 1, axis=1)
+            wk[lo:lo + KNN_BLOCK] = np.count_nonzero(d2t <= d2s[:, m.M - 1, None], axis=1)
+    c = np.array([(m.n_target / m.n_source) * m.M for m in models])
+    return c[:, None] / np.maximum(w, 1), [int(np.sum(wk < 1)) for wk in w]
 
 
 @dataclass
@@ -154,21 +187,8 @@ class RatioModel:
             f = np.atleast_2d(self.psi.apply(x))
             vals = np.exp(f @ self.gamma)
             return (float(vals[0]) if single else vals), 0
-        pts = np.atleast_2d(x)
-        if self.scale is not None:
-            pts = pts / self.scale
-        # squared distances on both sides so boundary ties (duplicate points)
-        # land inside the closed ball regardless of sqrt rounding
-        w = np.empty(len(pts), dtype=float)
-        for lo in range(0, len(pts), KNN_BLOCK):
-            block = pts[lo:lo + KNN_BLOCK]
-            d2s = _sq_dists(block, self.source_points)
-            rho2 = np.partition(d2s, self.M - 1, axis=1)[:, self.M - 1]
-            d2t = _sq_dists(block, self.target_points)
-            w[lo:lo + KNN_BLOCK] = np.count_nonzero(d2t <= rho2[:, None], axis=1)
-        n_floored = int(np.sum(w < 1))
-        vals = (self.n_target / self.n_source) * self.M / np.maximum(w, 1)
-        return (float(vals[0]) if single else vals), n_floored
+        vals, n_floored = eval_knn([self], x)
+        return (float(vals[0, 0]) if single else vals[0]), n_floored[0]
 
     def to_json_obj(self, source_points_ref=None) -> dict:
         if self.backend == "tilting":

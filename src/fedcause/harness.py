@@ -22,7 +22,7 @@ from .density_ratio import (IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, FeatureMap,
                             fit_logistic_ratio, oracle_gaussian_ratio)
 from .estimators import (AllSitesExcludedError, OverlapError, clb_ipw,
                          decoupled_aipw, meta_ipw)
-from .nuisance import PropensitySet, crossfit_split, score_table
+from .nuisance import PropensitySet, RatioScore, crossfit_split, score_table
 from .synthgen import (ShiftConfig, gen_covariate_shift, misspecify_features,
                        place_site_means)
 
@@ -85,10 +85,8 @@ class SweepSpec:
         obj["estimators"] = list(self.estimators)
         sh = {k: getattr(self.shift, k) for k in (
             "n_sites", "n_target", "d", "mu_target", "sigma", "d_kl", "noise_sd")}
-        sh["site_sizes"] = list(self.shift.site_sizes)
-        sh["prop_coef"] = list(self.shift.prop_coef)
-        sh["beta1"] = list(self.shift.beta1)
-        sh["beta0"] = list(self.shift.beta0)
+        sh.update((k, list(getattr(self.shift, k)))
+                  for k in ("site_sizes", "prop_coef", "beta1", "beta0"))
         obj["shift"] = sh
         return obj
 
@@ -107,10 +105,6 @@ class SweepSpec:
         if "estimators" in obj:
             kwargs["estimators"] = tuple(obj["estimators"])
         if sh is not None:
-            sh = dict(sh)
-            for k in ("site_sizes", "prop_coef", "beta1", "beta0"):
-                if k in sh:
-                    sh[k] = tuple(sh[k])
             kwargs["shift"] = ShiftConfig(**sh)
         return cls(**kwargs)
 
@@ -252,7 +246,7 @@ def _fit_knn_scores(sites: Sequence[SiteDataset], target: TargetCovariates,
     """Fit one nearest-neighbour selection ratio per (site, arm). Returns
     (score_fns, failed)."""
     n_pooled = sum(s.n for s in sites)
-    feat = misspecify_features if wrong else (lambda x: x)
+    feat = misspecify_features if wrong else np.atleast_2d
     tgt_feat = feat(target.xs)
     fns = {}
     failed = []
@@ -262,15 +256,12 @@ def _fit_knn_scores(sites: Sequence[SiteDataset], target: TargetCovariates,
             if len(src) == 0:
                 failed.append((s.site_id, arm, "empty arm"))
                 continue
-            share = len(src) / n_pooled
             try:
                 model = fit_knn(feat(src), tgt_feat)
             except ValueError as exc:
                 failed.append((s.site_id, arm, str(exc)))
                 continue
-            fns[(s.site_id, arm)] = (
-                lambda x, m=model, sh=share:
-                sh * np.atleast_1d(m.eval(feat(np.atleast_2d(x)))))
+            fns[(s.site_id, arm)] = RatioScore(model, len(src) / n_pooled, feat)
     return fns, failed
 
 

@@ -10,10 +10,22 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import SiteDataset, TargetCovariates
-from .density_ratio import FeatureMap, RatioModel
+from .density_ratio import FeatureMap, RatioModel, eval_knn
 
 # near-zero assignment scores are floored here before any division
 SCORE_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class RatioScore:
+    """The selection score share * r(feat(x)) of one fitted ratio r."""
+
+    ratio: RatioModel
+    share: float
+    feat: Callable = np.atleast_2d
+
+    def __call__(self, x) -> np.ndarray:
+        return self.share * np.atleast_1d(self.ratio.eval(self.feat(x)))
 
 
 @dataclass
@@ -75,8 +87,7 @@ def assemble_propensity(ratios: Dict[Tuple[int, int], RatioModel],
         count = site_arm_counts.get(pair)
         if count is None or count <= 0:
             raise ValueError(f"missing or non-positive count for pair {pair}")
-        share = count / n_pooled
-        e[pair] = (lambda x, m=model, s=share: s * np.asarray(m.eval(np.atleast_2d(x)), dtype=float))
+        e[pair] = RatioScore(model, count / n_pooled)
     return PropensitySet(e=e, kind="assembled", global_constant_unknown=True)
 
 
@@ -146,7 +157,7 @@ class ScoreTable:
 
 def score_table(sites: Sequence[SiteDataset], p: PropensitySet) -> ScoreTable:
     """Evaluate every score of p once on each unit of each site, at the unit's
-    own arm; each score function sees each arm's units as one batch."""
+    own arm, in one batch per arm; knn RatioScores sharing a target make one eval_knn call."""
     if not p.e:
         raise ValueError("empty propensity set")
     cols = tuple(p.site_ids)
@@ -158,9 +169,18 @@ def score_table(sites: Sequence[SiteDataset], p: PropensitySet) -> ScoreTable:
             if not np.any(rows):
                 continue
             x = s.x_matrix[rows]
+            shared = {}
             for j, k in enumerate(cols):
-                if p.has(k, arm):
+                fn = p.e.get((k, arm))
+                if isinstance(fn, RatioScore) and fn.ratio.backend == "knn":
+                    key = (fn.feat, id(fn.ratio.target_points), id(fn.ratio.scale))
+                    shared.setdefault(key, []).append((j, fn))
+                elif fn is not None:
                     table[rows, j] = p.eval(k, arm, x)
+            for group in shared.values():
+                vals, _ = eval_knn([fn.ratio for _, fn in group], group[0][1].feat(x))
+                for (j, fn), v in zip(group, vals):
+                    table[rows, j] = fn.share * v
         table.flags.writeable = False
         scores[s.site_id] = table
     return ScoreTable(site_ids=cols, scores=scores, pairs=frozenset(p.e))

@@ -47,6 +47,8 @@ class ShiftConfig:
     noise_sd: float = 0.0
 
     def __post_init__(self):
+        for name in ("site_sizes", "prop_coef", "beta1", "beta0"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.n_sites < 1 or len(self.site_sizes) != self.n_sites:
             raise ValueError("site_sizes must list one positive size per site")
         if any(n <= 0 for n in self.site_sizes) or self.n_target <= 0:

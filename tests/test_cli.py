@@ -113,6 +113,39 @@ def test_estimate_federated_aipw_bytes_are_pinned(capsys, data_dir, tmp_path):
     assert hashlib.sha256(log_path.read_bytes()).hexdigest() == FEDERATED_SHA256["transcript"]
 
 
+# sha256 of the printed in-memory clb-aipw report with knn ratios on the
+# knn_data_dir design
+KNN_REPORT_SHA256 = "fa6eefc0e1d08e0de47ca5e36a242f62359ca6e9d16db69d60d7c4580761634a"
+
+
+@pytest.fixture(scope="module")
+def knn_data_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("knn")
+    cfg_path = out / "cfg.json"
+    cfg_path.write_text(json.dumps({"site_sizes": [60, 120, 180], "n_target": 600,
+                                    "d_kl": 1.0}))
+    assert main(["generate", "--config", str(cfg_path), "--seed", "7",
+                 "--out", str(out / "d")]) == 0
+    return out / "d"
+
+
+def test_estimate_knn_report_bytes_are_pinned(capsys, knn_data_dir):
+    rc = main(["estimate", "--data", str(knn_data_dir), "--estimator", "clb-aipw",
+               "--ratio", "knn", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert json.loads(out)["estimator_name"] == "ClbAIPW"
+    assert hashlib.sha256(out.encode()).hexdigest() == KNN_REPORT_SHA256
+
+
+def test_estimate_federated_refuses_knn_ratios(capsys, knn_data_dir):
+    rc = main(["estimate", "--data", str(knn_data_dir), "--estimator", "clb-aipw",
+               "--ratio", "knn", "--federated"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: pair (1, 1): nearest-neighbour ratio models embed raw unit records" in err
+
+
 def test_estimate_rejects_an_empty_site_file(capsys, data_dir, tmp_path):
     clone = tmp_path / "emptysite"
     clone.mkdir()
@@ -185,3 +218,31 @@ def test_sweep_cli_reports_excisions(tmp_path, capsys, monkeypatch):
     assert main(args) == 0
     err = capsys.readouterr().err
     assert "d_kl 1: 1 of 3 replications excised units of a failed fit" in err
+
+
+def test_ci_grid_cli_reports_excisions(tmp_path, capsys, monkeypatch):
+    from fedcause import TiltingError, harness
+    spec = SweepSpec(replications=3, placements=1, estimators=("clb_ipw",),
+                     nuisance_mode="tilting", meta_weight_mode="vanilla",
+                     shift=ShiftConfig(site_sizes=(50, 60, 70), n_target=150))
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps(spec.to_json_obj()))
+    out = tmp_path / "grid.csv"
+    args = ["ci-grid", "--config", str(cfg_path), "--seed", "12", "--out", str(out)]
+    assert main(args) == 0
+    assert "excised" not in capsys.readouterr().err
+
+    real = harness.fit_logistic_ratio
+    calls = []
+
+    def fail_first(*a, **kw):
+        calls.append(None)
+        if len(calls) == 1:
+            raise TiltingError("forced", separated=True)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(harness, "fit_logistic_ratio", fail_first)
+    assert main(args) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [ln for ln in err if "excised" in ln] == [
+        "ps_spec correct, om_spec correct: 1 of 3 replications excised units of a failed fit"]

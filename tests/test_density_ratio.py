@@ -17,7 +17,8 @@ from fedcause import (
     oracle_gaussian_ratio,
 )
 from fedcause import density_ratio
-from fedcause.density_ratio import _sq_dists, expit, fit_logistic, fit_logistic_ratio
+from fedcause.density_ratio import (KNN_BLOCK, _sq_dists, eval_knn, expit, fit_logistic,
+                                    fit_logistic_ratio)
 from conftest import brute_knn_ratio
 
 
@@ -320,6 +321,78 @@ def test_knn_blocked_kernel_is_bitwise_the_broadcast(d, standardize):
     ref_vals, ref_floored = _broadcast_knn(far, probes)
     assert n_floored == ref_floored > 0
     assert np.array_equal(vals, ref_vals)
+
+
+def _shared_knn_models(sources, tgt, Ms, standardize):
+    """knn models over one target array, sharing one scale when standardized."""
+    scale = np.std(np.vstack(sources), axis=0) + 0.5 if standardize else None
+    t = tgt if scale is None else tgt / scale
+    return [RatioModel(backend="knn", M=M, source_points=src if scale is None else src / scale,
+                       target_points=t, n_source=len(src), n_target=len(tgt), scale=scale)
+            for src, M in zip(sources, Ms)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("standardize", [False, True])
+def test_knn_shared_pass_is_bitwise_the_per_model_broadcast(d, standardize):
+    rng = np.random.default_rng(200 + d)
+    # lattice sources of different sizes; the target repeats some of each, so
+    # duplicates sit exactly on ball boundaries, and holds a far cluster
+    sources = [rng.integers(-3, 4, size=(n, d)).astype(float) for n in (40, 23, 61)]
+    tgt = np.vstack([rng.integers(-3, 4, size=(60, d)).astype(float), sources[0][:15],
+                     sources[1][:5], sources[2][:9], rng.normal(size=(30, d)) + 40.0])
+    for Ms in ((len(sources[0]),), (1, 7), (7, len(sources[1]), 1)):
+        k = len(Ms)
+        models = _shared_knn_models(sources[:k], tgt, Ms, standardize)
+        for n_probe in (1, KNN_BLOCK - 1, KNN_BLOCK, KNN_BLOCK + 1, 2 * KNN_BLOCK + 1, 257):
+            probes = np.vstack([sources[0], rng.integers(-3, 4, size=(n_probe // 2, d)),
+                                rng.normal(size=(n_probe, d))])[:n_probe]
+            vals, floored = eval_knn(models, probes)
+            assert vals.shape == (k, n_probe)
+            for m, v, f in zip(models, vals, floored):
+                ref_vals, ref_floored = _broadcast_knn(m, probes)
+                assert np.array_equal(v, ref_vals), (k, n_probe, m.M)
+                assert f == ref_floored
+    # probes beside the sources but far from every target point floor their
+    # empty balls in every column
+    far = _shared_knn_models(sources, tgt[-30:], (3, 1, 5), standardize)
+    probes = rng.integers(-3, 4, size=(3 * KNN_BLOCK + 7, d)).astype(float)
+    vals, floored = eval_knn(far, probes)
+    for m, v, f in zip(far, vals, floored):
+        ref_vals, ref_floored = _broadcast_knn(m, probes)
+        assert f == ref_floored > 0
+        assert np.array_equal(v, ref_vals)
+
+
+def test_knn_shared_pass_refuses_models_that_do_not_share():
+    rng = np.random.default_rng(5)
+    src, tgt = rng.normal(size=(30, 3)), rng.normal(size=(50, 3))
+    base = fit_knn(src, tgt, M=3)
+    probes = rng.normal(size=(4, 3))
+    other_target = fit_knn(src, tgt[:-1], M=3)
+    scaled = RatioModel(backend="knn", M=3, source_points=src, target_points=tgt,
+                        n_source=30, n_target=50, scale=np.ones(3))
+    rescaled = RatioModel(backend="knn", M=3, source_points=src, target_points=tgt,
+                          n_source=30, n_target=50, scale=np.full(3, 2.0))
+    tilt = RatioModel(backend="tilting", gamma=np.zeros(4), psi=IDENTITY_PLUS_INTERCEPT)
+    for models in ([base, other_target], [base, scaled], [scaled, base],
+                   [scaled, rescaled], [base, tilt]):
+        with pytest.raises(ValueError, match="sharing one target and scale"):
+            eval_knn(models, probes)
+    # a copy of the target with equal values and an equal scale is shared
+    copy = fit_knn(src[:20], tgt.copy(), M=2)
+    vals, _ = eval_knn([base, copy], probes)
+    assert np.array_equal(vals[1], copy.eval(probes))
+
+
+def test_knn_rejects_probes_of_the_wrong_width():
+    rng = np.random.default_rng(6)
+    m = fit_knn(rng.normal(size=(30, 3)), rng.normal(size=(50, 3)), M=3)
+    for width in (2, 4):
+        with pytest.raises(ValueError, match=f"probes have {width} columns; the knn model has 3"):
+            m.eval(rng.normal(size=(5, width)))
+        with pytest.raises(ValueError, match=f"{width} columns"):
+            m.eval(np.zeros(width))
 
 
 def test_knn_refuses_json_round_trip():

@@ -8,7 +8,7 @@ import pytest
 from fedcause import (ShiftConfig, SweepSpec, TiltingError, ci_grid,
                       gen_covariate_shift, oracle_shift_propensity,
                       place_site_means, run_monte_carlo, sweep_kl)
-from fedcause import harness
+from fedcause import density_ratio, harness, nuisance
 from fedcause.harness import CI_GRID_COLUMNS, SWEEP_COLUMNS, _build_nuisance
 
 
@@ -188,26 +188,55 @@ def test_only_used_placements_get_oracle_weights(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["oracle", "tilting", "knn"])
 def test_replication_evaluates_each_score_once_per_unit(monkeypatch, mode):
+    # a score row is one unit under one site's model: score_table evaluates
+    # oracle and tilting scores one column at a time and an arm's knn scores
+    # in one shared pass
     real = harness._build_nuisance
+    real_eval, real_knn = nuisance.PropensitySet.eval, nuisance.eval_knn
     rows = []
     failed = []
 
-    def counting(fn):
-        def score(x):
-            rows.append(len(np.atleast_2d(x)))
-            return fn(x)
-        return score
+    def counted_eval(p, site_id, z, x):
+        rows.append(len(np.atleast_2d(x)))
+        return real_eval(p, site_id, z, x)
+
+    def counted_knn(models, x):
+        rows.append(len(models) * len(np.atleast_2d(x)))
+        return real_knn(models, x)
 
     def counted(*args):
         p, include, n_usable, n_failed = real(*args)
         failed.append(n_failed)
-        p.e = {pair: counting(fn) for pair, fn in p.e.items()}
         return p, include, n_usable, n_failed
 
     monkeypatch.setattr(harness, "_build_nuisance", counted)
+    monkeypatch.setattr(nuisance.PropensitySet, "eval", counted_eval)
+    monkeypatch.setattr(nuisance, "eval_knn", counted_knn)
     spec = SweepSpec(d_kl_grid=(1.0,), replications=1, nuisance_mode=mode,
                      meta_weight_mode="vanilla", shift=SMALL)
     out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0), None)
     assert failed == [0]
     assert all(res[0] != "fail" for res in out["results"].values())
     assert sum(rows) == sum(SMALL.site_sizes) * SMALL.n_sites
+
+
+@pytest.mark.parametrize("spec_kind", ["correct", "wrong"])
+def test_knn_replication_counts_target_neighbours_once_per_unit(monkeypatch, spec_kind):
+    # each unit is probed by every site's model at its arm, and those models
+    # share one target: its distances are computed for sum_k n_k probe rows,
+    # not n_sites times that
+    real = density_ratio._sq_dists
+    target_rows = []
+
+    def counted(probes, points, *args):
+        if len(points) == SMALL.n_target:
+            target_rows.append(len(probes))
+        return real(probes, points, *args)
+
+    monkeypatch.setattr(density_ratio, "_sq_dists", counted)
+    spec = SweepSpec(d_kl_grid=(1.0,), replications=1, nuisance_mode="knn",
+                     ps_spec=spec_kind, meta_weight_mode="vanilla", shift=SMALL)
+    out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0), None)
+    assert all(res[0] != "fail" for res in out["results"].values())
+    assert max(SMALL.site_sizes) < SMALL.n_target
+    assert sum(target_rows) == sum(SMALL.site_sizes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from statistics import NormalDist
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -440,6 +440,32 @@ def aipw_combine(inputs, flavor: str = "clb",
                           ci_lo=lo, ci_hi=hi, per_site_diagnostics=diagnostics)
 
 
+def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
+                    table: ScoreTable, fold_plan: FoldPlan, train: Callable,
+                    flavor: str, eta: Optional[Dict[int, float]],
+                    include: Optional[Dict[int, np.ndarray]]):
+    """The cross-fit fold loop of decoupled AIPW, shared by the in-memory and
+    the message-passing paths. ``train(train_include, f)`` returns the fold's
+    (treated, control) outcome models, fitted on the complement of fold f;
+    ``include`` masks units out of both training and corrections. Yields, per
+    fold, (f, target_mean_term, target_var, corrections) with one
+    aipw_corrections result per site, in the order of ``sites``.
+    """
+    if target.n < 2:
+        raise ValueError("the target-term variance needs at least 2 target rows")
+    base = {s.site_id: (np.ones(s.n, dtype=bool) if include is None or s.site_id not in include
+                        else np.asarray(include[s.site_id], dtype=bool))
+            for s in sites}
+    for f in range(fold_plan.F):
+        m1, m0 = train({s.site_id: base[s.site_id] & fold_plan.train_mask(s.site_id, f)
+                        for s in sites}, f)
+        diff = np.atleast_1d(m1.predict(target.xs)) - np.atleast_1d(m0.predict(target.xs))
+        corrections = [aipw_corrections(s, m1, m0, table, flavor, eta,
+                                        base[s.site_id] & fold_plan.eval_mask(s.site_id, f))
+                       for s in sites]
+        yield f, float(np.mean(diff)), float(np.var(diff, ddof=1)), corrections
+
+
 def decoupled_aipw(sites: Sequence[SiteDataset], target: TargetCovariates,
                    table: ScoreTable, psi_om: FeatureMap, flavor: str = "clb",
                    F: int = 2, rng=None, eta: Optional[Dict[int, float]] = None,
@@ -457,29 +483,18 @@ def decoupled_aipw(sites: Sequence[SiteDataset], target: TargetCovariates,
     sites = sorted(sites, key=lambda s: s.site_id)
     if fold_plan is None:
         fold_plan = crossfit_split(sites, target, F, rng)
-    F = fold_plan.F
-
-    base = {s.site_id: (np.ones(s.n, dtype=bool) if include is None or s.site_id not in include
-                        else np.asarray(include[s.site_id], dtype=bool))
-            for s in sites}
-    n_pooled = int(sum(np.sum(base[s.site_id]) for s in sites))
+    n_pooled = sum(s.n if include is None or s.site_id not in include
+                   else int(np.count_nonzero(include[s.site_id])) for s in sites)
     if n_pooled <= 0:
         raise ValueError("no usable source units")
 
-    inputs = []
-    for f in range(F):
-        train_inc = {s.site_id: base[s.site_id] & fold_plan.train_mask(s.site_id, f)
-                     for s in sites}
-        eval_inc = {s.site_id: base[s.site_id] & fold_plan.eval_mask(s.site_id, f)
-                    for s in sites}
-        m1 = fit_outcome_direct(sites, 1, psi_om, table, include=train_inc)
-        m0 = fit_outcome_direct(sites, 0, psi_om, table, include=train_inc)
-        diff = np.atleast_1d(m1.predict(target.xs)) - np.atleast_1d(m0.predict(target.xs))
-        deltas = [aipw_corrections(s, m1, m0, table, flavor, eta, eval_inc[s.site_id])
-                  for s in sites]
-        inputs.append(AipwInputs(target_mean_term=float(np.mean(diff)),
-                                 target_sq_term=float(np.var(diff, ddof=1)),
-                                 n_target=target.n, deltas=deltas,
-                                 lambda_hat=target.n / n_pooled,
-                                 n_pooled=n_pooled, fold=f))
+    def fit(train_include, f):
+        return tuple(fit_outcome_direct(sites, arm, psi_om, table, include=train_include)
+                     for arm in (1, 0))
+
+    inputs = [AipwInputs(target_mean_term=mean, target_sq_term=var, n_target=target.n,
+                         deltas=deltas, lambda_hat=target.n / n_pooled,
+                         n_pooled=n_pooled, fold=f)
+              for f, mean, var, deltas in _crossfit_folds(sites, target, table, fold_plan,
+                                                          fit, flavor, eta, include)]
     return aipw_combine(inputs, flavor=flavor, weights=weights, ci_level=ci_level)

@@ -26,7 +26,7 @@ import numpy as np
 from .core import EstimateReport, SiteDataset, TargetCovariates
 from .density_ratio import RatioModel
 from .estimators import (AipwInputs, Excluded, MetaDeltas, SiteAggregates,
-                         aipw_combine, aipw_corrections, clb_combine,
+                         _crossfit_folds, aipw_combine, clb_combine,
                          clb_site_aggregates)
 from .nuisance import (FoldPlan, OutcomeModel, ScoreTable, _arm_design,
                        assemble_propensity, crossfit_split, score_table,
@@ -36,8 +36,6 @@ MESSAGE_KINDS = ("publish_ratio_model", "aggregates", "model_params",
                  "gradient_update", "target_mean_term")
 
 _SERVER_KINDS = ("model_params", "target_mean_term")
-# the only kinds _report_from_log reads
-_REPORT_KINDS = ("aggregates", "target_mean_term")
 
 
 class PrivacyError(RuntimeError):
@@ -54,10 +52,14 @@ class FedAvgDivergence(RuntimeError):
 
 @dataclass
 class SiteMessage:
+    """One exchange. ``line`` is the JSON line the receiver parsed, kept when
+    the message went over the wire or was loaded from a transcript."""
+
     sender: Union[str, int]
     kind: str
     round: int
     payload: dict
+    line: Optional[str] = field(default=None, compare=False, repr=False)
 
     def to_json_line(self) -> str:
         return json.dumps({"round": self.round, "from": self.sender,
@@ -67,7 +69,7 @@ class SiteMessage:
     def from_json_line(cls, line: str) -> "SiteMessage":
         obj = json.loads(line)
         return cls(sender=obj["from"], kind=obj["kind"],
-                   round=obj["round"], payload=obj["payload"])
+                   round=obj["round"], payload=obj["payload"], line=line)
 
 
 @dataclass
@@ -76,6 +78,16 @@ class MessageLog:
 
     def append(self, msg: SiteMessage) -> None:
         self.messages.append(msg)
+
+    def post(self, msg: SiteMessage, wire: bool) -> dict:
+        """Record msg and return the payload its receiver reads. With wire set
+        the message is encoded once and the log keeps the parsed line, so the
+        receiver consumes exactly what the transcript holds; JSON round-trips
+        finite floats exactly, so this never changes the arithmetic."""
+        if wire:
+            msg = SiteMessage.from_json_line(msg.to_json_line())
+        self.messages.append(msg)
+        return msg.payload
 
     def __iter__(self):
         return iter(self.messages)
@@ -86,22 +98,16 @@ class MessageLog:
     def by_kind(self, kind: str) -> List[SiteMessage]:
         return [m for m in self.messages if m.kind == kind]
 
-    def to_jsonl(self) -> str:
-        return "".join(m.to_json_line() + "\n" for m in self.messages)
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "MessageLog":
-        return cls([SiteMessage.from_json_line(ln)
-                    for ln in text.splitlines() if ln.strip()])
-
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(self.to_jsonl())
+            fh.write("".join((m.to_json_line() if m.line is None else m.line) + "\n"
+                             for m in self.messages))
 
     @classmethod
     def load(cls, path) -> "MessageLog":
         with open(path) as fh:
-            return cls.from_jsonl(fh.read())
+            return cls([SiteMessage.from_json_line(ln)
+                        for ln in fh.read().splitlines() if ln.strip()])
 
 
 @dataclass(frozen=True)
@@ -131,12 +137,6 @@ def expected_message_count(n_sites: int, rounds: int, folds: int) -> int:
     round one parameter message to each site and one update back, plus the
     publish, per-fold aggregate, and target-term messages."""
     return n_sites * (2 * rounds * folds + folds + 1) + folds
-
-
-def _wire(obj, enabled: bool):
-    # JSON round-trips finite floats exactly, so enabling this changes bytes
-    # on the wire but never the arithmetic.
-    return json.loads(json.dumps(obj)) if enabled else obj
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +191,19 @@ def suggest_learning_rate(sites: Sequence[SiteDataset], table: ScoreTable, psi,
     return 1.0 / worst
 
 
-def _fedavg_engine(sites: Sequence[SiteDataset], table: ScoreTable, psi,
-                   cfg: FedConfig, eta=None,
-                   include: Optional[Dict[int, np.ndarray]] = None,
-                   fold: int = 0, emit=None, wire: bool = False):
+def fedavg_train(sites: Sequence[SiteDataset], table: ScoreTable, psi,
+                 cfg: Optional[FedConfig] = None, eta=None,
+                 include: Optional[Dict[int, np.ndarray]] = None,
+                 fold: int = 0, post=None):
     """Run the averaging rounds for one fold; both arms ride each message.
 
-    With emit set, every parameter broadcast and gradient update is recorded;
-    with wire set, consumed payloads pass through a JSON round-trip first.
+    Every parameter broadcast and gradient update goes through ``post``, which
+    returns the payload its receiver consumes; by default the payload is
+    handed straight back and nothing is recorded.
     Returns (model_treated, model_control, info).
     """
+    cfg = cfg or FedConfig()
+    post = post or (lambda msg: msg.payload)
     sites = sorted(sites, key=lambda s: s.site_id)
     d = sites[0].d
     lr = cfg.learning_rate
@@ -221,15 +224,11 @@ def _fedavg_engine(sites: Sequence[SiteDataset], table: ScoreTable, psi,
         for s in sites:
             payload = {"fold": fold, "round": r, "to": s.site_id,
                        "theta1": list(theta[1]), "theta0": list(theta[0])}
-            if emit is not None:
-                emit(SiteMessage("server", "model_params", r, payload))
-            broadcast[s.site_id] = _wire(payload, wire)
-        updates = []
-        for s in sites:
-            upd = _site_local_update(arms[s.site_id], broadcast[s.site_id], cfg, lr)
-            if emit is not None:
-                emit(SiteMessage(s.site_id, "gradient_update", r, upd))
-            updates.append(_wire(upd, wire))
+            broadcast[s.site_id] = post(SiteMessage("server", "model_params", r, payload))
+        updates = [post(SiteMessage(s.site_id, "gradient_update", r,
+                                    _site_local_update(arms[s.site_id], broadcast[s.site_id],
+                                                       cfg, lr)))
+                   for s in sites]
         total_loss = 0.0
         for arm in (1, 0):
             if cfg.server_weighting == "arm_count":
@@ -261,13 +260,6 @@ def _fedavg_engine(sites: Sequence[SiteDataset], table: ScoreTable, psi,
     m1 = OutcomeModel(arm=1, psi=psi, theta=np.asarray(theta[1], dtype=float))
     m0 = OutcomeModel(arm=0, psi=psi, theta=np.asarray(theta[0], dtype=float))
     return m1, m0, info
-
-
-def fedavg_train(sites, table: ScoreTable, psi, cfg: Optional[FedConfig] = None,
-                 eta=None, include=None, fold: int = 0):
-    """The averaging engine without any message recording."""
-    return _fedavg_engine(sites, table, psi, cfg or FedConfig(), eta=eta,
-                          include=include, fold=fold)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +333,7 @@ def run_algorithm1(sites: Sequence[SiteDataset], table: ScoreTable,
     for s in sorted(sites, key=lambda t: t.site_id):
         inc = None if include is None else include.get(s.site_id)
         agg = clb_site_aggregates(s, table, eta, inc)
-        log.append(SiteMessage(s.site_id, "aggregates", 0,
-                               _wire(agg.to_payload(), True)))
+        log.post(SiteMessage(s.site_id, "aggregates", 0, agg.to_payload()), True)
     return _report_from_log(log, ci_level=ci_level), log
 
 
@@ -391,8 +382,6 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng, eta,
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
         raise ValueError("no sites")
-    d = sites[0].d
-    cfg = cfg or FedConfig()
     for pair, model in ratios.items():
         if model is not None and model.backend == "knn":
             raise PrivacyError(
@@ -411,8 +400,8 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng, eta,
         payload = {"site_id": s.site_id, "n1": n1, "n0": n0,
                    "model1": None if m1r is None else m1r.to_json_obj(),
                    "model0": None if m0r is None else m0r.to_json_obj()}
-        log.append(SiteMessage(s.site_id, "publish_ratio_model", 0, payload))
-        published[s.site_id] = _wire(payload, wire)
+        published[s.site_id] = log.post(
+            SiteMessage(s.site_id, "publish_ratio_model", 0, payload), wire)
 
     # The server assembles pooled scores from the published models.
     models, counts = {}, {}
@@ -429,54 +418,37 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng, eta,
         raise ValueError("no ratio models were published")
     table = score_table(sites, assemble_propensity(models, counts, n_published))
 
-    base = {s.site_id: (np.ones(s.n, dtype=bool)
-                        if include is None or s.site_id not in include
-                        else np.asarray(include[s.site_id], dtype=bool))
-            for s in sites}
-
     if train:
         if fold_plan is None:
             fold_plan = crossfit_split(sites, target, F, rng)
-        F_eff = fold_plan.F
+
+        def fit(train_include, f):
+            return fedavg_train(sites, table, psi_om, cfg, eta=eta, include=train_include,
+                                fold=f, post=lambda m: log.post(m, wire))[:2]
     else:
-        F_eff = 1
+        fold_plan = FoldPlan(F=1, fold_index={s.site_id: np.zeros(s.n, dtype=int)
+                                              for s in sites})
+        d = sites[0].d
+        given = init_models or (zero_outcome_model(1, psi_om, d),
+                                zero_outcome_model(0, psi_om, d))
 
-    for f in range(F_eff):
-        if train:
-            train_inc = {s.site_id: base[s.site_id] & fold_plan.train_mask(s.site_id, f)
-                         for s in sites}
-            m1, m0, _ = _fedavg_engine(sites, table, psi_om, cfg, eta=eta,
-                                       include=train_inc, fold=f,
-                                       emit=log.append, wire=wire)
-            eval_inc = {s.site_id: base[s.site_id] & fold_plan.eval_mask(s.site_id, f)
-                        for s in sites}
-        else:
-            if init_models is not None:
-                m1, m0 = init_models
-            else:
-                m1 = zero_outcome_model(1, psi_om, d)
-                m0 = zero_outcome_model(0, psi_om, d)
-            eval_inc = base
+        def fit(train_include, f):
+            return given
 
-        diff = np.atleast_1d(m1.predict(target.xs)) - np.atleast_1d(m0.predict(target.xs))
-        tvar = float(np.var(diff, ddof=1)) if target.n > 1 else 0.0
-        log.append(SiteMessage("server", "target_mean_term", f,
-                               {"fold": f, "value": float(np.mean(diff)),
-                                "target_var": tvar, "n_target": int(target.n)}))
-
-        for s in sites:
-            res = aipw_corrections(s, m1, m0, table, flavor, eta, eval_inc[s.site_id])
+    for f, mean, var, corrections in _crossfit_folds(sites, target, table, fold_plan,
+                                                     fit, flavor, eta, include):
+        log.post(SiteMessage("server", "target_mean_term", f,
+                             {"fold": f, "value": mean, "target_var": var,
+                              "n_target": int(target.n)}), wire)
+        for s, res in zip(sites, corrections):
             if isinstance(res, Excluded):
                 payload = {"fold": f, "site_id": s.site_id, "excluded": res.reason}
             else:
                 payload = {"fold": f, **res.to_payload()}
-            log.append(SiteMessage(s.site_id, "aggregates", f, payload))
+            log.post(SiteMessage(s.site_id, "aggregates", f, payload), wire)
 
-    # the log's own parse path produces the report, so replay is exact
-    wired = MessageLog([SiteMessage(m.sender, m.kind, m.round, _wire(m.payload, wire))
-                        for m in log if m.kind in _REPORT_KINDS])
-    report = _report_from_log(wired, ci_level=ci_level, weights=weights)
-    return report, log
+    # the server reads only the parsed log, so replay is exact
+    return _report_from_log(log, ci_level=ci_level, weights=weights), log
 
 
 # ---------------------------------------------------------------------------

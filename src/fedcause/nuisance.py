@@ -47,9 +47,6 @@ class PropensitySet:
     def site_ids(self):
         return sorted({k for k, _ in self.e.keys()})
 
-    def has(self, site_id: int, z: int) -> bool:
-        return (site_id, int(z)) in self.e
-
     def eval(self, site_id: int, z: int, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         fn = self.e.get((site_id, int(z)))

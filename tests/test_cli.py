@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from fedcause import MessageLog, SweepSpec, ShiftConfig, audit_messages, replay
@@ -156,6 +157,26 @@ def test_estimate_rejects_an_empty_site_file(capsys, data_dir, tmp_path):
     rc = main(["estimate", "--data", str(clone), "--estimator", "clb-ipw"])
     err = capsys.readouterr().err
     assert rc == 1 and "error:" in err and "site_3.csv" in err
+
+
+def test_estimate_aipw_needs_two_target_rows(capsys, data_dir, tmp_path):
+    clone = tmp_path / "onetarget"
+    clone.mkdir()
+    for name in ("site_1.csv", "site_2.csv", "site_3.csv"):
+        (clone / name).write_bytes((data_dir / name).read_bytes())
+    # keep the row nearest the target mean, so every tilt can match it
+    header, *rows = (data_dir / "target.csv").read_text().splitlines()
+    xs = np.array([[float(v) for v in row.split(",")] for row in rows])
+    central = rows[int(np.argmin(np.sum((xs - xs.mean(axis=0)) ** 2, axis=1)))]
+    (clone / "target.csv").write_text(f"{header}\n{central}\n")
+    for extra in (["--estimator", "clb-aipw"], ["--estimator", "meta-aipw"],
+                  ["--estimator", "clb-aipw", "--federated"]):
+        rc = main(["estimate", "--data", str(clone), *extra])
+        captured = capsys.readouterr()
+        assert rc == 1, extra
+        assert captured.out == ""
+        assert captured.err == ("error: the target-term variance needs at least "
+                                "2 target rows\n"), extra
 
 
 def test_estimate_federated_rejects_per_site_estimator(capsys, data_dir):

@@ -14,6 +14,7 @@ from fedcause import (
     ShiftConfig,
     SiteAggregates,
     SiteDataset,
+    TargetCovariates,
     aipw_combine,
     aipw_corrections,
     clb_combine,
@@ -278,6 +279,24 @@ def test_decoupled_aipw_exact_on_linear_outcomes():
     assert abs(rep.tau_hat - true_tau) < 0.5
     resid_like = rep.var_hat
     assert resid_like >= 0.0
+
+
+@pytest.mark.parametrize("flavor", ["clb", "meta"])
+def test_decoupled_aipw_needs_two_target_rows(monkeypatch, flavor):
+    import fedcause.estimators as estimators
+    cfg = ShiftConfig(site_sizes=(40, 40, 40), n_target=50, d_kl=1.0)
+    means = [0.5, -0.5, 0.0]
+    sites, target, _ = gen_covariate_shift(cfg, np.random.default_rng(8),
+                                           means=np.asarray(means))
+    p = score_table(sites, oracle_shift_propensity(cfg, means))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a fold trained before the target check")
+
+    monkeypatch.setattr(estimators, "fit_outcome_direct", no_training)
+    with pytest.raises(ValueError, match="needs at least 2 target rows"):
+        decoupled_aipw(sites, TargetCovariates(target.xs[:1]), p, psi_om=IDENTITY,
+                       flavor=flavor, F=2, rng=np.random.default_rng(9))
 
 
 def test_confidence_interval_quantiles():

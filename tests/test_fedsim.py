@@ -100,6 +100,41 @@ def test_log_jsonl_round_trip(tmp_path, rng):
     assert back == log
     assert replay(back) == replay(log)
 
+    rng = np.random.default_rng(3)
+    sites = _linear_sites(rng, n_sites=2, n=24)
+    target = TargetCovariates(rng.normal(size=(30, 2)))
+    rep, log2 = run_algorithm2(sites, target, _fitted_ratios(rng, sites, target),
+                               psi_om=IDENTITY_PLUS_INTERCEPT, cfg=FedConfig(rounds=3),
+                               F=2, rng=np.random.default_rng(0))
+    path, path2 = tmp_path / "aipw.msgs.jsonl", tmp_path / "aipw2.msgs.jsonl"
+    log2.save(path)
+    back = MessageLog.load(path)
+    back.save(path2)
+    assert path2.read_bytes() == path.read_bytes()
+    assert back == log2
+    assert replay(back) == rep
+
+
+def test_algorithm2_encodes_each_message_once(tmp_path, monkeypatch):
+    import json
+    rng = np.random.default_rng(3)
+    sites = _linear_sites(rng, n_sites=2, n=24)
+    target = TargetCovariates(rng.normal(size=(30, 2)))
+    ratios = _fitted_ratios(rng, sites, target)
+    calls = []
+    real = json.dumps
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    _, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
+                            cfg=FedConfig(rounds=4), F=2, rng=np.random.default_rng(0))
+    log.save(tmp_path / "run.msgs.jsonl")
+    assert len(log) == expected_message_count(2, 4, 2)
+    assert len(calls) == len(log)
+
 
 def test_algorithm2_transcript_matches_expected_count():
     rng = np.random.default_rng(3)
@@ -141,6 +176,25 @@ def test_algorithm2_without_training_reduces_to_pooled_ipw():
     direct = clb_ipw(sites, p, n_pooled=sum(counts.values()))
     assert rep.tau_hat == direct.tau_hat
     assert rep.var_hat >= 0.0
+
+
+def test_algorithm2_needs_two_target_rows(monkeypatch):
+    import fedcause.fedsim as fedsim
+    rng = np.random.default_rng(5)
+    sites = _linear_sites(rng, n_sites=2, n=26)
+    target = TargetCovariates(rng.normal(size=(30, 2)))
+    ratios = _fitted_ratios(rng, sites, target)
+    one_row = TargetCovariates(target.xs[:1])
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a fold trained before the target check")
+
+    monkeypatch.setattr(fedsim, "fedavg_train", no_training)
+    for run in (run_algorithm2, centralized_algorithm2):
+        for train in (True, False):
+            with pytest.raises(ValueError, match="needs at least 2 target rows"):
+                run(sites, one_row, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
+                    cfg=FedConfig(rounds=2), train=train, rng=np.random.default_rng(0))
 
 
 def test_algorithm2_rejects_neighbour_ratio_models():

@@ -40,7 +40,7 @@ def test_assemble_missing_pair_evaluates_to_zero():
     m = RatioModel(backend="tilting", gamma=np.zeros(2), psi=IDENTITY_PLUS_INTERCEPT)
     p = assemble_propensity({(1, 1): m, (1, 0): m}, {(1, 1): 5, (1, 0): 5}, n_pooled=20)
     x = np.zeros((3, 1))
-    assert not p.has(2, 0)
+    assert (2, 0) not in p.e
     assert np.array_equal(p.eval(2, 0, x), np.zeros(3))
 
 

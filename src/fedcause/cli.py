@@ -11,8 +11,8 @@ import sys
 
 import numpy as np
 
-from .core import (TargetCovariates, read_sites_csv, read_target_csv,
-                   validate_dataset, write_sites_csv, write_target_csv)
+from .core import (read_sites_csv, read_target_csv, validate_dataset,
+                   write_sites_csv, write_target_csv)
 from .density_ratio import IDENTITY_PLUS_INTERCEPT, fit_knn, fit_tilting
 from .estimators import clb_ipw, decoupled_aipw, meta_ipw
 from .fedsim import FedConfig, run_algorithm1, run_algorithm2

@@ -224,8 +224,13 @@ def _unstandardize(g, mu, sd, has_intercept: bool) -> np.ndarray:
     return graw
 
 
-def fit_tilting(source, target, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT,
-                tol: float = 1e-9, max_iter: int = 200) -> RatioModel:
+# a tilting fit has converged once its relative moment residual is at most
+# TILTING_TOL, and stops after TILTING_MAX_ITER damped Newton steps
+TILTING_TOL = 1e-9
+TILTING_MAX_ITER = 200
+
+
+def fit_tilting(source, target, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT) -> RatioModel:
     """Fit exp(psi(x)' gamma) so source units reweighted by it match target
     feature totals: sum_source psi exp(psi' gamma) = sum_target psi.
 
@@ -233,8 +238,9 @@ def fit_tilting(source, target, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT,
     G(gamma) = sum_source exp(psi' gamma) - gamma' sum_target psi, whose
     gradient is the moment residual. Steps are Levenberg-damped with a trust
     cap and backtracked until the dual decreases, so the recorded dual trace
-    is non-increasing. Convergence is declared at relative residual <= tol
-    (gradient norm over max(1, target-moment norm)). A stall at relative
+    is non-increasing. Convergence is declared at relative residual
+    <= TILTING_TOL (gradient norm over max(1, target-moment norm)); after
+    TILTING_MAX_ITER steps the fit stops. A stall at relative
     residual <= 1e-5 is accepted and flagged soft in fit_info; anything worse
     raises TiltingError carrying the best residual, with separation (target
     moments outside the reachable set, dual unbounded below) reported
@@ -282,14 +288,14 @@ def fit_tilting(source, target, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT,
     best_g, best_rn = g.copy(), math.inf
     trace = [cur]
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, TILTING_MAX_ITER + 1):
         with np.errstate(over="ignore"):
             eg = np.exp(A @ g)
         grad = A.T @ eg - t
         rn = float(np.linalg.norm(grad)) / scale
         if rn < best_rn:
             best_rn, best_g = rn, g.copy()
-        if rn <= tol:
+        if rn <= TILTING_TOL:
             gamma = _unstandardize(g, mu, sd, has_icpt)
             return RatioModel(backend="tilting", gamma=gamma, psi=psi,
                               fit_info={"iterations": it, "residual": rn,

@@ -165,8 +165,7 @@ def meta_ipw_site(site: SiteDataset, scores: np.ndarray):
 
 
 def meta_combine(site_results: Dict[int, Union[Tuple[float, float], Excluded]],
-                 mode="inverse_variance", ci_level: float = 0.95,
-                 estimator_name: str = "MetaIPW") -> EstimateReport:
+                 mode="inverse_variance", ci_level: float = 0.95) -> EstimateReport:
     """Combine per-site (tau_k, var_k) results.
 
     mode "inverse_variance" weighs each included site by 1/var_k and reports
@@ -207,7 +206,7 @@ def meta_combine(site_results: Dict[int, Union[Tuple[float, float], Excluded]],
         diagnostics.append((sid, True, f"weight={eta[sid]:.6g}"))
     diagnostics.sort(key=lambda t: t[0])
     lo, hi = gaussian_interval(tau, var_hat, 1.0, ci_level)
-    return EstimateReport(estimator_name=estimator_name, tau_hat=tau, var_hat=var_hat,
+    return EstimateReport(estimator_name="MetaIPW", tau_hat=tau, var_hat=var_hat,
                           n_effective=1.0, ci_level=ci_level, ci_lo=lo, ci_hi=hi,
                           per_site_diagnostics=diagnostics)
 
@@ -229,20 +228,18 @@ def meta_ipw(sites: Sequence[SiteDataset], table: ScoreTable,
 
 
 def _clb_aggregate_arrays(site: SiteDataset, y: np.ndarray, table: ScoreTable,
-                          eta: Optional[Dict[int, float]],
                           include: Optional[np.ndarray]) -> SiteAggregates:
     agg = SiteAggregates(site_id=site.site_id)
-    eta_k = 1.0 if eta is None else float(eta.get(site.site_id, 1.0))
     z = site.z_vec
     keep = np.ones(len(z), dtype=bool) if include is None else np.asarray(include, dtype=bool)
-    pooled = table.pooled(site.site_id, eta)
+    pooled = table.pooled(site.site_id)
     for arm in (1, 0):
         mask = (z == arm) & keep
         if not np.any(mask):
             continue
         s = pooled[mask]
         agg.n_floored += int(np.sum(s < SCORE_FLOOR))
-        w = eta_k / np.maximum(s, SCORE_FLOOR)
+        w = 1.0 / np.maximum(s, SCORE_FLOOR)
         ya = y[mask]
         G = float(np.sum(w * ya))
         N = float(np.sum(w))
@@ -259,13 +256,12 @@ def _clb_aggregate_arrays(site: SiteDataset, y: np.ndarray, table: ScoreTable,
 
 
 def clb_site_aggregates(site: SiteDataset, table: ScoreTable,
-                        eta: Optional[Dict[int, float]] = None,
                         include: Optional[np.ndarray] = None) -> SiteAggregates:
-    """One site's contribution to the pooled Hajek sums: G = sum eta_k y / score
-    and N = sum eta_k / score per arm, pooled scores in the denominator.
+    """One site's contribution to the pooled Hajek sums: G = sum y / score
+    and N = sum 1 / score per arm, pooled scores in the denominator.
     A site missing an arm still contributes valid sums for the other arm.
     """
-    return _clb_aggregate_arrays(site, site.y_vec, table, eta, include)
+    return _clb_aggregate_arrays(site, site.y_vec, table, include)
 
 
 def clb_combine(aggs: Sequence[SiteAggregates], n_pooled: Optional[int] = None,
@@ -306,12 +302,10 @@ def clb_combine(aggs: Sequence[SiteAggregates], n_pooled: Optional[int] = None,
                           ci_lo=lo, ci_hi=hi, per_site_diagnostics=diagnostics)
 
 
-def clb_ipw(sites: Sequence[SiteDataset], table: ScoreTable,
-            eta: Optional[Dict[int, float]] = None, ci_level: float = 0.95,
+def clb_ipw(sites: Sequence[SiteDataset], table: ScoreTable, ci_level: float = 0.95,
             include: Optional[Dict[int, np.ndarray]] = None,
             n_pooled: Optional[int] = None) -> EstimateReport:
-    aggs = [clb_site_aggregates(s, table, eta,
-                                None if include is None else include.get(s.site_id))
+    aggs = [clb_site_aggregates(s, table, None if include is None else include.get(s.site_id))
             for s in sorted(sites, key=lambda t: t.site_id)]
     return clb_combine(aggs, n_pooled=n_pooled, ci_level=ci_level)
 
@@ -322,7 +316,6 @@ def clb_ipw(sites: Sequence[SiteDataset], table: ScoreTable,
 
 def aipw_corrections(site: SiteDataset, m1: OutcomeModel, m0: OutcomeModel,
                      table: ScoreTable, flavor: str = "clb",
-                     eta: Optional[Dict[int, float]] = None,
                      include: Optional[np.ndarray] = None):
     """Residualized IPW terms for one site: every y is replaced by
     y - m_z(x) for the realized arm.
@@ -339,7 +332,7 @@ def aipw_corrections(site: SiteDataset, m1: OutcomeModel, m0: OutcomeModel,
                      y - np.atleast_1d(m1.predict(x)),
                      y - np.atleast_1d(m0.predict(x)))
     if flavor == "clb":
-        return _clb_aggregate_arrays(site, resid, table, eta, include)
+        return _clb_aggregate_arrays(site, resid, table, include)
     if flavor != "meta":
         raise ValueError(f"unknown flavor {flavor!r}")
 
@@ -442,8 +435,7 @@ def aipw_combine(inputs, flavor: str = "clb",
 
 def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
                     table: ScoreTable, fold_plan: FoldPlan, train: Callable,
-                    flavor: str, eta: Optional[Dict[int, float]],
-                    include: Optional[Dict[int, np.ndarray]]):
+                    flavor: str, include: Optional[Dict[int, np.ndarray]]):
     """The cross-fit fold loop of decoupled AIPW, shared by the in-memory and
     the message-passing paths. ``train(train_include, f)`` returns the fold's
     (treated, control) outcome models, fitted on the complement of fold f;
@@ -460,7 +452,7 @@ def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
         m1, m0 = train({s.site_id: base[s.site_id] & fold_plan.train_mask(s.site_id, f)
                         for s in sites}, f)
         diff = np.atleast_1d(m1.predict(target.xs)) - np.atleast_1d(m0.predict(target.xs))
-        corrections = [aipw_corrections(s, m1, m0, table, flavor, eta,
+        corrections = [aipw_corrections(s, m1, m0, table, flavor,
                                         base[s.site_id] & fold_plan.eval_mask(s.site_id, f))
                        for s in sites]
         yield f, float(np.mean(diff)), float(np.var(diff, ddof=1)), corrections
@@ -468,7 +460,7 @@ def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
 
 def decoupled_aipw(sites: Sequence[SiteDataset], target: TargetCovariates,
                    table: ScoreTable, psi_om: FeatureMap, flavor: str = "clb",
-                   F: int = 2, rng=None, eta: Optional[Dict[int, float]] = None,
+                   F: int = 2, rng=None,
                    weights: Optional[Dict[int, float]] = None,
                    include: Optional[Dict[int, np.ndarray]] = None,
                    ci_level: float = 0.95,
@@ -482,7 +474,7 @@ def decoupled_aipw(sites: Sequence[SiteDataset], target: TargetCovariates,
     """
     sites = sorted(sites, key=lambda s: s.site_id)
     if fold_plan is None:
-        fold_plan = crossfit_split(sites, target, F, rng)
+        fold_plan = crossfit_split(sites, F, rng)
     n_pooled = sum(s.n if include is None or s.site_id not in include
                    else int(np.count_nonzero(include[s.site_id])) for s in sites)
     if n_pooled <= 0:
@@ -496,5 +488,5 @@ def decoupled_aipw(sites: Sequence[SiteDataset], target: TargetCovariates,
                          deltas=deltas, lambda_hat=target.n / n_pooled,
                          n_pooled=n_pooled, fold=f)
               for f, mean, var, deltas in _crossfit_folds(sites, target, table, fold_plan,
-                                                          fit, flavor, eta, include)]
+                                                          fit, flavor, include)]
     return aipw_combine(inputs, flavor=flavor, weights=weights, ci_level=ci_level)

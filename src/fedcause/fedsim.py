@@ -112,24 +112,20 @@ class MessageLog:
 
 @dataclass(frozen=True)
 class FedConfig:
-    """Federated-averaging schedule.
+    """Federated-averaging schedule. Every fold runs all its rounds, so the
+    message count is exactly the budget.
 
     learning_rate None lets the engine derive a stable step from the pooled
-    curvature of the mean weighted loss. tol 0 disables early stopping so the
-    round count, and hence the message count, is exactly the budget.
+    curvature of the mean weighted loss.
     """
 
     rounds: int = 50
     local_steps: int = 1
     learning_rate: Optional[float] = None
-    server_weighting: str = "arm_count"
-    tol: float = 0.0
 
     def __post_init__(self):
         if self.rounds < 1 or self.local_steps < 1:
             raise ValueError("rounds and local_steps must be >= 1")
-        if self.server_weighting not in ("arm_count", "uniform"):
-            raise ValueError(f"unknown server weighting {self.server_weighting!r}")
 
 
 def expected_message_count(n_sites: int, rounds: int, folds: int) -> int:
@@ -165,8 +161,7 @@ def _site_local_update(arms: dict, payload: dict, cfg: FedConfig, lr: float) -> 
 
 
 def suggest_learning_rate(sites: Sequence[SiteDataset], table: ScoreTable, psi,
-                          eta=None, include: Optional[Dict[int, np.ndarray]] = None
-                          ) -> float:
+                          include: Optional[Dict[int, np.ndarray]] = None) -> float:
     """1 / L for the pooled mean weighted loss, the largest single step that
     keeps one-local-step averaging monotone; L is the top curvature over arms.
     """
@@ -175,7 +170,7 @@ def suggest_learning_rate(sites: Sequence[SiteDataset], table: ScoreTable, psi,
         H = None
         n = 0
         for s in sorted(sites, key=lambda t: t.site_id):
-            design, _, w, _ = _arm_design(s, table, psi, arm, eta,
+            design, _, w, _ = _arm_design(s, table, psi, arm,
                                           None if include is None else include.get(s.site_id))
             if len(w) == 0:
                 continue
@@ -192,10 +187,12 @@ def suggest_learning_rate(sites: Sequence[SiteDataset], table: ScoreTable, psi,
 
 
 def fedavg_train(sites: Sequence[SiteDataset], table: ScoreTable, psi,
-                 cfg: Optional[FedConfig] = None, eta=None,
+                 cfg: Optional[FedConfig] = None,
                  include: Optional[Dict[int, np.ndarray]] = None,
                  fold: int = 0, post=None):
     """Run the averaging rounds for one fold; both arms ride each message.
+    The server averages an arm's site updates weighted by each site's unit
+    count in that arm (McMahan et al., 2017).
 
     Every parameter broadcast and gradient update goes through ``post``, which
     returns the payload its receiver consumes; by default the payload is
@@ -208,17 +205,14 @@ def fedavg_train(sites: Sequence[SiteDataset], table: ScoreTable, psi,
     d = sites[0].d
     lr = cfg.learning_rate
     if lr is None:
-        lr = suggest_learning_rate(sites, table, psi, eta, include)
+        lr = suggest_learning_rate(sites, table, psi, include)
     pdim = len(zero_outcome_model(1, psi, d).theta)
     # a site's local objective is fixed for every round of the fold
-    arms = {s.site_id: {arm: _arm_design(s, table, psi, arm, eta,
+    arms = {s.site_id: {arm: _arm_design(s, table, psi, arm,
                                          None if include is None else include.get(s.site_id))[:3]
                         for arm in (1, 0)} for s in sites}
     theta = {1: [0.0] * pdim, 0: [0.0] * pdim}
     trace: List[float] = []
-    prev = None
-    rounds_run = 0
-    converged = False
     for r in range(cfg.rounds):
         broadcast = {}
         for s in sites:
@@ -231,10 +225,7 @@ def fedavg_train(sites: Sequence[SiteDataset], table: ScoreTable, psi,
                    for s in sites]
         total_loss = 0.0
         for arm in (1, 0):
-            if cfg.server_weighting == "arm_count":
-                wk = [float(u[f"n{arm}"]) for u in updates]
-            else:
-                wk = [1.0 if u[f"n{arm}"] > 0 else 0.0 for u in updates]
+            wk = [float(u[f"n{arm}"]) for u in updates]
             tot = sum(wk)
             if tot <= 0.0:
                 continue
@@ -245,18 +236,11 @@ def fedavg_train(sites: Sequence[SiteDataset], table: ScoreTable, psi,
                     total_loss += (w / tot) * u[f"loss{arm}"]
             theta[arm] = [float(v) for v in (np.asarray(theta[arm]) + step)]
         trace.append(total_loss)
-        rounds_run = r + 1
         if len(trace) >= 6 and trace[-1] > 10.0 * trace[-6] > 0.0:
             raise FedAvgDivergence(
                 f"loss grew from {trace[-6]:.6g} to {trace[-1]:.6g} within five rounds "
                 f"(fold {fold}); lower the learning rate", trace)
-        if cfg.tol > 0.0 and prev is not None and \
-                abs(total_loss - prev) <= cfg.tol * max(1.0, abs(prev)):
-            converged = True
-            break
-        prev = total_loss
-    info = {"rounds_run": rounds_run, "loss_trace": trace,
-            "converged": converged, "learning_rate": lr}
+    info = {"rounds_run": len(trace), "loss_trace": trace, "learning_rate": lr}
     m1 = OutcomeModel(arm=1, psi=psi, theta=np.asarray(theta[1], dtype=float))
     m0 = OutcomeModel(arm=0, psi=psi, theta=np.asarray(theta[0], dtype=float))
     return m1, m0, info
@@ -324,15 +308,11 @@ def replay(log: MessageLog, ci_level: float = 0.95,
 
 
 def run_algorithm1(sites: Sequence[SiteDataset], table: ScoreTable,
-                   eta: Optional[Dict[int, float]] = None,
-                   ci_level: float = 0.95,
-                   include: Optional[Dict[int, np.ndarray]] = None
-                   ) -> Tuple[EstimateReport, MessageLog]:
+                   ci_level: float = 0.95) -> Tuple[EstimateReport, MessageLog]:
     """Pooled IPW over sites that only ever send aggregate sums."""
     log = MessageLog()
     for s in sorted(sites, key=lambda t: t.site_id):
-        inc = None if include is None else include.get(s.site_id)
-        agg = clb_site_aggregates(s, table, eta, inc)
+        agg = clb_site_aggregates(s, table)
         log.post(SiteMessage(s.site_id, "aggregates", 0, agg.to_payload()), True)
     return _report_from_log(log, ci_level=ci_level), log
 
@@ -344,41 +324,33 @@ def run_algorithm1(sites: Sequence[SiteDataset], table: ScoreTable,
 def run_algorithm2(sites: Sequence[SiteDataset], target: TargetCovariates,
                    ratios: Dict[Tuple[int, int], Optional[RatioModel]],
                    psi_om, cfg: Optional[FedConfig] = None, flavor: str = "clb",
-                   F: int = 2, rng=None, eta: Optional[Dict[int, float]] = None,
+                   F: int = 2, rng=None,
                    weights: Optional[Dict[int, float]] = None,
-                   include: Optional[Dict[int, np.ndarray]] = None,
-                   ci_level: float = 0.95, train: bool = True,
-                   init_models: Optional[Tuple[OutcomeModel, OutcomeModel]] = None,
-                   fold_plan: Optional[FoldPlan] = None
+                   ci_level: float = 0.95, train: bool = True
                    ) -> Tuple[EstimateReport, MessageLog]:
     """Decoupled collaborative estimation as an explicit message exchange.
 
     ratios maps (site_id, arm) to a fitted selection-side density-ratio model;
     the target covariate table is public input the server already holds.
-    With train False the outcome models are taken as given (zeros if None),
-    cross-fitting collapses to a single fold, and no averaging messages flow.
+    With train False the outcome models are zeros, cross-fitting collapses to
+    a single fold, and no averaging messages flow.
     """
     return _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng,
-                            eta, weights, include, ci_level, train, init_models,
-                            fold_plan, wire=True)
+                            weights, ci_level, train, wire=True)
 
 
 def centralized_algorithm2(sites, target, ratios, psi_om,
                            cfg: Optional[FedConfig] = None, flavor: str = "clb",
-                           F: int = 2, rng=None, eta=None, weights=None,
-                           include=None, ci_level: float = 0.95,
-                           train: bool = True, init_models=None,
-                           fold_plan: Optional[FoldPlan] = None):
+                           F: int = 2, rng=None, weights=None,
+                           ci_level: float = 0.95, train: bool = True):
     """The same computation with every exchange kept in memory: the reference
     the message-passing run must match bitwise."""
     return _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng,
-                            eta, weights, include, ci_level, train, init_models,
-                            fold_plan, wire=False)
+                            weights, ci_level, train, wire=False)
 
 
-def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng, eta,
-                     weights, include, ci_level, train, init_models, fold_plan,
-                     wire: bool):
+def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng,
+                     weights, ci_level, train, wire: bool):
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
         raise ValueError("no sites")
@@ -419,24 +391,22 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng, eta,
     table = score_table(sites, assemble_propensity(models, counts, n_published))
 
     if train:
-        if fold_plan is None:
-            fold_plan = crossfit_split(sites, target, F, rng)
+        fold_plan = crossfit_split(sites, F, rng)
 
         def fit(train_include, f):
-            return fedavg_train(sites, table, psi_om, cfg, eta=eta, include=train_include,
+            return fedavg_train(sites, table, psi_om, cfg, include=train_include,
                                 fold=f, post=lambda m: log.post(m, wire))[:2]
     else:
         fold_plan = FoldPlan(F=1, fold_index={s.site_id: np.zeros(s.n, dtype=int)
                                               for s in sites})
-        d = sites[0].d
-        given = init_models or (zero_outcome_model(1, psi_om, d),
-                                zero_outcome_model(0, psi_om, d))
+        zeros = (zero_outcome_model(1, psi_om, sites[0].d),
+                 zero_outcome_model(0, psi_om, sites[0].d))
 
         def fit(train_include, f):
-            return given
+            return zeros
 
     for f, mean, var, corrections in _crossfit_folds(sites, target, table, fold_plan,
-                                                     fit, flavor, eta, include):
+                                                     fit, flavor, None):
         log.post(SiteMessage("server", "target_mean_term", f,
                              {"fold": f, "value": mean, "target_var": var,
                               "n_target": int(target.n)}), wire)

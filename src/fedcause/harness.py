@@ -92,21 +92,15 @@ class SweepSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SweepSpec":
+        """Inverse of to_json_obj; a key that names no field raises TypeError."""
         obj = dict(obj)
-        sh = obj.pop("shift", None)
-        kwargs = {}
-        for k in ("replications", "placements", "nuisance_mode", "ps_spec",
-                  "om_spec", "meta_weight_mode", "folds", "ci_level",
-                  "max_fail_frac"):
-            if k in obj:
-                kwargs[k] = obj[k]
         if "d_kl_grid" in obj:
-            kwargs["d_kl_grid"] = tuple(float(v) for v in obj["d_kl_grid"])
+            obj["d_kl_grid"] = tuple(float(v) for v in obj["d_kl_grid"])
         if "estimators" in obj:
-            kwargs["estimators"] = tuple(obj["estimators"])
-        if sh is not None:
-            kwargs["shift"] = ShiftConfig(**sh)
-        return cls(**kwargs)
+            obj["estimators"] = tuple(obj["estimators"])
+        if "shift" in obj:
+            obj["shift"] = ShiftConfig(**obj["shift"])
+        return cls(**obj)
 
 
 @dataclass
@@ -174,11 +168,15 @@ def oracle_shift_propensity(shift: ShiftConfig, means: Sequence[float]) -> Prope
 
         e[(k, 1)] = make(1)
         e[(k, 0)] = make(0)
-    return PropensitySet(e=e, kind="oracle", global_constant_unknown=False)
+    return PropensitySet(e=e)
 
 
-def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float], rng,
-                               n_draws: int = 200_000) -> Dict[int, float]:
+# Monte Carlo draws per site behind the oracle meta weights
+ORACLE_DRAWS = 200_000
+
+
+def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float],
+                               rng) -> Dict[int, float]:
     """Asymptotic per-site squared standard errors of the one-site Hajek
     estimator, by Monte Carlo integration over each site's covariate law."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
@@ -191,7 +189,7 @@ def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float], rng,
     n_pooled = sum(shift.site_sizes)
     out = {}
     for k, mu_k in enumerate(np.asarray(means, dtype=float), start=1):
-        x = rng.normal(mu_k, shift.sigma, size=(n_draws, shift.d))
+        x = rng.normal(mu_k, shift.sigma, size=(ORACLE_DRAWS, shift.d))
         p1 = 1.0 / (1.0 + np.exp(x @ c))
         # the oracle_shift_propensity scores, in their operation order
         sr = (shift.site_sizes[k - 1] / n_pooled
@@ -281,7 +279,7 @@ def _build_nuisance(spec: SweepSpec, sites, target, means):
         fns, failed = _fit_knn_scores(sites, target, wrong)
     if not fns:
         raise OverlapError("every ratio fit failed; no scores available")
-    p = PropensitySet(e=fns, kind="assembled", global_constant_unknown=True)
+    p = PropensitySet(e=fns)
     dead = {(k, arm) for k, arm, _ in failed}
     include = {}
     for s in sites:
@@ -329,7 +327,7 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
 
     fold_plan = None
     if "meta_aipw" in spec.estimators or "clb_aipw" in spec.estimators:
-        fold_plan = crossfit_split(sites, target, spec.folds, rng)
+        fold_plan = crossfit_split(sites, spec.folds, rng)
 
     for est in spec.estimators:
         try:

@@ -9,7 +9,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SiteDataset, TargetCovariates
+from .core import SiteDataset
 from .density_ratio import FeatureMap, RatioModel, eval_knn
 
 # near-zero assignment scores are floored here before any division
@@ -31,13 +31,11 @@ class RatioScore:
 @dataclass
 class PropensitySet:
     """Selection-arm probability functions e[(site_id, z)](x), known either
-    exactly (kind "oracle") or assembled from fitted ratios up to one shared
-    positive constant (kind "assembled"). Estimators never call them: they
-    read the ScoreTable that score_table evaluates once per replication."""
+    exactly or assembled from fitted ratios up to one shared positive
+    constant. Estimators never call them: they read the ScoreTable that
+    score_table evaluates once per replication."""
 
     e: Dict[Tuple[int, int], Callable]
-    kind: str = "assembled"
-    global_constant_unknown: bool = True
 
     @property
     def pairs(self):
@@ -62,7 +60,7 @@ class PropensitySet:
             pair: (lambda x, f=fn: c * np.asarray(f(x), dtype=float))
             for pair, fn in self.e.items()
         }
-        return PropensitySet(e=scaled, kind="assembled", global_constant_unknown=True)
+        return PropensitySet(e=scaled)
 
 
 def assemble_propensity(ratios: Dict[Tuple[int, int], RatioModel],
@@ -85,7 +83,7 @@ def assemble_propensity(ratios: Dict[Tuple[int, int], RatioModel],
         if count is None or count <= 0:
             raise ValueError(f"missing or non-positive count for pair {pair}")
         e[pair] = RatioScore(model, count / n_pooled)
-    return PropensitySet(e=e, kind="assembled", global_constant_unknown=True)
+    return PropensitySet(e=e)
 
 
 def invert_balancing_model(model: RatioModel, n_source: int, n_target: int) -> RatioModel:
@@ -124,20 +122,18 @@ class ScoreTable:
         """Each unit's score under its own site's model."""
         return self.scores[site_id][:, self.site_ids.index(site_id)]
 
-    def pooled(self, site_id: int, eta: Optional[Dict[int, float]] = None) -> np.ndarray:
-        """Each unit's pooled score sum_k eta_k * e[(k, z_i)](x_i), summed over
-        the columns from the left; eta defaults to 1 and a zero weight drops
-        its column."""
+    def pooled(self, site_id: int) -> np.ndarray:
+        """Each unit's pooled score sum_k e[(k, z_i)](x_i), summed over the
+        columns from the left. The order is part of the result:
+        cols.sum(axis=1) adds in another order from 8 columns on, and rounds
+        differently."""
         cols = self.scores[site_id]
         total = np.zeros(len(cols))
-        for j, k in enumerate(self.site_ids):
-            w = 1.0 if eta is None else float(eta.get(k, 1.0))
-            if w != 0.0:
-                total += w * cols[:, j]
+        for j in range(len(self.site_ids)):
+            total += cols[:, j]
         return total
 
     def arm_weights(self, site: SiteDataset, arm: int,
-                    eta: Optional[Dict[int, float]] = None,
                     include: Optional[np.ndarray] = None):
         """(x, y, w, n_excluded) for one arm of a site: the units with a
         positive pooled score, their weights 1 / max(score, SCORE_FLOOR), and
@@ -145,7 +141,7 @@ class ScoreTable:
         mask = site.z_vec == arm
         if include is not None:
             mask = mask & np.asarray(include, dtype=bool)
-        s = self.pooled(site.site_id, eta)[mask]
+        s = self.pooled(site.site_id)[mask]
         use = s > 0.0
         keep = np.flatnonzero(mask)[use]
         return (site.x_matrix[keep], site.y_vec[keep],
@@ -198,8 +194,7 @@ class FoldPlan:
         return self.fold_index[site_id] != fold
 
 
-def crossfit_split(sites: Sequence[SiteDataset], target: Optional[TargetCovariates],
-                   F: int, rng) -> FoldPlan:
+def crossfit_split(sites: Sequence[SiteDataset], F: int, rng) -> FoldPlan:
     """Uniformly random balanced fold assignment per site, deterministic for
     a given generator state. Fold sizes within a site differ by at most 1."""
     if F < 2:
@@ -258,17 +253,15 @@ def zero_outcome_model(arm: int, psi: FeatureMap, d: int) -> OutcomeModel:
 
 
 def _arm_design(site: SiteDataset, table: ScoreTable, psi: FeatureMap, arm: int,
-                eta: Optional[Dict[int, float]] = None,
                 include: Optional[np.ndarray] = None):
     """(design, y, w, n_excluded) of one arm's weighted loss: table.arm_weights
     with the covariates mapped through psi.design. FedAvg builds it once per
     fold, since only the parameters move between rounds."""
-    x, y, w, n_excluded = table.arm_weights(site, arm, eta, include)
+    x, y, w, n_excluded = table.arm_weights(site, arm, include)
     return np.atleast_2d(psi.design(x)), y, w, n_excluded
 
 
 def weighted_loss_and_grad(m: OutcomeModel, site: SiteDataset, table: ScoreTable,
-                           eta: Optional[Dict[int, float]] = None,
                            include: Optional[np.ndarray] = None):
     """Squared loss on one site's arm-matching units, each term divided by the
     pooled assignment score at that unit.
@@ -276,7 +269,7 @@ def weighted_loss_and_grad(m: OutcomeModel, site: SiteDataset, table: ScoreTable
     Returns (loss, grad, n_excluded). Units whose pooled score is exactly zero
     are excluded and counted; near-zero scores are floored at 1e-12.
     """
-    design, y, w, n_excluded = _arm_design(site, table, m.psi, m.arm, eta, include)
+    design, y, w, n_excluded = _arm_design(site, table, m.psi, m.arm, include)
     if len(w) == 0:
         return 0.0, np.zeros(len(m.theta)), n_excluded
     resid = y - design @ m.theta
@@ -286,7 +279,7 @@ def weighted_loss_and_grad(m: OutcomeModel, site: SiteDataset, table: ScoreTable
 
 
 def fit_outcome_direct(sites: Sequence[SiteDataset], arm: int, psi: FeatureMap,
-                       table: ScoreTable, eta: Optional[Dict[int, float]] = None,
+                       table: ScoreTable,
                        include: Optional[Dict[int, np.ndarray]] = None) -> OutcomeModel:
     """Minimize the pooled weighted squared loss exactly via least squares.
 
@@ -294,7 +287,7 @@ def fit_outcome_direct(sites: Sequence[SiteDataset], arm: int, psi: FeatureMap,
     the minimizer unchanged and makes the fit invariant to the shared unknown
     constant in assembled scores by construction.
     """
-    parts = [_arm_design(s, table, psi, arm, eta,
+    parts = [_arm_design(s, table, psi, arm,
                          None if include is None else include.get(s.site_id))
              for s in sorted(sites, key=lambda t: t.site_id)]
     parts = [t for t in parts if len(t[2])]

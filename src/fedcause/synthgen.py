@@ -8,8 +8,8 @@ selection label routing them to a (site, arm) cell or dropping them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -189,8 +189,7 @@ def gen_sampling_selecting(cfg: SelectConfig, outcome_fns: Tuple[Callable, Calla
     oracle = PropensitySet(
         e={pair: (lambda x, f=cfg.selection[pair]:
                   np.asarray(f(np.atleast_2d(x)), dtype=float).reshape(len(np.atleast_2d(x))))
-           for pair in pairs},
-        kind="oracle", global_constant_unknown=False)
+           for pair in pairs})
     return sites, target, dropped_count, oracle
 
 

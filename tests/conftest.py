@@ -154,7 +154,7 @@ def fuzz_scores(rng, sites, d):
             e[(s.site_id, z)] = (
                 lambda x, a=a, b=b: b * (0.2 + 0.8 * _sigmoid(np.atleast_2d(x) @ a))
             )
-    return PropensitySet(e=e, kind="assembled", global_constant_unknown=True)
+    return PropensitySet(e=e)
 
 
 @pytest.fixture

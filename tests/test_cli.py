@@ -213,6 +213,21 @@ def test_sweep_cli_round_trip(tmp_path, capsys):
     assert len(lines) == 1 + 2
 
 
+def test_sweep_cli_rejects_an_unknown_config_key(tmp_path, capsys):
+    spec = SweepSpec(d_kl_grid=(0.0,), estimators=("clb_ipw",),
+                     meta_weight_mode="vanilla",
+                     shift=ShiftConfig(site_sizes=(40, 50, 60), n_target=100))
+    obj = spec.to_json_obj()
+    obj["replication"] = obj.pop("replications")  # misspelled
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps(obj))
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep-kl", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "'replication'" in err
+    assert not out.exists()
+
+
 def test_sweep_cli_reports_excisions(tmp_path, capsys, monkeypatch):
     from fedcause import TiltingError, harness
     spec = SweepSpec(d_kl_grid=(1.0,), replications=3, placements=1,

@@ -216,7 +216,6 @@ def test_fedavg_reaches_pooled_weighted_least_squares():
     assert np.allclose(m1.theta, [0.0, 1.0, -0.5], atol=1e-6)
     assert np.allclose(m0.theta, [0.0, 0.25, 0.5], atol=1e-6)
     assert info["rounds_run"] == 400
-    assert info["converged"] in (True, False)
 
 
 def test_fedavg_evaluates_no_score_after_the_table_is_built():
@@ -323,17 +322,6 @@ def test_fedavg_divergence_detection():
     with pytest.raises(FedAvgDivergence) as err:
         fedavg_train(sites, p, IDENTITY, cfg=FedConfig(rounds=60, learning_rate=25.0))
     assert len(err.value.trace) >= 6
-
-
-def test_fedavg_early_stop_only_when_enabled():
-    rng = np.random.default_rng(10)
-    sites = _linear_sites(rng, n_sites=2, n=30)
-    p = score_table(sites, _const_scores([1, 2]))
-    _, _, info_fixed = fedavg_train(sites, p, IDENTITY, cfg=FedConfig(rounds=200))
-    assert info_fixed["rounds_run"] == 200
-    _, _, info_tol = fedavg_train(sites, p, IDENTITY,
-                                  cfg=FedConfig(rounds=200, tol=1e-12))
-    assert info_tol["rounds_run"] < 200
 
 
 def test_audit_passes_live_logs(rng):

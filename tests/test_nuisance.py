@@ -11,7 +11,6 @@ from fedcause import (
     PropensitySet,
     ShiftConfig,
     SiteDataset,
-    TargetCovariates,
     assemble_propensity,
     crossfit_split,
     fit_outcome_direct,
@@ -33,7 +32,6 @@ def test_assemble_uniform_ratio_reduces_to_count_share():
     p = assemble_propensity({(1, 1): m}, {(1, 1): 50}, n_pooled=200)
     x = np.random.default_rng(0).normal(size=(7, 2))
     assert np.allclose(p.eval(1, 1, x), 0.25)
-    assert p.kind == "assembled" and p.global_constant_unknown
 
 
 def test_assemble_missing_pair_evaluates_to_zero():
@@ -71,7 +69,28 @@ def test_pooled_score_examples():
     site = SiteDataset.from_arrays(1, np.zeros((1, 2)), [1], [0.0])
     table = score_table([site], p)
     assert table.pooled(1)[0] == pytest.approx(0.5)
-    assert table.pooled(1, {1: 2.0, 2: 0.0})[0] == pytest.approx(0.4)
+
+
+def test_pooled_score_is_the_left_to_right_column_sum():
+    # nine sites: from eight columns on, cols.sum(axis=1) adds pairwise and
+    # rounds differently, so only the plain left-to-right loop matches
+    rng = np.random.default_rng(21)
+    e = {}
+    for k in range(1, 10):
+        w = rng.normal(size=2)
+        scale = 10.0 ** rng.uniform(-3.0, 1.0)
+        for arm in (1, 0):
+            e[(k, arm)] = (lambda x, w=w, c=scale * (arm + 1):
+                           c * np.exp(np.atleast_2d(x) @ w))
+    x = rng.normal(size=(500, 2))
+    site = SiteDataset.from_arrays(1, x, rng.integers(0, 2, size=500), np.zeros(500))
+    table = score_table([site], PropensitySet(e=e))
+    cols = table.scores[1]
+    assert cols.shape == (500, 9)
+    ref = cols[:, 0].copy()
+    for j in range(1, 9):
+        ref = ref + cols[:, j]
+    assert table.pooled(1).tobytes() == ref.tobytes()
 
 
 def test_propensity_scaled_validates_and_scales():
@@ -97,7 +116,7 @@ def _toy_sites(rng, sizes=(10, 11)):
 
 def test_crossfit_balanced_partition(rng):
     sites = _toy_sites(rng)
-    plan = crossfit_split(sites, TargetCovariates(rng.normal(size=(5, 2))), 2, rng)
+    plan = crossfit_split(sites, 2, rng)
     assert plan.F == 2
     sizes0 = sorted(int(np.sum(plan.eval_mask(1, f))) for f in range(2))
     assert sizes0 == [5, 5]
@@ -115,8 +134,8 @@ def test_crossfit_balanced_partition(rng):
 
 def test_crossfit_same_seed_same_plan(rng):
     sites = _toy_sites(rng)
-    p1 = crossfit_split(sites, None, 3, np.random.default_rng(5))
-    p2 = crossfit_split(sites, None, 3, np.random.default_rng(5))
+    p1 = crossfit_split(sites, 3, np.random.default_rng(5))
+    p2 = crossfit_split(sites, 3, np.random.default_rng(5))
     for sid in (1, 2):
         assert np.array_equal(p1.fold_index[sid], p2.fold_index[sid])
 
@@ -124,9 +143,9 @@ def test_crossfit_same_seed_same_plan(rng):
 def test_crossfit_rejects_tiny_site(rng):
     small = SiteDataset.from_arrays(1, rng.normal(size=(2, 2)), [0, 1], [0.0, 1.0])
     with pytest.raises(ValueError):
-        crossfit_split([small], None, 3, rng)
+        crossfit_split([small], 3, rng)
     with pytest.raises(ValueError):
-        crossfit_split([small], None, 1, rng)
+        crossfit_split([small], 1, rng)
 
 
 def test_outcome_model_predict_and_json():

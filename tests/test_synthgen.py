@@ -108,7 +108,7 @@ def test_shift_treatment_follows_logistic_rule():
 
 
 def test_sampling_selecting_shares_and_drops():
-    sites, target, dropped, oracle = draw_smooth_two_site(100_000, seed=9)
+    sites, target, dropped, _ = draw_smooth_two_site(100_000, seed=9)
     n = 100_000
     # drop share is the constant 0.55
     sd = np.sqrt(0.55 * 0.45 / n)
@@ -117,7 +117,6 @@ def test_sampling_selecting_shares_and_drops():
     for sid, share in ((1, 0.30), (2, 0.15)):
         got = next(s.n for s in sites if s.site_id == sid) / n
         assert abs(got - share) < 4 * np.sqrt(share * (1 - share) / n)
-    assert oracle.kind == "oracle"
 
 
 def test_sampling_selecting_outcomes_match_realized_arm():
@@ -173,7 +172,7 @@ def test_misspecify_batches_match_rowwise():
 def _const_set(value, n_sites):
     e = {(k, z): (lambda x, v=value: np.full(len(np.atleast_2d(x)), v))
          for k in range(1, n_sites + 1) for z in (0, 1)}
-    return PropensitySet(e=e, kind="oracle", global_constant_unknown=False)
+    return PropensitySet(e=e)
 
 
 def test_check_overlap_constant_cases():
@@ -194,7 +193,7 @@ def test_check_overlap_disjoint_sites():
         (2, 1): lambda x: 0.25 * (1.0 - pos(x)),
         (2, 0): lambda x: 0.25 * (1.0 - pos(x)),
     }
-    p = PropensitySet(e=e, kind="oracle", global_constant_unknown=False)
+    p = PropensitySet(e=e)
     probes = np.random.default_rng(15).normal(size=(200, 2))
     rep = check_overlap(p, probes, c=0.1)
     assert rep.individual_ok == {1: False, 2: False}

@@ -31,6 +31,14 @@ def _misspec_transform(x: np.ndarray) -> np.ndarray:
     return out[0] if x.ndim == 1 else out
 
 
+def _with_constant(x2d: np.ndarray) -> np.ndarray:
+    """(1, x) rows: a ones column, then x."""
+    out = np.empty((len(x2d), x2d.shape[1] + 1))
+    out[:, 0] = 1.0
+    out[:, 1:] = x2d
+    return out
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """Named representation function psi.
@@ -66,9 +74,9 @@ class FeatureMap:
         if self.name == "identity":
             out = x2d
         elif self.name == "identity_plus_intercept":
-            out = np.hstack([np.ones((len(x2d), 1)), x2d])
+            out = _with_constant(x2d)
         else:
-            out = np.hstack([np.ones((len(x2d), 1)), _misspec_transform(x2d)])
+            out = _with_constant(_misspec_transform(x2d))
         return out[0] if single else out
 
     def design(self, x) -> np.ndarray:
@@ -76,8 +84,7 @@ class FeatureMap:
         f = self.apply(x)
         if self.has_intercept:
             return f
-        f2d = np.atleast_2d(f)
-        out = np.hstack([np.ones((len(f2d), 1)), f2d])
+        out = _with_constant(np.atleast_2d(f))
         return out[0] if f.ndim == 1 else out
 
 

@@ -314,28 +314,23 @@ def clb_ipw(sites: Sequence[SiteDataset], table: ScoreTable, ci_level: float = 0
 # Decoupled AIPW: target-mean term plus IPW corrections on residuals
 
 
-def aipw_corrections(site: SiteDataset, m1: OutcomeModel, m0: OutcomeModel,
-                     table: ScoreTable, flavor: str = "clb",
-                     include: Optional[np.ndarray] = None):
-    """Residualized IPW terms for one site: every y is replaced by
-    y - m_z(x) for the realized arm.
-
-    flavor "clb" returns SiteAggregates of the residuals under pooled scores;
-    flavor "meta" returns MetaDeltas, the per-arm Hajek residual means under
-    the site's own scores, or Excluded when an arm or its score is missing.
-    The outcome models must come from the complementary cross-fit fold.
-    """
-    z = site.z_vec
-    y = site.y_vec
+def _aipw_residuals(site: SiteDataset, m1: OutcomeModel, m0: OutcomeModel) -> np.ndarray:
+    """Each unit's y - m_z(x) at its realized arm."""
     x = site.x_matrix
-    resid = np.where(z == 1,
-                     y - np.atleast_1d(m1.predict(x)),
-                     y - np.atleast_1d(m0.predict(x)))
+    return np.where(site.z_vec == 1,
+                    site.y_vec - np.atleast_1d(m1.predict(x)),
+                    site.y_vec - np.atleast_1d(m0.predict(x)))
+
+
+def _aipw_site_terms(site: SiteDataset, resid: np.ndarray, table: ScoreTable,
+                     flavor: str, include: Optional[np.ndarray]):
+    """One flavour's IPW terms of one site's residuals (see aipw_corrections)."""
     if flavor == "clb":
         return _clb_aggregate_arrays(site, resid, table, include)
     if flavor != "meta":
         raise ValueError(f"unknown flavor {flavor!r}")
 
+    z = site.z_vec
     keep = np.ones(len(z), dtype=bool) if include is None else np.asarray(include, dtype=bool)
     if not (table.has(site.site_id, 1) and table.has(site.site_id, 0)):
         return Excluded("missing arm score model")
@@ -359,6 +354,20 @@ def aipw_corrections(site: SiteDataset, m1: OutcomeModel, m0: OutcomeModel,
                       n1_hat=out[1][1], n0_hat=out[0][1],
                       s2_1=out[1][2], s2_0=out[0][2],
                       n_units=n_units)
+
+
+def aipw_corrections(site: SiteDataset, m1: OutcomeModel, m0: OutcomeModel,
+                     table: ScoreTable, flavor: str = "clb",
+                     include: Optional[np.ndarray] = None):
+    """Residualized IPW terms for one site: every y is replaced by
+    y - m_z(x) for the realized arm.
+
+    flavor "clb" returns SiteAggregates of the residuals under pooled scores;
+    flavor "meta" returns MetaDeltas, the per-arm Hajek residual means under
+    the site's own scores, or Excluded when an arm or its score is missing.
+    The outcome models must come from the complementary cross-fit fold.
+    """
+    return _aipw_site_terms(site, _aipw_residuals(site, m1, m0), table, flavor, include)
 
 
 def aipw_combine(inputs, flavor: str = "clb",
@@ -435,13 +444,15 @@ def aipw_combine(inputs, flavor: str = "clb",
 
 def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
                     table: ScoreTable, fold_plan: FoldPlan, train: Callable,
-                    flavor: str, include: Optional[Dict[int, np.ndarray]]):
+                    flavors: Sequence[str], include: Optional[Dict[int, np.ndarray]]):
     """The cross-fit fold loop of decoupled AIPW, shared by the in-memory and
     the message-passing paths. ``train(train_include, f)`` returns the fold's
     (treated, control) outcome models, fitted on the complement of fold f;
-    ``include`` masks units out of both training and corrections. Yields, per
-    fold, (f, target_mean_term, target_var, corrections) with one
-    aipw_corrections result per site, in the order of ``sites``.
+    ``include`` masks units out of both training and corrections. Each fold
+    trains once and residualizes each site once, whatever the flavours.
+    Yields, per fold, (f, target_mean_term, target_var, corrections) where
+    corrections maps each of ``flavors`` to one aipw_corrections result per
+    site, in the order of ``sites``.
     """
     if target.n < 2:
         raise ValueError("the target-term variance needs at least 2 target rows")
@@ -452,10 +463,40 @@ def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
         m1, m0 = train({s.site_id: base[s.site_id] & fold_plan.train_mask(s.site_id, f)
                         for s in sites}, f)
         diff = np.atleast_1d(m1.predict(target.xs)) - np.atleast_1d(m0.predict(target.xs))
-        corrections = [aipw_corrections(s, m1, m0, table, flavor,
-                                        base[s.site_id] & fold_plan.eval_mask(s.site_id, f))
-                       for s in sites]
+        resids = [_aipw_residuals(s, m1, m0) for s in sites]
+        keeps = [base[s.site_id] & fold_plan.eval_mask(s.site_id, f) for s in sites]
+        corrections = {fl: [_aipw_site_terms(s, r, table, fl, keep)
+                            for s, r, keep in zip(sites, resids, keeps)]
+                       for fl in flavors}
         yield f, float(np.mean(diff)), float(np.var(diff, ddof=1)), corrections
+
+
+def _aipw_fold_inputs(sites: Sequence[SiteDataset], target: TargetCovariates,
+                      table: ScoreTable, psi_om: FeatureMap, flavors: Sequence[str],
+                      include: Optional[Dict[int, np.ndarray]],
+                      fold_plan: FoldPlan) -> Dict[str, List[AipwInputs]]:
+    """Per-fold AipwInputs of each requested flavour from one cross-fit pass:
+    the outcome models of a fold are an exact weighted least-squares solve of
+    the score-weighted loss on its complement, trained once for all flavours."""
+    sites = sorted(sites, key=lambda s: s.site_id)
+    n_pooled = sum(s.n if include is None or s.site_id not in include
+                   else int(np.count_nonzero(include[s.site_id])) for s in sites)
+    if n_pooled <= 0:
+        raise ValueError("no usable source units")
+
+    def fit(train_include, f):
+        return tuple(fit_outcome_direct(sites, arm, psi_om, table, include=train_include)
+                     for arm in (1, 0))
+
+    inputs = {fl: [] for fl in flavors}
+    for f, mean, var, corrections in _crossfit_folds(sites, target, table, fold_plan,
+                                                     fit, flavors, include):
+        for fl in flavors:
+            inputs[fl].append(AipwInputs(
+                target_mean_term=mean, target_sq_term=var, n_target=target.n,
+                deltas=corrections[fl], lambda_hat=target.n / n_pooled,
+                n_pooled=n_pooled, fold=f))
+    return inputs
 
 
 def decoupled_aipw(sites: Sequence[SiteDataset], target: TargetCovariates,
@@ -475,18 +516,5 @@ def decoupled_aipw(sites: Sequence[SiteDataset], target: TargetCovariates,
     sites = sorted(sites, key=lambda s: s.site_id)
     if fold_plan is None:
         fold_plan = crossfit_split(sites, F, rng)
-    n_pooled = sum(s.n if include is None or s.site_id not in include
-                   else int(np.count_nonzero(include[s.site_id])) for s in sites)
-    if n_pooled <= 0:
-        raise ValueError("no usable source units")
-
-    def fit(train_include, f):
-        return tuple(fit_outcome_direct(sites, arm, psi_om, table, include=train_include)
-                     for arm in (1, 0))
-
-    inputs = [AipwInputs(target_mean_term=mean, target_sq_term=var, n_target=target.n,
-                         deltas=deltas, lambda_hat=target.n / n_pooled,
-                         n_pooled=n_pooled, fold=f)
-              for f, mean, var, deltas in _crossfit_folds(sites, target, table, fold_plan,
-                                                          fit, flavor, include)]
-    return aipw_combine(inputs, flavor=flavor, weights=weights, ci_level=ci_level)
+    inputs = _aipw_fold_inputs(sites, target, table, psi_om, (flavor,), include, fold_plan)
+    return aipw_combine(inputs[flavor], flavor=flavor, weights=weights, ci_level=ci_level)

@@ -406,11 +406,11 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng,
             return zeros
 
     for f, mean, var, corrections in _crossfit_folds(sites, target, table, fold_plan,
-                                                     fit, flavor, None):
+                                                     fit, (flavor,), None):
         log.post(SiteMessage("server", "target_mean_term", f,
                              {"fold": f, "value": mean, "target_var": var,
                               "n_target": int(target.n)}), wire)
-        for s, res in zip(sites, corrections):
+        for s, res in zip(sites, corrections[flavor]):
             if isinstance(res, Excluded):
                 payload = {"fold": f, "site_id": s.site_id, "excluded": res.reason}
             else:

@@ -20,8 +20,8 @@ from .core import SiteDataset, TargetCovariates
 from .density_ratio import (IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, FeatureMap,
                             TiltingError, expit, fit_knn, fit_logistic,
                             fit_logistic_ratio, oracle_gaussian_ratio)
-from .estimators import (AllSitesExcludedError, OverlapError, clb_ipw,
-                         decoupled_aipw, meta_ipw)
+from .estimators import (AllSitesExcludedError, OverlapError, _aipw_fold_inputs,
+                         aipw_combine, clb_ipw, meta_ipw)
 from .nuisance import PropensitySet, RatioScore, crossfit_split, score_table
 from .synthgen import (ShiftConfig, gen_covariate_shift, misspecify_features,
                        place_site_means)
@@ -171,14 +171,20 @@ def oracle_shift_propensity(shift: ShiftConfig, means: Sequence[float]) -> Prope
     return PropensitySet(e=e)
 
 
-# Monte Carlo draws per site behind the oracle meta weights
+# Monte Carlo draws per site behind the oracle meta weights, drawn and
+# evaluated ORACLE_BLOCK rows at a time
 ORACLE_DRAWS = 200_000
+ORACLE_BLOCK = 8192
 
 
 def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float],
                                rng) -> Dict[int, float]:
     """Asymptotic per-site squared standard errors of the one-site Hajek
-    estimator, by Monte Carlo integration over each site's covariate law."""
+    estimator, by Monte Carlo integration over each site's covariate law.
+
+    Each site's draws come from one normal stream in blocks; the integrands
+    fill one row each of a (4, ORACLE_DRAWS) array, so every mean runs over
+    the whole row and the result does not depend on the block size."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     c = np.asarray(shift.prop_coef, dtype=float)
     b1 = np.asarray(shift.beta1, dtype=float)
@@ -187,21 +193,24 @@ def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float],
     mu1 = float(b1 @ mu_t)
     mu0 = float(b0 @ mu_t)
     n_pooled = sum(shift.site_sizes)
+    terms = np.empty((4, ORACLE_DRAWS))
     out = {}
     for k, mu_k in enumerate(np.asarray(means, dtype=float), start=1):
-        x = rng.normal(mu_k, shift.sigma, size=(ORACLE_DRAWS, shift.d))
-        p1 = 1.0 / (1.0 + np.exp(x @ c))
-        # the oracle_shift_propensity scores, in their operation order
-        sr = (shift.site_sizes[k - 1] / n_pooled
-              * oracle_gaussian_ratio(np.full(shift.d, mu_k), mu_t, shift.sigma, x))
-        e1 = sr * p1
-        e0 = sr * (1.0 - p1)
-        y1 = x @ b1
-        y0 = x @ b0
-        V1 = float(np.mean(p1 * (y1 - mu1) ** 2 / e1 ** 2))
-        V0 = float(np.mean((1.0 - p1) * (y0 - mu0) ** 2 / e0 ** 2))
-        D1 = float(np.mean(p1 / e1))
-        D0 = float(np.mean((1.0 - p1) / e0))
+        share = shift.site_sizes[k - 1] / n_pooled
+        mu_s = np.full(shift.d, mu_k)
+        for lo in range(0, ORACLE_DRAWS, ORACLE_BLOCK):
+            hi = min(lo + ORACLE_BLOCK, ORACLE_DRAWS)
+            x = rng.normal(mu_k, shift.sigma, size=(hi - lo, shift.d))
+            p1 = 1.0 / (1.0 + np.exp(x @ c))
+            # the oracle_shift_propensity scores, in their operation order
+            sr = share * oracle_gaussian_ratio(mu_s, mu_t, shift.sigma, x)
+            e1 = sr * p1
+            e0 = sr * (1.0 - p1)
+            terms[0, lo:hi] = p1 * (x @ b1 - mu1) ** 2 / e1 ** 2
+            terms[1, lo:hi] = (1.0 - p1) * (x @ b0 - mu0) ** 2 / e0 ** 2
+            terms[2, lo:hi] = p1 / e1
+            terms[3, lo:hi] = (1.0 - p1) / e0
+        V1, V0, D1, D0 = (float(np.mean(row)) for row in terms)
         out[k] = (V1 / D1 ** 2 + V0 / D0 ** 2) / shift.site_sizes[k - 1]
     return out
 
@@ -325,11 +334,21 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
     else:
         meta_mode, aipw_weights = "inverse_variance", None
 
-    fold_plan = None
-    if "meta_aipw" in spec.estimators or "clb_aipw" in spec.estimators:
+    # both AIPW estimators share one cross-fit pass; a failed pass fails both
+    flavors = tuple(est[:-len("_aipw")] for est in spec.estimators if est.endswith("_aipw"))
+    fold_error = None
+    if flavors:
         fold_plan = crossfit_split(sites, spec.folds, rng)
+        try:
+            aipw_inputs = _aipw_fold_inputs(sites, target, table, psi_om, flavors,
+                                            include, fold_plan)
+        except (OverlapError, AllSitesExcludedError, TiltingError, ValueError) as exc:
+            fold_error = str(exc)
 
     for est in spec.estimators:
+        if fold_error is not None and est.endswith("_aipw"):
+            out["results"][est] = ("fail", fold_error)
+            continue
         try:
             if est == "meta_ipw":
                 rep_out = meta_ipw(sites, table, mode=meta_mode, ci_level=spec.ci_level)
@@ -337,11 +356,11 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
                 rep_out = clb_ipw(sites, table, ci_level=spec.ci_level,
                                   include=include, n_pooled=n_usable)
             else:
-                flavor = "meta" if est == "meta_aipw" else "clb"
-                rep_out = decoupled_aipw(
-                    sites, target, table, psi_om, flavor=flavor,
+                flavor = est[:-len("_aipw")]
+                rep_out = aipw_combine(
+                    aipw_inputs[flavor], flavor=flavor,
                     weights=aipw_weights if flavor == "meta" else None,
-                    include=include, ci_level=spec.ci_level, fold_plan=fold_plan)
+                    ci_level=spec.ci_level)
             covered = bool(rep_out.ci_lo <= true_tau <= rep_out.ci_hi)
             out["results"][est] = (rep_out.tau_hat,
                                    rep_out.var_hat / rep_out.n_effective,

@@ -109,11 +109,13 @@ class ScoreTable:
     e[(site_ids[j], z_i)](x_i), the j-th site's score at unit i's own arm,
     with columns in ascending site order and zeros where that pair has no
     model. ``pairs`` lists the (site, arm) pairs that have one.
+    ``pooled_sums[k]`` holds each unit's pooled score (see ``pooled``).
     """
 
     site_ids: Tuple[int, ...]
     scores: Dict[int, np.ndarray]
     pairs: frozenset
+    pooled_sums: Dict[int, np.ndarray]
 
     def has(self, site_id: int, z: int) -> bool:
         return (site_id, int(z)) in self.pairs
@@ -123,15 +125,8 @@ class ScoreTable:
         return self.scores[site_id][:, self.site_ids.index(site_id)]
 
     def pooled(self, site_id: int) -> np.ndarray:
-        """Each unit's pooled score sum_k e[(k, z_i)](x_i), summed over the
-        columns from the left. The order is part of the result:
-        cols.sum(axis=1) adds in another order from 8 columns on, and rounds
-        differently."""
-        cols = self.scores[site_id]
-        total = np.zeros(len(cols))
-        for j in range(len(self.site_ids)):
-            total += cols[:, j]
-        return total
+        """Each unit's pooled score sum_k e[(k, z_i)](x_i), read-only."""
+        return self.pooled_sums[site_id]
 
     def arm_weights(self, site: SiteDataset, arm: int,
                     include: Optional[np.ndarray] = None):
@@ -154,7 +149,7 @@ def score_table(sites: Sequence[SiteDataset], p: PropensitySet) -> ScoreTable:
     if not p.e:
         raise ValueError("empty propensity set")
     cols = tuple(p.site_ids)
-    scores = {}
+    scores, pooled = {}, {}
     for s in sites:
         table = np.zeros((s.n, len(cols)))
         for arm in (1, 0):
@@ -174,9 +169,18 @@ def score_table(sites: Sequence[SiteDataset], p: PropensitySet) -> ScoreTable:
                 vals, _ = eval_knn([fn.ratio for _, fn in group], group[0][1].feat(x))
                 for (j, fn), v in zip(group, vals):
                     table[rows, j] = fn.share * v
-        table.flags.writeable = False
+        # summed over the columns from the left; the order is part of the
+        # result: table.sum(axis=1) adds in another order from 8 columns on,
+        # and rounds differently
+        total = np.zeros(s.n)
+        for j in range(len(cols)):
+            total += table[:, j]
+        for arr in (table, total):
+            arr.flags.writeable = False
         scores[s.site_id] = table
-    return ScoreTable(site_ids=cols, scores=scores, pairs=frozenset(p.e))
+        pooled[s.site_id] = total
+    return ScoreTable(site_ids=cols, scores=scores, pairs=frozenset(p.e),
+                      pooled_sums=pooled)
 
 
 @dataclass(frozen=True)

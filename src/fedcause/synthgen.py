@@ -193,10 +193,9 @@ def gen_sampling_selecting(cfg: SelectConfig, outcome_fns: Tuple[Callable, Calla
     return sites, target, dropped_count, oracle
 
 
-def misspecify_features(x, d: int = 3):
-    """Wrong-model covariate transform (x1*x2, x2^2, x3/max(1, x1*x2))."""
-    if d != 3:
-        raise ValueError("the misspecification transform is defined for d = 3")
+def misspecify_features(x):
+    """Wrong-model covariate transform (x1*x2, x2^2, x3/max(1, x1*x2)) of
+    3-d covariates; other widths raise ValueError."""
     return _misspec_transform(x)
 
 

@@ -8,7 +8,10 @@ import pytest
 from fedcause import (ShiftConfig, SweepSpec, TiltingError, ci_grid,
                       gen_covariate_shift, oracle_shift_propensity,
                       place_site_means, run_monte_carlo, sweep_kl)
-from fedcause import density_ratio, harness, nuisance
+from fedcause import (decoupled_aipw, density_ratio, estimators, harness,
+                      nuisance)
+from fedcause.density_ratio import (IDENTITY_PLUS_INTERCEPT,
+                                    oracle_gaussian_ratio)
 from fedcause.harness import CI_GRID_COLUMNS, SWEEP_COLUMNS, _build_nuisance
 
 
@@ -240,3 +243,124 @@ def test_knn_replication_counts_target_neighbours_once_per_unit(monkeypatch, spe
     assert all(res[0] != "fail" for res in out["results"].values())
     assert max(SMALL.site_sizes) < SMALL.n_target
     assert sum(target_rows) == sum(SMALL.site_sizes)
+
+
+def _full_array_oracle_variances(shift, means, rng):
+    # the integral with every draw of a site in one array, as before blocking
+    c = np.asarray(shift.prop_coef, dtype=float)
+    b1 = np.asarray(shift.beta1, dtype=float)
+    b0 = np.asarray(shift.beta0, dtype=float)
+    mu_t = np.full(shift.d, shift.mu_target)
+    mu1 = float(b1 @ mu_t)
+    mu0 = float(b0 @ mu_t)
+    n_pooled = sum(shift.site_sizes)
+    out = {}
+    for k, mu_k in enumerate(np.asarray(means, dtype=float), start=1):
+        x = rng.normal(mu_k, shift.sigma, size=(harness.ORACLE_DRAWS, shift.d))
+        p1 = 1.0 / (1.0 + np.exp(x @ c))
+        sr = (shift.site_sizes[k - 1] / n_pooled
+              * oracle_gaussian_ratio(np.full(shift.d, mu_k), mu_t, shift.sigma, x))
+        e1 = sr * p1
+        e0 = sr * (1.0 - p1)
+        V1 = float(np.mean(p1 * (x @ b1 - mu1) ** 2 / e1 ** 2))
+        V0 = float(np.mean((1.0 - p1) * (x @ b0 - mu0) ** 2 / e0 ** 2))
+        D1 = float(np.mean(p1 / e1))
+        D0 = float(np.mean((1.0 - p1) / e0))
+        out[k] = (V1 / D1 ** 2 + V0 / D0 ** 2) / shift.site_sizes[k - 1]
+    return out
+
+
+def test_oracle_meta_site_variances_are_pinned():
+    out = harness.oracle_meta_site_variances(ShiftConfig(), (0.5, -0.5, 1.0),
+                                             np.random.default_rng(7))
+    assert {k: float(v).hex() for k, v in out.items()} == {
+        1: "0x1.1da725be089e2p+4", 2: "0x1.602c5cec2403bp+2",
+        3: "0x1.9ef97fd0aa460p+3"}
+
+
+@pytest.mark.parametrize("n_draws", [1000, harness.ORACLE_BLOCK + 1,
+                                     3 * harness.ORACLE_BLOCK])
+def test_blocked_oracle_integral_is_bitwise_the_full_array(monkeypatch, n_draws):
+    monkeypatch.setattr(harness, "ORACLE_DRAWS", n_draws)
+    shift = ShiftConfig(d_kl=2.0)
+    means = (1.3, -0.7, 0.2)
+    got = harness.oracle_meta_site_variances(shift, means, np.random.default_rng(3))
+    ref = _full_array_oracle_variances(shift, means, np.random.default_rng(3))
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in ref.items()}
+
+
+def _rep_inputs(spec, seed, means):
+    # what _run_one_rep builds before its estimators run
+    rng = np.random.default_rng((seed, 0, 0))
+    sites, target, _ = gen_covariate_shift(spec.shift, rng, means=np.asarray(means))
+    p, include, _, _ = _build_nuisance(spec, sites, target, means)
+    table = nuisance.score_table(sites, p)
+    return sites, target, table, include, nuisance.crossfit_split(sites, spec.folds, rng)
+
+
+def _counted_outcome_fits(monkeypatch, wrap=None):
+    real = estimators.fit_outcome_direct
+    calls = []
+
+    def counted(sites, arm, psi, table, include=None):
+        calls.append(arm)
+        if wrap is not None:
+            include = wrap(include)
+        return real(sites, arm, psi, table, include=include)
+
+    monkeypatch.setattr(estimators, "fit_outcome_direct", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["oracle", "tilting"])
+def test_replication_trains_each_aipw_fold_once(monkeypatch, mode):
+    spec = SweepSpec(d_kl_grid=(1.0,), replications=1, nuisance_mode=mode,
+                     folds=3, shift=SMALL)
+    means = (0.5, -0.5, 1.0)
+    site_vars = {1: 0.5, 2: 1.0, 3: 2.0}
+    calls = _counted_outcome_fits(monkeypatch)
+    out = harness._run_one_rep(spec, 42, 0, 0, means, site_vars)
+    assert len(calls) == 2 * spec.folds
+
+    sites, target, table, include, plan = _rep_inputs(spec, 42, means)
+    weights = {k: 1.0 / v for k, v in site_vars.items()}
+    for flavor in ("meta", "clb"):
+        ref = decoupled_aipw(sites, target, table, IDENTITY_PLUS_INTERCEPT, flavor=flavor,
+                             weights=weights if flavor == "meta" else None,
+                             include=include, fold_plan=plan)
+        entry = out["results"][f"{flavor}_aipw"]
+        assert entry[:3] == (ref.tau_hat, ref.var_hat / ref.n_effective,
+                             0.5 * (ref.ci_hi - ref.ci_lo))
+
+
+def test_failed_aipw_fold_training_fails_both_flavours(monkeypatch):
+    # starve the outcome fits of units: the first fold's training raises
+    spec = SweepSpec(d_kl_grid=(1.0,), replications=1, meta_weight_mode="vanilla",
+                     shift=SMALL)
+    means = (0.5, -0.5, 1.0)
+    calls = _counted_outcome_fits(
+        monkeypatch, lambda include: {k: np.zeros_like(m) for k, m in include.items()})
+    out = harness._run_one_rep(spec, 42, 0, 0, means, None)
+    assert len(calls) == 1
+    sites, target, table, include, plan = _rep_inputs(spec, 42, means)
+    with pytest.raises(ValueError) as exc:
+        decoupled_aipw(sites, target, table, IDENTITY_PLUS_INTERCEPT, include=include,
+                       fold_plan=plan)
+    assert str(exc.value) == "no usable units to fit the arm-1 outcome model"
+    assert out["results"]["meta_aipw"] == ("fail", str(exc.value))
+    assert out["results"]["clb_aipw"] == ("fail", str(exc.value))
+    assert out["results"]["meta_ipw"][0] != "fail"
+    assert out["results"]["clb_ipw"][0] != "fail"
+
+
+def test_aipw_combine_error_fails_only_its_flavour():
+    # infinite oracle variances give the meta combinations all-zero weights
+    spec = SweepSpec(d_kl_grid=(1.0,), replications=1, shift=SMALL)
+    means = (0.5, -0.5, 1.0)
+    out = harness._run_one_rep(spec, 42, 0, 0, means, {k: np.inf for k in (1, 2, 3)})
+    clean = harness._run_one_rep(spec, 42, 0, 0, means, {k: 1.0 for k in (1, 2, 3)})
+    assert out["results"]["meta_aipw"] == ("fail", "correction weights sum to zero")
+    assert out["results"]["meta_ipw"][0] == "fail"
+    assert out["results"]["clb_aipw"] == clean["results"]["clb_aipw"]
+    assert out["results"]["clb_ipw"] == clean["results"]["clb_ipw"]
+    assert clean["results"]["meta_aipw"][0] != "fail"

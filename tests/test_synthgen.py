@@ -158,7 +158,7 @@ def test_misspecify_feature_examples():
     assert np.allclose(misspecify_features(np.array([0.0, 0.0, 5.0])), [0.0, 0.0, 5.0])
     assert np.allclose(misspecify_features(np.array([2.0, 3.0, 6.0])), [6.0, 9.0, 1.0])
     with pytest.raises(ValueError):
-        misspecify_features(np.array([1.0, 2.0]), d=2)
+        misspecify_features(np.array([1.0, 2.0]))
 
 
 def test_misspecify_batches_match_rowwise():

@@ -120,6 +120,8 @@ def _cmd_estimate(args) -> int:
         for e in report_check.errors:
             print(f"invalid dataset: {e}", file=sys.stderr)
         return 1
+    for w in report_check.warnings:
+        print(f"warning: {w}", file=sys.stderr)
     est = _EST_IDS[args.estimator]
 
     if args.federated:

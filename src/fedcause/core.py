@@ -128,12 +128,6 @@ class EstimateReport:
         }
         return json.dumps(obj)
 
-    @classmethod
-    def from_json(cls, s: str) -> "EstimateReport":
-        obj = json.loads(s)
-        obj["per_site_diagnostics"] = [tuple(t) for t in obj["per_site_diagnostics"]]
-        return cls(**obj)
-
 
 @dataclass
 class ValidationReport:

@@ -132,18 +132,15 @@ def _sq_dists(probes: np.ndarray, points: np.ndarray, buf=None) -> np.ndarray:
 
 def eval_knn(models, x):
     """(values, n_floored) at probes x of knn models sharing one target_points
-    array and one scale: a (K, n) array and K counts. A probe block's target
-    distances are computed once for all models; squared distances on both
-    sides keep boundary ties (duplicate points) inside the closed ball."""
-    tgt, scale = models[0].target_points, models[0].scale
-    if not all(m.backend == "knn" and np.array_equal(m.target_points, tgt)
-               and (m.scale is scale or np.array_equal(m.scale, scale)) for m in models):
-        raise ValueError("eval_knn needs knn models sharing one target and scale")
+    array: a (K, n) array and K counts. A probe block's target distances are
+    computed once for all models; squared distances on both sides keep
+    boundary ties (duplicate points) inside the closed ball."""
+    tgt = models[0].target_points
+    if not all(m.backend == "knn" and np.array_equal(m.target_points, tgt) for m in models):
+        raise ValueError("eval_knn needs knn models sharing one target")
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.shape[1] != tgt.shape[1]:
         raise ValueError(f"probes have {pts.shape[1]} columns; the knn model has {tgt.shape[1]}")
-    if scale is not None:
-        pts = pts / scale
     w = np.empty((len(models), len(pts)))
     buf = np.empty(2 * KNN_BLOCK * (len(tgt) + max(m.n_source for m in models)))
     for lo in range(0, len(pts), KNN_BLOCK):
@@ -175,7 +172,6 @@ class RatioModel:
     target_points: Optional[np.ndarray] = None
     n_source: Optional[int] = None
     n_target: Optional[int] = None
-    scale: Optional[np.ndarray] = None
     fit_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -197,31 +193,22 @@ class RatioModel:
         vals, n_floored = eval_knn([self], x)
         return (float(vals[0, 0]) if single else vals[0]), n_floored[0]
 
-    def to_json_obj(self, source_points_ref=None) -> dict:
-        if self.backend == "tilting":
-            return {
-                "backend": "tilting",
-                "gamma": [float(v) for v in self.gamma],
-                "psi": self.psi.name,
-            }
+    def to_json_obj(self) -> dict:
+        if self.backend != "tilting":
+            raise ValueError("knn models embed raw unit records and cannot be published")
         return {
-            "backend": "knn",
-            "M": int(self.M),
-            "n_source": int(self.n_source),
-            "n_target": int(self.n_target),
-            "source_points_ref": source_points_ref,
+            "backend": "tilting",
+            "gamma": [float(v) for v in self.gamma],
+            "psi": self.psi.name,
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RatioModel":
-        if obj["backend"] == "tilting":
-            return cls(
-                backend="tilting",
-                gamma=np.asarray(obj["gamma"], dtype=float),
-                psi=FeatureMap(obj["psi"]),
-            )
-        raise ValueError("knn models do not round-trip through JSON alone; "
-                         "the point sets live outside the schema")
+        if obj["backend"] != "tilting":
+            raise ValueError("only tilting models are published; knn point sets "
+                             "live outside the schema")
+        return cls(backend="tilting", gamma=np.asarray(obj["gamma"], dtype=float),
+                   psi=FeatureMap(obj["psi"]))
 
 
 def _unstandardize(g, mu, sd, has_intercept: bool) -> np.ndarray:
@@ -489,7 +476,7 @@ def fit_logistic_ratio(source, target,
     return RatioModel(backend="tilting", gamma=beta, psi=psi, fit_info=info)
 
 
-def fit_knn(source, target, M: Optional[int] = None, standardize: bool = False) -> RatioModel:
+def fit_knn(source, target, M: Optional[int] = None) -> RatioModel:
     """Nearest-neighbour count-ratio estimator of p_source / p_target.
 
     For a probe x, rho is the Euclidean distance to its M-th nearest source
@@ -497,7 +484,7 @@ def fit_knn(source, target, M: Optional[int] = None, standardize: bool = False) 
     included). The estimate is (n_target/n_source) * M / max(W, 1); the floor
     guards empty balls and is surfaced through eval_with_diagnostics. M
     defaults to ceil(n_source^(2/(2+d))). Distances are taken on raw
-    coordinates unless standardize is set.
+    coordinates.
     """
     src = np.atleast_2d(np.asarray(source, dtype=float))
     tgt = np.atleast_2d(np.asarray(target, dtype=float))
@@ -511,16 +498,10 @@ def fit_knn(source, target, M: Optional[int] = None, standardize: bool = False) 
         raise ValueError("M must be >= 1")
     if M > n_s:
         raise ValueError(f"M={M} exceeds the source size {n_s}")
-    scale = None
-    if standardize:
-        scale = src.std(axis=0)
-        scale[scale == 0] = 1.0
-        src = src / scale
-        tgt = tgt / scale
     return RatioModel(backend="knn", M=M,
                       source_points=np.ascontiguousarray(src),
                       target_points=np.ascontiguousarray(tgt),
-                      n_source=n_s, n_target=len(tgt), scale=scale)
+                      n_source=n_s, n_target=len(tgt))
 
 
 def oracle_gaussian_ratio(mu_source, mu_target, sigma: float, x):

@@ -111,20 +111,12 @@ class AipwInputs:
             raise ValueError("lambda_hat must be positive")
 
 
-def _z_quantile(level: float) -> float:
-    return NormalDist().inv_cdf((1.0 + level) / 2.0)
-
-
 def gaussian_interval(tau: float, var_hat: float, n_effective: float, level: float):
-    half = _z_quantile(level) * float(np.sqrt(var_hat / n_effective))
-    return tau - half, tau + half
-
-
-def confidence_interval(report: EstimateReport, level: float):
-    """Normal-quantile interval tau_hat +/- z * sqrt(var_hat / n_effective)."""
+    """Normal-quantile interval tau +/- z * sqrt(var_hat / n_effective)."""
     if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
-    return gaussian_interval(report.tau_hat, report.var_hat, report.n_effective, level)
+        raise ValueError("ci_level must lie in (0, 1)")
+    half = NormalDist().inv_cdf((1.0 + level) / 2.0) * float(np.sqrt(var_hat / n_effective))
+    return tau - half, tau + half
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +316,10 @@ def _aipw_residuals(site: SiteDataset, m1: OutcomeModel, m0: OutcomeModel) -> np
 
 def _aipw_site_terms(site: SiteDataset, resid: np.ndarray, table: ScoreTable,
                      flavor: str, include: Optional[np.ndarray]):
-    """One flavour's IPW terms of one site's residuals (see aipw_corrections)."""
+    """One site's residualized IPW terms (resid from _aipw_residuals, outcome
+    models from the complementary fold): for flavor "clb" SiteAggregates under
+    pooled scores; for "meta" MetaDeltas, the per-arm Hajek residual means under
+    the site's own scores, or Excluded when an arm or its score is missing."""
     if flavor == "clb":
         return _clb_aggregate_arrays(site, resid, table, include)
     if flavor != "meta":
@@ -354,20 +349,6 @@ def _aipw_site_terms(site: SiteDataset, resid: np.ndarray, table: ScoreTable,
                       n1_hat=out[1][1], n0_hat=out[0][1],
                       s2_1=out[1][2], s2_0=out[0][2],
                       n_units=n_units)
-
-
-def aipw_corrections(site: SiteDataset, m1: OutcomeModel, m0: OutcomeModel,
-                     table: ScoreTable, flavor: str = "clb",
-                     include: Optional[np.ndarray] = None):
-    """Residualized IPW terms for one site: every y is replaced by
-    y - m_z(x) for the realized arm.
-
-    flavor "clb" returns SiteAggregates of the residuals under pooled scores;
-    flavor "meta" returns MetaDeltas, the per-arm Hajek residual means under
-    the site's own scores, or Excluded when an arm or its score is missing.
-    The outcome models must come from the complementary cross-fit fold.
-    """
-    return _aipw_site_terms(site, _aipw_residuals(site, m1, m0), table, flavor, include)
 
 
 def aipw_combine(inputs, flavor: str = "clb",
@@ -451,7 +432,7 @@ def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
     ``include`` masks units out of both training and corrections. Each fold
     trains once and residualizes each site once, whatever the flavours.
     Yields, per fold, (f, target_mean_term, target_var, corrections) where
-    corrections maps each of ``flavors`` to one aipw_corrections result per
+    corrections maps each of ``flavors`` to one _aipw_site_terms result per
     site, in the order of ``sites``.
     """
     if target.n < 2:

@@ -68,6 +68,11 @@ class SiteMessage:
     @classmethod
     def from_json_line(cls, line: str) -> "SiteMessage":
         obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError("record is not a JSON object")
+        for key in ("round", "from", "kind", "payload"):
+            if key not in obj:
+                raise ValueError(f"record lacks key {key!r}")
         return cls(sender=obj["from"], kind=obj["kind"],
                    round=obj["round"], payload=obj["payload"], line=line)
 
@@ -75,9 +80,6 @@ class SiteMessage:
 @dataclass
 class MessageLog:
     messages: List[SiteMessage] = field(default_factory=list)
-
-    def append(self, msg: SiteMessage) -> None:
-        self.messages.append(msg)
 
     def post(self, msg: SiteMessage, wire: bool) -> dict:
         """Record msg and return the payload its receiver reads. With wire set
@@ -105,27 +107,29 @@ class MessageLog:
 
     @classmethod
     def load(cls, path) -> "MessageLog":
+        """Parse a transcript; a malformed record raises ValueError naming its line."""
         with open(path) as fh:
-            return cls([SiteMessage.from_json_line(ln)
-                        for ln in fh.read().splitlines() if ln.strip()])
+            lines = fh.read().splitlines()
+        messages = []
+        for i, ln in enumerate(lines, start=1):
+            if ln.strip():
+                try:
+                    messages.append(SiteMessage.from_json_line(ln))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {i}: {exc}") from None
+        return cls(messages)
 
 
 @dataclass(frozen=True)
 class FedConfig:
     """Federated-averaging schedule. Every fold runs all its rounds, so the
-    message count is exactly the budget.
-
-    learning_rate None lets the engine derive a stable step from the pooled
-    curvature of the mean weighted loss.
-    """
+    message count is exactly the budget."""
 
     rounds: int = 50
-    local_steps: int = 1
-    learning_rate: Optional[float] = None
 
     def __post_init__(self):
-        if self.rounds < 1 or self.local_steps < 1:
-            raise ValueError("rounds and local_steps must be >= 1")
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
 
 
 def expected_message_count(n_sites: int, rounds: int, folds: int) -> int:
@@ -139,39 +143,36 @@ def expected_message_count(n_sites: int, rounds: int, folds: int) -> int:
 # Federated averaging of the weighted outcome regressions, both arms at once
 
 
-def _site_local_update(arms: dict, payload: dict, cfg: FedConfig, lr: float) -> dict:
-    """Local steps on both arms of one site; arms maps each arm to its cached
-    (design, y, w) from nuisance._arm_design."""
+def _site_local_update(arms: dict, payload: dict, lr: float) -> dict:
+    """One local gradient step on both arms of one site; arms maps each arm to
+    its cached (design, y, w) from nuisance._arm_design."""
     out = {"fold": payload["fold"], "round": payload["round"]}
     for arm in (1, 0):
         design, y, w = arms[arm]
         th0 = np.asarray(payload[f"theta{arm}"], dtype=float)
-        th = th0.copy()
-        n_used = len(w)
-        mean_loss = 0.0
-        for step in range(cfg.local_steps if n_used else 0):
-            resid = y - design @ th
-            if step == 0:
-                mean_loss = float(np.sum(w * resid ** 2)) / n_used
-            th = th - (lr / n_used) * (-2.0 * design.T @ (w * resid))
+        th, n_used, mean_loss = th0, len(w), 0.0
+        if n_used:
+            resid = y - design @ th0
+            mean_loss = float(np.sum(w * resid ** 2)) / n_used
+            th = th0 - (lr / n_used) * (-2.0 * design.T @ (w * resid))
         out[f"delta{arm}"] = [float(v) for v in (th - th0)]
         out[f"n{arm}"] = n_used
         out[f"loss{arm}"] = float(mean_loss)
     return out
 
 
-def suggest_learning_rate(sites: Sequence[SiteDataset], table: ScoreTable, psi,
-                          include: Optional[Dict[int, np.ndarray]] = None) -> float:
+def suggest_learning_rate(arms: Dict[int, dict]) -> float:
     """1 / L for the pooled mean weighted loss, the largest single step that
     keeps one-local-step averaging monotone; L is the top curvature over arms.
+    arms maps each site id to its per-arm (design, y, w), as fedavg_train
+    caches them; the curvature sums run in ascending site order.
     """
     worst = 0.0
     for arm in (1, 0):
         H = None
         n = 0
-        for s in sorted(sites, key=lambda t: t.site_id):
-            design, _, w, _ = _arm_design(s, table, psi, arm,
-                                          None if include is None else include.get(s.site_id))
+        for sid in sorted(arms):
+            design, _, w = arms[sid][arm]
             if len(w) == 0:
                 continue
             contrib = design.T @ (design * w[:, None])
@@ -202,15 +203,12 @@ def fedavg_train(sites: Sequence[SiteDataset], table: ScoreTable, psi,
     cfg = cfg or FedConfig()
     post = post or (lambda msg: msg.payload)
     sites = sorted(sites, key=lambda s: s.site_id)
-    d = sites[0].d
-    lr = cfg.learning_rate
-    if lr is None:
-        lr = suggest_learning_rate(sites, table, psi, include)
-    pdim = len(zero_outcome_model(1, psi, d).theta)
+    pdim = len(zero_outcome_model(1, psi, sites[0].d).theta)
     # a site's local objective is fixed for every round of the fold
     arms = {s.site_id: {arm: _arm_design(s, table, psi, arm,
                                          None if include is None else include.get(s.site_id))[:3]
                         for arm in (1, 0)} for s in sites}
+    lr = suggest_learning_rate(arms)
     theta = {1: [0.0] * pdim, 0: [0.0] * pdim}
     trace: List[float] = []
     for r in range(cfg.rounds):
@@ -221,7 +219,7 @@ def fedavg_train(sites: Sequence[SiteDataset], table: ScoreTable, psi,
             broadcast[s.site_id] = post(SiteMessage("server", "model_params", r, payload))
         updates = [post(SiteMessage(s.site_id, "gradient_update", r,
                                     _site_local_update(arms[s.site_id], broadcast[s.site_id],
-                                                       cfg, lr)))
+                                                       lr)))
                    for s in sites]
         total_loss = 0.0
         for arm in (1, 0):
@@ -428,8 +426,9 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng,
 _AGG_KEYS = {f.name for f in fields(SiteAggregates)} | {"fold"}
 _META_KEYS = {f.name for f in fields(MetaDeltas)} | {"fold"}
 _EXCL_KEYS = {"site_id", "fold", "excluded"}
-_MODEL_KEYS = {"backend", "gamma", "psi", "M", "n_source", "n_target",
-               "source_points_ref"}
+_MODEL_KEYS = {"backend", "gamma", "psi"}
+# longest array a payload may carry before it looks like unit records
+AUDIT_MAX_LEN = 64
 
 _SCHEMAS = {
     "publish_ratio_model": {"site_id", "n1", "n0", "model1", "model0"},
@@ -441,13 +440,13 @@ _SCHEMAS = {
 }
 
 
-def _scan_payload(value, path: str, max_len: int, out: List[str]) -> None:
+def _scan_payload(value, path: str, out: List[str]) -> None:
     if isinstance(value, dict):
         for k, v in value.items():
-            _scan_payload(v, f"{path}.{k}", max_len, out)
+            _scan_payload(v, f"{path}.{k}", out)
     elif isinstance(value, (list, tuple)):
-        if len(value) > max_len:
-            out.append(f"{path}: array of length {len(value)} exceeds cap {max_len}")
+        if len(value) > AUDIT_MAX_LEN:
+            out.append(f"{path}: array of length {len(value)} exceeds cap {AUDIT_MAX_LEN}")
         for v in value:
             if isinstance(v, (list, tuple, dict)):
                 out.append(f"{path}: nested array shaped like raw records")
@@ -456,7 +455,7 @@ def _scan_payload(value, path: str, max_len: int, out: List[str]) -> None:
         out.append(f"{path}: string of length {len(value)} exceeds cap 256")
 
 
-def audit_messages(log: MessageLog, max_len: int = 64) -> List[str]:
+def audit_messages(log: MessageLog) -> List[str]:
     """Static checks that a transcript stays within the aggregate-only schema:
     known kinds, expected senders, whitelisted keys, no long or nested arrays.
     Returns the list of violations, empty when the log is clean."""
@@ -490,5 +489,5 @@ def audit_messages(log: MessageLog, max_len: int = 64) -> List[str]:
                 for key in obj:
                     if key not in _MODEL_KEYS:
                         violations.append(f"{where}: unexpected model key {key!r}")
-        _scan_payload(m.payload, where, max_len, violations)
+        _scan_payload(m.payload, where, violations)
     return violations

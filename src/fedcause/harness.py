@@ -115,7 +115,6 @@ class CellStats:
     bias: float = math.nan
     var: float = math.nan
     mean_tau_hat: float = math.nan
-    mean_var_hat: float = math.nan
     mean_half_width: float = math.nan
     coverage: float = math.nan
     n_fail: int = 0
@@ -128,18 +127,22 @@ class CellStats:
         return self.n_fail / self.n_reps if self.n_reps else math.nan
 
 
+# a live cell's mse equals bias^2 + var to this relative tolerance
+DECOMPOSITION_TOL = 1e-10
+
+
 @dataclass
 class SweepResult:
     spec: SweepSpec
     seed: int
     cells: Dict[Tuple[float, str], CellStats]
 
-    def check_decomposition(self, tol: float = 1e-10) -> None:
+    def check_decomposition(self) -> None:
         for key, c in self.cells.items():
             if c.aborted or math.isnan(c.mse):
                 continue
             gap = abs(c.mse - (c.bias ** 2 + c.var))
-            if gap > tol * max(1.0, abs(c.mse)):
+            if gap > DECOMPOSITION_TOL * max(1.0, abs(c.mse)):
                 raise AssertionError(f"cell {key}: mse decomposition off by {gap}")
 
 
@@ -448,7 +451,6 @@ def run_monte_carlo(spec: SweepSpec, seed: int, jobs: int = 1) -> SweepResult:
                 stats.var = float(np.var(taus))
                 stats.mse = stats.bias ** 2 + stats.var
                 stats.mean_tau_hat = float(np.mean(taus))
-                stats.mean_var_hat = float(np.mean([e[1] for e in ok]))
                 stats.mean_half_width = float(np.mean([e[2] for e in ok]))
                 stats.coverage = float(np.mean([1.0 if e[3] else 0.0 for e in ok]))
             cells[(float(d_kl), est)] = stats

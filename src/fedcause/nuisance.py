@@ -3,7 +3,6 @@ the inverse-propensity-weighted outcome loss with its analytic gradient."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -36,10 +35,6 @@ class PropensitySet:
     score_table evaluates once per replication."""
 
     e: Dict[Tuple[int, int], Callable]
-
-    @property
-    def pairs(self):
-        return sorted(self.e.keys())
 
     @property
     def site_ids(self):
@@ -161,7 +156,7 @@ def score_table(sites: Sequence[SiteDataset], p: PropensitySet) -> ScoreTable:
             for j, k in enumerate(cols):
                 fn = p.e.get((k, arm))
                 if isinstance(fn, RatioScore) and fn.ratio.backend == "knn":
-                    key = (fn.feat, id(fn.ratio.target_points), id(fn.ratio.scale))
+                    key = (fn.feat, id(fn.ratio.target_points))
                     shared.setdefault(key, []).append((j, fn))
                 elif fn is not None:
                     table[rows, j] = p.eval(k, arm, x)
@@ -239,16 +234,6 @@ class OutcomeModel:
         d = np.atleast_2d(self.psi.design(x))
         out = d @ self.theta
         return float(out[0]) if single else out
-
-    def to_json(self) -> str:
-        return json.dumps({"arm": self.arm, "psi": self.psi.name,
-                           "theta": [float(v) for v in self.theta]})
-
-    @classmethod
-    def from_json(cls, s: str) -> "OutcomeModel":
-        obj = json.loads(s)
-        return cls(arm=int(obj["arm"]), psi=FeatureMap(obj["psi"]),
-                   theta=np.asarray(obj["theta"], dtype=float))
 
 
 def zero_outcome_model(arm: int, psi: FeatureMap, d: int) -> OutcomeModel:

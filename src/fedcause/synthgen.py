@@ -62,13 +62,17 @@ class ShiftConfig:
                 raise ValueError(f"{name} must have length d")
 
 
+PROBE_DRAWS = 1000
+PROBE_TOL = 1e-9
+
+
 @dataclass
 class SelectConfig:
     """Explicit sampling-selecting design.
 
     ``selection`` maps (site_id, z) to a probability function of x and
     ``drop`` is the elimination probability; together they must sum to one,
-    which is probed on 1000 sampler draws to 1e-9.
+    which is probed on PROBE_DRAWS sampler draws to PROBE_TOL.
     """
 
     n_total: int
@@ -78,13 +82,13 @@ class SelectConfig:
     d: int
     n_target: Optional[int] = None
 
-    def probe_sum_to_one(self, rng, n_probe: int = 1000, tol: float = 1e-9) -> None:
-        xs = np.atleast_2d(self.sampler(rng, n_probe))
+    def probe_sum_to_one(self, rng) -> None:
+        xs = np.atleast_2d(self.sampler(rng, PROBE_DRAWS))
         total = np.asarray(self.drop(xs), dtype=float).reshape(len(xs)).copy()
         for fn in self.selection.values():
             total += np.asarray(fn(xs), dtype=float).reshape(len(xs))
         worst = float(np.max(np.abs(total - 1.0)))
-        if worst > tol:
+        if worst > PROBE_TOL:
             raise ValueError(f"selection probabilities sum to 1 off by {worst:.3g}")
 
 

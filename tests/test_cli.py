@@ -197,6 +197,35 @@ def test_estimate_oracle_needs_manifest(capsys, data_dir, tmp_path):
     assert rc == 1 and "manifest" in err
 
 
+def test_estimate_rejects_a_ci_level_outside_the_unit_interval(capsys, data_dir):
+    for extra in (["--estimator", "meta-ipw"], ["--estimator", "clb-aipw"],
+                  ["--estimator", "clb-ipw", "--federated"],
+                  ["--estimator", "clb-aipw", "--federated", "--rounds", "2"]):
+        rc = main(["estimate", "--data", str(data_dir), "--ci", "1.5", *extra])
+        captured = capsys.readouterr()
+        assert rc == 1, extra
+        assert captured.out == ""
+        assert captured.err == "error: ci_level must lie in (0, 1)\n", extra
+
+
+def test_estimate_warns_of_a_site_without_controls(capsys, data_dir, tmp_path):
+    clone = tmp_path / "treatedonly"
+    clone.mkdir()
+    for name in ("site_1.csv", "site_3.csv", "target.csv"):
+        (clone / name).write_bytes((data_dir / name).read_bytes())
+    header, *rows = (data_dir / "site_2.csv").read_text().splitlines()
+    treated = [row for row in rows if row.split(",")[1] == "1"]
+    (clone / "site_2.csv").write_text("\n".join([header, *treated]) + "\n")
+    rc = main(["estimate", "--data", str(clone), "--estimator", "meta-ipw"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ("warning: site 2 lacks control units; "
+                            "Meta-IPW will exclude it\n")
+    rep = json.loads(captured.out)
+    assert [tuple(t[:2]) for t in rep["per_site_diagnostics"]] == [
+        (1, True), (2, False), (3, True)]
+
+
 def test_sweep_cli_round_trip(tmp_path, capsys):
     spec = SweepSpec(d_kl_grid=(0.0, 1.0), replications=2, placements=1,
                      estimators=("clb_ipw",), nuisance_mode="oracle",

@@ -170,15 +170,6 @@ def test_validate_z_outside_binary():
     assert any("z outside {0,1}" in e for e in rep.errors)
 
 
-def test_report_json_round_trip():
-    rep = EstimateReport(
-        estimator_name="ClbIPW", tau_hat=-0.25, var_hat=1.75, n_effective=6000,
-        ci_level=0.95, ci_lo=-0.3, ci_hi=-0.2,
-        per_site_diagnostics=[(1, "included", 0.5)], notes="x")
-    back = EstimateReport.from_json(rep.to_json())
-    assert back == rep
-
-
 def test_report_validation():
     kw = dict(tau_hat=0.0, var_hat=1.0, n_effective=1, ci_level=0.95, ci_lo=-1, ci_hi=1)
     with pytest.raises(ValueError):

@@ -281,8 +281,6 @@ def _broadcast_knn(model, x):
     """Reference for the blocked kernel: the former single-broadcast count,
     one (probes, points, d) difference array per side."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if model.scale is not None:
-        pts = pts / model.scale
     src, tgt = model.source_points, model.target_points
     d2s = np.sum((pts[:, None, :] - src[None, :, :]) ** 2, axis=2)
     rho2 = np.partition(d2s, model.M - 1, axis=1)[:, model.M - 1]
@@ -293,19 +291,21 @@ def _broadcast_knn(model, x):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
-@pytest.mark.parametrize("standardize", [False, True])
-def test_knn_blocked_kernel_is_bitwise_the_broadcast(d, standardize):
+@pytest.mark.parametrize("prescale", [False, True])
+def test_knn_blocked_kernel_is_bitwise_the_broadcast(d, prescale):
     rng = np.random.default_rng(100 + d)
     # lattice points: many exact distance ties, and duplicates of source
     # points in the target sit exactly on the ball boundary
     src = rng.integers(-3, 4, size=(40, d)).astype(float)
     tgt = np.vstack([rng.integers(-3, 4, size=(60, d)).astype(float), src[:15],
                      rng.normal(size=(30, d)) + 40.0])
+    # prescaled, every input is divided by the source's per-coordinate spread
+    scale = src.std(axis=0) if prescale else np.ones(d)
     for n_probe in (1, 255, 256, 257, 513):
         probes = np.vstack([src, rng.integers(-3, 4, size=(n_probe // 2, d)).astype(float),
-                            rng.normal(size=(n_probe, d))])[:n_probe]
+                            rng.normal(size=(n_probe, d))])[:n_probe] / scale
         for M in (1, 7, len(src)):
-            m = fit_knn(src, tgt, M=M, standardize=standardize)
+            m = fit_knn(src / scale, tgt / scale, M=M)
             vals, n_floored = m.eval_with_diagnostics(probes)
             ref_vals, ref_floored = _broadcast_knn(m, probes)
             assert np.array_equal(vals, ref_vals), (n_probe, M)
@@ -315,38 +315,39 @@ def test_knn_blocked_kernel_is_bitwise_the_broadcast(d, standardize):
                           np.sum((noisy[:, None, :] - tgt[None, :, :]) ** 2, axis=2))
     # probes beside the source but far from every target point floor their
     # empty balls, and the count of them is unchanged
-    far = fit_knn(src, tgt[-30:], M=3, standardize=standardize)
-    probes = rng.integers(-3, 4, size=(300, d)).astype(float)
+    far = fit_knn(src / scale, tgt[-30:] / scale, M=3)
+    probes = rng.integers(-3, 4, size=(300, d)).astype(float) / scale
     vals, n_floored = far.eval_with_diagnostics(probes)
     ref_vals, ref_floored = _broadcast_knn(far, probes)
     assert n_floored == ref_floored > 0
     assert np.array_equal(vals, ref_vals)
 
 
-def _shared_knn_models(sources, tgt, Ms, standardize):
-    """knn models over one target array, sharing one scale when standardized."""
-    scale = np.std(np.vstack(sources), axis=0) + 0.5 if standardize else None
-    t = tgt if scale is None else tgt / scale
-    return [RatioModel(backend="knn", M=M, source_points=src if scale is None else src / scale,
-                       target_points=t, n_source=len(src), n_target=len(tgt), scale=scale)
+def _shared_knn_models(sources, tgt, Ms):
+    """knn models over one target array."""
+    return [RatioModel(backend="knn", M=M, source_points=src, target_points=tgt,
+                       n_source=len(src), n_target=len(tgt))
             for src, M in zip(sources, Ms)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
-@pytest.mark.parametrize("standardize", [False, True])
-def test_knn_shared_pass_is_bitwise_the_per_model_broadcast(d, standardize):
+@pytest.mark.parametrize("prescale", [False, True])
+def test_knn_shared_pass_is_bitwise_the_per_model_broadcast(d, prescale):
     rng = np.random.default_rng(200 + d)
     # lattice sources of different sizes; the target repeats some of each, so
     # duplicates sit exactly on ball boundaries, and holds a far cluster
     sources = [rng.integers(-3, 4, size=(n, d)).astype(float) for n in (40, 23, 61)]
     tgt = np.vstack([rng.integers(-3, 4, size=(60, d)).astype(float), sources[0][:15],
                      sources[1][:5], sources[2][:9], rng.normal(size=(30, d)) + 40.0])
+    # prescaled, every input is divided by one per-coordinate factor
+    scale = np.std(np.vstack(sources), axis=0) + 0.5 if prescale else np.ones(d)
+    sources, tgt = [src / scale for src in sources], tgt / scale
     for Ms in ((len(sources[0]),), (1, 7), (7, len(sources[1]), 1)):
         k = len(Ms)
-        models = _shared_knn_models(sources[:k], tgt, Ms, standardize)
+        models = _shared_knn_models(sources[:k], tgt, Ms)
         for n_probe in (1, KNN_BLOCK - 1, KNN_BLOCK, KNN_BLOCK + 1, 2 * KNN_BLOCK + 1, 257):
-            probes = np.vstack([sources[0], rng.integers(-3, 4, size=(n_probe // 2, d)),
-                                rng.normal(size=(n_probe, d))])[:n_probe]
+            probes = np.vstack([sources[0], rng.integers(-3, 4, size=(n_probe // 2, d)) / scale,
+                                rng.normal(size=(n_probe, d)) / scale])[:n_probe]
             vals, floored = eval_knn(models, probes)
             assert vals.shape == (k, n_probe)
             for m, v, f in zip(models, vals, floored):
@@ -355,8 +356,8 @@ def test_knn_shared_pass_is_bitwise_the_per_model_broadcast(d, standardize):
                 assert f == ref_floored
     # probes beside the sources but far from every target point floor their
     # empty balls in every column
-    far = _shared_knn_models(sources, tgt[-30:], (3, 1, 5), standardize)
-    probes = rng.integers(-3, 4, size=(3 * KNN_BLOCK + 7, d)).astype(float)
+    far = _shared_knn_models(sources, tgt[-30:], (3, 1, 5))
+    probes = rng.integers(-3, 4, size=(3 * KNN_BLOCK + 7, d)).astype(float) / scale
     vals, floored = eval_knn(far, probes)
     for m, v, f in zip(far, vals, floored):
         ref_vals, ref_floored = _broadcast_knn(m, probes)
@@ -370,16 +371,11 @@ def test_knn_shared_pass_refuses_models_that_do_not_share():
     base = fit_knn(src, tgt, M=3)
     probes = rng.normal(size=(4, 3))
     other_target = fit_knn(src, tgt[:-1], M=3)
-    scaled = RatioModel(backend="knn", M=3, source_points=src, target_points=tgt,
-                        n_source=30, n_target=50, scale=np.ones(3))
-    rescaled = RatioModel(backend="knn", M=3, source_points=src, target_points=tgt,
-                          n_source=30, n_target=50, scale=np.full(3, 2.0))
     tilt = RatioModel(backend="tilting", gamma=np.zeros(4), psi=IDENTITY_PLUS_INTERCEPT)
-    for models in ([base, other_target], [base, scaled], [scaled, base],
-                   [scaled, rescaled], [base, tilt]):
-        with pytest.raises(ValueError, match="sharing one target and scale"):
+    for models in ([base, other_target], [base, tilt]):
+        with pytest.raises(ValueError, match="sharing one target"):
             eval_knn(models, probes)
-    # a copy of the target with equal values and an equal scale is shared
+    # a copy of the target with equal values is shared
     copy = fit_knn(src[:20], tgt.copy(), M=2)
     vals, _ = eval_knn([base, copy], probes)
     assert np.array_equal(vals[1], copy.eval(probes))
@@ -397,9 +393,10 @@ def test_knn_rejects_probes_of_the_wrong_width():
 
 def test_knn_refuses_json_round_trip():
     m = fit_knn([[0.0], [1.0]], [[0.5]], M=1)
-    obj = m.to_json_obj()
+    with pytest.raises(ValueError, match="cannot be published"):
+        m.to_json_obj()
     with pytest.raises(ValueError):
-        RatioModel.from_json_obj(obj)
+        RatioModel.from_json_obj({"backend": "knn", "M": 1, "n_source": 2, "n_target": 1})
 
 
 # -- Gaussian oracle ----------------------------------------------------------

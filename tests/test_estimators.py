@@ -16,11 +16,9 @@ from fedcause import (
     SiteDataset,
     TargetCovariates,
     aipw_combine,
-    aipw_corrections,
     clb_combine,
     clb_ipw,
     clb_site_aggregates,
-    confidence_interval,
     decoupled_aipw,
     gen_covariate_shift,
     meta_combine,
@@ -30,11 +28,17 @@ from fedcause import (
     score_table,
     zero_outcome_model,
 )
+from fedcause.estimators import _aipw_residuals, _aipw_site_terms, gaussian_interval
 from conftest import fuzz_dataset, fuzz_scores
 
 
 def _const(v):
     return lambda x: np.full(len(np.atleast_2d(x)), v)
+
+
+def _corrections(site, m1, m0, table, flavor):
+    """One site's residualized IPW terms, as the cross-fit fold loop forms them."""
+    return _aipw_site_terms(site, _aipw_residuals(site, m1, m0), table, flavor, None)
 
 
 def _two_unit_site(site_id=1):
@@ -197,9 +201,9 @@ def test_corrections_vanish_with_perfect_models():
     m1 = OutcomeModel(arm=1, psi=IDENTITY, theta=np.r_[0.0, cfg.beta1])
     m0 = OutcomeModel(arm=0, psi=IDENTITY, theta=np.r_[0.0, cfg.beta0])
     for s in sites:
-        agg = aipw_corrections(s, m1, m0, p, flavor="clb")
+        agg = _corrections(s, m1, m0, p, "clb")
         assert abs(agg.G1) < 1e-9 and abs(agg.G0) < 1e-9
-        d = aipw_corrections(s, m1, m0, p, flavor="meta")
+        d = _corrections(s, m1, m0, p, "meta")
         assert abs(d.d1) < 1e-12 and abs(d.d0) < 1e-12
 
 
@@ -208,10 +212,10 @@ def test_corrections_with_zero_model_equal_ipw_terms():
     p = score_table([site], _const_set(0.5))
     m1 = zero_outcome_model(1, IDENTITY, d=1)
     m0 = zero_outcome_model(0, IDENTITY, d=1)
-    agg = aipw_corrections(site, m1, m0, p, flavor="clb")
+    agg = _corrections(site, m1, m0, p, "clb")
     raw = clb_site_aggregates(site, p)
     assert (agg.G1, agg.N1, agg.G0, agg.N0) == (raw.G1, raw.N1, raw.G0, raw.N0)
-    d = aipw_corrections(site, m1, m0, p, flavor="meta")
+    d = _corrections(site, m1, m0, p, "meta")
     assert d.d1 == pytest.approx(2.0)  # Hajek mean of y over the treated unit
     assert d.d0 == pytest.approx(1.0)
 
@@ -221,7 +225,7 @@ def test_correction_single_unit_residual():
     p = score_table([site], _const_set(0.5))
     m1 = OutcomeModel(arm=1, psi=IDENTITY, theta=np.array([0.0, 0.5]))
     m0 = zero_outcome_model(0, IDENTITY, d=1)
-    agg = aipw_corrections(site, m1, m0, p, flavor="clb")
+    agg = _corrections(site, m1, m0, p, "clb")
     assert agg.G1 / agg.N1 == pytest.approx(0.5)
 
 
@@ -241,7 +245,7 @@ def test_aipw_combine_zero_models_reduces_to_clb():
     p = score_table(sites, _const_set(0.5, site_ids=(1, 2)))
     m1 = zero_outcome_model(1, IDENTITY, d=1)
     m0 = zero_outcome_model(0, IDENTITY, d=1)
-    deltas = [aipw_corrections(s, m1, m0, p, flavor="clb") for s in sites]
+    deltas = [_corrections(s, m1, m0, p, "clb") for s in sites]
     inputs = AipwInputs(target_mean_term=0.0, target_sq_term=0.0, n_target=10,
                         deltas=deltas, lambda_hat=10 / 4, n_pooled=4, fold=0)
     rep = aipw_combine([inputs], flavor="clb")
@@ -251,9 +255,9 @@ def test_aipw_combine_zero_models_reduces_to_clb():
 
 def test_aipw_meta_flavor_weighted_combine():
     site = _two_unit_site()
-    d_a = aipw_corrections(site, zero_outcome_model(1, IDENTITY, 1),
-                           zero_outcome_model(0, IDENTITY, 1),
-                           score_table([site], _const_set(0.5)), flavor="meta")
+    d_a = _corrections(site, zero_outcome_model(1, IDENTITY, 1),
+                       zero_outcome_model(0, IDENTITY, 1),
+                       score_table([site], _const_set(0.5)), "meta")
     inputs = AipwInputs(target_mean_term=0.25, target_sq_term=0.0, n_target=8,
                         deltas=[d_a], lambda_hat=2.0, n_pooled=4, fold=0)
     rep = aipw_combine([inputs], flavor="meta", weights={1: 1.0})
@@ -300,18 +304,15 @@ def test_decoupled_aipw_needs_two_target_rows(monkeypatch, flavor):
 
 
 def test_confidence_interval_quantiles():
-    rep_args = dict(estimator_name="ClbIPW", per_site_diagnostics=[], notes="")
-    from fedcause import EstimateReport
-    r = EstimateReport(tau_hat=0.0, var_hat=1.0, n_effective=1.0, ci_level=0.95,
-                       ci_lo=-1.959964, ci_hi=1.959964, **rep_args)
-    lo, hi = confidence_interval(r, 0.95)
+    lo, hi = gaussian_interval(0.0, 1.0, 1.0, 0.95)
     assert lo == pytest.approx(-1.959964, abs=1e-6)
     assert hi == pytest.approx(1.959964, abs=1e-6)
-    lo, hi = confidence_interval(r, 0.5)
+    lo, hi = gaussian_interval(0.0, 1.0, 1.0, 0.5)
     assert hi == pytest.approx(0.674490, abs=1e-6)
-    r0 = EstimateReport(tau_hat=0.3, var_hat=0.0, n_effective=5.0, ci_level=0.95,
-                        ci_lo=0.3, ci_hi=0.3, **rep_args)
-    assert confidence_interval(r0, 0.95) == (0.3, 0.3)
+    assert gaussian_interval(0.3, 0.0, 5.0, 0.95) == (0.3, 0.3)
+    for level in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"ci_level must lie in \(0, 1\)"):
+            gaussian_interval(0.0, 1.0, 1.0, level)
 
 
 def test_estimator_reports_scale_invariant_fuzz():

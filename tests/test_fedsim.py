@@ -1,5 +1,7 @@
 """Message protocol: transcripts, replay, federated-vs-centralized equality,
 FedAvg training dynamics, and the privacy audit."""
+import re
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,10 @@ from fedcause import (
     run_algorithm2,
     score_table,
 )
+from fedcause import fedsim
 from fedcause.density_ratio import RatioModel
 from fedcause.fedsim import MESSAGE_KINDS, fedavg_train, suggest_learning_rate
-from fedcause.nuisance import (OutcomeModel, assemble_propensity,
+from fedcause.nuisance import (OutcomeModel, _arm_design, assemble_propensity,
                                invert_balancing_model, weighted_loss_and_grad)
 from conftest import fuzz_dataset, fuzz_scores
 
@@ -231,8 +234,23 @@ def test_fedavg_evaluates_no_score_after_the_table_is_built():
                                                 for z in (0, 1)}))
     assert len(calls) == 3 * 2 * 3  # sites x arms x score columns
     calls.clear()
-    fedavg_train(sites, table, IDENTITY, cfg=FedConfig(rounds=5, local_steps=2))
+    fedavg_train(sites, table, IDENTITY, cfg=FedConfig(rounds=5))
     assert calls == []
+
+
+def test_fedavg_builds_each_arm_design_once_per_fold(monkeypatch):
+    rng = np.random.default_rng(16)
+    sites = _linear_sites(rng, n_sites=3, n=30)
+    table = score_table(sites, _const_scores([1, 2, 3]))
+    calls = []
+
+    def counted(site, *args, **kwargs):
+        calls.append((site.site_id, args[2]))
+        return _arm_design(site, *args, **kwargs)
+
+    monkeypatch.setattr(fedsim, "_arm_design", counted)
+    fedavg_train(sites, table, IDENTITY, cfg=FedConfig(rounds=5))
+    assert sorted(calls) == sorted((k, arm) for k in (1, 2, 3) for arm in (1, 0))
 
 
 def test_algorithm2_evaluates_each_published_score_once_per_unit(monkeypatch):
@@ -254,9 +272,11 @@ def test_algorithm2_evaluates_each_published_score_once_per_unit(monkeypatch):
 
 
 def _reference_fedavg(sites, table, psi, cfg, include):
-    """Averaging rounds that rebuild each local objective at every step
+    """Averaging rounds that rebuild each local objective at every round
     through weighted_loss_and_grad."""
-    lr = suggest_learning_rate(sites, table, psi, include=include)
+    lr = suggest_learning_rate({s.site_id: {arm: _arm_design(s, table, psi, arm,
+                                                             include.get(s.site_id))[:3]
+                                            for arm in (1, 0)} for s in sites})
     theta = {arm: np.zeros(psi.output_dim(sites[0].d)) for arm in (1, 0)}
     for _ in range(cfg.rounds):
         updates = []
@@ -265,14 +285,10 @@ def _reference_fedavg(sites, table, psi, cfg, include):
             n_arm = {arm: int(np.sum((s.z_vec == arm) & inc)) for arm in (1, 0)}
             upd = {}
             for arm in (1, 0):
-                th, n_used = theta[arm].copy(), 0
-                for _ in range(cfg.local_steps):
-                    m = OutcomeModel(arm=arm, psi=psi, theta=th)
-                    _, grad, n_excl = weighted_loss_and_grad(m, s, table, include=inc)
-                    n_used = n_arm[arm] - n_excl
-                    if n_used == 0:
-                        break
-                    th = th - (lr / n_used) * grad
+                m = OutcomeModel(arm=arm, psi=psi, theta=theta[arm].copy())
+                _, grad, n_excl = weighted_loss_and_grad(m, s, table, include=inc)
+                n_used = n_arm[arm] - n_excl
+                th = theta[arm] if n_used == 0 else theta[arm] - (lr / n_used) * grad
                 upd[arm] = (th - theta[arm], n_used)
             updates.append(upd)
         for arm in (1, 0):
@@ -295,7 +311,7 @@ def test_fedavg_cached_local_step_is_bitwise_the_per_step_loss():
     table = score_table(sites, PropensitySet(e=e))
     include = {s.site_id: rng.random(s.n) < 0.7 for s in sites}
     include[3] &= sites[2].z_vec == 1  # site 3 trains no control units
-    cfg = FedConfig(rounds=6, local_steps=2)
+    cfg = FedConfig(rounds=6)
     m1, m0, _ = fedavg_train(sites, table, IDENTITY_PLUS_INTERCEPT, cfg=cfg,
                              include=include)
     ref = _reference_fedavg(sites, table, IDENTITY_PLUS_INTERCEPT, cfg, include)
@@ -308,19 +324,19 @@ def test_fedavg_loss_trace_decreases_with_suggested_rate():
     rng = np.random.default_rng(8)
     sites = _linear_sites(rng, n_sites=2, n=30)
     p = score_table(sites, _const_scores([1, 2]))
-    lr = suggest_learning_rate(sites, p, IDENTITY)
-    assert lr > 0
     _, _, info = fedavg_train(sites, p, IDENTITY, cfg=FedConfig(rounds=30))
+    assert info["learning_rate"] > 0
     trace = info["loss_trace"]
     assert trace[-1] <= trace[0]
 
 
-def test_fedavg_divergence_detection():
+def test_fedavg_divergence_detection(monkeypatch):
     rng = np.random.default_rng(9)
     sites = _linear_sites(rng, n_sites=2, n=30)
     p = score_table(sites, _const_scores([1, 2]))
+    monkeypatch.setattr(fedsim, "suggest_learning_rate", lambda arms: 25.0)
     with pytest.raises(FedAvgDivergence) as err:
-        fedavg_train(sites, p, IDENTITY, cfg=FedConfig(rounds=60, learning_rate=25.0))
+        fedavg_train(sites, p, IDENTITY, cfg=FedConfig(rounds=60))
     assert len(err.value.trace) >= 6
 
 
@@ -332,18 +348,39 @@ def test_audit_passes_live_logs(rng):
 
 
 def test_audit_flags_record_shaped_payloads():
-    log = MessageLog()
-    log.append(SiteMessage(sender=1, kind="aggregates", round=0,
-                           payload={"site_id": 1, "G1": list(range(100))}))
+    log = MessageLog([SiteMessage(sender=1, kind="aggregates", round=0,
+                                  payload={"site_id": 1, "G1": list(range(100))})])
     issues = audit_messages(log)
     assert issues and any("raw records" in s or "length" in s for s in issues)
 
 
 def test_audit_flags_unknown_kind_and_server_spoofing():
-    log = MessageLog()
-    log.append(SiteMessage(sender=2, kind="covariates", round=0, payload={}))
+    log = MessageLog([SiteMessage(sender=2, kind="covariates", round=0, payload={})])
     assert audit_messages(log)
-    log2 = MessageLog()
-    log2.append(SiteMessage(sender=2, kind="model_params", round=0,
-                            payload={"to": 1, "arm": 1, "model": {}}))
+    log2 = MessageLog([SiteMessage(sender=2, kind="model_params", round=0,
+                                   payload={"to": 1, "arm": 1, "model": {}})])
     assert any("server" in s for s in audit_messages(log2))
+
+
+def test_audit_flags_published_neighbour_model_keys():
+    knn = {"backend": "knn", "M": 5, "n_source": 30, "n_target": 40,
+           "source_points_ref": "site-1/arm-1"}
+    log = MessageLog([SiteMessage(sender=1, kind="publish_ratio_model", round=0,
+                                  payload={"site_id": 1, "n1": 30, "n0": 25,
+                                           "model1": knn, "model0": None})])
+    issues = audit_messages(log)
+    for key in ("M", "n_source", "n_target", "source_points_ref"):
+        assert any(f"unexpected model key {key!r}" in s for s in issues)
+
+
+@pytest.mark.parametrize("line, reason", [
+    ('{"round": 0, "kind": "aggregates", "payload": {}}', "record lacks key 'from'"),
+    ('[1, 2]', "record is not a JSON object"),
+    ('{"round": 0, "from": 1, "kind": "aggre', ""),
+])
+def test_load_names_the_line_of_a_bad_record(tmp_path, line, reason):
+    good = SiteMessage(1, "aggregates", 0, {"site_id": 1}).to_json_line()
+    path = tmp_path / "log.jsonl"
+    path.write_text(f"{good}\n\n{line}\n{good}\n")
+    with pytest.raises(ValueError, match="line 3: " + re.escape(reason)):
+        MessageLog.load(path)

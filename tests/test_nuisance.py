@@ -1,5 +1,4 @@
 """Score assembly, pooled scores, cross-fit folds, and the weighted loss."""
-import json
 
 import numpy as np
 import pytest
@@ -152,11 +151,6 @@ def test_outcome_model_predict_and_json():
     m = OutcomeModel(arm=1, psi=IDENTITY_PLUS_INTERCEPT, theta=np.array([1.0, 2.0, -1.0]))
     x = np.array([[0.5, 0.25], [1.0, 1.0]])
     assert np.allclose(m.predict(x), [1.0 + 1.0 - 0.25, 2.0])
-    back = OutcomeModel.from_json(m.to_json())
-    assert back.arm == 1 and back.psi.name == "identity_plus_intercept"
-    assert np.array_equal(back.theta, m.theta)
-    obj = json.loads(m.to_json())
-    assert set(obj) == {"arm", "psi", "theta"}
     zm = zero_outcome_model(0, IDENTITY, d=3)
     assert np.allclose(zm.predict(np.ones((2, 3))), 0.0)
 

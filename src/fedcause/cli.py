@@ -114,6 +114,8 @@ def _fitted_ratio_models(args, sites, target):
 
 
 def _cmd_estimate(args) -> int:
+    if not 0.0 < args.ci < 1.0:
+        raise ValueError("ci_level must lie in (0, 1)")
     sites, target, manifest = _load_data_dir(args.data)
     report_check = validate_dataset(sites, target)
     if not report_check.ok:

@@ -10,9 +10,10 @@ replication order, so worker count never changes the output bytes.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -61,8 +62,13 @@ class SweepSpec:
     def __post_init__(self):
         if not self.d_kl_grid:
             raise ValueError("d_kl grid must be non-empty")
-        if self.replications < 1 or self.placements < 1:
-            raise ValueError("replications and placements must be >= 1")
+        for name, low in (("replications", 1), ("placements", 1), ("folds", 2)):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+        if not (isinstance(self.max_fail_frac, numbers.Real)
+                and 0.0 <= self.max_fail_frac <= 1.0):
+            raise ValueError("max_fail_frac must lie in [0, 1]")
         for e in self.estimators:
             if e not in ESTIMATOR_IDS:
                 raise ValueError(f"unknown estimator id {e!r}")
@@ -72,8 +78,6 @@ class SweepSpec:
             raise ValueError("ps_spec and om_spec must be 'correct' or 'wrong'")
         if self.meta_weight_mode not in ("oracle", "estimated", "vanilla"):
             raise ValueError(f"unknown weight mode {self.meta_weight_mode!r}")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
         if not (0.0 < self.ci_level < 1.0):
             raise ValueError("ci_level must lie in (0, 1)")
 
@@ -174,47 +178,32 @@ def oracle_shift_propensity(shift: ShiftConfig, means: Sequence[float]) -> Prope
     return PropensitySet(e=e)
 
 
-# Monte Carlo draws per site behind the oracle meta weights, drawn and
-# evaluated ORACLE_BLOCK rows at a time
-ORACLE_DRAWS = 200_000
-ORACLE_BLOCK = 8192
-
-
-def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float],
-                               rng) -> Dict[int, float]:
+def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float]) -> Dict[int, float]:
     """Asymptotic per-site squared standard errors of the one-site Hajek
-    estimator, by Monte Carlo integration over each site's covariate law.
+    estimator, in closed form.
 
-    Each site's draws come from one normal stream in blocks; the integrands
-    fill one row each of a (4, ORACLE_DRAWS) array, so every mean runs over
-    the whole row and the result does not depend on the block size."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    The site share cancels, so v_k = (1/n_k) sum_z E_k[(x'b_z - mu_z)^2
+    (1 + exp(+-x'c)) / r_k(x)^2], + for z = 1, where r_k(x) = exp(g'x + a) is
+    the Gaussian ratio p_k/p_target. Each term is then a tilted Gaussian
+    moment: under N(m, sigma^2 I), E[(x'b - mu)^2 e^{h'x}] =
+    e^{h'm + sigma^2 |h|^2 / 2} ((b'(m + sigma^2 h) - mu)^2 + sigma^2 |b|^2).
+    Outcome noise adds noise_sd^2 to the squared residual."""
+    s2 = shift.sigma ** 2
     c = np.asarray(shift.prop_coef, dtype=float)
-    b1 = np.asarray(shift.beta1, dtype=float)
-    b0 = np.asarray(shift.beta0, dtype=float)
     mu_t = np.full(shift.d, shift.mu_target)
-    mu1 = float(b1 @ mu_t)
-    mu0 = float(b0 @ mu_t)
-    n_pooled = sum(shift.site_sizes)
-    terms = np.empty((4, ORACLE_DRAWS))
+    # one row per term: arm 1 at tilts -2g and -2g + c, arm 0 at -2g and -2g - c
+    b = np.array([shift.beta1, shift.beta1, shift.beta0, shift.beta0], dtype=float)
+    sign = np.array([0.0, 1.0, 0.0, -1.0])[:, None]
     out = {}
     for k, mu_k in enumerate(np.asarray(means, dtype=float), start=1):
-        share = shift.site_sizes[k - 1] / n_pooled
-        mu_s = np.full(shift.d, mu_k)
-        for lo in range(0, ORACLE_DRAWS, ORACLE_BLOCK):
-            hi = min(lo + ORACLE_BLOCK, ORACLE_DRAWS)
-            x = rng.normal(mu_k, shift.sigma, size=(hi - lo, shift.d))
-            p1 = 1.0 / (1.0 + np.exp(x @ c))
-            # the oracle_shift_propensity scores, in their operation order
-            sr = share * oracle_gaussian_ratio(mu_s, mu_t, shift.sigma, x)
-            e1 = sr * p1
-            e0 = sr * (1.0 - p1)
-            terms[0, lo:hi] = p1 * (x @ b1 - mu1) ** 2 / e1 ** 2
-            terms[1, lo:hi] = (1.0 - p1) * (x @ b0 - mu0) ** 2 / e0 ** 2
-            terms[2, lo:hi] = p1 / e1
-            terms[3, lo:hi] = (1.0 - p1) / e0
-        V1, V0, D1, D0 = (float(np.mean(row)) for row in terms)
-        out[k] = (V1 / D1 ** 2 + V0 / D0 ** 2) / shift.site_sizes[k - 1]
+        m = np.full(shift.d, mu_k)
+        g = (m - mu_t) / s2
+        a = (mu_t @ mu_t - m @ m) / (2.0 * s2)
+        h = sign * c - 2.0 * g
+        tilt = np.exp(h @ m + s2 * np.sum(h * h, axis=1) / 2.0 - 2.0 * a)
+        moment = ((np.sum(b * (m + s2 * h), axis=1) - b @ mu_t) ** 2
+                  + s2 * np.sum(b * b, axis=1) + shift.noise_sd ** 2)
+        out[k] = float(tilt @ moment) / shift.site_sizes[k - 1]
     return out
 
 
@@ -311,8 +300,7 @@ def _build_nuisance(spec: SweepSpec, sites, target, means):
 
 
 def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
-                 means: Tuple[float, ...],
-                 oracle_site_vars: Optional[Dict[int, float]]) -> dict:
+                 means: Tuple[float, ...]) -> dict:
     rng = np.random.default_rng((seed, grid_index, rep))
     sites, target, true_tau = gen_covariate_shift(spec.shift, rng,
                                                   means=np.asarray(means))
@@ -328,8 +316,9 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
         return out
 
     psi_om = MISSPECIFIED if spec.om_spec == "wrong" else IDENTITY_PLUS_INTERCEPT
-    if spec.meta_weight_mode == "oracle" and oracle_site_vars is not None:
-        fixed = {k: 1.0 / v for k, v in oracle_site_vars.items()}
+    if spec.meta_weight_mode == "oracle":
+        fixed = {k: 1.0 / v for k, v in
+                 oracle_meta_site_variances(spec.shift, means).items()}
         meta_mode, aipw_weights = ("fixed", fixed), fixed
     elif spec.meta_weight_mode == "vanilla":
         meta_mode = ("fixed", {s.site_id: 1.0 for s in sites})
@@ -374,11 +363,6 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
     return out
 
 
-def _rep_task(args):
-    spec, seed, gi, r, means, oracle_vars = args
-    return gi, r, _run_one_rep(spec, seed, gi, r, means, oracle_vars)
-
-
 # ---------------------------------------------------------------------------
 # The sweep
 
@@ -388,9 +372,6 @@ def run_monte_carlo(spec: SweepSpec, seed: int, jobs: int = 1) -> SweepResult:
     exceeds max_fail_frac are marked aborted and keep NaN statistics; the
     sweep itself always completes."""
     placements: Dict[Tuple[int, int], Tuple[float, ...]] = {}
-    oracle_vars: Dict[Tuple[int, int], Optional[Dict[int, float]]] = {}
-    need_oracle_w = spec.meta_weight_mode == "oracle" and (
-        "meta_ipw" in spec.estimators or "meta_aipw" in spec.estimators)
     for gi, d_kl in enumerate(spec.d_kl_grid):
         # replication r uses placement r % placements; draw only those
         for pi in range(min(spec.placements, spec.replications)):
@@ -398,30 +379,16 @@ def run_monte_carlo(spec: SweepSpec, seed: int, jobs: int = 1) -> SweepResult:
             means = place_site_means(float(d_kl), spec.shift.n_sites,
                                      spec.shift.sigma, spec.shift.mu_target, mrng)
             placements[(gi, pi)] = tuple(float(v) for v in means)
-            if need_oracle_w:
-                vrng = np.random.default_rng((seed, 7000 + gi, pi))
-                oracle_vars[(gi, pi)] = oracle_meta_site_variances(
-                    spec.shift, means, vrng)
-            else:
-                oracle_vars[(gi, pi)] = None
 
-    tasks = []
-    for gi in range(len(spec.d_kl_grid)):
-        for r in range(spec.replications):
-            pi = r % spec.placements
-            tasks.append((spec, seed, gi, r, placements[(gi, pi)],
-                          oracle_vars[(gi, pi)]))
-
-    results: Dict[Tuple[int, int], dict] = {}
+    tasks = [(spec, seed, gi, r, placements[(gi, r % spec.placements)])
+             for gi in range(len(spec.d_kl_grid)) for r in range(spec.replications)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for gi, r, res in pool.map(_rep_task, tasks,
-                                       chunksize=max(1, len(tasks) // (jobs * 8) or 1)):
-                results[(gi, r)] = res
+            outs = list(pool.map(_run_one_rep, *zip(*tasks),
+                                 chunksize=max(1, len(tasks) // (jobs * 8))))
     else:
-        for t in tasks:
-            gi, r, res = _rep_task(t)
-            results[(gi, r)] = res
+        outs = [_run_one_rep(*t) for t in tasks]
+    results = {(t[2], t[3]): res for t, res in zip(tasks, outs)}
 
     cells = {}
     for gi, d_kl in enumerate(spec.d_kl_grid):

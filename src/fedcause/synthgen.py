@@ -8,6 +8,7 @@ selection label routing them to a (site, arm) cell or dropping them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -49,6 +50,10 @@ class ShiftConfig:
     def __post_init__(self):
         for name in ("site_sizes", "prop_coef", "beta1", "beta0"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("mu_target", "sigma", "d_kl", "noise_sd"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real) or not np.isfinite(v):
+                raise ValueError(f"{name} must be a finite number")
         if self.n_sites < 1 or len(self.site_sizes) != self.n_sites:
             raise ValueError("site_sizes must list one positive size per site")
         if any(n <= 0 for n in self.site_sizes) or self.n_target <= 0:

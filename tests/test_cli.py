@@ -208,6 +208,38 @@ def test_estimate_rejects_a_ci_level_outside_the_unit_interval(capsys, data_dir)
         assert captured.err == "error: ci_level must lie in (0, 1)\n", extra
 
 
+def test_estimate_checks_the_ci_level_before_any_fit(capsys, data_dir, monkeypatch):
+    import fedcause.cli as cli
+    real = cli.fit_tilting
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(None)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(cli, "fit_tilting", counted)
+    rc = main(["estimate", "--data", str(data_dir), "--estimator", "clb-aipw",
+               "--federated", "--ci", "1.5"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: ci_level must lie in (0, 1)\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("field,value", [
+    ("sigma", float("inf")), ("noise_sd", float("nan")), ("d_kl", "x"),
+    ("mu_target", float("-inf"))])
+def test_generate_refuses_a_non_finite_config_value(capsys, tmp_path, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number$"):
+        ShiftConfig(**{field: value})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    out = tmp_path / "d"
+    rc = main(["generate", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {field} must be a finite number\n"
+    assert not out.exists()
+
+
 def test_estimate_warns_of_a_site_without_controls(capsys, data_dir, tmp_path):
     clone = tmp_path / "treatedonly"
     clone.mkdir()
@@ -254,6 +286,30 @@ def test_sweep_cli_rejects_an_unknown_config_key(tmp_path, capsys):
     rc = main(["sweep-kl", "--config", str(cfg_path), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1 and "'replication'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("max_fail_frac", -1, "max_fail_frac must lie in [0, 1]"),
+    ("max_fail_frac", 1.5, "max_fail_frac must lie in [0, 1]"),
+    ("replications", 2.5, "replications must be an integer >= 1"),
+    ("placements", 1.5, "placements must be an integer >= 1"),
+    ("folds", 2.5, "folds must be an integer >= 2")])
+def test_sweep_cli_refuses_an_out_of_range_config_value(tmp_path, capsys, field, value,
+                                                        message):
+    obj = SweepSpec(d_kl_grid=(0.0,), replications=2, estimators=("clb_ipw",),
+                    meta_weight_mode="vanilla",
+                    shift=ShiftConfig(site_sizes=(40, 50, 60), n_target=100)).to_json_obj()
+    obj[field] = value
+    with pytest.raises(ValueError) as exc:
+        SweepSpec.from_json_obj(obj)
+    assert str(exc.value) == message
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps(obj))
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep-kl", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

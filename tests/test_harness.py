@@ -153,12 +153,12 @@ SMALL = ShiftConfig(site_sizes=(60, 120, 180), n_target=600)
 # sha256 of the sweep CSV for each nuisance mode on the small design, seed 42;
 # a change to these bytes is a change to the estimates
 SWEEP_SHA256 = {
-    ("oracle", "correct"): "20c899c1e51e86d5f624f24157d18ec5d90d37a38acb056ca2301c35d72b5df5",
-    ("oracle", "wrong"): "11944a3ca161665a88b3dda45e369cc7b93252c5f78d207b51deeb74ef027977",
-    ("tilting", "correct"): "d69d23f9ef74c5fcd05e55a7cdc1d79ee0e6cc3b11a87f42a62bd12bec390bbf",
-    ("tilting", "wrong"): "2bb7b436d3e8177815564f16fd170b47040f69a570b18f41d76273aa466c84d0",
-    ("knn", "correct"): "9dd7f2a63fa1afae1d4d26dc3b93d8d660d1caf1babe3df235cd0a24e66722ce",
-    ("knn", "wrong"): "450efd70be72e9d0b15cc85e5835398405143317c4bb978d98f9214f68f59755",
+    ("oracle", "correct"): "7e3a11181344789d7254ff9c04e4918cc0f11f0699bc16024ffa4d05953d25e3",
+    ("oracle", "wrong"): "1ecc32bdd980bb36522138eb9e8ba9de24c214f614ffe6a0056a02371b7069c5",
+    ("tilting", "correct"): "a42226200b5cd4b92d912e0dc1a0eeda0bd8eed11034980b68944aa324987231",
+    ("tilting", "wrong"): "4cf924b1c4098f7877cb6b1502c2b8b917b788af34d9c42200cb15575e9f8478",
+    ("knn", "correct"): "303da808e610267e7b4937ecca77c9171cd54659735727a378f8bc1a433edfda",
+    ("knn", "wrong"): "3936bf5a8d2cae7e443405d71e22782ee6cf0a2a0469ec9468cdbcc93c378ba6",
 }
 
 
@@ -169,24 +169,6 @@ def test_small_sweep_csv_bytes_are_pinned(tmp_path, mode, spec_kind):
     out = tmp_path / "sweep.csv"
     sweep_kl(spec, seed=42, out_path=out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[(mode, spec_kind)]
-
-
-def test_only_used_placements_get_oracle_weights(monkeypatch):
-    real = harness.oracle_meta_site_variances
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "oracle_meta_site_variances", counted)
-    run_monte_carlo(_tiny_spec(replications=2, placements=4, meta_weight_mode="oracle",
-                               estimators=("meta_ipw",)), seed=3)
-    assert len(calls) == 2 * 2  # dial values x placements in use
-    calls.clear()
-    run_monte_carlo(_tiny_spec(replications=5, placements=4, meta_weight_mode="oracle",
-                               estimators=("meta_ipw",)), seed=3)
-    assert len(calls) == 2 * 4
 
 
 @pytest.mark.parametrize("mode", ["oracle", "tilting", "knn"])
@@ -217,7 +199,7 @@ def test_replication_evaluates_each_score_once_per_unit(monkeypatch, mode):
     monkeypatch.setattr(nuisance, "eval_knn", counted_knn)
     spec = SweepSpec(d_kl_grid=(1.0,), replications=1, nuisance_mode=mode,
                      meta_weight_mode="vanilla", shift=SMALL)
-    out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0), None)
+    out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0))
     assert failed == [0]
     assert all(res[0] != "fail" for res in out["results"].values())
     assert sum(rows) == sum(SMALL.site_sizes) * SMALL.n_sites
@@ -239,54 +221,71 @@ def test_knn_replication_counts_target_neighbours_once_per_unit(monkeypatch, spe
     monkeypatch.setattr(density_ratio, "_sq_dists", counted)
     spec = SweepSpec(d_kl_grid=(1.0,), replications=1, nuisance_mode="knn",
                      ps_spec=spec_kind, meta_weight_mode="vanilla", shift=SMALL)
-    out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0), None)
+    out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0))
     assert all(res[0] != "fail" for res in out["results"].values())
     assert max(SMALL.site_sizes) < SMALL.n_target
     assert sum(target_rows) == sum(SMALL.site_sizes)
 
 
-def _full_array_oracle_variances(shift, means, rng):
-    # the integral with every draw of a site in one array, as before blocking
+def _many_draw_site_variances(shift, means, n_draws, seed, block=200_000):
+    # the defining integral of the asymptotic one-site Hajek variance,
+    # sum_z E_k[pi_z (y_z - mu_z)^2 / e_z^2] / E_k[pi_z / e_z]^2 over the
+    # oracle scores, by Monte Carlo with the outcome noise drawn too. The
+    # draws come from the target law, as E_k[f] = E_target[r_k f]: there the
+    # tilt 1 / r_k is half as steep as 1 / r_k^2 under the site law, and the
+    # estimate is far less noisy
+    p = oracle_shift_propensity(shift, means)
     c = np.asarray(shift.prop_coef, dtype=float)
     b1 = np.asarray(shift.beta1, dtype=float)
     b0 = np.asarray(shift.beta0, dtype=float)
     mu_t = np.full(shift.d, shift.mu_target)
-    mu1 = float(b1 @ mu_t)
-    mu0 = float(b0 @ mu_t)
-    n_pooled = sum(shift.site_sizes)
+    rng = np.random.default_rng(seed)
     out = {}
-    for k, mu_k in enumerate(np.asarray(means, dtype=float), start=1):
-        x = rng.normal(mu_k, shift.sigma, size=(harness.ORACLE_DRAWS, shift.d))
-        p1 = 1.0 / (1.0 + np.exp(x @ c))
-        sr = (shift.site_sizes[k - 1] / n_pooled
-              * oracle_gaussian_ratio(np.full(shift.d, mu_k), mu_t, shift.sigma, x))
-        e1 = sr * p1
-        e0 = sr * (1.0 - p1)
-        V1 = float(np.mean(p1 * (x @ b1 - mu1) ** 2 / e1 ** 2))
-        V0 = float(np.mean((1.0 - p1) * (x @ b0 - mu0) ** 2 / e0 ** 2))
-        D1 = float(np.mean(p1 / e1))
-        D0 = float(np.mean((1.0 - p1) / e0))
+    for k, mu_k in enumerate(means, start=1):
+        sums = np.zeros(4)
+        for _ in range(n_draws // block):
+            x = rng.normal(shift.mu_target, shift.sigma, size=(block, shift.d))
+            r = oracle_gaussian_ratio(np.full(shift.d, mu_k), mu_t, shift.sigma, x)
+            p1 = 1.0 / (1.0 + np.exp(x @ c))
+            e1, e0 = p.eval(k, 1, x), p.eval(k, 0, x)
+            res1, res0 = (x @ b - b @ mu_t + shift.noise_sd * rng.normal(size=block)
+                          for b in (b1, b0))
+            sums += [np.sum(r * p1 * res1 ** 2 / e1 ** 2),
+                     np.sum(r * (1.0 - p1) * res0 ** 2 / e0 ** 2),
+                     np.sum(r * p1 / e1), np.sum(r * (1.0 - p1) / e0)]
+        V1, V0, D1, D0 = sums / n_draws
         out[k] = (V1 / D1 ** 2 + V0 / D0 ** 2) / shift.site_sizes[k - 1]
     return out
 
 
+@pytest.mark.parametrize("d_kl,noise_sd", [(0.0, 0.0), (0.3, 0.0), (0.3, 2.0)])
+def test_oracle_meta_site_variances_match_many_draws(d_kl, noise_sd):
+    # a light-tailed design, where the lognormal factor 1 / pi_z(x) has a
+    # mean that many draws can resolve
+    shift = ShiftConfig(prop_coef=(0.2, 0.05, -0.2), sigma=1.0, d_kl=d_kl,
+                        noise_sd=noise_sd)
+    means = tuple(place_site_means(d_kl, shift.n_sites, shift.sigma, shift.mu_target,
+                                   np.random.default_rng(11)))
+    got = harness.oracle_meta_site_variances(shift, means)
+    ref = _many_draw_site_variances(shift, means, 2_000_000, seed=5)
+    for k in ref:
+        assert got[k] == pytest.approx(ref[k], rel=0.01)
+
+
+def test_oracle_meta_site_variances_scale_as_one_over_site_size_without_shift():
+    # with every site at the target mean, n_k v_k is one number for all sites
+    shift = ShiftConfig()
+    out = harness.oracle_meta_site_variances(shift, (shift.mu_target,) * shift.n_sites)
+    scaled = [out[k] * n for k, n in enumerate(shift.site_sizes, start=1)]
+    assert scaled == pytest.approx([scaled[0]] * shift.n_sites, rel=1e-12)
+    assert scaled[0] == pytest.approx(12526.306, rel=1e-7)
+
+
 def test_oracle_meta_site_variances_are_pinned():
-    out = harness.oracle_meta_site_variances(ShiftConfig(), (0.5, -0.5, 1.0),
-                                             np.random.default_rng(7))
+    out = harness.oracle_meta_site_variances(ShiftConfig(), (0.5, -0.5, 1.0))
     assert {k: float(v).hex() for k, v in out.items()} == {
-        1: "0x1.1da725be089e2p+4", 2: "0x1.602c5cec2403bp+2",
-        3: "0x1.9ef97fd0aa460p+3"}
-
-
-@pytest.mark.parametrize("n_draws", [1000, harness.ORACLE_BLOCK + 1,
-                                     3 * harness.ORACLE_BLOCK])
-def test_blocked_oracle_integral_is_bitwise_the_full_array(monkeypatch, n_draws):
-    monkeypatch.setattr(harness, "ORACLE_DRAWS", n_draws)
-    shift = ShiftConfig(d_kl=2.0)
-    means = (1.3, -0.7, 0.2)
-    got = harness.oracle_meta_site_variances(shift, means, np.random.default_rng(3))
-    ref = _full_array_oracle_variances(shift, means, np.random.default_rng(3))
-    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in ref.items()}
+        1: "0x1.0fb84e9700dd1p+4", 2: "0x1.27e275fe8247bp+3",
+        3: "0x1.d9bf7ed44eb55p+3"}
 
 
 def _rep_inputs(spec, seed, means):
@@ -318,8 +317,9 @@ def test_replication_trains_each_aipw_fold_once(monkeypatch, mode):
                      folds=3, shift=SMALL)
     means = (0.5, -0.5, 1.0)
     site_vars = {1: 0.5, 2: 1.0, 3: 2.0}
+    monkeypatch.setattr(harness, "oracle_meta_site_variances", lambda *a: site_vars)
     calls = _counted_outcome_fits(monkeypatch)
-    out = harness._run_one_rep(spec, 42, 0, 0, means, site_vars)
+    out = harness._run_one_rep(spec, 42, 0, 0, means)
     assert len(calls) == 2 * spec.folds
 
     sites, target, table, include, plan = _rep_inputs(spec, 42, means)
@@ -340,7 +340,7 @@ def test_failed_aipw_fold_training_fails_both_flavours(monkeypatch):
     means = (0.5, -0.5, 1.0)
     calls = _counted_outcome_fits(
         monkeypatch, lambda include: {k: np.zeros_like(m) for k, m in include.items()})
-    out = harness._run_one_rep(spec, 42, 0, 0, means, None)
+    out = harness._run_one_rep(spec, 42, 0, 0, means)
     assert len(calls) == 1
     sites, target, table, include, plan = _rep_inputs(spec, 42, means)
     with pytest.raises(ValueError) as exc:
@@ -353,12 +353,16 @@ def test_failed_aipw_fold_training_fails_both_flavours(monkeypatch):
     assert out["results"]["clb_ipw"][0] != "fail"
 
 
-def test_aipw_combine_error_fails_only_its_flavour():
+def test_aipw_combine_error_fails_only_its_flavour(monkeypatch):
     # infinite oracle variances give the meta combinations all-zero weights
     spec = SweepSpec(d_kl_grid=(1.0,), replications=1, shift=SMALL)
     means = (0.5, -0.5, 1.0)
-    out = harness._run_one_rep(spec, 42, 0, 0, means, {k: np.inf for k in (1, 2, 3)})
-    clean = harness._run_one_rep(spec, 42, 0, 0, means, {k: 1.0 for k in (1, 2, 3)})
+    monkeypatch.setattr(harness, "oracle_meta_site_variances",
+                        lambda *a: {k: np.inf for k in (1, 2, 3)})
+    out = harness._run_one_rep(spec, 42, 0, 0, means)
+    monkeypatch.setattr(harness, "oracle_meta_site_variances",
+                        lambda *a: {k: 1.0 for k in (1, 2, 3)})
+    clean = harness._run_one_rep(spec, 42, 0, 0, means)
     assert out["results"]["meta_aipw"] == ("fail", "correction weights sum to zero")
     assert out["results"]["meta_ipw"][0] == "fail"
     assert out["results"]["clb_aipw"] == clean["results"]["clb_aipw"]

@@ -12,45 +12,39 @@ fitting, an auditable federated message protocol, and a Monte Carlo harness.
 from .core import (EstimateReport, SiteDataset, TargetCovariates,
                    read_sites_csv, read_target_csv, validate_dataset,
                    write_sites_csv, write_target_csv)
-from .density_ratio import (IDENTITY, IDENTITY_PLUS_INTERCEPT, MISSPECIFIED,
-                            FeatureMap, RatioModel, TiltingError, fit_knn,
-                            fit_tilting, oracle_gaussian_ratio)
+from .density_ratio import (IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, FeatureMap,
+                            RatioModel, TiltingError, fit_knn, fit_tilting,
+                            misspecify_features, oracle_gaussian_ratio)
 from .estimators import (AipwInputs, AllSitesExcludedError, Excluded,
                          MetaDeltas, OverlapError, SiteAggregates,
                          aipw_combine, clb_combine, clb_ipw,
                          clb_site_aggregates, decoupled_aipw, meta_combine,
-                         meta_ipw, meta_ipw_site)
+                         meta_ipw)
 from .fedsim import (FedAvgDivergence, FedConfig, MessageLog, PrivacyError,
-                     SiteMessage, audit_messages, centralized_algorithm2,
-                     expected_message_count, replay, run_algorithm1,
-                     run_algorithm2)
+                     audit_messages, expected_message_count, replay,
+                     run_algorithm1, run_algorithm2)
 from .harness import (SweepSpec, ci_grid, oracle_meta_site_variances,
                       oracle_shift_propensity, run_monte_carlo, sweep_kl)
 from .nuisance import (FoldPlan, OutcomeModel, PropensitySet, ScoreTable,
                        assemble_propensity, crossfit_split,
-                       fit_outcome_direct, invert_balancing_model,
-                       score_table, weighted_loss_and_grad,
-                       zero_outcome_model)
-from .synthgen import (SelectConfig, ShiftConfig, check_overlap,
-                       gen_covariate_shift, gen_sampling_selecting,
-                       misspecify_features, place_site_means)
+                       fit_outcome_direct, score_table,
+                       weighted_loss_and_grad, zero_outcome_model)
+from .synthgen import ShiftConfig, gen_covariate_shift, place_site_means
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AipwInputs", "AllSitesExcludedError", "EstimateReport", "Excluded",
-    "FeatureMap", "FedAvgDivergence", "FedConfig", "FoldPlan", "IDENTITY",
+    "FeatureMap", "FedAvgDivergence", "FedConfig", "FoldPlan",
     "IDENTITY_PLUS_INTERCEPT", "MISSPECIFIED", "MessageLog", "MetaDeltas",
     "OutcomeModel", "OverlapError", "PrivacyError", "PropensitySet",
-    "RatioModel", "ScoreTable", "SelectConfig", "ShiftConfig",
-    "SiteAggregates", "SiteDataset", "SiteMessage", "SweepSpec",
-    "TargetCovariates", "TiltingError", "aipw_combine", "assemble_propensity",
-    "audit_messages", "centralized_algorithm2", "check_overlap", "ci_grid",
+    "RatioModel", "ScoreTable", "ShiftConfig", "SiteAggregates",
+    "SiteDataset", "SweepSpec", "TargetCovariates", "TiltingError",
+    "aipw_combine", "assemble_propensity", "audit_messages", "ci_grid",
     "clb_combine", "clb_ipw", "clb_site_aggregates", "crossfit_split",
     "decoupled_aipw", "expected_message_count", "fit_knn",
     "fit_outcome_direct", "fit_tilting", "gen_covariate_shift",
-    "gen_sampling_selecting", "invert_balancing_model", "meta_combine",
-    "meta_ipw", "meta_ipw_site", "misspecify_features",
+    "meta_combine", "meta_ipw", "misspecify_features",
     "oracle_gaussian_ratio", "oracle_meta_site_variances",
     "oracle_shift_propensity", "place_site_means", "read_sites_csv",
     "read_target_csv", "replay", "run_algorithm1", "run_algorithm2",

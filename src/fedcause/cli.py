@@ -13,12 +13,11 @@ import numpy as np
 
 from .core import (read_sites_csv, read_target_csv, validate_dataset,
                    write_sites_csv, write_target_csv)
-from .density_ratio import IDENTITY_PLUS_INTERCEPT, fit_knn, fit_tilting
+from .density_ratio import IDENTITY_PLUS_INTERCEPT
 from .estimators import clb_ipw, decoupled_aipw, meta_ipw
 from .fedsim import FedConfig, run_algorithm1, run_algorithm2
 from .harness import SweepSpec, ci_grid, oracle_shift_propensity, sweep_kl
-from .nuisance import (PropensitySet, assemble_propensity, invert_balancing_model,
-                       score_table)
+from .nuisance import PropensitySet, fit_scores, score_table
 from .synthgen import ShiftConfig, gen_covariate_shift, place_site_means
 
 _EST_IDS = {"meta-ipw": "meta_ipw", "clb-ipw": "clb_ipw",
@@ -84,33 +83,18 @@ def _load_data_dir(path):
 
 
 def _build_scores(args, sites, target, manifest) -> PropensitySet:
+    """Oracle scores from the manifest, or one fitted ratio model per
+    (site, arm); a failed fit is an error that names its site."""
     if args.ratio == "oracle":
         if manifest is None:
             raise RuntimeError("--ratio oracle needs manifest.json in the data dir")
         shift = ShiftConfig(**manifest["config"])
         return oracle_shift_propensity(shift, manifest["site_means"])
-    ratios = {pair: m for pair, m in _fitted_ratio_models(args, sites, target).items()
-              if m is not None}
-    counts = {(s.site_id, arm): int(np.sum(s.z_vec == arm)) for s in sites for arm in (1, 0)}
-    return assemble_propensity(ratios, counts, sum(s.n for s in sites))
-
-
-def _fitted_ratio_models(args, sites, target):
-    """Selection-oriented per-pair ratio models for the federated protocol."""
-    ratios = {}
-    for s in sites:
-        for arm in (1, 0):
-            src = s.x_matrix[s.z_vec == arm]
-            if len(src) == 0:
-                ratios[(s.site_id, arm)] = None
-                continue
-            if args.ratio == "tilting":
-                bal = fit_tilting(src, target.xs, psi=IDENTITY_PLUS_INTERCEPT)
-                ratios[(s.site_id, arm)] = invert_balancing_model(
-                    bal, len(src), target.n)
-            else:
-                ratios[(s.site_id, arm)] = fit_knn(src, target.xs)
-    return ratios
+    p, failed = fit_scores(sites, target, args.ratio, wrong=False)
+    if failed:
+        site_id, _, reason = failed[0]
+        raise RuntimeError(f"site {site_id}: ratio fit failed: {reason}")
+    return p
 
 
 def _cmd_estimate(args) -> int:
@@ -138,7 +122,8 @@ def _cmd_estimate(args) -> int:
             if args.ratio == "oracle":
                 raise RuntimeError("--federated clb-aipw publishes fitted "
                                    "ratio models; use --ratio tilting")
-            ratios = _fitted_ratio_models(args, sites, target)
+            p = _build_scores(args, sites, target, manifest)
+            ratios = {pair: score.ratio for pair, score in p.e.items()}
             cfg = FedConfig(rounds=args.rounds)
             report, log = run_algorithm2(
                 sites, target, ratios, IDENTITY_PLUS_INTERCEPT, cfg=cfg,

@@ -1,10 +1,12 @@
 """Density-ratio estimation between a source sample and target covariates.
 
-Two backends are provided. The parametric backend is an exponential tilt
+Three backends are provided. The parametric backend is an exponential tilt
 exp(psi(x)' gamma) on a feature map, fitted either by moment matching (the
 convex dual, damped Newton) or by logistic discrimination of source against
-target (Newton / IRLS). The nonparametric backend forms a ratio of
-nearest-neighbour counts. An analytic Gaussian oracle supports testing.
+target (Newton / IRLS). The factored backend multiplies such a tilt by a
+logistic arm propensity expit(psi(x)' beta). The nonparametric backend forms
+a ratio of nearest-neighbour counts. An analytic Gaussian oracle supports
+testing.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import numpy as np
 FEATURE_MAP_NAMES = ("identity", "identity_plus_intercept", "misspecified")
 
 
-def _misspec_transform(x: np.ndarray) -> np.ndarray:
-    """Deliberately wrong 3-d feature transform: (x1*x2, x2^2, x3/max(1, x1*x2))."""
+def misspecify_features(x) -> np.ndarray:
+    """Wrong-model covariate transform (x1*x2, x2^2, x3/max(1, x1*x2)) of
+    3-d covariates; other widths raise ValueError."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise ValueError("misspecified transform requires d = 3")
@@ -76,7 +79,7 @@ class FeatureMap:
         elif self.name == "identity_plus_intercept":
             out = _with_constant(x2d)
         else:
-            out = _with_constant(_misspec_transform(x2d))
+            out = _with_constant(misspecify_features(x2d))
         return out[0] if single else out
 
     def design(self, x) -> np.ndarray:
@@ -159,6 +162,8 @@ class RatioModel:
     """A fitted density-ratio function of x.
 
     backend "tilting": eval(x) = exp(psi(x)' gamma), strictly positive.
+    backend "factored": eval(x) = exp(psi(x)' gamma) * expit(psi(x)' beta), a
+    tilt times a logistic arm propensity on the same feature map.
     backend "knn": eval(x) = (n_target/n_source) * M / max(W, 1) where W
     counts target points inside the closed ball reaching x's M-th nearest
     source neighbour.
@@ -167,6 +172,7 @@ class RatioModel:
     backend: str
     gamma: Optional[np.ndarray] = None
     psi: Optional[FeatureMap] = None
+    beta: Optional[np.ndarray] = None
     M: Optional[int] = None
     source_points: Optional[np.ndarray] = None
     target_points: Optional[np.ndarray] = None
@@ -175,7 +181,7 @@ class RatioModel:
     fit_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.backend not in ("tilting", "knn"):
+        if self.backend not in ("tilting", "factored", "knn"):
             raise ValueError(f"unknown backend {self.backend!r}")
 
     def eval(self, x):
@@ -186,29 +192,33 @@ class RatioModel:
         """Returns (values, n_floored); n_floored counts empty-ball probes."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        if self.backend == "tilting":
-            f = np.atleast_2d(self.psi.apply(x))
-            vals = np.exp(f @ self.gamma)
-            return (float(vals[0]) if single else vals), 0
-        vals, n_floored = eval_knn([self], x)
-        return (float(vals[0, 0]) if single else vals[0]), n_floored[0]
+        if self.backend == "knn":
+            vals, n_floored = eval_knn([self], x)
+            return (float(vals[0, 0]) if single else vals[0]), n_floored[0]
+        f = np.atleast_2d(self.psi.apply(x))
+        vals = np.exp(f @ self.gamma)
+        if self.backend == "factored":
+            vals *= expit(f @ self.beta)
+        return (float(vals[0]) if single else vals), 0
 
     def to_json_obj(self) -> dict:
-        if self.backend != "tilting":
+        if self.backend == "knn":
             raise ValueError("knn models embed raw unit records and cannot be published")
-        return {
-            "backend": "tilting",
-            "gamma": [float(v) for v in self.gamma],
-            "psi": self.psi.name,
-        }
+        obj = {"backend": self.backend, "gamma": [float(v) for v in self.gamma]}
+        if self.backend == "factored":
+            obj["beta"] = [float(v) for v in self.beta]
+        obj["psi"] = self.psi.name
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RatioModel":
-        if obj["backend"] != "tilting":
-            raise ValueError("only tilting models are published; knn point sets "
-                             "live outside the schema")
-        return cls(backend="tilting", gamma=np.asarray(obj["gamma"], dtype=float),
-                   psi=FeatureMap(obj["psi"]))
+        if obj["backend"] not in ("tilting", "factored"):
+            raise ValueError("only tilting and factored models are published; knn "
+                             "point sets live outside the schema")
+        factored = obj["backend"] == "factored"
+        return cls(backend=obj["backend"], gamma=np.asarray(obj["gamma"], dtype=float),
+                   psi=FeatureMap(obj["psi"]),
+                   beta=np.asarray(obj["beta"], dtype=float) if factored else None)
 
 
 def _unstandardize(g, mu, sd, has_intercept: bool) -> np.ndarray:
@@ -240,9 +250,8 @@ def fit_tilting(source, target, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT) -> Ra
     moments outside the reachable set, dual unbounded below) reported
     distinctly.
 
-    The returned model reweights source toward target. When the selection-side
-    ratio p_source/p_target is needed instead, invert it (see
-    nuisance.invert_balancing_model).
+    The returned model reweights source toward target: it estimates
+    (n_target/n_source) p_target/p_source, not the selection-side ratio.
     """
     src = np.atleast_2d(np.asarray(source, dtype=float))
     tgt = np.atleast_2d(np.asarray(target, dtype=float))

@@ -426,7 +426,7 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng,
 _AGG_KEYS = {f.name for f in fields(SiteAggregates)} | {"fold"}
 _META_KEYS = {f.name for f in fields(MetaDeltas)} | {"fold"}
 _EXCL_KEYS = {"site_id", "fold", "excluded"}
-_MODEL_KEYS = {"backend", "gamma", "psi"}
+_MODEL_KEYS = {"backend", "gamma", "beta", "psi"}
 # longest array a payload may carry before it looks like unit records
 AUDIT_MAX_LEN = 64
 

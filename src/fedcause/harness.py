@@ -17,15 +17,12 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .core import SiteDataset, TargetCovariates
-from .density_ratio import (IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, FeatureMap,
-                            TiltingError, expit, fit_knn, fit_logistic,
-                            fit_logistic_ratio, oracle_gaussian_ratio)
+from .density_ratio import (IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, TiltingError,
+                            oracle_gaussian_ratio)
 from .estimators import (AllSitesExcludedError, OverlapError, _aipw_fold_inputs,
                          aipw_combine, clb_ipw, meta_ipw)
-from .nuisance import PropensitySet, RatioScore, crossfit_split, score_table
-from .synthgen import (ShiftConfig, gen_covariate_shift, misspecify_features,
-                       place_site_means)
+from .nuisance import PropensitySet, crossfit_split, fit_scores, score_table
+from .synthgen import ShiftConfig, gen_covariate_shift, place_site_means
 
 ESTIMATOR_IDS = ("meta_ipw", "clb_ipw", "meta_aipw", "clb_aipw")
 
@@ -211,59 +208,6 @@ def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float]) -> Di
 # Fitted nuisances with pair-level excision
 
 
-def _fit_factored_scores(sites: Sequence[SiteDataset], target: TargetCovariates,
-                         psi: FeatureMap):
-    """Sampling-selecting scores e(k, z | x) = (n_k / N) r_k(x) pi_k(z | x).
-
-    Per site, two logistic fits on the feature map psi: the site ratio
-    r_k = p_k/p_target by discrimination of the site against the target, and
-    the within-site arm propensity pi_k(1 | x) by the site's own z. When both
-    laws are Gaussian with a shared covariance and arms are assigned
-    logistically, both factors are exactly log-linear in (1, x). A failed fit
-    fails both pairs of its site. Returns (score_fns, failed)."""
-    n_pooled = sum(s.n for s in sites)
-    fns = {}
-    failed = []
-    for s in sites:
-        try:
-            ratio = fit_logistic_ratio(s.x_matrix, target.xs, psi=psi)
-            beta, _ = fit_logistic(s.x_matrix, s.z_vec, psi=psi)
-        except (TiltingError, ValueError) as exc:
-            failed += [(s.site_id, arm, str(exc)) for arm in (1, 0)]
-            continue
-        share = s.n / n_pooled
-        for arm in (1, 0):
-            sign = 1.0 if arm == 1 else -1.0
-            fns[(s.site_id, arm)] = (
-                lambda x, r=ratio, b=sign * beta, sh=share:
-                sh * r.eval(np.atleast_2d(x)) * expit(psi.apply(np.atleast_2d(x)) @ b))
-    return fns, failed
-
-
-def _fit_knn_scores(sites: Sequence[SiteDataset], target: TargetCovariates,
-                    wrong: bool):
-    """Fit one nearest-neighbour selection ratio per (site, arm). Returns
-    (score_fns, failed)."""
-    n_pooled = sum(s.n for s in sites)
-    feat = misspecify_features if wrong else np.atleast_2d
-    tgt_feat = feat(target.xs)
-    fns = {}
-    failed = []
-    for s in sites:
-        for arm in (1, 0):
-            src = s.x_matrix[s.z_vec == arm]
-            if len(src) == 0:
-                failed.append((s.site_id, arm, "empty arm"))
-                continue
-            try:
-                model = fit_knn(feat(src), tgt_feat)
-            except ValueError as exc:
-                failed.append((s.site_id, arm, str(exc)))
-                continue
-            fns[(s.site_id, arm)] = RatioScore(model, len(src) / n_pooled, feat)
-    return fns, failed
-
-
 def _build_nuisance(spec: SweepSpec, sites, target, means):
     """Returns (PropensitySet, include_masks, n_usable, n_failed_pairs). Units
     whose own (site, arm) pair has no usable score model are excised
@@ -272,15 +216,9 @@ def _build_nuisance(spec: SweepSpec, sites, target, means):
         p = oracle_shift_propensity(spec.shift, means)
         include = {s.site_id: np.ones(s.n, dtype=bool) for s in sites}
         return p, include, sum(s.n for s in sites), 0
-    wrong = spec.ps_spec == "wrong"
-    if spec.nuisance_mode == "tilting":
-        fns, failed = _fit_factored_scores(
-            sites, target, MISSPECIFIED if wrong else IDENTITY_PLUS_INTERCEPT)
-    else:
-        fns, failed = _fit_knn_scores(sites, target, wrong)
-    if not fns:
+    p, failed = fit_scores(sites, target, spec.nuisance_mode, spec.ps_spec == "wrong")
+    if not p.e:
         raise OverlapError("every ratio fit failed; no scores available")
-    p = PropensitySet(e=fns)
     dead = {(k, arm) for k, arm, _ in failed}
     include = {}
     for s in sites:
@@ -316,9 +254,15 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
         return out
 
     psi_om = MISSPECIFIED if spec.om_spec == "wrong" else IDENTITY_PLUS_INTERCEPT
+    meta_error = None
     if spec.meta_weight_mode == "oracle":
-        fixed = {k: 1.0 / v for k, v in
-                 oracle_meta_site_variances(spec.shift, means).items()}
+        variances = oracle_meta_site_variances(spec.shift, means)
+        # an infinite variance has the limit weight 0; zero or NaN has none
+        bad = [k for k, v in variances.items() if not v > 0.0]
+        if bad:
+            meta_error = (f"site {bad[0]}: oracle meta variance "
+                          f"{variances[bad[0]]!r} is not positive")
+        fixed = {k: 1.0 / v for k, v in variances.items() if v > 0.0}
         meta_mode, aipw_weights = ("fixed", fixed), fixed
     elif spec.meta_weight_mode == "vanilla":
         meta_mode = ("fixed", {s.site_id: 1.0 for s in sites})
@@ -338,8 +282,10 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
             fold_error = str(exc)
 
     for est in spec.estimators:
-        if fold_error is not None and est.endswith("_aipw"):
-            out["results"][est] = ("fail", fold_error)
+        error = ((meta_error if est.startswith("meta_") else None)
+                 or (fold_error if est.endswith("_aipw") else None))
+        if error is not None:
+            out["results"][est] = ("fail", error)
             continue
         try:
             if est == "meta_ipw":

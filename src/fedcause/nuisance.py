@@ -1,15 +1,19 @@
-"""Propensity assembly, the per-replication score table, cross-fit folds, and
-the inverse-propensity-weighted outcome loss with its analytic gradient."""
+"""Score fitting and assembly, the per-replication score table, cross-fit
+folds, and the inverse-propensity-weighted outcome loss with its analytic
+gradient."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SiteDataset
-from .density_ratio import FeatureMap, RatioModel, eval_knn
+from .core import SiteDataset, TargetCovariates
+from .density_ratio import (IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, FeatureMap,
+                            RatioModel, TiltingError, eval_knn, fit_knn,
+                            fit_logistic, fit_logistic_ratio, misspecify_features)
 
 # near-zero assignment scores are floored here before any division
 SCORE_FLOOR = 1e-12
@@ -64,11 +68,11 @@ def assemble_propensity(ratios: Dict[Tuple[int, int], RatioModel],
     """Turn density-ratio models into selection-arm scores:
     e_hat[(k, z)](x) = r_hat[(k, z)](x) * count(k, z) / n_pooled.
 
-    The ratio models must estimate p(x | selected into (k, z)) / p_target(x);
-    a balancing-oriented tilt fit needs invert_balancing_model first. The
-    drop probability is unobservable and deliberately omitted, so the set is
-    correct only up to one shared positive constant. Pairs absent from
-    ``ratios`` evaluate to zero downstream.
+    The ratio models must estimate p(x | selected into (k, z)) / p_target(x),
+    as those of fit_scores do. The drop probability is unobservable and
+    deliberately omitted, so the set is correct only up to one shared
+    positive constant. Pairs absent from ``ratios`` evaluate to zero
+    downstream.
     """
     if n_pooled <= 0:
         raise ValueError("n_pooled must be positive")
@@ -81,19 +85,64 @@ def assemble_propensity(ratios: Dict[Tuple[int, int], RatioModel],
     return PropensitySet(e=e)
 
 
-def invert_balancing_model(model: RatioModel, n_source: int, n_target: int) -> RatioModel:
-    """Convert a source-to-target balancing tilt into the selection-side ratio
-    p_source/p_target: negate gamma and add log(n_target/n_source) to the
-    intercept. Requires a tilting model whose feature map has an intercept."""
-    if model.backend != "tilting":
-        raise ValueError("only tilting models can be inverted analytically")
-    if not model.psi.has_intercept:
-        raise ValueError("inversion needs an intercept in the feature map")
-    gamma = -np.asarray(model.gamma, dtype=float)
-    gamma[0] += np.log(n_target / n_source)
-    info = dict(model.fit_info)
-    info["inverted"] = True
-    return RatioModel(backend="tilting", gamma=gamma, psi=model.psi, fit_info=info)
+def _factored_models(site: SiteDataset, target: TargetCovariates, psi: FeatureMap,
+                     arms: Dict[int, int]) -> Dict[int, RatioModel]:
+    """p(x | k, z) / p_target(x) = r_k(x) pi_k(z | x) n_k / n_kz for each arm
+    z of site k with n_kz units. r_k comes from logistic discrimination of
+    the site against the target, pi_k from a logistic regression of z within
+    the site; log(n_k / n_kz) is folded into the intercept of r_k. When both
+    laws are Gaussian with a shared covariance and arms are assigned
+    logistically, both factors are exactly log-linear in (1, x). A site with
+    one arm has pi_k = 1, so its model is r_k itself."""
+    ratio = fit_logistic_ratio(site.x_matrix, target.xs, psi=psi)
+    if len(arms) == 1:
+        return {arm: ratio for arm in arms}
+    beta, info = fit_logistic(site.x_matrix, site.z_vec, psi=psi)
+    out = {}
+    for arm, n_arm in arms.items():
+        gamma = ratio.gamma.copy()
+        gamma[0] += math.log(site.n / n_arm)
+        out[arm] = RatioModel(backend="factored", gamma=gamma, psi=psi,
+                              beta=beta if arm == 1 else -beta,
+                              fit_info={"ratio": ratio.fit_info, "arm": info})
+    return out
+
+
+def fit_scores(sites: Sequence[SiteDataset], target: TargetCovariates,
+               backend: str, wrong: bool) -> Tuple[PropensitySet, list]:
+    """Fit one selection-side ratio model per (site, arm) and return
+    (PropensitySet of RatioScores, failed), failed listing (site_id, arm,
+    reason) for each pair whose fit raised.
+
+    backend "tilting" fits the factored model of _factored_models on
+    (1, x), or on the misspecified map when wrong is set; backend "knn" fits
+    a nearest-neighbour ratio per arm, on the misspecified features when
+    wrong is set. Each model estimates p(x | k, z) / p_target(x), so its
+    score share is n_kz / N, as assemble_propensity builds it from published
+    models. An arm without units has no pair; a failed fit fails every arm
+    of its site.
+    """
+    n_pooled = sum(s.n for s in sites)
+    psi = MISSPECIFIED if wrong else IDENTITY_PLUS_INTERCEPT
+    feat = misspecify_features if wrong and backend == "knn" else np.atleast_2d
+    # one target array for every knn model, so score_table shares its pass
+    tgt = feat(target.xs)
+    e, failed = {}, []
+    for s in sites:
+        arms = {arm: int(np.sum(s.z_vec == arm)) for arm in (1, 0)}
+        arms = {arm: n for arm, n in arms.items() if n}
+        try:
+            if backend == "tilting":
+                models = _factored_models(s, target, psi, arms)
+            else:
+                models = {arm: fit_knn(feat(s.x_matrix[s.z_vec == arm]), tgt)
+                          for arm in arms}
+        except (TiltingError, ValueError) as exc:
+            failed += [(s.site_id, arm, str(exc)) for arm in arms]
+            continue
+        for arm, model in models.items():
+            e[(s.site_id, arm)] = RatioScore(model, arms[arm] / n_pooled, feat)
+    return PropensitySet(e=e), failed
 
 
 @dataclass(frozen=True)

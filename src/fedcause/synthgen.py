@@ -15,7 +15,6 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .core import SiteDataset, TargetCovariates
-from .density_ratio import _misspec_transform
 from .nuisance import PropensitySet
 
 
@@ -200,12 +199,6 @@ def gen_sampling_selecting(cfg: SelectConfig, outcome_fns: Tuple[Callable, Calla
                   np.asarray(f(np.atleast_2d(x)), dtype=float).reshape(len(np.atleast_2d(x))))
            for pair in pairs})
     return sites, target, dropped_count, oracle
-
-
-def misspecify_features(x):
-    """Wrong-model covariate transform (x1*x2, x2^2, x3/max(1, x1*x2)) of
-    3-d covariates; other widths raise ValueError."""
-    return _misspec_transform(x)
 
 
 @dataclass

@@ -7,13 +7,8 @@ pass/fail verdicts survive output capturing.
 import numpy as np
 import pytest
 
-from fedcause import (
-    PropensitySet,
-    SelectConfig,
-    SiteDataset,
-    TargetCovariates,
-    gen_sampling_selecting,
-)
+from fedcause import PropensitySet, SiteDataset, TargetCovariates
+from fedcause.synthgen import SelectConfig, gen_sampling_selecting
 
 _CRITERION_LINES = []
 

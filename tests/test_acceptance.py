@@ -16,27 +16,27 @@ from fedcause import (
     Excluded,
     FedConfig,
     OverlapError,
-    IDENTITY,
     IDENTITY_PLUS_INTERCEPT,
     RatioModel,
     ShiftConfig,
     SweepSpec,
     audit_messages,
-    centralized_algorithm2,
-    check_overlap,
     clb_ipw,
     decoupled_aipw,
     fit_knn,
     fit_tilting,
     meta_combine,
     meta_ipw,
-    meta_ipw_site,
     oracle_gaussian_ratio,
     run_algorithm1,
     run_algorithm2,
     run_monte_carlo,
     score_table,
 )
+from fedcause.density_ratio import IDENTITY
+from fedcause.estimators import meta_ipw_site
+from fedcause.fedsim import centralized_algorithm2
+from fedcause.synthgen import check_overlap
 from conftest import (
     brute_knn_ratio,
     draw_disjoint_two_site,

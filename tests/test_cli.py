@@ -13,7 +13,7 @@ from fedcause.cli import main
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
-    # arms need a few hundred units each or moment matching can separate
+    # a small, mildly shifted design keeps these runs quick
     cfg = {"site_sizes": [150, 200, 250], "n_target": 400, "d_kl": 0.5}
     cfg_path = out / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -95,12 +95,45 @@ def test_estimate_federated_aipw_round_trip(capsys, data_dir, tmp_path):
     assert back.var_hat == rep["var_hat"]
 
 
+def test_estimate_fits_a_far_dataset_in_memory_and_federated(capsys, tmp_path):
+    # at heterogeneity 3 a moment-matching tilt per (site, arm) separates on
+    # this dataset; the factored fit per site does not
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"d_kl": 3}))
+    data = tmp_path / "d"
+    assert main(["generate", "--config", str(cfg_path), "--seed", "1",
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    rep = _run_estimate(capsys, data, "--estimator", "clb-ipw", "--ratio", "tilting")
+    assert rep["estimator_name"] == "ClbIPW"
+    log_path = tmp_path / "far.msgs.jsonl"
+    rep = _run_estimate(capsys, data, "--estimator", "clb-aipw", "--ratio", "tilting",
+                        "--federated", "--log", str(log_path))
+    log = MessageLog.load(log_path)
+    assert audit_messages(log) == []
+    assert replay(log).tau_hat == rep["tau_hat"]
+
+
+def test_estimate_names_the_site_of_a_failed_fit(capsys, data_dir, monkeypatch):
+    from fedcause import TiltingError, nuisance
+
+    def fail(*a, **kw):
+        raise TiltingError("separation: forced", separated=True)
+
+    monkeypatch.setattr(nuisance, "fit_logistic_ratio", fail)
+    for extra in (["--estimator", "clb-ipw"], ["--estimator", "clb-aipw", "--federated"]):
+        rc = main(["estimate", "--data", str(data_dir), *extra])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "", extra
+        assert captured.err == "error: site 1: ratio fit failed: separation: forced\n", extra
+
+
 # sha256 of the printed report and of the transcript of one federated
 # clb-aipw run on data_dir; a change to these bytes is a change to the
 # protocol's arithmetic or messages
 FEDERATED_SHA256 = {
-    "report": "cb461b9ef54adc01624ba5638b04fc6eaece287208fb4f57d7a0848aa06721c1",
-    "transcript": "c49617516d0c2f830900676389b22805ff4aa883192a0cc001620d3c8caf633e",
+    "report": "bd5459fa7960177c50503e23cfdf1aee4a3ee82ea3b42a30b45a683de5245954",
+    "transcript": "4df41fd185cecd903cd8adf21babb87e160a8b5e7e15205e574d292d0ebba2b0",
 }
 
 
@@ -164,7 +197,7 @@ def test_estimate_aipw_needs_two_target_rows(capsys, data_dir, tmp_path):
     clone.mkdir()
     for name in ("site_1.csv", "site_2.csv", "site_3.csv"):
         (clone / name).write_bytes((data_dir / name).read_bytes())
-    # keep the row nearest the target mean, so every tilt can match it
+    # keep the row nearest the target mean, so every site ratio fit converges
     header, *rows = (data_dir / "target.csv").read_text().splitlines()
     xs = np.array([[float(v) for v in row.split(",")] for row in rows])
     central = rows[int(np.argmin(np.sum((xs - xs.mean(axis=0)) ** 2, axis=1)))]
@@ -210,14 +243,14 @@ def test_estimate_rejects_a_ci_level_outside_the_unit_interval(capsys, data_dir)
 
 def test_estimate_checks_the_ci_level_before_any_fit(capsys, data_dir, monkeypatch):
     import fedcause.cli as cli
-    real = cli.fit_tilting
+    real = cli.fit_scores
     calls = []
 
     def counted(*a, **kw):
         calls.append(None)
         return real(*a, **kw)
 
-    monkeypatch.setattr(cli, "fit_tilting", counted)
+    monkeypatch.setattr(cli, "fit_scores", counted)
     rc = main(["estimate", "--data", str(data_dir), "--estimator", "clb-aipw",
                "--federated", "--ci", "1.5"])
     assert rc == 1
@@ -314,7 +347,7 @@ def test_sweep_cli_refuses_an_out_of_range_config_value(tmp_path, capsys, field,
 
 
 def test_sweep_cli_reports_excisions(tmp_path, capsys, monkeypatch):
-    from fedcause import TiltingError, harness
+    from fedcause import TiltingError, nuisance
     spec = SweepSpec(d_kl_grid=(1.0,), replications=3, placements=1,
                      estimators=("meta_ipw", "clb_ipw"), nuisance_mode="tilting",
                      meta_weight_mode="vanilla",
@@ -326,7 +359,7 @@ def test_sweep_cli_reports_excisions(tmp_path, capsys, monkeypatch):
     assert main(args) == 0
     assert "excised" not in capsys.readouterr().err
 
-    real = harness.fit_logistic_ratio
+    real = nuisance.fit_logistic_ratio
     calls = []
 
     def fail_first(*a, **kw):
@@ -335,14 +368,14 @@ def test_sweep_cli_reports_excisions(tmp_path, capsys, monkeypatch):
             raise TiltingError("forced", separated=True)
         return real(*a, **kw)
 
-    monkeypatch.setattr(harness, "fit_logistic_ratio", fail_first)
+    monkeypatch.setattr(nuisance, "fit_logistic_ratio", fail_first)
     assert main(args) == 0
     err = capsys.readouterr().err
     assert "d_kl 1: 1 of 3 replications excised units of a failed fit" in err
 
 
 def test_ci_grid_cli_reports_excisions(tmp_path, capsys, monkeypatch):
-    from fedcause import TiltingError, harness
+    from fedcause import TiltingError, nuisance
     spec = SweepSpec(replications=3, placements=1, estimators=("clb_ipw",),
                      nuisance_mode="tilting", meta_weight_mode="vanilla",
                      shift=ShiftConfig(site_sizes=(50, 60, 70), n_target=150))
@@ -353,7 +386,7 @@ def test_ci_grid_cli_reports_excisions(tmp_path, capsys, monkeypatch):
     assert main(args) == 0
     assert "excised" not in capsys.readouterr().err
 
-    real = harness.fit_logistic_ratio
+    real = nuisance.fit_logistic_ratio
     calls = []
 
     def fail_first(*a, **kw):
@@ -362,7 +395,7 @@ def test_ci_grid_cli_reports_excisions(tmp_path, capsys, monkeypatch):
             raise TiltingError("forced", separated=True)
         return real(*a, **kw)
 
-    monkeypatch.setattr(harness, "fit_logistic_ratio", fail_first)
+    monkeypatch.setattr(nuisance, "fit_logistic_ratio", fail_first)
     assert main(args) == 0
     err = capsys.readouterr().err.splitlines()
     assert [ln for ln in err if "excised" in ln] == [

@@ -6,7 +6,6 @@ import pytest
 from scipy import stats
 
 from fedcause import (
-    IDENTITY,
     IDENTITY_PLUS_INTERCEPT,
     MISSPECIFIED,
     RatioModel,
@@ -17,8 +16,8 @@ from fedcause import (
     oracle_gaussian_ratio,
 )
 from fedcause import density_ratio
-from fedcause.density_ratio import (KNN_BLOCK, _sq_dists, eval_knn, expit, fit_logistic,
-                                    fit_logistic_ratio)
+from fedcause.density_ratio import (IDENTITY, KNN_BLOCK, _sq_dists, eval_knn, expit,
+                                    fit_logistic, fit_logistic_ratio)
 from conftest import brute_knn_ratio
 
 

@@ -6,7 +6,6 @@ import pytest
 from fedcause import (
     AipwInputs,
     AllSitesExcludedError,
-    IDENTITY,
     Excluded,
     OutcomeModel,
     OverlapError,
@@ -23,12 +22,13 @@ from fedcause import (
     gen_covariate_shift,
     meta_combine,
     meta_ipw,
-    meta_ipw_site,
     oracle_shift_propensity,
     score_table,
     zero_outcome_model,
 )
-from fedcause.estimators import _aipw_residuals, _aipw_site_terms, gaussian_interval
+from fedcause.density_ratio import IDENTITY
+from fedcause.estimators import (_aipw_residuals, _aipw_site_terms, gaussian_interval,
+                                 meta_ipw_site)
 from conftest import fuzz_dataset, fuzz_scores
 
 

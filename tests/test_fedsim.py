@@ -8,30 +8,27 @@ import pytest
 from fedcause import (
     FedAvgDivergence,
     FedConfig,
-    IDENTITY,
     IDENTITY_PLUS_INTERCEPT,
     MessageLog,
     PrivacyError,
     PropensitySet,
     SiteDataset,
-    SiteMessage,
     TargetCovariates,
     audit_messages,
-    centralized_algorithm2,
     clb_ipw,
     expected_message_count,
     fit_knn,
-    fit_tilting,
     replay,
     run_algorithm1,
     run_algorithm2,
     score_table,
 )
 from fedcause import fedsim
-from fedcause.density_ratio import RatioModel
-from fedcause.fedsim import MESSAGE_KINDS, fedavg_train, suggest_learning_rate
+from fedcause.density_ratio import IDENTITY, RatioModel
+from fedcause.fedsim import (MESSAGE_KINDS, SiteMessage, centralized_algorithm2,
+                             fedavg_train, suggest_learning_rate)
 from fedcause.nuisance import (OutcomeModel, _arm_design, assemble_propensity,
-                               invert_balancing_model, weighted_loss_and_grad)
+                               fit_scores, weighted_loss_and_grad)
 from conftest import fuzz_dataset, fuzz_scores
 
 
@@ -52,14 +49,10 @@ def _const_scores(site_ids, v=0.5):
                             for k in site_ids for z in (0, 1)})
 
 
-def _fitted_ratios(rng, sites, target):
-    ratios = {}
-    for s in sites:
-        for z in (0, 1):
-            src = s.x_matrix[s.z_vec == z]
-            m = fit_tilting(src, target.xs, psi=IDENTITY_PLUS_INTERCEPT)
-            ratios[(s.site_id, z)] = invert_balancing_model(m, len(src), target.n)
-    return ratios
+def _fitted_ratios(sites, target):
+    p, failed = fit_scores(sites, target, "tilting", wrong=False)
+    assert failed == []
+    return {pair: score.ratio for pair, score in p.e.items()}
 
 
 def test_message_count_formula():
@@ -106,7 +99,7 @@ def test_log_jsonl_round_trip(tmp_path, rng):
     rng = np.random.default_rng(3)
     sites = _linear_sites(rng, n_sites=2, n=24)
     target = TargetCovariates(rng.normal(size=(30, 2)))
-    rep, log2 = run_algorithm2(sites, target, _fitted_ratios(rng, sites, target),
+    rep, log2 = run_algorithm2(sites, target, _fitted_ratios(sites, target),
                                psi_om=IDENTITY_PLUS_INTERCEPT, cfg=FedConfig(rounds=3),
                                F=2, rng=np.random.default_rng(0))
     path, path2 = tmp_path / "aipw.msgs.jsonl", tmp_path / "aipw2.msgs.jsonl"
@@ -123,7 +116,7 @@ def test_algorithm2_encodes_each_message_once(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     sites = _linear_sites(rng, n_sites=2, n=24)
     target = TargetCovariates(rng.normal(size=(30, 2)))
-    ratios = _fitted_ratios(rng, sites, target)
+    ratios = _fitted_ratios(sites, target)
     calls = []
     real = json.dumps
 
@@ -143,7 +136,7 @@ def test_algorithm2_transcript_matches_expected_count():
     rng = np.random.default_rng(3)
     sites = _linear_sites(rng, n_sites=2, n=24)
     target = TargetCovariates(rng.normal(size=(30, 2)))
-    ratios = _fitted_ratios(rng, sites, target)
+    ratios = _fitted_ratios(sites, target)
     cfg = FedConfig(rounds=4)
     rep, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
                               cfg=cfg, F=2, rng=np.random.default_rng(0))
@@ -157,7 +150,7 @@ def test_algorithm2_equals_centralized_run():
     rng = np.random.default_rng(4)
     sites = _linear_sites(rng, n_sites=3, n=20)
     target = TargetCovariates(rng.normal(size=(25, 2)))
-    ratios = _fitted_ratios(rng, sites, target)
+    ratios = _fitted_ratios(sites, target)
     cfg = FedConfig(rounds=5)
     rep_f, _ = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
                               cfg=cfg, F=2, rng=np.random.default_rng(11))
@@ -170,7 +163,7 @@ def test_algorithm2_without_training_reduces_to_pooled_ipw():
     rng = np.random.default_rng(5)
     sites = _linear_sites(rng, n_sites=2, n=26)
     target = TargetCovariates(rng.normal(size=(30, 2)))
-    ratios = _fitted_ratios(rng, sites, target)
+    ratios = _fitted_ratios(sites, target)
     rep, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY,
                               train=False, rng=np.random.default_rng(0))
     counts = {(s.site_id, z): int(np.sum(s.z_vec == z)) for s in sites for z in (0, 1)}
@@ -186,7 +179,7 @@ def test_algorithm2_needs_two_target_rows(monkeypatch):
     rng = np.random.default_rng(5)
     sites = _linear_sites(rng, n_sites=2, n=26)
     target = TargetCovariates(rng.normal(size=(30, 2)))
-    ratios = _fitted_ratios(rng, sites, target)
+    ratios = _fitted_ratios(sites, target)
     one_row = TargetCovariates(target.xs[:1])
 
     def no_training(*args, **kwargs):
@@ -257,7 +250,7 @@ def test_algorithm2_evaluates_each_published_score_once_per_unit(monkeypatch):
     rng = np.random.default_rng(13)
     sites = _linear_sites(rng, n_sites=2, n=30)
     target = TargetCovariates(rng.normal(size=(40, 2)))
-    ratios = _fitted_ratios(rng, sites, target)
+    ratios = _fitted_ratios(sites, target)
     rows = []
     real = RatioModel.eval
 
@@ -269,6 +262,26 @@ def test_algorithm2_evaluates_each_published_score_once_per_unit(monkeypatch):
     run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
                    cfg=FedConfig(rounds=4), F=2, rng=np.random.default_rng(14))
     assert sum(rows) == sum(s.n for s in sites) * len(sites)
+
+
+def test_factored_models_round_trip_exactly_and_audit_clean():
+    import json
+    rng = np.random.default_rng(21)
+    sites = _linear_sites(rng, n_sites=2, n=30)
+    target = TargetCovariates(rng.normal(size=(40, 2)))
+    ratios = _fitted_ratios(sites, target)
+    for m in ratios.values():
+        assert m.backend == "factored"
+        back = RatioModel.from_json_obj(json.loads(json.dumps(m.to_json_obj())))
+        assert back.psi == m.psi
+        assert np.array_equal(back.gamma, m.gamma) and np.array_equal(back.beta, m.beta)
+        assert np.array_equal(back.eval(target.xs), m.eval(target.xs))
+    _, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
+                            cfg=FedConfig(rounds=2), F=2, rng=np.random.default_rng(0))
+    assert audit_messages(log) == []
+    for msg in log.by_kind("publish_ratio_model"):
+        for slot in ("model1", "model0"):
+            assert list(msg.payload[slot]) == ["backend", "gamma", "beta", "psi"]
 
 
 def _reference_fedavg(sites, table, psi, cfg, include):

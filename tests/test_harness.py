@@ -130,7 +130,7 @@ def test_failed_fit_is_counted_as_an_excision(monkeypatch, tmp_path):
     clean = run_monte_carlo(spec, seed=12)
     assert all(c.n_excised == 0 for c in clean.cells.values())
 
-    real = harness.fit_logistic_ratio
+    real = nuisance.fit_logistic_ratio
     calls = []
 
     def fail_first(*args, **kwargs):
@@ -139,7 +139,7 @@ def test_failed_fit_is_counted_as_an_excision(monkeypatch, tmp_path):
             raise TiltingError("forced", separated=True)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "fit_logistic_ratio", fail_first)
+    monkeypatch.setattr(nuisance, "fit_logistic_ratio", fail_first)
     out = tmp_path / "sweep.csv"
     forced = sweep_kl(spec, seed=12, out_path=out)
     for est in spec.estimators:
@@ -155,8 +155,8 @@ SMALL = ShiftConfig(site_sizes=(60, 120, 180), n_target=600)
 SWEEP_SHA256 = {
     ("oracle", "correct"): "7e3a11181344789d7254ff9c04e4918cc0f11f0699bc16024ffa4d05953d25e3",
     ("oracle", "wrong"): "1ecc32bdd980bb36522138eb9e8ba9de24c214f614ffe6a0056a02371b7069c5",
-    ("tilting", "correct"): "a42226200b5cd4b92d912e0dc1a0eeda0bd8eed11034980b68944aa324987231",
-    ("tilting", "wrong"): "4cf924b1c4098f7877cb6b1502c2b8b917b788af34d9c42200cb15575e9f8478",
+    ("tilting", "correct"): "82004d743b247aabcec6f70647cb59fef7046f4097e4ce70bc63f5526db59fa1",
+    ("tilting", "wrong"): "9540f71993259fb7be6188a5475821407d89d044bc5fcf87dc277f17c89c2d57",
     ("knn", "correct"): "303da808e610267e7b4937ecca77c9171cd54659735727a378f8bc1a433edfda",
     ("knn", "wrong"): "3936bf5a8d2cae7e443405d71e22782ee6cf0a2a0469ec9468cdbcc93c378ba6",
 }
@@ -351,6 +351,22 @@ def test_failed_aipw_fold_training_fails_both_flavours(monkeypatch):
     assert out["results"]["clb_aipw"] == ("fail", str(exc.value))
     assert out["results"]["meta_ipw"][0] != "fail"
     assert out["results"]["clb_ipw"][0] != "fail"
+
+
+def test_zero_oracle_meta_variance_fails_only_the_meta_cells():
+    # outcomes without signal or noise have zero variance at every site
+    spec = SweepSpec(d_kl_grid=(1.0,), replications=2,
+                     shift=ShiftConfig(beta1=(0, 0, 0), beta0=(0, 0, 0), noise_sd=0))
+    res = run_monte_carlo(spec, seed=42)
+    for est in ("meta_ipw", "meta_aipw"):
+        cell = res.cells[(1.0, est)]
+        assert cell.aborted and cell.n_fail == 2
+    for est in ("clb_ipw", "clb_aipw"):
+        cell = res.cells[(1.0, est)]
+        assert not cell.aborted and cell.n_fail == 0
+    out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0))
+    reason = "site 1: oracle meta variance 0.0 is not positive"
+    assert out["results"]["meta_ipw"] == out["results"]["meta_aipw"] == ("fail", reason)
 
 
 def test_aipw_combine_error_fails_only_its_flavour(monkeypatch):

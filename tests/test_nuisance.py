@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fedcause import (
-    IDENTITY,
     IDENTITY_PLUS_INTERCEPT,
     OutcomeModel,
     PropensitySet,
@@ -13,16 +12,15 @@ from fedcause import (
     assemble_propensity,
     crossfit_split,
     fit_outcome_direct,
-    fit_tilting,
     gen_covariate_shift,
-    invert_balancing_model,
     oracle_shift_propensity,
     score_table,
     weighted_loss_and_grad,
     zero_outcome_model,
 )
-from fedcause.density_ratio import RatioModel
-from fedcause.nuisance import FoldPlan
+from fedcause.density_ratio import (IDENTITY, RatioModel, expit, fit_logistic,
+                                    fit_logistic_ratio)
+from fedcause.nuisance import FoldPlan, fit_scores
 
 
 def test_assemble_uniform_ratio_reduces_to_count_share():
@@ -47,16 +45,38 @@ def test_assemble_rejects_empty_pool():
         assemble_propensity({(1, 1): m}, {(1, 1): 5}, n_pooled=0)
 
 
-def test_inverted_model_is_exact_reciprocal_up_to_count_ratio():
-    rng = np.random.default_rng(31)
-    src = rng.normal(1.0, 1.0, size=(800, 2))
-    tgt = rng.normal(0.0, 1.0, size=(1200, 2))
-    fwd = fit_tilting(src, tgt, psi=IDENTITY_PLUS_INTERCEPT)
-    inv = invert_balancing_model(fwd, n_source=800, n_target=1200)
-    xs = rng.normal(size=(50, 2))
-    prod = fwd.eval(xs) * inv.eval(xs)
-    assert np.allclose(prod, 1200.0 / 800.0, rtol=1e-10)
-    assert inv.fit_info.get("inverted") is True
+def test_factored_score_is_site_share_times_ratio_times_arm_propensity():
+    shift = ShiftConfig(site_sizes=(150, 200, 250), n_target=400, d_kl=3.0)
+    sites, target, _ = gen_covariate_shift(shift, np.random.default_rng(5))
+    p, failed = fit_scores(sites, target, "tilting", wrong=False)
+    assert failed == []
+    n_pooled = sum(s.n for s in sites)
+    x = target.xs[:200]
+    eta_x = IDENTITY_PLUS_INTERCEPT.apply(x)
+    for s in sites:
+        r = fit_logistic_ratio(s.x_matrix, target.xs).eval(x)
+        beta, _ = fit_logistic(s.x_matrix, s.z_vec)
+        for z, sign in ((1, 1.0), (0, -1.0)):
+            assert p.e[(s.site_id, z)].ratio.backend == "factored"
+            want = (s.n / n_pooled) * r * expit(sign * (eta_x @ beta))
+            np.testing.assert_allclose(p.eval(s.site_id, z, x), want, rtol=1e-12, atol=0)
+
+
+def test_a_site_with_one_arm_scores_by_its_site_ratio():
+    shift = ShiftConfig(site_sizes=(150, 200, 250), n_target=400, d_kl=1.0)
+    sites, target, _ = gen_covariate_shift(shift, np.random.default_rng(6))
+    s = sites[1]
+    treated = SiteDataset.from_arrays(s.site_id, s.x_matrix[s.z_vec == 1],
+                                      np.ones(int(np.sum(s.z_vec == 1)), dtype=int),
+                                      s.y_vec[s.z_vec == 1])
+    sites[1] = treated
+    p, failed = fit_scores(sites, target, "tilting", wrong=False)
+    assert failed == [] and (s.site_id, 0) not in p.e
+    score = p.e[(s.site_id, 1)]
+    ratio = fit_logistic_ratio(treated.x_matrix, target.xs)
+    assert score.ratio.backend == "tilting"
+    assert np.array_equal(score.ratio.gamma, ratio.gamma)
+    assert score.share == treated.n / sum(t.n for t in sites)
 
 
 def test_pooled_score_examples():

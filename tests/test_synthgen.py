@@ -8,12 +8,12 @@ from fedcause import (
     PropensitySet,
     ShiftConfig,
     SiteDataset,
-    check_overlap,
     gen_covariate_shift,
     misspecify_features,
     place_site_means,
     score_table,
 )
+from fedcause.synthgen import SelectConfig, check_overlap, gen_sampling_selecting
 from conftest import draw_smooth_two_site, smooth_two_site_config
 
 
@@ -130,7 +130,6 @@ def test_sampling_selecting_outcomes_match_realized_arm():
 
 def test_sampling_selecting_oracle_pooled_score_identity():
     cfg = smooth_two_site_config(1000)
-    from fedcause import gen_sampling_selecting
     from conftest import SMOOTH_Y0, SMOOTH_Y1
     sites, target, _, oracle = gen_sampling_selecting(
         cfg, (SMOOTH_Y1, SMOOTH_Y0), np.random.default_rng(12))
@@ -143,7 +142,6 @@ def test_sampling_selecting_oracle_pooled_score_identity():
 
 
 def test_sampling_selecting_probe_rejects_broken_config():
-    from fedcause import SelectConfig
     cfg = smooth_two_site_config(100)
     selection = dict(cfg.selection)
     selection[(3, 1)] = lambda xs: np.full(len(xs), 0.2)

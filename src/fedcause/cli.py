@@ -34,6 +34,13 @@ def _cmd_generate(args) -> int:
     rng = np.random.default_rng(args.seed)
     means = place_site_means(cfg.d_kl, cfg.n_sites, cfg.sigma, cfg.mu_target, rng)
     sites, target, true_tau = gen_covariate_shift(cfg, rng, means=means)
+    # `estimate` loads every site_*.csv, so one this run does not write
+    # would be pooled against this run's manifest
+    ours = {f"site_{s.site_id}.csv" for s in sites}
+    for f in sorted(glob.glob(os.path.join(glob.escape(args.out), "site_*.csv"))):
+        if os.path.basename(f) not in ours:
+            raise RuntimeError(f"{f} is not a site file of this run; remove it or "
+                               "choose another --out")
     os.makedirs(args.out, exist_ok=True)
     for s in sites:
         write_sites_csv([s], os.path.join(args.out, f"site_{s.site_id}.csv"))
@@ -62,7 +69,7 @@ def _cmd_generate(args) -> int:
 
 
 def _load_data_dir(path):
-    site_files = sorted(glob.glob(os.path.join(path, "site_*.csv")))
+    site_files = sorted(glob.glob(os.path.join(glob.escape(path), "site_*.csv")))
     sites = []
     if site_files:
         for f in site_files:
@@ -89,6 +96,11 @@ def _build_scores(args, sites, target, manifest) -> PropensitySet:
         if manifest is None:
             raise RuntimeError("--ratio oracle needs manifest.json in the data dir")
         shift = ShiftConfig(**manifest["config"])
+        described = (shift.n_sites, list(shift.site_sizes), shift.n_target)
+        loaded = (len(sites), [s.n for s in sites], target.n)
+        if described != loaded:
+            raise RuntimeError(f"manifest.json describes n_sites, site_sizes, n_target "
+                               f"{described} but the data dir holds {loaded}")
         return oracle_shift_propensity(shift, manifest["site_means"])
     p, failed = fit_scores(sites, target, args.ratio, wrong=False)
     if failed:

@@ -7,7 +7,6 @@ workers.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -19,10 +18,8 @@ ESTIMATOR_NAMES = ("MetaIPW", "ClbIPW", "MetaAIPW", "ClbAIPW")
 
 # 17 significant digits round-trips any finite float64 exactly
 _FLOAT_FMT = "%.17g"
-
-
-def _fmt(v) -> str:
-    return _FLOAT_FMT % float(v)
+# rows formatted per `%` operation; a block's text stays near 100 KB
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -188,15 +185,29 @@ def validate_dataset(sites: Sequence[SiteDataset], target: TargetCovariates) -> 
 # CSV interchange. Dataset header: site_id,z,y,x1,...,xd  Target header: x1,...,xd
 
 
+def _csv_line(fields) -> str:
+    # what csv.writer emits for fields that need no quoting
+    return ",".join(fields) + "\r\n"
+
+
+def _write_rows(fh, row: str, columns) -> None:
+    """Rows of the `row` format, one `%` per block of _CHUNK_ROWS rows. Each
+    block goes through object dtype, so every value reaches `%` as its own
+    Python scalar: an int column is never rounded through float64."""
+    for a in range(0, len(columns[0]), _CHUNK_ROWS):
+        block = np.column_stack([c[a:a + _CHUNK_ROWS].astype(object) for c in columns])
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_sites_csv(sites: Sequence[SiteDataset], path) -> None:
+    if not sites:
+        raise ValueError("no sites to write")
     d = sites[0].d
+    row = _csv_line(["%d", "%d"] + [_FLOAT_FMT] * (d + 1))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["site_id", "z", "y"] + [f"x{j + 1}" for j in range(d)])
+        fh.write(_csv_line(["site_id", "z", "y"] + [f"x{j + 1}" for j in range(d)]))
         for s in sites:
-            x, zv, yv = s.x_matrix, s.z_vec, s.y_vec
-            for i in range(s.n):
-                w.writerow([s.site_id, int(zv[i]), _fmt(yv[i])] + [_fmt(v) for v in x[i]])
+            _write_rows(fh, row, [np.full(s.n, s.site_id), s.z_vec, s.y_vec, s.x_matrix])
 
 
 def _read_body(fh, dtype, ndmin: int) -> np.ndarray:
@@ -225,13 +236,14 @@ def read_sites_csv(path) -> list:
 
 def write_target_csv(target: TargetCovariates, path) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{j + 1}" for j in range(target.d)])
-        for row in target.xs:
-            w.writerow([_fmt(v) for v in row])
+        fh.write(_csv_line([f"x{j + 1}" for j in range(target.d)]))
+        _write_rows(fh, _csv_line([_FLOAT_FMT] * target.d), [target.xs])
 
 
 def read_target_csv(path) -> TargetCovariates:
     with open(path) as fh:
-        fh.readline()
-        return TargetCovariates(xs=_read_body(fh, float, 2))
+        d = len(fh.readline().split(","))
+        xs = _read_body(fh, float, 2)
+    if len(xs) and xs.shape[1] != d:
+        raise ValueError(f"{path}: header names {d} columns but rows hold {xs.shape[1]}")
+    return TargetCovariates(xs=xs)

@@ -46,6 +46,48 @@ def test_generate_same_seed_same_bytes(tmp_path, data_dir):
         assert (tmp_path / "again" / name).read_bytes() == (data_dir / name).read_bytes()
 
 
+# sha256 of every file `generate` writes for a small design at seed 3; a
+# change to these bytes is a change to the dataset format or the generator
+GENERATE_SHA256 = {
+    "manifest.json": "32b7fc6db7c6df8bb7fa73f1a22ef3a30588da4e55ceea25e28a3c91206f82f9",
+    "site_1.csv": "0ec453652147523e0348d35dbe3cd04982a12fc8d3e56d14f4ccccfabcde4bcc",
+    "site_2.csv": "83b6e8d1b9b2e00c91077a930f460a4b280fbc4412dec0f1d2865f0c0b493ac7",
+    "target.csv": "cb99868c6bdec51b1ebb7e38021888a093d286e28e77ef403b445377857d6169",
+}
+
+
+def test_generate_bytes_are_pinned(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_sites": 2, "site_sizes": [7, 5], "n_target": 6,
+                                    "d_kl": 0.5}))
+    out = tmp_path / "d"
+    assert main(["generate", "--config", str(cfg_path), "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == GENERATE_SHA256
+
+
+def _generate_sites(tmp_path, n_sites, out):
+    cfg_path = tmp_path / f"cfg{n_sites}.json"
+    cfg_path.write_text(json.dumps({"n_sites": n_sites, "site_sizes": [100] * n_sites,
+                                    "n_target": 300}))
+    return main(["generate", "--config", str(cfg_path), "--out", str(out)])
+
+
+def test_generate_refuses_to_leave_stale_site_files(capsys, tmp_path):
+    out = tmp_path / "d"
+    assert _generate_sites(tmp_path, 5, out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert _generate_sites(tmp_path, 3, out) == 1
+    assert capsys.readouterr().err == (f"error: {out / 'site_4.csv'} is not a site file "
+                                       "of this run; remove it or choose another --out\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # rewriting the same names in place still works
+    assert _generate_sites(tmp_path, 5, out) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def _run_estimate(capsys, data_dir, *extra):
     rc = main(["estimate", "--data", str(data_dir), *extra])
     out = capsys.readouterr().out
@@ -228,6 +270,31 @@ def test_estimate_oracle_needs_manifest(capsys, data_dir, tmp_path):
                "--ratio", "oracle"])
     err = capsys.readouterr().err
     assert rc == 1 and "manifest" in err
+
+
+@pytest.mark.parametrize("edit", ["drop_site_3", "site_sizes", "n_target"])
+def test_estimate_oracle_checks_the_manifest_against_the_data(capsys, data_dir,
+                                                              tmp_path, edit):
+    clone = tmp_path / "mismatch"
+    clone.mkdir()
+    for name in ("site_1.csv", "site_2.csv", "site_3.csv", "target.csv"):
+        if not (edit == "drop_site_3" and name == "site_3.csv"):
+            (clone / name).write_bytes((data_dir / name).read_bytes())
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    if edit == "site_sizes":
+        manifest["config"]["site_sizes"] = [150, 250, 200]
+    elif edit == "n_target":
+        manifest["config"]["n_target"] = 401
+    (clone / "manifest.json").write_text(json.dumps(manifest))
+    rc = main(["estimate", "--data", str(clone), "--estimator", "clb-ipw",
+               "--ratio", "oracle"])
+    captured = capsys.readouterr()
+    loaded = {"drop_site_3": "(2, [150, 200], 400)", "site_sizes": "(3, [150, 200, 250], 400)",
+              "n_target": "(3, [150, 200, 250], 400)"}[edit]
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: manifest.json describes n_sites, site_sizes, "
+                                   "n_target (")
+    assert captured.err.endswith(f" but the data dir holds {loaded}\n")
 
 
 def test_estimate_rejects_a_ci_level_outside_the_unit_interval(capsys, data_dir):

@@ -1,7 +1,11 @@
 """Data model, validation report and CSV round-trip."""
+import csv
+import io
+
 import numpy as np
 import pytest
 
+from fedcause import core
 from fedcause import (
     EstimateReport,
     SiteDataset,
@@ -95,6 +99,76 @@ def test_csv_blank_lines_are_ignored(tmp_path, rng):
         assert np.array_equal(a.z_vec, b.z_vec)
         assert np.array_equal(a.y_vec, b.y_vec)
     assert np.array_equal(read_target_csv(tmp_path / "blank_t.csv").xs, target.xs)
+
+
+def _reference_sites_csv(sites) -> bytes:
+    # one csv.writer row per unit and one %.17g per value: the byte format
+    # the block writers must reproduce
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["site_id", "z", "y"] + [f"x{j + 1}" for j in range(sites[0].d)])
+    for s in sites:
+        for i in range(s.n):
+            w.writerow([s.site_id, int(s.z_vec[i]), "%.17g" % float(s.y_vec[i])]
+                       + ["%.17g" % float(v) for v in s.x_matrix[i]])
+    return buf.getvalue().encode()
+
+
+def _reference_target_csv(target) -> bytes:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow([f"x{j + 1}" for j in range(target.d)])
+    for row in target.xs:
+        w.writerow(["%.17g" % float(v) for v in row])
+    return buf.getvalue().encode()
+
+
+_AWKWARD = [-0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 3.0, -12.0,
+            2.0 ** 53, 0.1, 1 / 3, np.nan, np.inf, -np.inf, 2.5e-310]
+
+
+def _awkward(rng, shape) -> np.ndarray:
+    # random mantissas over a wide range of exponents, led by edge values
+    vals = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    flat = vals.reshape(-1)
+    flat[:len(_AWKWARD)] = _AWKWARD[:len(flat)]
+    return vals
+
+
+@pytest.mark.parametrize("sizes,d", [
+    ((1,), 1), ((1,), 5), ((3, 4), 5), ((2, 7), 1),
+    ((2 * core._CHUNK_ROWS + 3,), 3), ((core._CHUNK_ROWS, 5, core._CHUNK_ROWS + 1), 2)])
+def test_sites_csv_bytes_match_the_per_value_writer(tmp_path, rng, sizes, d):
+    sites = []
+    for k, n in enumerate(sizes, start=1):
+        z = rng.integers(0, 2, size=n)
+        z[0] = 2 ** 62 + 1  # an arm no float64 can hold; only the writer sees it
+        sites.append(SiteDataset.from_arrays(2 ** 53 + k, _awkward(rng, (n, d)), z,
+                                             _awkward(rng, n)[::-1]))
+    write_sites_csv(sites, tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == _reference_sites_csv(sites)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 5), (6, 5), (7, 1),
+                                 (2 * core._CHUNK_ROWS + 3, 3)])
+def test_target_csv_bytes_match_the_per_value_writer(tmp_path, rng, n, d):
+    target = TargetCovariates(_awkward(rng, (n, d)))
+    write_target_csv(target, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == _reference_target_csv(target)
+
+
+def test_write_sites_csv_needs_a_site(tmp_path):
+    with pytest.raises(ValueError, match="^no sites to write$"):
+        write_sites_csv([], tmp_path / "s.csv")
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["x1,x2\n1,2,3\n4,5,6\n", "x1,x2,x3\n1,2\n"])
+def test_target_csv_header_must_match_the_row_width(tmp_path, text):
+    path = tmp_path / "target.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="target.csv"):
+        read_target_csv(path)
 
 
 def test_header_only_target_is_reported_empty(tmp_path, rng):

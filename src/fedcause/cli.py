@@ -104,8 +104,8 @@ def _build_scores(args, sites, target, manifest) -> PropensitySet:
         return oracle_shift_propensity(shift, manifest["site_means"])
     p, failed = fit_scores(sites, target, args.ratio, wrong=False)
     if failed:
-        site_id, _, reason = failed[0]
-        raise RuntimeError(f"site {site_id}: ratio fit failed: {reason}")
+        site_id = min(failed)
+        raise RuntimeError(f"site {site_id}: ratio fit failed: {failed[site_id]}")
     return p
 
 

@@ -203,6 +203,10 @@ def write_sites_csv(sites: Sequence[SiteDataset], path) -> None:
     if not sites:
         raise ValueError("no sites to write")
     d = sites[0].d
+    for s in sites:
+        if s.d != d:
+            raise ValueError(f"site {s.site_id} has {s.d} covariates; "
+                             f"site {sites[0].site_id} has {d}")
     row = _csv_line(["%d", "%d"] + [_FLOAT_FMT] * (d + 1))
     with open(path, "w", newline="") as fh:
         fh.write(_csv_line(["site_id", "z", "y"] + [f"x{j + 1}" for j in range(d)]))

@@ -220,13 +220,12 @@ def meta_ipw(sites: Sequence[SiteDataset], table: ScoreTable,
 
 
 def _clb_aggregate_arrays(site: SiteDataset, y: np.ndarray, table: ScoreTable,
-                          include: Optional[np.ndarray]) -> SiteAggregates:
+                          keep: Optional[np.ndarray]) -> SiteAggregates:
     agg = SiteAggregates(site_id=site.site_id)
     z = site.z_vec
-    keep = np.ones(len(z), dtype=bool) if include is None else np.asarray(include, dtype=bool)
     pooled = table.pooled(site.site_id)
     for arm in (1, 0):
-        mask = (z == arm) & keep
+        mask = z == arm if keep is None else (z == arm) & keep
         if not np.any(mask):
             continue
         s = pooled[mask]
@@ -247,29 +246,26 @@ def _clb_aggregate_arrays(site: SiteDataset, y: np.ndarray, table: ScoreTable,
     return agg
 
 
-def clb_site_aggregates(site: SiteDataset, table: ScoreTable,
-                        include: Optional[np.ndarray] = None) -> SiteAggregates:
+def clb_site_aggregates(site: SiteDataset, table: ScoreTable) -> SiteAggregates:
     """One site's contribution to the pooled Hajek sums: G = sum y / score
     and N = sum 1 / score per arm, pooled scores in the denominator.
     A site missing an arm still contributes valid sums for the other arm.
     """
-    return _clb_aggregate_arrays(site, site.y_vec, table, include)
+    return _clb_aggregate_arrays(site, site.y_vec, table, None)
 
 
-def clb_combine(aggs: Sequence[SiteAggregates], n_pooled: Optional[int] = None,
-                ci_level: float = 0.95) -> EstimateReport:
+def clb_combine(aggs: Sequence[SiteAggregates], ci_level: float = 0.95) -> EstimateReport:
     """Server-side combination: mu_hat_z = sum_k G_z / sum_k N_z, tau their
     difference. The plug-in variance is the self-normalized Hajek form
     var_hat = n_pooled * (V1 / N1_hat^2 + V0 / N0_hat^2) with V the centred
-    squared-weight sums, n_effective = n_pooled; the unobservable drop share
-    cancels throughout. Sums run in ascending site order, fixed for bitwise
-    reproducibility.
+    squared-weight sums, n_pooled the units the aggregates cover and
+    n_effective = n_pooled; the unobservable drop share cancels throughout.
+    Sums run in ascending site order, fixed for bitwise reproducibility.
     """
     aggs = sorted(aggs, key=lambda a: a.site_id)
     if not aggs:
         raise ValueError("no site aggregates to combine")
-    if n_pooled is None:
-        n_pooled = sum(a.n_units for a in aggs)
+    n_pooled = sum(a.n_units for a in aggs)
     if n_pooled <= 0:
         raise ValueError("n_pooled must be positive")
     N1 = sum(a.N1 for a in aggs)
@@ -294,12 +290,9 @@ def clb_combine(aggs: Sequence[SiteAggregates], n_pooled: Optional[int] = None,
                           ci_lo=lo, ci_hi=hi, per_site_diagnostics=diagnostics)
 
 
-def clb_ipw(sites: Sequence[SiteDataset], table: ScoreTable, ci_level: float = 0.95,
-            include: Optional[Dict[int, np.ndarray]] = None,
-            n_pooled: Optional[int] = None) -> EstimateReport:
-    aggs = [clb_site_aggregates(s, table, None if include is None else include.get(s.site_id))
-            for s in sorted(sites, key=lambda t: t.site_id)]
-    return clb_combine(aggs, n_pooled=n_pooled, ci_level=ci_level)
+def clb_ipw(sites: Sequence[SiteDataset], table: ScoreTable,
+            ci_level: float = 0.95) -> EstimateReport:
+    return clb_combine([clb_site_aggregates(s, table) for s in sites], ci_level=ci_level)
 
 
 # ---------------------------------------------------------------------------
@@ -315,25 +308,25 @@ def _aipw_residuals(site: SiteDataset, m1: OutcomeModel, m0: OutcomeModel) -> np
 
 
 def _aipw_site_terms(site: SiteDataset, resid: np.ndarray, table: ScoreTable,
-                     flavor: str, include: Optional[np.ndarray]):
-    """One site's residualized IPW terms (resid from _aipw_residuals, outcome
-    models from the complementary fold): for flavor "clb" SiteAggregates under
-    pooled scores; for "meta" MetaDeltas, the per-arm Hajek residual means under
-    the site's own scores, or Excluded when an arm or its score is missing."""
+                     flavor: str, keep: Optional[np.ndarray]):
+    """One site's residualized IPW terms over the units keep marks, all when
+    None (resid from _aipw_residuals, outcome models from the complementary
+    fold): for flavor "clb" SiteAggregates under pooled scores; for "meta"
+    MetaDeltas, the per-arm Hajek residual means under the site's own scores,
+    or Excluded when an arm or its score is missing."""
     if flavor == "clb":
-        return _clb_aggregate_arrays(site, resid, table, include)
+        return _clb_aggregate_arrays(site, resid, table, keep)
     if flavor != "meta":
         raise ValueError(f"unknown flavor {flavor!r}")
 
     z = site.z_vec
-    keep = np.ones(len(z), dtype=bool) if include is None else np.asarray(include, dtype=bool)
     if not (table.has(site.site_id, 1) and table.has(site.site_id, 0)):
         return Excluded("missing arm score model")
     own = table.own(site.site_id)
     out = {}
     n_units = 0
     for arm in (1, 0):
-        mask = (z == arm) & keep
+        mask = z == arm if keep is None else (z == arm) & keep
         if not np.any(mask):
             return Excluded(f"no arm-{arm} units")
         s = own[mask]
@@ -425,27 +418,23 @@ def aipw_combine(inputs, flavor: str = "clb",
 
 def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
                     table: ScoreTable, fold_plan: FoldPlan, train: Callable,
-                    flavors: Sequence[str], include: Optional[Dict[int, np.ndarray]]):
+                    flavors: Sequence[str]):
     """The cross-fit fold loop of decoupled AIPW, shared by the in-memory and
     the message-passing paths. ``train(train_include, f)`` returns the fold's
-    (treated, control) outcome models, fitted on the complement of fold f;
-    ``include`` masks units out of both training and corrections. Each fold
-    trains once and residualizes each site once, whatever the flavours.
-    Yields, per fold, (f, target_mean_term, target_var, corrections) where
-    corrections maps each of ``flavors`` to one _aipw_site_terms result per
-    site, in the order of ``sites``.
+    (treated, control) outcome models, fitted on the complement of fold f.
+    The plan may cover more sites than ``sites``; only these train and
+    correct. Each fold trains once and residualizes each site once, whatever
+    the flavours. Yields, per fold, (f, target_mean_term, target_var,
+    corrections) where corrections maps each of ``flavors`` to one
+    _aipw_site_terms result per site, in the order of ``sites``.
     """
     if target.n < 2:
         raise ValueError("the target-term variance needs at least 2 target rows")
-    base = {s.site_id: (np.ones(s.n, dtype=bool) if include is None or s.site_id not in include
-                        else np.asarray(include[s.site_id], dtype=bool))
-            for s in sites}
     for f in range(fold_plan.F):
-        m1, m0 = train({s.site_id: base[s.site_id] & fold_plan.train_mask(s.site_id, f)
-                        for s in sites}, f)
+        m1, m0 = train({s.site_id: fold_plan.train_mask(s.site_id, f) for s in sites}, f)
         diff = np.atleast_1d(m1.predict(target.xs)) - np.atleast_1d(m0.predict(target.xs))
         resids = [_aipw_residuals(s, m1, m0) for s in sites]
-        keeps = [base[s.site_id] & fold_plan.eval_mask(s.site_id, f) for s in sites]
+        keeps = [fold_plan.eval_mask(s.site_id, f) for s in sites]
         corrections = {fl: [_aipw_site_terms(s, r, table, fl, keep)
                             for s, r, keep in zip(sites, resids, keeps)]
                        for fl in flavors}
@@ -454,14 +443,12 @@ def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
 
 def _aipw_fold_inputs(sites: Sequence[SiteDataset], target: TargetCovariates,
                       table: ScoreTable, psi_om: FeatureMap, flavors: Sequence[str],
-                      include: Optional[Dict[int, np.ndarray]],
                       fold_plan: FoldPlan) -> Dict[str, List[AipwInputs]]:
     """Per-fold AipwInputs of each requested flavour from one cross-fit pass:
     the outcome models of a fold are an exact weighted least-squares solve of
     the score-weighted loss on its complement, trained once for all flavours."""
     sites = sorted(sites, key=lambda s: s.site_id)
-    n_pooled = sum(s.n if include is None or s.site_id not in include
-                   else int(np.count_nonzero(include[s.site_id])) for s in sites)
+    n_pooled = sum(s.n for s in sites)
     if n_pooled <= 0:
         raise ValueError("no usable source units")
 
@@ -471,7 +458,7 @@ def _aipw_fold_inputs(sites: Sequence[SiteDataset], target: TargetCovariates,
 
     inputs = {fl: [] for fl in flavors}
     for f, mean, var, corrections in _crossfit_folds(sites, target, table, fold_plan,
-                                                     fit, flavors, include):
+                                                     fit, flavors):
         for fl in flavors:
             inputs[fl].append(AipwInputs(
                 target_mean_term=mean, target_sq_term=var, n_target=target.n,
@@ -484,18 +471,16 @@ def decoupled_aipw(sites: Sequence[SiteDataset], target: TargetCovariates,
                    table: ScoreTable, psi_om: FeatureMap, flavor: str = "clb",
                    F: int = 2, rng=None,
                    weights: Optional[Dict[int, float]] = None,
-                   include: Optional[Dict[int, np.ndarray]] = None,
                    ci_level: float = 0.95,
                    fold_plan: Optional[FoldPlan] = None) -> EstimateReport:
     """Cross-fitted decoupled AIPW, centralized reference implementation.
 
     Outcome models train on the complement of each fold (an exact weighted
     least-squares solve of the score-weighted loss) and correct only
-    that fold's units; the target-mean term is recomputed per fold. ``include``
-    masks units out of both training and corrections.
+    that fold's units; the target-mean term is recomputed per fold.
     """
     sites = sorted(sites, key=lambda s: s.site_id)
     if fold_plan is None:
         fold_plan = crossfit_split(sites, F, rng)
-    inputs = _aipw_fold_inputs(sites, target, table, psi_om, (flavor,), include, fold_plan)
+    inputs = _aipw_fold_inputs(sites, target, table, psi_om, (flavor,), fold_plan)
     return aipw_combine(inputs[flavor], flavor=flavor, weights=weights, ci_level=ci_level)

@@ -29,8 +29,8 @@ from .estimators import (AipwInputs, Excluded, MetaDeltas, SiteAggregates,
                          _crossfit_folds, aipw_combine, clb_combine,
                          clb_site_aggregates)
 from .nuisance import (FoldPlan, OutcomeModel, ScoreTable, _arm_design,
-                       assemble_propensity, crossfit_split, score_table,
-                       zero_outcome_model)
+                       _loss_and_grad, assemble_propensity, crossfit_split,
+                       score_table, zero_outcome_model)
 
 MESSAGE_KINDS = ("publish_ratio_model", "aggregates", "model_params",
                  "gradient_update", "target_mean_term")
@@ -152,9 +152,9 @@ def _site_local_update(arms: dict, payload: dict, lr: float) -> dict:
         th0 = np.asarray(payload[f"theta{arm}"], dtype=float)
         th, n_used, mean_loss = th0, len(w), 0.0
         if n_used:
-            resid = y - design @ th0
-            mean_loss = float(np.sum(w * resid ** 2)) / n_used
-            th = th0 - (lr / n_used) * (-2.0 * design.T @ (w * resid))
+            loss, grad = _loss_and_grad(design, y, w, th0)
+            mean_loss = loss / n_used
+            th = th0 - (lr / n_used) * grad
         out[f"delta{arm}"] = [float(v) for v in (th - th0)]
         out[f"n{arm}"] = n_used
         out[f"loss{arm}"] = float(mean_loss)
@@ -404,7 +404,7 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng,
             return zeros
 
     for f, mean, var, corrections in _crossfit_folds(sites, target, table, fold_plan,
-                                                     fit, (flavor,), None):
+                                                     fit, (flavor,)):
         log.post(SiteMessage("server", "target_mean_term", f,
                              {"fold": f, "value": mean, "target_var": var,
                               "n_target": int(target.n)}), wire)

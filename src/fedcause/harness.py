@@ -108,9 +108,9 @@ class SweepSpec:
 class CellStats:
     """Replication summary for one (d_kl, estimator) cell. mse equals
     bias^2 + var by construction; var uses the population normalizer.
-    n_excised counts replications in which at least one (site, arm) pair had
-    no usable fitted score, so its units were excised; it is not a sweep CSV
-    column."""
+    n_excised counts replications in which at least one site's score fit
+    failed, so that site was dropped from every estimator; it is not a sweep
+    CSV column."""
 
     mse: float = math.nan
     bias: float = math.nan
@@ -205,32 +205,18 @@ def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float]) -> Di
 
 
 # ---------------------------------------------------------------------------
-# Fitted nuisances with pair-level excision
+# Fitted nuisances; a site whose fit fails is dropped
 
 
 def _build_nuisance(spec: SweepSpec, sites, target, means):
-    """Returns (PropensitySet, include_masks, n_usable, n_failed_pairs). Units
-    whose own (site, arm) pair has no usable score model are excised
-    everywhere."""
+    """Returns (PropensitySet, live_sites, failed): the sites whose scores are
+    usable, and fit_scores' {site_id: reason} for the dropped ones."""
     if spec.nuisance_mode == "oracle":
-        p = oracle_shift_propensity(spec.shift, means)
-        include = {s.site_id: np.ones(s.n, dtype=bool) for s in sites}
-        return p, include, sum(s.n for s in sites), 0
+        return oracle_shift_propensity(spec.shift, means), sites, {}
     p, failed = fit_scores(sites, target, spec.nuisance_mode, spec.ps_spec == "wrong")
     if not p.e:
         raise OverlapError("every ratio fit failed; no scores available")
-    dead = {(k, arm) for k, arm, _ in failed}
-    include = {}
-    for s in sites:
-        mask = np.ones(s.n, dtype=bool)
-        for arm in (1, 0):
-            if (s.site_id, arm) in dead:
-                mask &= s.z_vec != arm
-        include[s.site_id] = mask
-    n_usable = int(sum(np.sum(m) for m in include.values()))
-    if n_usable == 0:
-        raise OverlapError("excision removed every unit")
-    return p, include, n_usable, len(failed)
+    return p, [s for s in sites if s.site_id not in failed], failed
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +230,9 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
                                                   means=np.asarray(means))
     out = {"true_tau": true_tau, "results": {}, "excised": False}
     try:
-        p, include, n_usable, n_failed = _build_nuisance(spec, sites, target, means)
-        out["excised"] = n_failed > 0
-        table = score_table(sites, p)
+        p, live, failed = _build_nuisance(spec, sites, target, means)
+        out["excised"] = bool(failed)
+        table = score_table(live, p)
     except (OverlapError, TiltingError, ValueError) as exc:
         out["excised"] = True
         for est in spec.estimators:
@@ -274,10 +260,10 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
     flavors = tuple(est[:-len("_aipw")] for est in spec.estimators if est.endswith("_aipw"))
     fold_error = None
     if flavors:
+        # drawn over every site, so the stream does not depend on which fits failed
         fold_plan = crossfit_split(sites, spec.folds, rng)
         try:
-            aipw_inputs = _aipw_fold_inputs(sites, target, table, psi_om, flavors,
-                                            include, fold_plan)
+            aipw_inputs = _aipw_fold_inputs(live, target, table, psi_om, flavors, fold_plan)
         except (OverlapError, AllSitesExcludedError, TiltingError, ValueError) as exc:
             fold_error = str(exc)
 
@@ -289,10 +275,9 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
             continue
         try:
             if est == "meta_ipw":
-                rep_out = meta_ipw(sites, table, mode=meta_mode, ci_level=spec.ci_level)
+                rep_out = meta_ipw(live, table, mode=meta_mode, ci_level=spec.ci_level)
             elif est == "clb_ipw":
-                rep_out = clb_ipw(sites, table, ci_level=spec.ci_level,
-                                  include=include, n_pooled=n_usable)
+                rep_out = clb_ipw(live, table, ci_level=spec.ci_level)
             else:
                 flavor = est[:-len("_aipw")]
                 rep_out = aipw_combine(
@@ -317,6 +302,8 @@ def run_monte_carlo(spec: SweepSpec, seed: int, jobs: int = 1) -> SweepResult:
     """Run the full (d_kl x estimator) grid. Cells whose failure share
     exceeds max_fail_frac are marked aborted and keep NaN statistics; the
     sweep itself always completes."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     placements: Dict[Tuple[int, int], Tuple[float, ...]] = {}
     for gi, d_kl in enumerate(spec.d_kl_grid):
         # replication r uses placement r % placements; draw only those

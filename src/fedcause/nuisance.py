@@ -109,25 +109,25 @@ def _factored_models(site: SiteDataset, target: TargetCovariates, psi: FeatureMa
 
 
 def fit_scores(sites: Sequence[SiteDataset], target: TargetCovariates,
-               backend: str, wrong: bool) -> Tuple[PropensitySet, list]:
+               backend: str, wrong: bool) -> Tuple[PropensitySet, Dict[int, str]]:
     """Fit one selection-side ratio model per (site, arm) and return
-    (PropensitySet of RatioScores, failed), failed listing (site_id, arm,
-    reason) for each pair whose fit raised.
+    (PropensitySet of RatioScores, failed), failed mapping the id of each
+    site whose fit raised to the reason. A failed fit fails every arm of its
+    site, so that site has no pair in the set.
 
     backend "tilting" fits the factored model of _factored_models on
     (1, x), or on the misspecified map when wrong is set; backend "knn" fits
     a nearest-neighbour ratio per arm, on the misspecified features when
     wrong is set. Each model estimates p(x | k, z) / p_target(x), so its
     score share is n_kz / N, as assemble_propensity builds it from published
-    models. An arm without units has no pair; a failed fit fails every arm
-    of its site.
+    models. An arm without units has no pair.
     """
     n_pooled = sum(s.n for s in sites)
     psi = MISSPECIFIED if wrong else IDENTITY_PLUS_INTERCEPT
     feat = misspecify_features if wrong and backend == "knn" else np.atleast_2d
     # one target array for every knn model, so score_table shares its pass
     tgt = feat(target.xs)
-    e, failed = {}, []
+    e, failed = {}, {}
     for s in sites:
         arms = {arm: int(np.sum(s.z_vec == arm)) for arm in (1, 0)}
         arms = {arm: n for arm, n in arms.items() if n}
@@ -138,7 +138,7 @@ def fit_scores(sites: Sequence[SiteDataset], target: TargetCovariates,
                 models = {arm: fit_knn(feat(s.x_matrix[s.z_vec == arm]), tgt)
                           for arm in arms}
         except (TiltingError, ValueError) as exc:
-            failed += [(s.site_id, arm, str(exc)) for arm in arms]
+            failed[s.site_id] = str(exc)
             continue
         for arm, model in models.items():
             e[(s.site_id, arm)] = RatioScore(model, arms[arm] / n_pooled, feat)
@@ -299,6 +299,12 @@ def _arm_design(site: SiteDataset, table: ScoreTable, psi: FeatureMap, arm: int,
     return np.atleast_2d(psi.design(x)), y, w, n_excluded
 
 
+def _loss_and_grad(design: np.ndarray, y: np.ndarray, w: np.ndarray, theta: np.ndarray):
+    """sum w (y - design theta)^2 and its gradient in theta, on a non-empty arm."""
+    resid = y - design @ theta
+    return float(np.sum(w * resid ** 2)), -2.0 * design.T @ (w * resid)
+
+
 def weighted_loss_and_grad(m: OutcomeModel, site: SiteDataset, table: ScoreTable,
                            include: Optional[np.ndarray] = None):
     """Squared loss on one site's arm-matching units, each term divided by the
@@ -310,10 +316,7 @@ def weighted_loss_and_grad(m: OutcomeModel, site: SiteDataset, table: ScoreTable
     design, y, w, n_excluded = _arm_design(site, table, m.psi, m.arm, include)
     if len(w) == 0:
         return 0.0, np.zeros(len(m.theta)), n_excluded
-    resid = y - design @ m.theta
-    loss = float(np.sum(w * resid ** 2))
-    grad = -2.0 * design.T @ (w * resid)
-    return loss, grad, n_excluded
+    return (*_loss_and_grad(design, y, w, m.theta), n_excluded)
 
 
 def fit_outcome_direct(sites: Sequence[SiteDataset], arm: int, psi: FeatureMap,

@@ -413,6 +413,23 @@ def test_sweep_cli_refuses_an_out_of_range_config_value(tmp_path, capsys, field,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,jobs", [("sweep-kl", "0"), ("ci-grid", "-4")])
+def test_sweep_cli_refuses_fewer_than_one_job(tmp_path, capsys, monkeypatch, command, jobs):
+    from fedcause import harness
+    spec = SweepSpec(d_kl_grid=(0.0,), replications=2, estimators=("clb_ipw",),
+                     meta_weight_mode="vanilla",
+                     shift=ShiftConfig(site_sizes=(40, 50, 60), n_target=100))
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps(spec.to_json_obj()))
+    reps = []
+    monkeypatch.setattr(harness, "_run_one_rep", lambda *a: reps.append(a))
+    out = tmp_path / "sweep.csv"
+    rc = main([command, "--config", str(cfg_path), "--jobs", jobs, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+    assert reps == [] and not out.exists()
+
+
 def test_sweep_cli_reports_excisions(tmp_path, capsys, monkeypatch):
     from fedcause import TiltingError, nuisance
     spec = SweepSpec(d_kl_grid=(1.0,), replications=3, placements=1,

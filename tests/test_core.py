@@ -163,6 +163,14 @@ def test_write_sites_csv_needs_a_site(tmp_path):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_write_sites_csv_refuses_sites_of_different_dimension(tmp_path, rng):
+    sites = _random_sites(rng, n_sites=2, d=3) + _random_sites(rng, n_sites=1, d=2)
+    sites[2] = SiteDataset.from_arrays(3, sites[2].x_matrix, sites[2].z_vec, sites[2].y_vec)
+    with pytest.raises(ValueError, match="^site 3 has 2 covariates; site 1 has 3$"):
+        write_sites_csv(sites, tmp_path / "s.csv")
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("text", ["x1,x2\n1,2,3\n4,5,6\n", "x1,x2,x3\n1,2\n"])
 def test_target_csv_header_must_match_the_row_width(tmp_path, text):
     path = tmp_path / "target.csv"

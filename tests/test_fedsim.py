@@ -51,7 +51,7 @@ def _const_scores(site_ids, v=0.5):
 
 def _fitted_ratios(sites, target):
     p, failed = fit_scores(sites, target, "tilting", wrong=False)
-    assert failed == []
+    assert failed == {}
     return {pair: score.ratio for pair, score in p.e.items()}
 
 
@@ -169,7 +169,7 @@ def test_algorithm2_without_training_reduces_to_pooled_ipw():
     counts = {(s.site_id, z): int(np.sum(s.z_vec == z)) for s in sites for z in (0, 1)}
     p = score_table(sites, assemble_propensity(ratios, counts,
                                                n_pooled=sum(counts.values())))
-    direct = clb_ipw(sites, p, n_pooled=sum(counts.values()))
+    direct = clb_ipw(sites, p)
     assert rep.tau_hat == direct.tau_hat
     assert rep.var_hat >= 0.0
 

@@ -115,8 +115,8 @@ def test_factored_tilting_scores_track_the_oracle():
     means = place_site_means(shift.d_kl, shift.n_sites, shift.sigma, shift.mu_target, rng)
     sites, target, _ = gen_covariate_shift(shift, rng, means=means)
     spec = SweepSpec(d_kl_grid=(3.0,), nuisance_mode="tilting", shift=shift)
-    fitted, _, n_usable, n_failed = _build_nuisance(spec, sites, target, means)
-    assert n_failed == 0 and n_usable == sum(s.n for s in sites)
+    fitted, live, failed = _build_nuisance(spec, sites, target, means)
+    assert failed == {} and [s.site_id for s in live] == [s.site_id for s in sites]
     oracle = oracle_shift_propensity(shift, means)
     probes = target.xs[:5000]
     for k, z in sorted(oracle.e):
@@ -171,6 +171,39 @@ def test_small_sweep_csv_bytes_are_pinned(tmp_path, mode, spec_kind):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[(mode, spec_kind)]
 
 
+# sha256 of the small tilting sweep's CSV (seed 42, oracle meta weights, 3
+# folds), followed by each cell's mean interval half-width, which the CSV
+# omits, when one site's fit is forced to fail: call 2 of the site ratio fits
+# (site 2, first replication at d_kl 1) or call 5 of the arm fits (site 2,
+# second replication at d_kl 1); that site drops out of every estimator
+EXCISED_SWEEP_SHA256 = {
+    "fit_logistic_ratio": "1603df30ee087d6bf8f572985180c762cfa9af7c0e76c3c6ba91120b218b4eb7",
+    "fit_logistic": "9eedca96ca9fdbe67fa1dc1a5665ef317b501fbf80910de193c7c127d88f6e09",
+}
+
+
+@pytest.mark.parametrize("target,call", [("fit_logistic_ratio", 2), ("fit_logistic", 5)])
+def test_excised_site_sweep_csv_bytes_are_pinned(monkeypatch, tmp_path, target, call):
+    real = getattr(nuisance, target)
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise TiltingError("forced", separated=True)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nuisance, target, fail_once)
+    spec = SweepSpec(d_kl_grid=(1.0, 3.0), replications=2, nuisance_mode="tilting",
+                     folds=3, shift=SMALL)
+    out = tmp_path / "sweep.csv"
+    res = sweep_kl(spec, seed=42, out_path=out)
+    assert [res.cells[(d, "clb_ipw")].n_excised for d in (1.0, 3.0)] == [1, 0]
+    widths = "".join(f"{c.mean_half_width!r}\n" for c in res.cells.values())
+    digest = hashlib.sha256(out.read_bytes() + widths.encode()).hexdigest()
+    assert digest == EXCISED_SWEEP_SHA256[target]
+
+
 @pytest.mark.parametrize("mode", ["oracle", "tilting", "knn"])
 def test_replication_evaluates_each_score_once_per_unit(monkeypatch, mode):
     # a score row is one unit under one site's model: score_table evaluates
@@ -190,9 +223,9 @@ def test_replication_evaluates_each_score_once_per_unit(monkeypatch, mode):
         return real_knn(models, x)
 
     def counted(*args):
-        p, include, n_usable, n_failed = real(*args)
-        failed.append(n_failed)
-        return p, include, n_usable, n_failed
+        p, live, site_failures = real(*args)
+        failed.append(site_failures)
+        return p, live, site_failures
 
     monkeypatch.setattr(harness, "_build_nuisance", counted)
     monkeypatch.setattr(nuisance.PropensitySet, "eval", counted_eval)
@@ -200,7 +233,7 @@ def test_replication_evaluates_each_score_once_per_unit(monkeypatch, mode):
     spec = SweepSpec(d_kl_grid=(1.0,), replications=1, nuisance_mode=mode,
                      meta_weight_mode="vanilla", shift=SMALL)
     out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0))
-    assert failed == [0]
+    assert failed == [{}]
     assert all(res[0] != "fail" for res in out["results"].values())
     assert sum(rows) == sum(SMALL.site_sizes) * SMALL.n_sites
 
@@ -292,9 +325,9 @@ def _rep_inputs(spec, seed, means):
     # what _run_one_rep builds before its estimators run
     rng = np.random.default_rng((seed, 0, 0))
     sites, target, _ = gen_covariate_shift(spec.shift, rng, means=np.asarray(means))
-    p, include, _, _ = _build_nuisance(spec, sites, target, means)
-    table = nuisance.score_table(sites, p)
-    return sites, target, table, include, nuisance.crossfit_split(sites, spec.folds, rng)
+    p, live, _ = _build_nuisance(spec, sites, target, means)
+    table = nuisance.score_table(live, p)
+    return live, target, table, nuisance.crossfit_split(sites, spec.folds, rng)
 
 
 def _counted_outcome_fits(monkeypatch, wrap=None):
@@ -322,12 +355,12 @@ def test_replication_trains_each_aipw_fold_once(monkeypatch, mode):
     out = harness._run_one_rep(spec, 42, 0, 0, means)
     assert len(calls) == 2 * spec.folds
 
-    sites, target, table, include, plan = _rep_inputs(spec, 42, means)
+    sites, target, table, plan = _rep_inputs(spec, 42, means)
     weights = {k: 1.0 / v for k, v in site_vars.items()}
     for flavor in ("meta", "clb"):
         ref = decoupled_aipw(sites, target, table, IDENTITY_PLUS_INTERCEPT, flavor=flavor,
                              weights=weights if flavor == "meta" else None,
-                             include=include, fold_plan=plan)
+                             fold_plan=plan)
         entry = out["results"][f"{flavor}_aipw"]
         assert entry[:3] == (ref.tau_hat, ref.var_hat / ref.n_effective,
                              0.5 * (ref.ci_hi - ref.ci_lo))
@@ -342,10 +375,9 @@ def test_failed_aipw_fold_training_fails_both_flavours(monkeypatch):
         monkeypatch, lambda include: {k: np.zeros_like(m) for k, m in include.items()})
     out = harness._run_one_rep(spec, 42, 0, 0, means)
     assert len(calls) == 1
-    sites, target, table, include, plan = _rep_inputs(spec, 42, means)
+    sites, target, table, plan = _rep_inputs(spec, 42, means)
     with pytest.raises(ValueError) as exc:
-        decoupled_aipw(sites, target, table, IDENTITY_PLUS_INTERCEPT, include=include,
-                       fold_plan=plan)
+        decoupled_aipw(sites, target, table, IDENTITY_PLUS_INTERCEPT, fold_plan=plan)
     assert str(exc.value) == "no usable units to fit the arm-1 outcome model"
     assert out["results"]["meta_aipw"] == ("fail", str(exc.value))
     assert out["results"]["clb_aipw"] == ("fail", str(exc.value))

@@ -49,7 +49,7 @@ def test_factored_score_is_site_share_times_ratio_times_arm_propensity():
     shift = ShiftConfig(site_sizes=(150, 200, 250), n_target=400, d_kl=3.0)
     sites, target, _ = gen_covariate_shift(shift, np.random.default_rng(5))
     p, failed = fit_scores(sites, target, "tilting", wrong=False)
-    assert failed == []
+    assert failed == {}
     n_pooled = sum(s.n for s in sites)
     x = target.xs[:200]
     eta_x = IDENTITY_PLUS_INTERCEPT.apply(x)
@@ -71,7 +71,7 @@ def test_a_site_with_one_arm_scores_by_its_site_ratio():
                                       s.y_vec[s.z_vec == 1])
     sites[1] = treated
     p, failed = fit_scores(sites, target, "tilting", wrong=False)
-    assert failed == [] and (s.site_id, 0) not in p.e
+    assert failed == {} and (s.site_id, 0) not in p.e
     score = p.e[(s.site_id, 1)]
     ratio = fit_logistic_ratio(treated.x_matrix, target.xs)
     assert score.ratio.backend == "tilting"

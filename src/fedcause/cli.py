@@ -168,10 +168,10 @@ def _load_sweep_spec(path) -> SweepSpec:
 
 
 def _report_excisions(label: str, cell) -> None:
-    """One stderr line for a sweep cell whose replications excised units."""
+    """One stderr line for a sweep cell whose replications dropped a site."""
     if cell.n_excised:
-        print(f"{label}: {cell.n_excised} of {cell.n_reps} replications excised "
-              "units of a failed fit", file=sys.stderr)
+        print(f"{label}: {cell.n_excised} of {cell.n_reps} replications dropped "
+              "a site whose score fit failed", file=sys.stderr)
 
 
 def _cmd_sweep_kl(args) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -363,66 +363,151 @@ LOGISTIC_TOL = 1e-10
 LOGISTIC_MAX_ITER = 100
 
 
-def fit_logistic(x, labels, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT):
-    """Maximum-likelihood logistic regression P(label = 1 | x) = expit(psi(x)' beta).
+class LogisticBlock(NamedTuple):
+    """One party's rows in a logistic fit: its psi-features standardized by
+    the fit's map and stored one feature per row, (p, n), with their column
+    means and centred sums of squares."""
 
-    Solved by Newton's method (iteratively reweighted least squares) on the
-    negative log-likelihood, with step halving until it does not increase.
-    It stops for one of three reasons:
+    features: np.ndarray
+    mean: np.ndarray
+    m2: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.features.shape[1]
+
+
+@dataclass(frozen=True)
+class LogisticScale:
+    """The affine map a logistic fit works in: (psi(x) - mu) / sd with the
+    intercept column held at 1, or psi(x) / sd when psi has no intercept.
+    One party announces it from its own features and every party applies it
+    to its own rows, so a party's block is built once for all its fits."""
+
+    psi: FeatureMap
+    mu: np.ndarray
+    sd: np.ndarray
+
+    @classmethod
+    def announce(cls, psi: FeatureMap, x) -> Tuple["LogisticScale", LogisticBlock]:
+        """The map set by the feature means and sds of x, and x's block."""
+        f = _feature_rows(psi, x)
+        mean = f.mean(axis=1)
+        sd = np.sqrt(np.mean((f - mean[:, None]) ** 2, axis=1))
+        sd[sd == 0] = 1.0
+        scale = cls(psi, mean if psi.has_intercept else np.zeros(len(mean)), sd)
+        return scale, scale._standardize(f)
+
+    def block(self, x) -> LogisticBlock:
+        """The block of x under this map."""
+        return self._standardize(_feature_rows(self.psi, x))
+
+    def _standardize(self, f: np.ndarray) -> LogisticBlock:
+        """The block of the feature rows f, standardized in place."""
+        f -= self.mu[:, None]
+        f /= self.sd[:, None]
+        if self.psi.has_intercept:
+            f[0] = 1.0
+        mean = f.mean(axis=1)
+        return LogisticBlock(f, mean, ((f - mean[:, None]) ** 2).sum(axis=1))
+
+
+def _feature_rows(psi: FeatureMap, x) -> np.ndarray:
+    """A new (p, n) array of psi(x), one feature per row."""
+    return np.array(psi.apply(np.atleast_2d(np.asarray(x, dtype=float))).T, order="C")
+
+
+def _pooled_scale(blocks: Sequence[LogisticBlock], has_icpt: bool) -> np.ndarray:
+    """T with T @ b the coefficients b in the features standardized by the
+    pooled column means and sds of every block's rows. The pooled moments
+    combine the blocks' own (Chan, Golub and LeVeque, 1979)."""
+    n = np.array([blk.n for blk in blocks], dtype=float)
+    means = np.array([blk.mean for blk in blocks])
+    mean = n @ means / n.sum()
+    m2 = sum(blk.m2 for blk in blocks) + n @ (means - mean) ** 2
+    s = np.sqrt(m2 / n.sum())
+    s[s == 0] = 1.0
+    T = np.diag(s)
+    if has_icpt:
+        T[0, 0] = 1.0
+        T[0, 1:] = mean[1:]
+    return T
+
+
+def fit_logistic_blocks(blocks, scale: LogisticScale):
+    """Maximum-likelihood logistic regression over row blocks:
+    P(label = 1 | x) = expit(psi(x)' beta) on the rows of every block.
+
+    ``blocks`` is a sequence of (LogisticBlock, labels), each block built
+    with ``scale``; labels is an array of 0/1 per row, or one 0/1 label for
+    the whole block. Each Newton evaluation sums the blocks' negative
+    log-likelihood, gradient and Hessian in block order, so no block is
+    stacked with another (the split of Wu et al., JAMIA 2012). Steps are
+    halved until the negative log-likelihood does not increase. The fit stops
+    for one of four reasons:
 
     - converged: half the squared Newton decrement (the predicted remaining
       decrease of the negative log-likelihood) is <= LOGISTIC_TOL;
-    - separated: the current coefficients put every unit strictly on its own
-      label's side, their norm in standardized features exceeds 50, or the
-      decrement vanished while the information per unit along some direction
-      of the linear predictor is <= 1e-9 (quasi-complete separation); the
-      maximum likelihood estimate does not exist and TiltingError is raised
-      with separated=True;
-    - iteration cap: TiltingError with separated=False after
-      LOGISTIC_MAX_ITER steps
-      (also raised, as a stall, if step halving finds no decrease).
+    - separated: the current coefficients put every row strictly on its own
+      label's side, their norm exceeds 50, or the decrement vanished while
+      the information per row along some direction of the linear predictor
+      is <= 1e-9 (quasi-complete separation); the maximum likelihood estimate
+      does not exist and TiltingError is raised with separated=True;
+    - stalled: step halving finds no decrease; TiltingError with
+      separated=False;
+    - capped: TiltingError with separated=False after LOGISTIC_MAX_ITER steps.
 
-    Labels of a single class are separated by definition. Returns
-    (beta, fit_info) with beta on the scale of psi(x).
+    The norm and the information are read in the features standardized by
+    the pooled means and sds of all rows, whatever map ``scale`` announces;
+    that scale follows from the blocks' column moments. Labels of a single
+    class are separated by definition. Returns (beta, fit_info) with beta on
+    the scale of psi(x).
     """
-    A = psi.apply(np.atleast_2d(np.asarray(x, dtype=float)))
-    y = np.asarray(labels, dtype=float).reshape(-1)
-    if len(y) != len(A) or len(y) == 0:
-        raise ValueError("x and labels must be non-empty and of equal length")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("labels must be 0 or 1")
-    if y.min() == y.max():
+    # each row's features are multiplied by s = 1 - 2 * label, so its signed
+    # predictor t = s * eta is b @ features, negative on its own side; its
+    # loss is log(1 + exp(t)) and its gradient features * expit(t)
+    signed, ys = [], []
+    for blk, labels in blocks:
+        y = np.asarray(labels, dtype=float)
+        if y.ndim and y.shape != (blk.n,):
+            raise ValueError("a block needs one label per row")
+        if not np.all((y == 0.0) | (y == 1.0)):
+            raise ValueError("labels must be 0 or 1")
+        ys.append(y)
+        signed.append(blk.features * (1.0 - 2.0 * y) if np.any(y) else blk.features)
+    n = sum(blk.n for blk, _ in blocks)
+    if n == 0:
+        raise ValueError("a logistic fit needs rows")
+    if all(not np.any(y) for y in ys) or all(np.all(y) for y in ys):
         raise TiltingError("separation: every label is the same", residual=math.inf,
                            iterations=0, separated=True)
-
-    # internal standardization; the intercept column absorbs the centering
-    has_icpt = psi.has_intercept
-    sd = A.std(axis=0)
-    sd[sd == 0] = 1.0
-    mu = A.mean(axis=0) if has_icpt else np.zeros(A.shape[1])
-    A = (A - mu) / sd
-    if has_icpt:
-        A[:, 0] = 1.0
-    pos = y == 1.0
+    T = _pooled_scale([blk for blk, _ in blocks], scale.psi.has_intercept)
 
     def nll(b):
-        """Negative log-likelihood, linear predictor and fitted probabilities,
-        sharing one exp(-|eta|)."""
-        eta = A @ b
-        e = np.exp(-np.abs(eta))
-        f = float(np.sum(np.maximum(eta, 0.0) + np.log1p(e) - y * eta))
-        return f, eta, np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+        """Negative log-likelihood, and each block's signed predictor and
+        expit of it, sharing one exp(-|t|)."""
+        f, fitted = 0.0, []
+        for a in signed:
+            t = b @ a
+            e = np.exp(-np.abs(t))
+            f += float(np.sum(np.maximum(t, 0.0) + np.log1p(e)))
+            fitted.append((t, np.where(t >= 0.0, 1.0, e) / (1.0 + e)))
+        return f, fitted
 
-    b = np.zeros(A.shape[1])
-    cur, eta, p = nll(b)
+    b = np.zeros(T.shape[0])
+    cur, fitted = nll(b)
     dec = math.inf
     for it in range(1, LOGISTIC_MAX_ITER + 1):
-        if np.all((eta > 0.0) == pos) or float(np.linalg.norm(b)) > 50.0:
+        if (all((t < 0.0).all() for t, _ in fitted)
+                or float(np.linalg.norm(T @ b)) > 50.0):
             raise TiltingError(
                 f"separation: no maximum likelihood estimate after {it - 1} iterations",
                 residual=dec, iterations=it - 1, separated=True)
-        grad = A.T @ (p - y)
-        H = (A * (p * (1.0 - p))[:, None]).T @ A
+        grad = np.zeros(len(b))
+        H = np.zeros((len(b), len(b)))
+        for a, (_, q) in zip(signed, fitted):
+            grad += a @ q
+            H += (a * (q * (1.0 - q))) @ a.T
         try:
             step = np.linalg.solve(H, -grad)
         except np.linalg.LinAlgError:
@@ -432,14 +517,16 @@ def fit_logistic(x, labels, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT):
             # quasi-complete separation also ends with a vanishing decrement;
             # tell it by a direction of near-zero information that still
             # moves the linear predictor (a collinear feature moves nothing)
-            lam, vec = np.linalg.eigh(H / len(y))
-            flat = vec[:, lam <= 1e-9]
-            if flat.size and np.max(np.mean((A @ flat) ** 2, axis=0)) > 1e-6:
+            Tinv = np.linalg.inv(T)
+            lam, vec = np.linalg.eigh(Tinv.T @ H @ Tinv / n)
+            flat = Tinv @ vec[:, lam <= 1e-9]
+            if flat.size and np.max(sum(np.sum((flat.T @ a) ** 2, axis=1)
+                                        for a in signed) / n) > 1e-6:
                 raise TiltingError(
                     f"separation: no maximum likelihood estimate, the likelihood "
                     f"is flat along a direction after {it} iterations",
                     residual=0.5 * dec, iterations=it, separated=True)
-            beta = _unstandardize(b, mu, sd, has_icpt)
+            beta = _unstandardize(b, scale.mu, scale.sd, scale.psi.has_intercept)
             return beta, {"iterations": it, "residual": 0.5 * dec,
                           "stop": "converged"}
         ts = 1.0
@@ -453,10 +540,33 @@ def fit_logistic(x, labels, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT):
                 f"stalled: no decrease along the Newton step, decrement {dec:.3g}",
                 residual=dec, iterations=it, separated=False)
         b = b + ts * step
-        cur, eta, p = cand
+        cur, fitted = cand
     raise TiltingError(
         f"no convergence in {LOGISTIC_MAX_ITER} iterations, Newton decrement {dec:.3g}",
         residual=dec, iterations=LOGISTIC_MAX_ITER, separated=False)
+
+
+def fit_logistic(x, labels, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT):
+    """Maximum-likelihood logistic regression P(label = 1 | x) = expit(psi(x)' beta):
+    fit_logistic_blocks on one block, standardized by its own feature means
+    and sds. Raises ValueError unless x and labels are non-empty and of equal
+    length with 0/1 labels, and TiltingError when the fit stops without
+    converging. Returns (beta, fit_info) with beta on the scale of psi(x).
+    """
+    scale, block = LogisticScale.announce(psi, x)
+    y = np.asarray(labels, dtype=float).reshape(-1)
+    if len(y) != block.n or len(y) == 0:
+        raise ValueError("x and labels must be non-empty and of equal length")
+    return fit_logistic_blocks([(block, y)], scale)
+
+
+def fit_logistic_ratio_blocks(source: LogisticBlock, target: LogisticBlock,
+                              scale: LogisticScale) -> RatioModel:
+    """fit_logistic_ratio on prebuilt blocks: the source block labelled 1, the
+    target block labelled 0, both standardized by ``scale``."""
+    beta, info = fit_logistic_blocks([(source, 1.0), (target, 0.0)], scale)
+    beta[0] += math.log(target.n / source.n)
+    return RatioModel(backend="tilting", gamma=beta, psi=scale.psi, fit_info=info)
 
 
 def fit_logistic_ratio(source, target,
@@ -466,10 +576,12 @@ def fit_logistic_ratio(source, target,
 
     The pooled-sample log-odds of "source" is psi(x)' beta; the density ratio
     is exp(psi(x)' beta) * n_target / n_source, so log(n_target/n_source) is
-    added to the intercept. psi must have an intercept. Unlike fit_tilting,
-    the fit exists unless a hyperplane in psi-space separates the two
-    samples, however far apart their means lie. Raises TiltingError as
-    fit_logistic does.
+    added to the intercept. psi must have an intercept. The fit is
+    fit_logistic_blocks on two blocks, the source's rows labelled 1 and the
+    target's labelled 0, standardized by the target's feature means and sds.
+    Unlike fit_tilting, the fit exists unless a hyperplane in psi-space
+    separates the two samples, however far apart their means lie. Raises
+    TiltingError as fit_logistic_blocks does.
     """
     if not psi.has_intercept:
         raise ValueError("a logistic ratio needs an intercept in the feature map")
@@ -479,10 +591,8 @@ def fit_logistic_ratio(source, target,
         raise ValueError("source and target must be non-empty")
     if src.shape[1] != tgt.shape[1]:
         raise ValueError("source and target dimension mismatch")
-    labels = np.concatenate([np.ones(len(src)), np.zeros(len(tgt))])
-    beta, info = fit_logistic(np.vstack([src, tgt]), labels, psi=psi)
-    beta[0] += math.log(len(tgt) / len(src))
-    return RatioModel(backend="tilting", gamma=beta, psi=psi, fit_info=info)
+    scale, tgt_block = LogisticScale.announce(psi, tgt)
+    return fit_logistic_ratio_blocks(scale.block(src), tgt_block, scale)
 
 
 def fit_knn(source, target, M: Optional[int] = None) -> RatioModel:

@@ -18,6 +18,7 @@ per fold.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -248,13 +249,62 @@ def fedavg_train(sites: Sequence[SiteDataset], table: ScoreTable, psi,
 # Server-side report assembly, shared by live runs and replay
 
 
+def _check_folds(log: MessageLog) -> None:
+    """Protocol two sends, for each fold f = 0, ..., F-1, one target_mean_term
+    and one aggregates message per publishing site, F being one more than the
+    largest fold any message names; and a site's aggregates, unless one of
+    them is an exclusion, cover as many units as it published. Raises
+    ValueError naming the fold or the site of the first violation."""
+    sizes = {m.payload["site_id"]: int(m.payload["n1"]) + int(m.payload["n0"])
+             for m in log.by_kind("publish_ratio_model")}
+    terms, aggs, covered = Counter(), Counter(), Counter()
+    excluded = set()
+    n_folds = 0
+    for m in log:
+        if m.kind in ("model_params", "gradient_update", "target_mean_term", "aggregates"):
+            f = int(m.payload["fold"])
+            if f < 0:
+                raise ValueError(f"fold {f}: a {m.kind} message names a negative fold")
+            n_folds = max(n_folds, f + 1)
+            if m.kind == "target_mean_term":
+                terms[f] += 1
+            elif m.kind == "aggregates":
+                k = m.payload["site_id"]
+                if k not in sizes:
+                    raise ValueError(f"fold {f}: site {k} sent aggregates but "
+                                     "published no ratio model")
+                aggs[(f, k)] += 1
+                if "excluded" in m.payload:
+                    excluded.add(k)
+                else:
+                    covered[k] += int(m.payload.get("n_units", 0))
+    for f in range(n_folds):
+        if terms[f] != 1:
+            raise ValueError(f"fold {f}: {terms[f]} target_mean_term messages; "
+                             "protocol two sends exactly one per fold")
+        for k in sorted(sizes):
+            if aggs[(f, k)] != 1:
+                raise ValueError(f"fold {f}: site {k} sent {aggs[(f, k)]} aggregates "
+                                 "messages; protocol two sends exactly one per fold")
+    for k in sorted(sizes.keys() - excluded):
+        if covered[k] != sizes[k]:
+            raise ValueError(f"site {k}: its aggregates over folds 0-{n_folds - 1} "
+                             f"cover {covered[k]} units; it published {sizes[k]}")
+
+
 def _report_from_log(log: MessageLog, ci_level: float = 0.95,
                      weights: Optional[Dict[int, float]] = None) -> EstimateReport:
+    """The report of a transcript: protocol one's when it holds only
+    aggregates, protocol two's (checked by _check_folds) when a site
+    published a ratio model or the server sent a target-mean term."""
+    target_msgs = log.by_kind("target_mean_term")
+    protocol_two = bool(target_msgs or log.by_kind("publish_ratio_model"))
+    if protocol_two:
+        _check_folds(log)
     agg_msgs = log.by_kind("aggregates")
     if not agg_msgs:
         raise ValueError("log contains no aggregate messages")
-    target_msgs = log.by_kind("target_mean_term")
-    if not target_msgs:
+    if not protocol_two:
         aggs = [SiteAggregates.from_payload(m.payload)
                 for m in sorted(agg_msgs, key=lambda m: m.payload["site_id"])]
         return clb_combine(aggs, ci_level=ci_level)
@@ -282,8 +332,6 @@ def _report_from_log(log: MessageLog, ci_level: float = 0.95,
     term_by_fold = {int(m.payload["fold"]): m.payload for m in target_msgs}
     inputs = []
     for f in sorted(per_fold):
-        if f not in term_by_fold:
-            raise ValueError(f"fold {f} has aggregates but no target-mean term")
         pay = term_by_fold[f]
         inputs.append(AipwInputs(target_mean_term=float(pay["value"]),
                                  target_sq_term=float(pay["target_var"]),

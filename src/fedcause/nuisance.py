@@ -12,8 +12,9 @@ import numpy as np
 
 from .core import SiteDataset, TargetCovariates
 from .density_ratio import (IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, FeatureMap,
-                            RatioModel, TiltingError, eval_knn, fit_knn,
-                            fit_logistic, fit_logistic_ratio, misspecify_features)
+                            LogisticBlock, LogisticScale, RatioModel, TiltingError,
+                            eval_knn, fit_knn, fit_logistic_blocks,
+                            fit_logistic_ratio_blocks, misspecify_features)
 
 # near-zero assignment scores are floored here before any division
 SCORE_FLOOR = 1e-12
@@ -85,24 +86,26 @@ def assemble_propensity(ratios: Dict[Tuple[int, int], RatioModel],
     return PropensitySet(e=e)
 
 
-def _factored_models(site: SiteDataset, target: TargetCovariates, psi: FeatureMap,
+def _factored_models(site: SiteDataset, scale: LogisticScale, target: LogisticBlock,
                      arms: Dict[int, int]) -> Dict[int, RatioModel]:
     """p(x | k, z) / p_target(x) = r_k(x) pi_k(z | x) n_k / n_kz for each arm
     z of site k with n_kz units. r_k comes from logistic discrimination of
     the site against the target, pi_k from a logistic regression of z within
-    the site; log(n_k / n_kz) is folded into the intercept of r_k. When both
-    laws are Gaussian with a shared covariance and arms are assigned
-    logistically, both factors are exactly log-linear in (1, x). A site with
-    one arm has pi_k = 1, so its model is r_k itself."""
-    ratio = fit_logistic_ratio(site.x_matrix, target.xs, psi=psi)
+    the site; log(n_k / n_kz) is folded into the intercept of r_k. Both fits
+    read the site's one block, standardized by the target's map ``scale``.
+    When both laws are Gaussian with a shared covariance and arms are
+    assigned logistically, both factors are exactly log-linear in (1, x). A
+    site with one arm has pi_k = 1, so its model is r_k itself."""
+    block = scale.block(site.x_matrix)
+    ratio = fit_logistic_ratio_blocks(block, target, scale)
     if len(arms) == 1:
         return {arm: ratio for arm in arms}
-    beta, info = fit_logistic(site.x_matrix, site.z_vec, psi=psi)
+    beta, info = fit_logistic_blocks([(block, site.z_vec)], scale)
     out = {}
     for arm, n_arm in arms.items():
         gamma = ratio.gamma.copy()
         gamma[0] += math.log(site.n / n_arm)
-        out[arm] = RatioModel(backend="factored", gamma=gamma, psi=psi,
+        out[arm] = RatioModel(backend="factored", gamma=gamma, psi=scale.psi,
                               beta=beta if arm == 1 else -beta,
                               fit_info={"ratio": ratio.fit_info, "arm": info})
     return out
@@ -116,24 +119,31 @@ def fit_scores(sites: Sequence[SiteDataset], target: TargetCovariates,
     site, so that site has no pair in the set.
 
     backend "tilting" fits the factored model of _factored_models on
-    (1, x), or on the misspecified map when wrong is set; backend "knn" fits
-    a nearest-neighbour ratio per arm, on the misspecified features when
-    wrong is set. Each model estimates p(x | k, z) / p_target(x), so its
-    score share is n_kz / N, as assemble_propensity builds it from published
+    (1, x), or on the misspecified map when wrong is set; the target's
+    feature means and sds set the standardization, and the target's block is
+    built once for every site's ratio fit. backend "knn" fits a
+    nearest-neighbour ratio per arm, on the misspecified features when wrong
+    is set. Each model estimates p(x | k, z) / p_target(x), so its score
+    share is n_kz / N, as assemble_propensity builds it from published
     models. An arm without units has no pair.
     """
     n_pooled = sum(s.n for s in sites)
     psi = MISSPECIFIED if wrong else IDENTITY_PLUS_INTERCEPT
     feat = misspecify_features if wrong and backend == "knn" else np.atleast_2d
-    # one target array for every knn model, so score_table shares its pass
-    tgt = feat(target.xs)
+    if backend == "tilting":
+        # the target's map standardizes every fit; its block serves every
+        # site's ratio fit
+        scale, target_block = LogisticScale.announce(psi, target.xs)
+    else:
+        # one target array for every knn model, so score_table shares its pass
+        tgt = feat(target.xs)
     e, failed = {}, {}
     for s in sites:
         arms = {arm: int(np.sum(s.z_vec == arm)) for arm in (1, 0)}
         arms = {arm: n for arm, n in arms.items() if n}
         try:
             if backend == "tilting":
-                models = _factored_models(s, target, psi, arms)
+                models = _factored_models(s, scale, target_block, arms)
             else:
                 models = {arm: fit_knn(feat(s.x_matrix[s.z_vec == arm]), tgt)
                           for arm in arms}

@@ -162,7 +162,7 @@ def test_estimate_names_the_site_of_a_failed_fit(capsys, data_dir, monkeypatch):
     def fail(*a, **kw):
         raise TiltingError("separation: forced", separated=True)
 
-    monkeypatch.setattr(nuisance, "fit_logistic_ratio", fail)
+    monkeypatch.setattr(nuisance, "fit_logistic_ratio_blocks", fail)
     for extra in (["--estimator", "clb-ipw"], ["--estimator", "clb-aipw", "--federated"]):
         rc = main(["estimate", "--data", str(data_dir), *extra])
         captured = capsys.readouterr()
@@ -175,7 +175,7 @@ def test_estimate_names_the_site_of_a_failed_fit(capsys, data_dir, monkeypatch):
 # protocol's arithmetic or messages
 FEDERATED_SHA256 = {
     "report": "bd5459fa7960177c50503e23cfdf1aee4a3ee82ea3b42a30b45a683de5245954",
-    "transcript": "4df41fd185cecd903cd8adf21babb87e160a8b5e7e15205e574d292d0ebba2b0",
+    "transcript": "e8cb716487285852729cfb1e8dbe2fcc9555d981a924a2b57d2f61f4823ca8d6",
 }
 
 
@@ -441,9 +441,9 @@ def test_sweep_cli_reports_excisions(tmp_path, capsys, monkeypatch):
     args = ["sweep-kl", "--config", str(cfg_path), "--seed", "12",
             "--out", str(tmp_path / "sweep.csv")]
     assert main(args) == 0
-    assert "excised" not in capsys.readouterr().err
+    assert "dropped" not in capsys.readouterr().err
 
-    real = nuisance.fit_logistic_ratio
+    real = nuisance.fit_logistic_ratio_blocks
     calls = []
 
     def fail_first(*a, **kw):
@@ -452,10 +452,10 @@ def test_sweep_cli_reports_excisions(tmp_path, capsys, monkeypatch):
             raise TiltingError("forced", separated=True)
         return real(*a, **kw)
 
-    monkeypatch.setattr(nuisance, "fit_logistic_ratio", fail_first)
+    monkeypatch.setattr(nuisance, "fit_logistic_ratio_blocks", fail_first)
     assert main(args) == 0
     err = capsys.readouterr().err
-    assert "d_kl 1: 1 of 3 replications excised units of a failed fit" in err
+    assert "d_kl 1: 1 of 3 replications dropped a site whose score fit failed" in err
 
 
 def test_ci_grid_cli_reports_excisions(tmp_path, capsys, monkeypatch):
@@ -468,9 +468,9 @@ def test_ci_grid_cli_reports_excisions(tmp_path, capsys, monkeypatch):
     out = tmp_path / "grid.csv"
     args = ["ci-grid", "--config", str(cfg_path), "--seed", "12", "--out", str(out)]
     assert main(args) == 0
-    assert "excised" not in capsys.readouterr().err
+    assert "dropped" not in capsys.readouterr().err
 
-    real = nuisance.fit_logistic_ratio
+    real = nuisance.fit_logistic_ratio_blocks
     calls = []
 
     def fail_first(*a, **kw):
@@ -479,8 +479,9 @@ def test_ci_grid_cli_reports_excisions(tmp_path, capsys, monkeypatch):
             raise TiltingError("forced", separated=True)
         return real(*a, **kw)
 
-    monkeypatch.setattr(nuisance, "fit_logistic_ratio", fail_first)
+    monkeypatch.setattr(nuisance, "fit_logistic_ratio_blocks", fail_first)
     assert main(args) == 0
     err = capsys.readouterr().err.splitlines()
-    assert [ln for ln in err if "excised" in ln] == [
-        "ps_spec correct, om_spec correct: 1 of 3 replications excised units of a failed fit"]
+    assert [ln for ln in err if "dropped" in ln] == [
+        "ps_spec correct, om_spec correct: 1 of 3 replications dropped a site whose "
+        "score fit failed"]

@@ -16,8 +16,9 @@ from fedcause import (
     oracle_gaussian_ratio,
 )
 from fedcause import density_ratio
-from fedcause.density_ratio import (IDENTITY, KNN_BLOCK, _sq_dists, eval_knn, expit,
-                                    fit_logistic, fit_logistic_ratio)
+from fedcause.density_ratio import (IDENTITY, KNN_BLOCK, LogisticScale, _sq_dists,
+                                    eval_knn, expit, fit_logistic, fit_logistic_blocks,
+                                    fit_logistic_ratio, fit_logistic_ratio_blocks)
 from conftest import brute_knn_ratio
 
 
@@ -205,6 +206,41 @@ def test_logistic_ratio_fits_a_site_that_moment_matching_cannot():
     assert np.max(np.abs(m.gamma[1:] - (mu_s - mu_t) / 4.0)) < 0.1
 
 
+@pytest.mark.parametrize("psi", [IDENTITY_PLUS_INTERCEPT, MISSPECIFIED], ids=lambda p: p.name)
+def test_two_block_fit_is_the_stacked_fit(psi):
+    # the target's map and the pooled one reach the same estimate; Newton's
+    # iterates do not depend on the affine map, only their rounding does
+    rng = np.random.default_rng(45)
+    src = rng.normal(1.0, 2.0, size=(300, 3))
+    tgt = rng.normal(-0.1, 2.0, size=(2000, 3))
+    stacked, info = fit_logistic(np.vstack([src, tgt]),
+                                 np.r_[np.ones(len(src)), np.zeros(len(tgt))], psi=psi)
+    stacked[0] += math.log(len(tgt) / len(src))
+    m = fit_logistic_ratio(src, tgt, psi=psi)
+    assert m.fit_info["iterations"] == info["iterations"]
+    assert np.max(np.abs(m.gamma - stacked)) <= 1e-10 * np.max(np.abs(stacked))
+    # splitting a block changes only the order of the sums
+    scale, target = LogisticScale.announce(psi, tgt)
+    halves = [(scale.block(part), 0.0) for part in (tgt[:700], tgt[700:])]
+    beta, _ = fit_logistic_blocks([(scale.block(src), 1.0)] + halves, scale)
+    beta[0] += math.log(len(tgt) / len(src))
+    assert np.max(np.abs(beta - m.gamma)) <= 1e-10 * np.max(np.abs(m.gamma))
+
+
+def test_separable_site_block_is_reported_separated():
+    rng = np.random.default_rng(46)
+    tgt = rng.normal(0.0, 1.0, size=(500, 3))
+    scale, target = LogisticScale.announce(IDENTITY_PLUS_INTERCEPT, tgt)
+    src = rng.normal(0.0, 1.0, size=(40, 3))
+    src[:, 0] = tgt[:, 0].max() + 0.5 + rng.random(40)
+    with pytest.raises(TiltingError) as err:
+        fit_logistic_ratio_blocks(scale.block(src), target, scale)
+    assert err.value.separated
+    # the same site drawn from the target's law is fitted
+    near = scale.block(rng.normal(0.0, 1.0, size=(40, 3)))
+    assert fit_logistic_ratio_blocks(near, target, scale).fit_info["stop"] == "converged"
+
+
 def test_logistic_rejects_bad_inputs():
     with pytest.raises(ValueError):
         fit_logistic([[0.0], [1.0]], [0, 2])
@@ -212,6 +248,9 @@ def test_logistic_rejects_bad_inputs():
         fit_logistic([[0.0], [1.0]], [0])
     with pytest.raises(ValueError):
         fit_logistic_ratio([[0.0]], [[1.0]], psi=IDENTITY)
+    scale, block = LogisticScale.announce(IDENTITY_PLUS_INTERCEPT, [[0.0], [1.0]])
+    with pytest.raises(ValueError, match="one label per row"):
+        fit_logistic_blocks([(block, [0.0, 1.0, 1.0])], scale)
 
 
 # -- nearest-neighbour ratio --------------------------------------------------

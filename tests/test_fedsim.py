@@ -146,6 +146,49 @@ def test_algorithm2_transcript_matches_expected_count():
     assert replay(log) == rep
 
 
+def _two_site_transcript():
+    rng = np.random.default_rng(3)
+    sites = _linear_sites(rng, n_sites=2, n=24)
+    target = TargetCovariates(rng.normal(size=(30, 2)))
+    _, log = run_algorithm2(sites, target, _fitted_ratios(sites, target),
+                            psi_om=IDENTITY_PLUS_INTERCEPT, cfg=FedConfig(rounds=2),
+                            F=2, rng=np.random.default_rng(0))
+    return log.messages
+
+
+def test_replay_refuses_every_truncated_protocol_two_transcript():
+    msgs = _two_site_transcript()
+    replay(MessageLog(msgs))
+    for end in range(len(msgs)):
+        with pytest.raises(ValueError):
+            replay(MessageLog(msgs[:end]))
+    # the last message is site 2's fold-1 aggregates
+    with pytest.raises(ValueError, match="fold 1: site 2 sent 0 aggregates messages"):
+        replay(MessageLog(msgs[:-1]))
+    # cut where fold 1 would start, the folds look complete but the units do not
+    fold1 = next(i for i, m in enumerate(msgs) if m.payload.get("fold") == 1)
+    with pytest.raises(ValueError, match="site 1: its aggregates over folds 0-0 cover"):
+        replay(MessageLog(msgs[:fold1]))
+
+
+def test_replay_refuses_a_dropped_or_repeated_fold_message():
+    msgs = _two_site_transcript()
+    aggs = [i for i, m in enumerate(msgs) if m.kind == "aggregates"]
+    terms = [i for i, m in enumerate(msgs) if m.kind == "target_mean_term"]
+    assert [msgs[i].payload["fold"] for i in terms] == [0, 1]
+    first = aggs[0]
+    assert (msgs[first].payload["fold"], msgs[first].payload["site_id"]) == (0, 1)
+    with pytest.raises(ValueError, match="fold 0: site 1 sent 0 aggregates messages"):
+        replay(MessageLog(msgs[:first] + msgs[first + 1:]))
+    with pytest.raises(ValueError, match="fold 0: site 1 sent 2 aggregates messages"):
+        replay(MessageLog(msgs[:first] + [msgs[first]] + msgs[first:]))
+    t = terms[1]
+    with pytest.raises(ValueError, match="fold 1: 2 target_mean_term messages"):
+        replay(MessageLog(msgs[:t] + [msgs[t]] + msgs[t:]))
+    with pytest.raises(ValueError, match="fold 1: 0 target_mean_term messages"):
+        replay(MessageLog(msgs[:t] + msgs[t + 1:]))
+
+
 def test_algorithm2_equals_centralized_run():
     rng = np.random.default_rng(4)
     sites = _linear_sites(rng, n_sites=3, n=20)

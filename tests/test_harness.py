@@ -130,7 +130,7 @@ def test_failed_fit_is_counted_as_an_excision(monkeypatch, tmp_path):
     clean = run_monte_carlo(spec, seed=12)
     assert all(c.n_excised == 0 for c in clean.cells.values())
 
-    real = nuisance.fit_logistic_ratio
+    real = nuisance.fit_logistic_ratio_blocks
     calls = []
 
     def fail_first(*args, **kwargs):
@@ -139,7 +139,7 @@ def test_failed_fit_is_counted_as_an_excision(monkeypatch, tmp_path):
             raise TiltingError("forced", separated=True)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(nuisance, "fit_logistic_ratio", fail_first)
+    monkeypatch.setattr(nuisance, "fit_logistic_ratio_blocks", fail_first)
     out = tmp_path / "sweep.csv"
     forced = sweep_kl(spec, seed=12, out_path=out)
     for est in spec.estimators:
@@ -155,8 +155,8 @@ SMALL = ShiftConfig(site_sizes=(60, 120, 180), n_target=600)
 SWEEP_SHA256 = {
     ("oracle", "correct"): "7e3a11181344789d7254ff9c04e4918cc0f11f0699bc16024ffa4d05953d25e3",
     ("oracle", "wrong"): "1ecc32bdd980bb36522138eb9e8ba9de24c214f614ffe6a0056a02371b7069c5",
-    ("tilting", "correct"): "82004d743b247aabcec6f70647cb59fef7046f4097e4ce70bc63f5526db59fa1",
-    ("tilting", "wrong"): "9540f71993259fb7be6188a5475821407d89d044bc5fcf87dc277f17c89c2d57",
+    ("tilting", "correct"): "39a93da39c52bbc43088dc24ae560fb3616210c81d03e2d99182e1f4721169eb",
+    ("tilting", "wrong"): "c0644cb131e8c4ab5eb322ab5f06809daffa8ac004b73b74f62dd6146265d74b",
     ("knn", "correct"): "303da808e610267e7b4937ecca77c9171cd54659735727a378f8bc1a433edfda",
     ("knn", "wrong"): "3936bf5a8d2cae7e443405d71e22782ee6cf0a2a0469ec9468cdbcc93c378ba6",
 }
@@ -177,14 +177,19 @@ def test_small_sweep_csv_bytes_are_pinned(tmp_path, mode, spec_kind):
 # (site 2, first replication at d_kl 1) or call 5 of the arm fits (site 2,
 # second replication at d_kl 1); that site drops out of every estimator
 EXCISED_SWEEP_SHA256 = {
-    "fit_logistic_ratio": "1603df30ee087d6bf8f572985180c762cfa9af7c0e76c3c6ba91120b218b4eb7",
-    "fit_logistic": "9eedca96ca9fdbe67fa1dc1a5665ef317b501fbf80910de193c7c127d88f6e09",
+    "fit_logistic_ratio": "a6cf00aec4aaf76dd88afe5b77a38c27fd51f234c8bc5ab49c0edfba841c31fc",
+    "fit_logistic": "37e9bc0288e8bccd95c5918901690cf0a97b916244599023218c62aee1f218e4",
 }
+
+
+# the name in nuisance through which each kind of fit is made, once per site
+FIT_CALLS = {"fit_logistic_ratio": "fit_logistic_ratio_blocks",
+             "fit_logistic": "fit_logistic_blocks"}
 
 
 @pytest.mark.parametrize("target,call", [("fit_logistic_ratio", 2), ("fit_logistic", 5)])
 def test_excised_site_sweep_csv_bytes_are_pinned(monkeypatch, tmp_path, target, call):
-    real = getattr(nuisance, target)
+    real = getattr(nuisance, FIT_CALLS[target])
     calls = []
 
     def fail_once(*args, **kwargs):
@@ -193,7 +198,7 @@ def test_excised_site_sweep_csv_bytes_are_pinned(monkeypatch, tmp_path, target, 
             raise TiltingError("forced", separated=True)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(nuisance, target, fail_once)
+    monkeypatch.setattr(nuisance, FIT_CALLS[target], fail_once)
     spec = SweepSpec(d_kl_grid=(1.0, 3.0), replications=2, nuisance_mode="tilting",
                      folds=3, shift=SMALL)
     out = tmp_path / "sweep.csv"

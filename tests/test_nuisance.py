@@ -1,5 +1,7 @@
 """Score assembly, pooled scores, cross-fit folds, and the weighted loss."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,8 @@ from fedcause import (
     weighted_loss_and_grad,
     zero_outcome_model,
 )
-from fedcause.density_ratio import (IDENTITY, RatioModel, expit, fit_logistic,
-                                    fit_logistic_ratio)
+from fedcause.density_ratio import (IDENTITY, FeatureMap, RatioModel, expit,
+                                    fit_logistic, fit_logistic_ratio)
 from fedcause.nuisance import FoldPlan, fit_scores
 
 
@@ -77,6 +79,49 @@ def test_a_site_with_one_arm_scores_by_its_site_ratio():
     assert score.ratio.backend == "tilting"
     assert np.array_equal(score.ratio.gamma, ratio.gamma)
     assert score.share == treated.n / sum(t.n for t in sites)
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_fit_scores_maps_the_target_once(monkeypatch, wrong):
+    shift = ShiftConfig(site_sizes=(60, 80, 100), n_target=200, d_kl=1.0)
+    sites, target, _ = gen_covariate_shift(shift, np.random.default_rng(7))
+    real = FeatureMap.apply
+    rows = []
+
+    def counted(self, x):
+        rows.append(len(np.atleast_2d(x)))
+        return real(self, x)
+
+    monkeypatch.setattr(FeatureMap, "apply", counted)
+    _, failed = fit_scores(sites, target, "tilting", wrong)
+    assert failed == {}
+    # one block per party: the target's serves every site's ratio fit, and
+    # a site's serves its ratio fit and its arm fit
+    assert sorted(rows) == sorted([target.n] + [s.n for s in sites])
+
+
+def _failed_site_lines(reps: int) -> str:
+    lines = []
+    for d_kl in (3, 6, 10):
+        shift = ShiftConfig(site_sizes=(60, 80, 100), n_target=200, d_kl=float(d_kl))
+        for r in range(reps):
+            sites, target, _ = gen_covariate_shift(shift, np.random.default_rng((11, d_kl, r)))
+            for wrong in (False, True):
+                _, failed = fit_scores(sites, target, "tilting", wrong)
+                lines.append(f"{d_kl},{r},{int(wrong)}:{','.join(map(str, sorted(failed)))}\n")
+    return "".join(lines)
+
+
+def test_tiny_site_sweep_fails_the_pinned_sites():
+    # tiny sites far from the target separate often; which of them do is
+    # read on the pooled (site + target) scale, whatever map the fit works
+    # in. sha256 of one line per (d_kl, replication, map) naming the failed
+    # sites: 89 of 300 lines name 102 sites
+    lines = _failed_site_lines(50)
+    named = [ln.split(":")[1] for ln in lines.splitlines() if not ln.endswith(":")]
+    assert (len(named), sum(len(n.split(",")) for n in named)) == (89, 102)
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "7513e59930511ed444a75450933906c0d0b97ca11dda3f66a873c6f3de8f0cae")
 
 
 def test_pooled_score_examples():

@@ -1,0 +1,109 @@
+"""Alternating before/after benchmark pairs: perfbench/run.py on two checkouts.
+
+    python3 tools/bench_pairs.py --base ../parent --change . --workload mc-tilting \
+        --pairs 10 --seconds 28 --seed 5001 --label logistic-blocks
+
+Pair i runs both checkouts at seed ``seed + i``, the base first in even pairs
+and the change first in odd ones, so a slow spell of the host lands on both
+sides alike. Writes ``BENCH_<label>.json`` in the current directory: the host
+record that run.py prints (CPU count and model, Python, numpy), each
+checkout's commit, and for every pair each side's end-to-end metrics of
+BENCHMARK.json with its failed and attempted counts. A summary gives, per
+metric, both sides' medians and quartiles, the median change/base ratio and
+the pairs in which the change was better.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+# each end-to-end metric of BENCHMARK.json and whether higher is better
+METRICS = {"setup_s": False, "reps_per_s": True, "peak_rss_mb": False}
+
+
+def _commit(checkout: str) -> str:
+    def git(*args):
+        return subprocess.run(["git", "-C", checkout, *args], capture_output=True,
+                              text=True).stdout.strip()
+    head = git("rev-parse", "--short", "HEAD") or "unknown"
+    return head + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
+
+
+def _run(checkout: str, workload: str, seed: int, seconds: float):
+    """(host record, result) of one run.py invocation in ``checkout``."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"bench_pairs: run.py exited {proc.returncode} in {checkout}")
+    host = next(json.loads(ln[5:]) for ln in lines if ln.startswith("host "))
+    res = json.loads(lines[-1])
+    out = {name: res["metrics"][name]["value"] for name in METRICS}
+    out.update(attempted=res["attempted"], failed=res["failed"], correct=res["correct"])
+    return host, out
+
+
+def _quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": q2, "q3": q3}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="checkout measured as before")
+    ap.add_argument("--change", required=True, help="checkout measured as after")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=28.0)
+    ap.add_argument("--seed", type=int, default=5001)
+    ap.add_argument("--label", required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+
+    sides = {"base": args.base, "change": args.change}
+    pairs, host = [], None
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        pair = {"seed": seed, "order": list(order)}
+        for side in order:
+            host, pair[side] = _run(sides[side], args.workload, seed, args.seconds)
+        pairs.append(pair)
+        print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
+            f"{m} {pair['base'][m]:.4g} -> {pair['change'][m]:.4g}" for m in METRICS),
+            file=sys.stderr)
+
+    summary = {}
+    for m, higher in METRICS.items():
+        base = [p["base"][m] for p in pairs]
+        change = [p["change"][m] for p in pairs]
+        better = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+        summary[m] = {"better": "higher" if higher else "lower",
+                      "base": _quartiles(base), "change": _quartiles(change),
+                      "median_ratio": statistics.median(c / b for b, c in zip(base, change)),
+                      "change_better_pairs": better}
+    for side in sides:
+        summary[f"failed_{side}"] = sum(p[side]["failed"] for p in pairs)
+        summary[f"attempted_{side}"] = sum(p[side]["attempted"] for p in pairs)
+
+    doc = {"label": args.label, "workload": args.workload, "seconds": args.seconds,
+           "pairs_run": args.pairs, "host": host,
+           "commits": {side: _commit(path) for side, path in sides.items()},
+           "summary": summary, "pairs": pairs}
+    path = f"BENCH_{args.label}.json"
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

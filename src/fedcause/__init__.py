@@ -20,22 +20,21 @@ from .estimators import (AipwInputs, AllSitesExcludedError, Excluded,
                          aipw_combine, clb_combine, clb_ipw,
                          clb_site_aggregates, decoupled_aipw, meta_combine,
                          meta_ipw)
-from .fedsim import (FedAvgDivergence, FedConfig, MessageLog, PrivacyError,
-                     audit_messages, expected_message_count, replay,
-                     run_algorithm1, run_algorithm2)
+from .fedsim import (FedConfig, MessageLog, PrivacyError, audit_messages,
+                     expected_message_count, replay, run_algorithm1,
+                     run_algorithm2)
 from .harness import (SweepSpec, ci_grid, oracle_meta_site_variances,
                       oracle_shift_propensity, run_monte_carlo, sweep_kl)
 from .nuisance import (FoldPlan, OutcomeModel, PropensitySet, ScoreTable,
                        assemble_propensity, crossfit_split,
-                       fit_outcome_direct, score_table,
-                       weighted_loss_and_grad, zero_outcome_model)
+                       fit_outcome_direct, score_table, zero_outcome_model)
 from .synthgen import ShiftConfig, gen_covariate_shift, place_site_means
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AipwInputs", "AllSitesExcludedError", "EstimateReport", "Excluded",
-    "FeatureMap", "FedAvgDivergence", "FedConfig", "FoldPlan",
+    "FeatureMap", "FedConfig", "FoldPlan",
     "IDENTITY_PLUS_INTERCEPT", "MISSPECIFIED", "MessageLog", "MetaDeltas",
     "OutcomeModel", "OverlapError", "PrivacyError", "PropensitySet",
     "RatioModel", "ScoreTable", "ShiftConfig", "SiteAggregates",
@@ -49,6 +48,6 @@ __all__ = [
     "oracle_shift_propensity", "place_site_means", "read_sites_csv",
     "read_target_csv", "replay", "run_algorithm1", "run_algorithm2",
     "run_monte_carlo", "score_table", "sweep_kl", "validate_dataset",
-    "weighted_loss_and_grad", "write_sites_csv", "write_target_csv",
+    "write_sites_csv", "write_target_csv",
     "zero_outcome_model",
 ]

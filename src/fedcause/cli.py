@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the message protocol instead of in-memory math")
     e.add_argument("--log", help="write the message transcript (JSONL)")
     e.add_argument("--rounds", type=int, default=50,
-                   help="federated averaging rounds per fold")
+                   help="round cap per fold of the federated outcome fit, "
+                        "which takes one round")
     e.set_defaults(fn=_cmd_estimate)
 
     s = sub.add_parser("sweep-kl", help="MSE/bias sweep over the heterogeneity dial")

@@ -10,14 +10,15 @@ Protocol one: each site sends its inverse-propensity aggregate sums once and
 the server combines them into the pooled estimate.
 
 Protocol two: sites publish per-arm ratio models, the server assembles the
-pooled scores, outcome models for both arms are trained by federated
-averaging under a cross-fit plan, and sites return residualized aggregates
-per fold.
+pooled scores, and per fold of a cross-fit plan each site sends its blocks of
+the outcome fit's normal equations, from which the server solves both arms'
+outcome models exactly; sites then return residualized aggregates per fold.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -29,26 +30,18 @@ from .density_ratio import RatioModel
 from .estimators import (AipwInputs, Excluded, MetaDeltas, SiteAggregates,
                          _crossfit_folds, aipw_combine, clb_combine,
                          clb_site_aggregates)
-from .nuisance import (FoldPlan, OutcomeModel, ScoreTable, _arm_design,
-                       _loss_and_grad, assemble_propensity, crossfit_split,
-                       score_table, zero_outcome_model)
+from .nuisance import (FoldPlan, ScoreTable, assemble_propensity, crossfit_split,
+                       outcome_block, score_table, solve_outcome_blocks,
+                       zero_outcome_model)
 
-MESSAGE_KINDS = ("publish_ratio_model", "aggregates", "model_params",
-                 "gradient_update", "target_mean_term")
+MESSAGE_KINDS = ("publish_ratio_model", "aggregates", "outcome_blocks",
+                 "target_mean_term")
 
-_SERVER_KINDS = ("model_params", "target_mean_term")
+_SERVER_KINDS = ("target_mean_term",)
 
 
 class PrivacyError(RuntimeError):
     """A requested exchange would move unit-level records off a site."""
-
-
-class FedAvgDivergence(RuntimeError):
-    """Federated averaging lost control of the loss; carries the loss trace."""
-
-    def __init__(self, message: str, trace: List[float]):
-        super().__init__(message)
-        self.trace = trace
 
 
 @dataclass
@@ -123,8 +116,8 @@ class MessageLog:
 
 @dataclass(frozen=True)
 class FedConfig:
-    """Federated-averaging schedule. Every fold runs all its rounds, so the
-    message count is exactly the budget."""
+    """Protocol two's round cap per fold. The outcome fit is quadratic and
+    takes one round, so every valid cap gives the same run."""
 
     rounds: int = 50
 
@@ -134,155 +127,122 @@ class FedConfig:
 
 
 def expected_message_count(n_sites: int, rounds: int, folds: int) -> int:
-    """Transcript length of protocol two at a full round budget: per fold and
-    round one parameter message to each site and one update back, plus the
-    publish, per-fold aggregate, and target-term messages."""
-    return n_sites * (2 * rounds * folds + folds + 1) + folds
+    """Transcript length of protocol two with training under any round cap:
+    each site's publish message, and per fold each site's outcome blocks and
+    aggregates plus the server's target term."""
+    return n_sites * (2 * folds + 1) + folds
 
 
 # ---------------------------------------------------------------------------
-# Federated averaging of the weighted outcome regressions, both arms at once
+# The outcome fit: one round of per-site normal equations, both arms at once
 
 
-def _site_local_update(arms: dict, payload: dict, lr: float) -> dict:
-    """One local gradient step on both arms of one site; arms maps each arm to
-    its cached (design, y, w) from nuisance._arm_design."""
-    out = {"fold": payload["fold"], "round": payload["round"]}
-    for arm in (1, 0):
-        design, y, w = arms[arm]
-        th0 = np.asarray(payload[f"theta{arm}"], dtype=float)
-        th, n_used, mean_loss = th0, len(w), 0.0
-        if n_used:
-            loss, grad = _loss_and_grad(design, y, w, th0)
-            mean_loss = loss / n_used
-            th = th0 - (lr / n_used) * grad
-        out[f"delta{arm}"] = [float(v) for v in (th - th0)]
-        out[f"n{arm}"] = n_used
-        out[f"loss{arm}"] = float(mean_loss)
-    return out
-
-
-def suggest_learning_rate(arms: Dict[int, dict]) -> float:
-    """1 / L for the pooled mean weighted loss, the largest single step that
-    keeps one-local-step averaging monotone; L is the top curvature over arms.
-    arms maps each site id to its per-arm (design, y, w), as fedavg_train
-    caches them; the curvature sums run in ascending site order.
+def fit_outcome_blocks(sites: Sequence[SiteDataset], table: ScoreTable, psi,
+                       include: Dict[int, np.ndarray], fold: int, post):
+    """Fit one fold's outcome models in one round: each site posts the
+    outcome_block of both arms, and the server sums them in site order and
+    solves, the arithmetic of fit_outcome_direct (Wu et al., 2012). The loss
+    is quadratic, so the one round is exact. ``post`` records a message and
+    returns the payload its receiver consumes. Returns (treated, control).
     """
-    worst = 0.0
-    for arm in (1, 0):
-        H = None
-        n = 0
-        for sid in sorted(arms):
-            design, _, w = arms[sid][arm]
-            if len(w) == 0:
-                continue
-            contrib = design.T @ (design * w[:, None])
-            H = contrib if H is None else H + contrib
-            n += len(w)
-        if H is None or n == 0:
-            continue
-        lam = float(np.linalg.eigvalsh(2.0 * H / n)[-1])
-        worst = max(worst, lam)
-    if worst <= 0.0:
-        return 1.0
-    return 1.0 / worst
-
-
-def fedavg_train(sites: Sequence[SiteDataset], table: ScoreTable, psi,
-                 cfg: Optional[FedConfig] = None,
-                 include: Optional[Dict[int, np.ndarray]] = None,
-                 fold: int = 0, post=None):
-    """Run the averaging rounds for one fold; both arms ride each message.
-    The server averages an arm's site updates weighted by each site's unit
-    count in that arm (McMahan et al., 2017).
-
-    Every parameter broadcast and gradient update goes through ``post``, which
-    returns the payload its receiver consumes; by default the payload is
-    handed straight back and nothing is recorded.
-    Returns (model_treated, model_control, info).
-    """
-    cfg = cfg or FedConfig()
-    post = post or (lambda msg: msg.payload)
-    sites = sorted(sites, key=lambda s: s.site_id)
-    pdim = len(zero_outcome_model(1, psi, sites[0].d).theta)
-    # a site's local objective is fixed for every round of the fold
-    arms = {s.site_id: {arm: _arm_design(s, table, psi, arm,
-                                         None if include is None else include.get(s.site_id))[:3]
-                        for arm in (1, 0)} for s in sites}
-    lr = suggest_learning_rate(arms)
-    theta = {1: [0.0] * pdim, 0: [0.0] * pdim}
-    trace: List[float] = []
-    for r in range(cfg.rounds):
-        broadcast = {}
-        for s in sites:
-            payload = {"fold": fold, "round": r, "to": s.site_id,
-                       "theta1": list(theta[1]), "theta0": list(theta[0])}
-            broadcast[s.site_id] = post(SiteMessage("server", "model_params", r, payload))
-        updates = [post(SiteMessage(s.site_id, "gradient_update", r,
-                                    _site_local_update(arms[s.site_id], broadcast[s.site_id],
-                                                       lr)))
-                   for s in sites]
-        total_loss = 0.0
+    received = []
+    for s in sites:
+        payload = {"fold": fold, "site_id": s.site_id}
         for arm in (1, 0):
-            wk = [float(u[f"n{arm}"]) for u in updates]
-            tot = sum(wk)
-            if tot <= 0.0:
-                continue
-            step = np.zeros(pdim)
-            for u, w in zip(updates, wk):
-                if w > 0.0:
-                    step += (w / tot) * np.asarray(u[f"delta{arm}"], dtype=float)
-                    total_loss += (w / tot) * u[f"loss{arm}"]
-            theta[arm] = [float(v) for v in (np.asarray(theta[arm]) + step)]
-        trace.append(total_loss)
-        if len(trace) >= 6 and trace[-1] > 10.0 * trace[-6] > 0.0:
-            raise FedAvgDivergence(
-                f"loss grew from {trace[-6]:.6g} to {trace[-1]:.6g} within five rounds "
-                f"(fold {fold}); lower the learning rate", trace)
-    info = {"rounds_run": len(trace), "loss_trace": trace, "learning_rate": lr}
-    m1 = OutcomeModel(arm=1, psi=psi, theta=np.asarray(theta[1], dtype=float))
-    m0 = OutcomeModel(arm=0, psi=psi, theta=np.asarray(theta[0], dtype=float))
-    return m1, m0, info
+            gram, cross = outcome_block(s, table, psi, arm, include.get(s.site_id))
+            payload[f"gram{arm}"], payload[f"cross{arm}"] = gram.tolist(), cross.tolist()
+        received.append(post(SiteMessage(s.site_id, "outcome_blocks", fold, payload)))
+    return tuple(solve_outcome_blocks([(pay[f"gram{arm}"], pay[f"cross{arm}"])
+                                       for pay in received], arm, psi)
+                 for arm in (1, 0))
 
 
 # ---------------------------------------------------------------------------
 # Server-side report assembly, shared by live runs and replay
 
 
+def _is_finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_published(i: int, pay: dict) -> int:
+    """The unit count that publish_ratio_model message i announces. Raises
+    ValueError naming the message when a count is not a non-negative integer
+    or a model slot is missing."""
+    for key in ("n1", "n0"):
+        n = pay.get(key)
+        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
+            raise ValueError(f"message {i}: publish_ratio_model {key} is {n!r}, "
+                             "not a non-negative integer")
+    for slot in ("model1", "model0"):
+        if slot not in pay:
+            raise ValueError(f"message {i}: publish_ratio_model lacks {slot}")
+    return pay["n1"] + pay["n0"]
+
+
+def _check_blocks(i: int, pay: dict, p: Optional[int]) -> int:
+    """Refuse outcome_blocks message i unless it holds both arms' normal
+    equations in dimension p, which the first block message sets by its
+    cross1; return p."""
+    if p is None:
+        cross = pay.get("cross1")
+        if not (isinstance(cross, list) and cross):
+            raise ValueError(f"message {i}: outcome_blocks cross1 is not a non-empty list")
+        p = len(cross)
+    for arm in (1, 0):
+        for key, size in ((f"gram{arm}", p * (p + 1) // 2), (f"cross{arm}", p)):
+            v = pay.get(key)
+            if not (isinstance(v, list) and len(v) == size
+                    and all(map(_is_finite_number, v))):
+                raise ValueError(f"message {i}: outcome_blocks {key} is not a list "
+                                 f"of {size} finite numbers (p = {p})")
+    return p
+
+
 def _check_folds(log: MessageLog) -> None:
     """Protocol two sends, for each fold f = 0, ..., F-1, one target_mean_term
     and one aggregates message per publishing site, F being one more than the
-    largest fold any message names; and a site's aggregates, unless one of
-    them is an exclusion, cover as many units as it published. Raises
-    ValueError naming the fold or the site of the first violation."""
-    sizes = {m.payload["site_id"]: int(m.payload["n1"]) + int(m.payload["n0"])
-             for m in log.by_kind("publish_ratio_model")}
-    terms, aggs, covered = Counter(), Counter(), Counter()
+    largest fold any message names, and, when it trains, one outcome_blocks
+    message per publishing site; a site's aggregates, unless one of them is
+    an exclusion, cover as many units as it published. Published counts and
+    block payloads must be well formed. Raises ValueError naming the message,
+    the fold or the site of the first violation."""
+    sizes = {m.payload["site_id"]: _check_published(i, m.payload)
+             for i, m in enumerate(log) if m.kind == "publish_ratio_model"}
+    terms, aggs, blocks, covered = Counter(), Counter(), Counter(), Counter()
     excluded = set()
-    n_folds = 0
-    for m in log:
-        if m.kind in ("model_params", "gradient_update", "target_mean_term", "aggregates"):
-            f = int(m.payload["fold"])
-            if f < 0:
-                raise ValueError(f"fold {f}: a {m.kind} message names a negative fold")
-            n_folds = max(n_folds, f + 1)
-            if m.kind == "target_mean_term":
-                terms[f] += 1
-            elif m.kind == "aggregates":
-                k = m.payload["site_id"]
-                if k not in sizes:
-                    raise ValueError(f"fold {f}: site {k} sent aggregates but "
-                                     "published no ratio model")
-                aggs[(f, k)] += 1
-                if "excluded" in m.payload:
-                    excluded.add(k)
-                else:
-                    covered[k] += int(m.payload.get("n_units", 0))
+    n_folds, p = 0, None
+    for i, m in enumerate(log):
+        if m.kind not in ("outcome_blocks", "target_mean_term", "aggregates"):
+            continue
+        f = int(m.payload["fold"])
+        if f < 0:
+            raise ValueError(f"fold {f}: a {m.kind} message names a negative fold")
+        n_folds = max(n_folds, f + 1)
+        if m.kind == "target_mean_term":
+            terms[f] += 1
+            continue
+        k = m.payload["site_id"]
+        if k not in sizes:
+            raise ValueError(f"fold {f}: site {k} sent {m.kind} but "
+                             "published no ratio model")
+        if m.kind == "outcome_blocks":
+            p = _check_blocks(i, m.payload, p)
+            blocks[(f, k)] += 1
+            continue
+        aggs[(f, k)] += 1
+        if "excluded" in m.payload:
+            excluded.add(k)
+        else:
+            covered[k] += int(m.payload.get("n_units", 0))
     for f in range(n_folds):
         if terms[f] != 1:
             raise ValueError(f"fold {f}: {terms[f]} target_mean_term messages; "
                              "protocol two sends exactly one per fold")
         for k in sorted(sizes):
+            if blocks and blocks[(f, k)] != 1:
+                raise ValueError(f"fold {f}: site {k} sent {blocks[(f, k)]} outcome_blocks "
+                                 "messages; a training run sends exactly one per fold")
             if aggs[(f, k)] != 1:
                 raise ValueError(f"fold {f}: site {k} sent {aggs[(f, k)]} aggregates "
                                  "messages; protocol two sends exactly one per fold")
@@ -292,15 +252,32 @@ def _check_folds(log: MessageLog) -> None:
                              f"cover {covered[k]} units; it published {sizes[k]}")
 
 
+def _check_one_per_site(log: MessageLog) -> None:
+    """Protocol one sends one aggregates message per site; raises ValueError
+    naming the first message that repeats a site."""
+    seen = set()
+    for i, m in enumerate(log):
+        if m.kind == "aggregates":
+            k = m.payload["site_id"]
+            if k in seen:
+                raise ValueError(f"message {i}: a second aggregates message from "
+                                 f"site {k}; protocol one sends one per site")
+            seen.add(k)
+
+
 def _report_from_log(log: MessageLog, ci_level: float = 0.95,
                      weights: Optional[Dict[int, float]] = None) -> EstimateReport:
-    """The report of a transcript: protocol one's when it holds only
-    aggregates, protocol two's (checked by _check_folds) when a site
-    published a ratio model or the server sent a target-mean term."""
+    """The report of a transcript: protocol one's (checked by
+    _check_one_per_site) when it holds only aggregates, protocol two's
+    (checked by _check_folds) when a site published a ratio model or sent
+    outcome blocks, or the server sent a target-mean term."""
     target_msgs = log.by_kind("target_mean_term")
-    protocol_two = bool(target_msgs or log.by_kind("publish_ratio_model"))
+    protocol_two = any(m.kind in ("publish_ratio_model", "outcome_blocks",
+                                  "target_mean_term") for m in log)
     if protocol_two:
         _check_folds(log)
+    else:
+        _check_one_per_site(log)
     agg_msgs = log.by_kind("aggregates")
     if not agg_msgs:
         raise ValueError("log contains no aggregate messages")
@@ -364,7 +341,7 @@ def run_algorithm1(sites: Sequence[SiteDataset], table: ScoreTable,
 
 
 # ---------------------------------------------------------------------------
-# Protocol two: publish ratios, train by averaging, correct per fold
+# Protocol two: publish ratios, train from normal-equation blocks, correct per fold
 
 
 def run_algorithm2(sites: Sequence[SiteDataset], target: TargetCovariates,
@@ -378,10 +355,12 @@ def run_algorithm2(sites: Sequence[SiteDataset], target: TargetCovariates,
 
     ratios maps (site_id, arm) to a fitted selection-side density-ratio model;
     the target covariate table is public input the server already holds.
-    With train False the outcome models are zeros, cross-fitting collapses to
-    a single fold, and no averaging messages flow.
+    cfg caps the training rounds per fold; the outcome fit takes one, so any
+    valid cap gives the same run. With train False the outcome models are
+    zeros, cross-fitting collapses to a single fold, and no block messages
+    flow.
     """
-    return _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng,
+    return _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
                             weights, ci_level, train, wire=True)
 
 
@@ -391,11 +370,11 @@ def centralized_algorithm2(sites, target, ratios, psi_om,
                            ci_level: float = 0.95, train: bool = True):
     """The same computation with every exchange kept in memory: the reference
     the message-passing run must match bitwise."""
-    return _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng,
+    return _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
                             weights, ci_level, train, wire=False)
 
 
-def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng,
+def _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
                      weights, ci_level, train, wire: bool):
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
@@ -440,8 +419,8 @@ def _algorithm2_impl(sites, target, ratios, psi_om, cfg, flavor, F, rng,
         fold_plan = crossfit_split(sites, F, rng)
 
         def fit(train_include, f):
-            return fedavg_train(sites, table, psi_om, cfg, include=train_include,
-                                fold=f, post=lambda m: log.post(m, wire))[:2]
+            return fit_outcome_blocks(sites, table, psi_om, train_include, f,
+                                      lambda m: log.post(m, wire))
     else:
         fold_plan = FoldPlan(F=1, fold_index={s.site_id: np.zeros(s.n, dtype=int)
                                               for s in sites})
@@ -481,9 +460,7 @@ AUDIT_MAX_LEN = 64
 _SCHEMAS = {
     "publish_ratio_model": {"site_id", "n1", "n0", "model1", "model0"},
     "aggregates": _AGG_KEYS | _META_KEYS | _EXCL_KEYS,
-    "model_params": {"fold", "round", "to", "theta1", "theta0"},
-    "gradient_update": {"fold", "round", "delta1", "delta0",
-                        "n1", "n0", "loss1", "loss0"},
+    "outcome_blocks": {"fold", "site_id", "gram1", "cross1", "gram0", "cross0"},
     "target_mean_term": {"fold", "value", "target_var", "n_target"},
 }
 

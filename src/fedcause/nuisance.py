@@ -1,9 +1,10 @@
 """Score fitting and assembly, the per-replication score table, cross-fit
-folds, and the inverse-propensity-weighted outcome loss with its analytic
-gradient."""
+folds, and the inverse-propensity-weighted outcome fit, solved from per-site
+blocks of its normal equations."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -300,52 +301,53 @@ def zero_outcome_model(arm: int, psi: FeatureMap, d: int) -> OutcomeModel:
     return OutcomeModel(arm=arm, psi=psi, theta=np.zeros(p))
 
 
-def _arm_design(site: SiteDataset, table: ScoreTable, psi: FeatureMap, arm: int,
-                include: Optional[np.ndarray] = None):
-    """(design, y, w, n_excluded) of one arm's weighted loss: table.arm_weights
-    with the covariates mapped through psi.design. FedAvg builds it once per
-    fold, since only the parameters move between rounds."""
-    x, y, w, n_excluded = table.arm_weights(site, arm, include)
-    return np.atleast_2d(psi.design(x)), y, w, n_excluded
+@functools.lru_cache(maxsize=None)
+def _upper(p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-major indices of a p x p upper triangle; cached, as np.triu_indices
+    costs more than the block products at the sizes the fits see."""
+    return np.triu_indices(p)
 
 
-def _loss_and_grad(design: np.ndarray, y: np.ndarray, w: np.ndarray, theta: np.ndarray):
-    """sum w (y - design theta)^2 and its gradient in theta, on a non-empty arm."""
-    resid = y - design @ theta
-    return float(np.sum(w * resid ** 2)), -2.0 * design.T @ (w * resid)
+def outcome_block(site: SiteDataset, table: ScoreTable, psi: FeatureMap, arm: int,
+                  include: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """One site's share of an arm's weighted least-squares normal equations:
+    (the upper triangle of D'WD, row by row, and D'Wy), D being the design of
+    the arm's usable units and W their weights 1 / pooled score. Units whose
+    pooled score is exactly zero are left out; an arm without usable units
+    gives zeros."""
+    x, y, w, _ = table.arm_weights(site, arm, include)
+    design = np.atleast_2d(psi.design(x))
+    dw = design * w[:, None]
+    gram = dw.T @ design
+    return gram[_upper(len(gram))], dw.T @ y
 
 
-def weighted_loss_and_grad(m: OutcomeModel, site: SiteDataset, table: ScoreTable,
-                           include: Optional[np.ndarray] = None):
-    """Squared loss on one site's arm-matching units, each term divided by the
-    pooled assignment score at that unit.
-
-    Returns (loss, grad, n_excluded). Units whose pooled score is exactly zero
-    are excluded and counted; near-zero scores are floored at 1e-12.
-    """
-    design, y, w, n_excluded = _arm_design(site, table, m.psi, m.arm, include)
-    if len(w) == 0:
-        return 0.0, np.zeros(len(m.theta)), n_excluded
-    return (*_loss_and_grad(design, y, w, m.theta), n_excluded)
+def solve_outcome_blocks(blocks: Sequence[Tuple[Sequence[float], Sequence[float]]],
+                         arm: int, psi: FeatureMap) -> OutcomeModel:
+    """The arm's outcome model from the sites' outcome_block pairs, summed in
+    the given order: the exact minimizer of the pooled weighted squared loss,
+    solved by least squares on the normal equations (the minimum-norm
+    solution when they are singular)."""
+    gram_tri = sum(np.asarray(g, dtype=float) for g, _ in blocks)
+    cross = sum(np.asarray(c, dtype=float) for _, c in blocks)
+    if not np.any(gram_tri):
+        raise ValueError(f"no usable units to fit the arm-{arm} outcome model")
+    upper = _upper(len(cross))
+    gram = np.zeros((len(cross), len(cross)))
+    gram[upper] = gram_tri
+    gram.T[upper] = gram_tri
+    theta, *_ = np.linalg.lstsq(gram, cross, rcond=None)
+    return OutcomeModel(arm=arm, psi=psi, theta=theta)
 
 
 def fit_outcome_direct(sites: Sequence[SiteDataset], arm: int, psi: FeatureMap,
                        table: ScoreTable,
                        include: Optional[Dict[int, np.ndarray]] = None) -> OutcomeModel:
-    """Minimize the pooled weighted squared loss exactly via least squares.
-
-    Weights 1/score are normalized to mean one before solving, which leaves
-    the minimizer unchanged and makes the fit invariant to the shared unknown
-    constant in assembled scores by construction.
+    """Minimize the pooled weighted squared loss exactly: every site's
+    outcome_block, in ascending site order, through solve_outcome_blocks, as
+    the federated protocol does. Scaling every score by one constant scales
+    both sides of the normal equations, so the fit moves only by rounding.
     """
-    parts = [_arm_design(s, table, psi, arm,
-                         None if include is None else include.get(s.site_id))
-             for s in sorted(sites, key=lambda t: t.site_id)]
-    parts = [t for t in parts if len(t[2])]
-    if not parts:
-        raise ValueError(f"no usable units to fit the arm-{arm} outcome model")
-    D, y, w = (np.concatenate([t[j] for t in parts]) for j in range(3))
-    w = w / w.mean()
-    sw = np.sqrt(w)
-    theta, *_ = np.linalg.lstsq(D * sw[:, None], y * sw, rcond=None)
-    return OutcomeModel(arm=arm, psi=psi, theta=theta)
+    return solve_outcome_blocks(
+        [outcome_block(s, table, psi, arm, None if include is None else include.get(s.site_id))
+         for s in sorted(sites, key=lambda t: t.site_id)], arm, psi)

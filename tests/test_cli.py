@@ -154,6 +154,35 @@ def test_estimate_fits_a_far_dataset_in_memory_and_federated(capsys, tmp_path):
     log = MessageLog.load(log_path)
     assert audit_messages(log) == []
     assert replay(log).tau_hat == rep["tau_hat"]
+    assert _printed_clb_aipw(capsys, data) == _printed_clb_aipw(capsys, data, "--federated")
+
+
+def _printed_clb_aipw(capsys, data, *extra):
+    """stdout of one clb-aipw estimate with tilting ratios."""
+    rc = main(["estimate", "--data", str(data), "--estimator", "clb-aipw",
+               "--ratio", "tilting", *extra])
+    out = capsys.readouterr().out
+    assert rc == 0
+    return out
+
+
+def test_estimate_federated_aipw_prints_the_in_memory_report(capsys, data_dir):
+    # both paths solve the same per-site normal equations in site order
+    for seed in ("0", "5"):
+        assert (_printed_clb_aipw(capsys, data_dir, "--seed", seed)
+                == _printed_clb_aipw(capsys, data_dir, "--seed", seed, "--federated"))
+
+
+def test_estimate_federated_round_cap_changes_nothing(capsys, data_dir, tmp_path):
+    # the outcome fit is quadratic and takes one round under any cap
+    runs = []
+    for rounds in ("1", "50"):
+        log_path = tmp_path / f"rounds{rounds}.msgs.jsonl"
+        out = _printed_clb_aipw(capsys, data_dir, "--federated", "--rounds", rounds,
+                                "--log", str(log_path))
+        runs.append((out, log_path.read_bytes()))
+    assert runs[0] == runs[1]
+    assert len(MessageLog.load(log_path)) == 17
 
 
 def test_estimate_names_the_site_of_a_failed_fit(capsys, data_dir, monkeypatch):
@@ -174,8 +203,8 @@ def test_estimate_names_the_site_of_a_failed_fit(capsys, data_dir, monkeypatch):
 # clb-aipw run on data_dir; a change to these bytes is a change to the
 # protocol's arithmetic or messages
 FEDERATED_SHA256 = {
-    "report": "bd5459fa7960177c50503e23cfdf1aee4a3ee82ea3b42a30b45a683de5245954",
-    "transcript": "e8cb716487285852729cfb1e8dbe2fcc9555d981a924a2b57d2f61f4823ca8d6",
+    "report": "311aba01b2ce2e2a0040c447f210aff0bd0d70facdcff9a6254648d4025d8c2f",
+    "transcript": "a01040e07665da4e4421c574c3c8e83d2dcdc53790165ce69564106734873ffb",
 }
 
 
@@ -191,7 +220,7 @@ def test_estimate_federated_aipw_bytes_are_pinned(capsys, data_dir, tmp_path):
 
 # sha256 of the printed in-memory clb-aipw report with knn ratios on the
 # knn_data_dir design
-KNN_REPORT_SHA256 = "fa6eefc0e1d08e0de47ca5e36a242f62359ca6e9d16db69d60d7c4580761634a"
+KNN_REPORT_SHA256 = "4245b830652e1ba687d1ef73e290e6af1403f966a1fb0290a151f097ed8c3757"
 
 
 @pytest.fixture(scope="module")

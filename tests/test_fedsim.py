@@ -1,12 +1,12 @@
 """Message protocol: transcripts, replay, federated-vs-centralized equality,
-FedAvg training dynamics, and the privacy audit."""
+the one-round outcome fit, and the privacy audit."""
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from fedcause import (
-    FedAvgDivergence,
     FedConfig,
     IDENTITY_PLUS_INTERCEPT,
     MessageLog,
@@ -18,17 +18,18 @@ from fedcause import (
     clb_ipw,
     expected_message_count,
     fit_knn,
+    fit_outcome_direct,
     replay,
     run_algorithm1,
     run_algorithm2,
     score_table,
 )
-from fedcause import fedsim
+from fedcause import fedsim, nuisance
 from fedcause.density_ratio import IDENTITY, RatioModel
 from fedcause.fedsim import (MESSAGE_KINDS, SiteMessage, centralized_algorithm2,
-                             fedavg_train, suggest_learning_rate)
-from fedcause.nuisance import (OutcomeModel, _arm_design, assemble_propensity,
-                               fit_scores, weighted_loss_and_grad)
+                             fit_outcome_blocks)
+from fedcause.nuisance import (ScoreTable, assemble_propensity, fit_scores,
+                               solve_outcome_blocks)
 from conftest import fuzz_dataset, fuzz_scores
 
 
@@ -55,11 +56,19 @@ def _fitted_ratios(sites, target):
     return {pair: score.ratio for pair, score in p.e.items()}
 
 
-def test_message_count_formula():
-    assert expected_message_count(3, 50, 2) == 3 * (2 * 50 * 2 + 3) + 2
-    assert expected_message_count(1, 1, 2) == 1 * (2 * 1 * 2 + 3) + 2
-    # general fold count: K * (2RF + F + 1) + F
-    assert expected_message_count(4, 7, 3) == 4 * (2 * 7 * 3 + 3 + 1) + 3
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+@pytest.mark.parametrize("F", [2, 3])
+def test_message_count_formula(n_sites, F):
+    rng = np.random.default_rng(3)
+    sites = _linear_sites(rng, n_sites=n_sites, n=24)
+    target = TargetCovariates(rng.normal(size=(30, 2)))
+    _, log = run_algorithm2(sites, target, _fitted_ratios(sites, target),
+                            psi_om=IDENTITY_PLUS_INTERCEPT, cfg=FedConfig(rounds=7),
+                            F=F, rng=np.random.default_rng(0))
+    # K publish messages, and per fold K outcome blocks, K aggregates and
+    # one target term, whatever the round cap
+    assert len(log) == expected_message_count(n_sites, 7, F) == n_sites * (2 * F + 1) + F
+    assert expected_message_count(n_sites, 50, F) == len(log)
 
 
 def test_algorithm1_matches_direct_pooled_estimate(rng):
@@ -189,6 +198,64 @@ def test_replay_refuses_a_dropped_or_repeated_fold_message():
         replay(MessageLog(msgs[:t] + msgs[t + 1:]))
 
 
+def _tampered(msgs, i, **changes):
+    """msgs with message i's payload updated by changes; None deletes a key."""
+    pay = {k: v for k, v in {**msgs[i].payload, **changes}.items() if v is not None}
+    return msgs[:i] + [dataclasses.replace(msgs[i], payload=pay, line=None)] + msgs[i + 1:]
+
+
+def test_replay_refuses_a_dropped_or_repeated_outcome_blocks_message():
+    msgs = _two_site_transcript()
+    blocks = [i for i, m in enumerate(msgs) if m.kind == "outcome_blocks"]
+    assert [(msgs[i].payload["fold"], msgs[i].payload["site_id"]) for i in blocks] == [
+        (0, 1), (0, 2), (1, 1), (1, 2)]
+    b = blocks[2]
+    with pytest.raises(ValueError, match="fold 1: site 1 sent 0 outcome_blocks messages"):
+        replay(MessageLog(msgs[:b] + msgs[b + 1:]))
+    with pytest.raises(ValueError, match="fold 1: site 1 sent 2 outcome_blocks messages"):
+        replay(MessageLog(msgs[:b] + [msgs[b]] + msgs[b:]))
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("gram1", [1.0] * 5, "gram1 is not a list of 6 finite numbers"),
+    ("cross0", [1.0] * 4, "cross0 is not a list of 3 finite numbers"),
+    ("gram0", [1.0] * 5 + [float("nan")], "gram0 is not a list of 6 finite numbers"),
+    ("cross1", [1.0, "abc", 2.0], "cross1 is not a list of 3 finite numbers"),
+    ("cross1", None, "cross1 is not a non-empty list"),
+], ids=["short-gram", "long-cross", "nan", "non-numeric", "no-cross1"])
+def test_replay_refuses_a_malformed_outcome_blocks_payload(key, value, reason):
+    msgs = _two_site_transcript()
+    replay(MessageLog(msgs))
+    i = next(i for i, m in enumerate(msgs) if m.kind == "outcome_blocks")
+    with pytest.raises(ValueError, match=f"message {i}: outcome_blocks " + re.escape(reason)):
+        replay(MessageLog(_tampered(msgs, i, **{key: value})))
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("n1", "abc", "n1 is 'abc', not a non-negative integer"),
+    ("n0", 12.0, "n0 is 12.0, not a non-negative integer"),
+    ("n0", True, "n0 is True, not a non-negative integer"),
+    ("model1", None, "lacks model1"),
+], ids=["n1-string", "n0-float", "n0-bool", "no-model1"])
+def test_replay_refuses_a_malformed_published_model(key, value, reason):
+    msgs = _two_site_transcript()
+    assert msgs[1].kind == "publish_ratio_model"
+    with pytest.raises(ValueError, match="message 1: publish_ratio_model " + re.escape(reason)):
+        replay(MessageLog(_tampered(msgs, 1, **{key: value})))
+
+
+def test_replay_refuses_a_repeated_protocol_one_site():
+    rng = np.random.default_rng(1)
+    sites, _ = fuzz_dataset(rng, n_sites=3)
+    rep, log = run_algorithm1(sites, score_table(sites, fuzz_scores(rng, sites, sites[0].d)))
+    assert replay(log) == rep
+    msgs = log.messages
+    with pytest.raises(ValueError, match="message 2: a second aggregates message from site 1"):
+        replay(MessageLog(msgs[:2] + [msgs[0]] + msgs[2:]))
+    with pytest.raises(ValueError, match="message 3: a second aggregates message from site 2"):
+        replay(MessageLog(msgs + [msgs[1]]))
+
+
 def test_algorithm2_equals_centralized_run():
     rng = np.random.default_rng(4)
     sites = _linear_sites(rng, n_sites=3, n=20)
@@ -228,7 +295,7 @@ def test_algorithm2_needs_two_target_rows(monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("a fold trained before the target check")
 
-    monkeypatch.setattr(fedsim, "fedavg_train", no_training)
+    monkeypatch.setattr(fedsim, "fit_outcome_blocks", no_training)
     for run in (run_algorithm2, centralized_algorithm2):
         for train in (True, False):
             with pytest.raises(ValueError, match="needs at least 2 target rows"):
@@ -246,18 +313,33 @@ def test_algorithm2_rejects_neighbour_ratio_models():
         run_algorithm2(sites, target, ratios, psi_om=IDENTITY)
 
 
-def test_fedavg_reaches_pooled_weighted_least_squares():
+def _wire_post(log):
+    return lambda m: log.post(m, True)
+
+
+def test_block_solve_matches_stacked_weighted_lstsq():
     rng = np.random.default_rng(7)
-    sites = _linear_sites(rng, n_sites=3, n=40)
-    p = score_table(sites, _const_scores([1, 2, 3]))
-    cfg = FedConfig(rounds=400)
-    m1, m0, info = fedavg_train(sites, p, IDENTITY, cfg=cfg)
-    assert np.allclose(m1.theta, [0.0, 1.0, -0.5], atol=1e-6)
-    assert np.allclose(m0.theta, [0.0, 0.25, 0.5], atol=1e-6)
-    assert info["rounds_run"] == 400
+    worst = 0.0
+    for _ in range(20):
+        sites = _linear_sites(rng, n_sites=3, n=40)
+        for s in sites:
+            s.y_vec[:] += rng.normal(size=s.n)
+        e = {(k, z): (lambda x, a=rng.normal(0, 0.5, size=2), b=rng.uniform(0.05, 0.4):
+                      b / (1 + np.exp(-np.atleast_2d(x) @ a)))
+             for k in (1, 2, 3) for z in (0, 1)}
+        table = score_table(sites, PropensitySet(e=e))
+        for arm in (1, 0):
+            m = solve_outcome_blocks([nuisance.outcome_block(s, table, IDENTITY, arm)
+                                      for s in sites], arm, IDENTITY)
+            parts = [table.arm_weights(s, arm) for s in sites]
+            x, y, w = (np.concatenate([t[j] for t in parts]) for j in range(3))
+            D = IDENTITY.design(x)
+            ref, *_ = np.linalg.lstsq(D * np.sqrt(w)[:, None], y * np.sqrt(w), rcond=None)
+            worst = max(worst, np.max(np.abs(m.theta - ref)) / np.max(np.abs(ref)))
+    assert worst <= 1e-12, worst
 
 
-def test_fedavg_evaluates_no_score_after_the_table_is_built():
+def test_outcome_blocks_evaluate_no_score_after_the_table_is_built():
     rng = np.random.default_rng(12)
     sites = _linear_sites(rng, n_sites=3, n=30)
     calls = []
@@ -270,23 +352,47 @@ def test_fedavg_evaluates_no_score_after_the_table_is_built():
                                                 for z in (0, 1)}))
     assert len(calls) == 3 * 2 * 3  # sites x arms x score columns
     calls.clear()
-    fedavg_train(sites, table, IDENTITY, cfg=FedConfig(rounds=5))
+    fit_outcome_blocks(sites, table, IDENTITY, {}, 0, _wire_post(MessageLog()))
     assert calls == []
 
 
-def test_fedavg_builds_each_arm_design_once_per_fold(monkeypatch):
+def test_outcome_blocks_build_each_arm_design_once_per_fold(monkeypatch):
     rng = np.random.default_rng(16)
     sites = _linear_sites(rng, n_sites=3, n=30)
     table = score_table(sites, _const_scores([1, 2, 3]))
     calls = []
 
-    def counted(site, *args, **kwargs):
-        calls.append((site.site_id, args[2]))
-        return _arm_design(site, *args, **kwargs)
+    real = ScoreTable.arm_weights
 
-    monkeypatch.setattr(fedsim, "_arm_design", counted)
-    fedavg_train(sites, table, IDENTITY, cfg=FedConfig(rounds=5))
+    def counted(self, site, arm, include=None):
+        calls.append((site.site_id, arm))
+        return real(self, site, arm, include)
+
+    monkeypatch.setattr(ScoreTable, "arm_weights", counted)
+    log = MessageLog()
+    fit_outcome_blocks(sites, table, IDENTITY, {}, 0, _wire_post(log))
     assert sorted(calls) == sorted((k, arm) for k in (1, 2, 3) for arm in (1, 0))
+    assert [m.kind for m in log] == ["outcome_blocks"] * 3
+
+
+def test_outcome_blocks_are_bitwise_the_in_memory_fit():
+    rng = np.random.default_rng(15)
+    sites = _linear_sites(rng, n_sites=3, n=40)
+    e = {(k, z): (lambda x, c=0.1 * k + 0.05 * z: c * (1.5 + np.tanh(np.atleast_2d(x)[:, 0])))
+         for k in (1, 2, 3) for z in (0, 1) if (k, z) != (2, 0)}
+    table = score_table(sites, PropensitySet(e=e))
+    include = {s.site_id: rng.random(s.n) < 0.7 for s in sites}
+    include[3] &= sites[2].z_vec == 1  # site 3 trains no control units
+    log = MessageLog()
+    m1, m0 = fit_outcome_blocks(sites, table, IDENTITY_PLUS_INTERCEPT, include, 4,
+                                _wire_post(log))
+    for m, arm in ((m1, 1), (m0, 0)):
+        ref = fit_outcome_direct(sites, arm, IDENTITY_PLUS_INTERCEPT, table, include=include)
+        assert m.theta.tobytes() == ref.theta.tobytes()
+        assert not np.array_equal(m.theta, 0.0)
+    # site 3 sends zeros for its empty control arm
+    assert log.messages[2].payload["gram0"] == [0.0] * 6
+    assert audit_messages(log) == []
 
 
 def test_algorithm2_evaluates_each_published_score_once_per_unit(monkeypatch):
@@ -327,75 +433,6 @@ def test_factored_models_round_trip_exactly_and_audit_clean():
             assert list(msg.payload[slot]) == ["backend", "gamma", "beta", "psi"]
 
 
-def _reference_fedavg(sites, table, psi, cfg, include):
-    """Averaging rounds that rebuild each local objective at every round
-    through weighted_loss_and_grad."""
-    lr = suggest_learning_rate({s.site_id: {arm: _arm_design(s, table, psi, arm,
-                                                             include.get(s.site_id))[:3]
-                                            for arm in (1, 0)} for s in sites})
-    theta = {arm: np.zeros(psi.output_dim(sites[0].d)) for arm in (1, 0)}
-    for _ in range(cfg.rounds):
-        updates = []
-        for s in sites:
-            inc = include.get(s.site_id)
-            n_arm = {arm: int(np.sum((s.z_vec == arm) & inc)) for arm in (1, 0)}
-            upd = {}
-            for arm in (1, 0):
-                m = OutcomeModel(arm=arm, psi=psi, theta=theta[arm].copy())
-                _, grad, n_excl = weighted_loss_and_grad(m, s, table, include=inc)
-                n_used = n_arm[arm] - n_excl
-                th = theta[arm] if n_used == 0 else theta[arm] - (lr / n_used) * grad
-                upd[arm] = (th - theta[arm], n_used)
-            updates.append(upd)
-        for arm in (1, 0):
-            tot = sum(float(u[arm][1]) for u in updates)
-            if tot <= 0.0:
-                continue
-            step = np.zeros(len(theta[arm]))
-            for u in updates:
-                if u[arm][1] > 0:
-                    step += (float(u[arm][1]) / tot) * u[arm][0]
-            theta[arm] = theta[arm] + step
-    return theta
-
-
-def test_fedavg_cached_local_step_is_bitwise_the_per_step_loss():
-    rng = np.random.default_rng(15)
-    sites = _linear_sites(rng, n_sites=3, n=40)
-    e = {(k, z): (lambda x, c=0.1 * k + 0.05 * z: c * (1.5 + np.tanh(np.atleast_2d(x)[:, 0])))
-         for k in (1, 2, 3) for z in (0, 1) if (k, z) != (2, 0)}
-    table = score_table(sites, PropensitySet(e=e))
-    include = {s.site_id: rng.random(s.n) < 0.7 for s in sites}
-    include[3] &= sites[2].z_vec == 1  # site 3 trains no control units
-    cfg = FedConfig(rounds=6)
-    m1, m0, _ = fedavg_train(sites, table, IDENTITY_PLUS_INTERCEPT, cfg=cfg,
-                             include=include)
-    ref = _reference_fedavg(sites, table, IDENTITY_PLUS_INTERCEPT, cfg, include)
-    assert m1.theta.tobytes() == ref[1].tobytes()
-    assert m0.theta.tobytes() == ref[0].tobytes()
-    assert not np.array_equal(m1.theta, 0.0) and not np.array_equal(m0.theta, 0.0)
-
-
-def test_fedavg_loss_trace_decreases_with_suggested_rate():
-    rng = np.random.default_rng(8)
-    sites = _linear_sites(rng, n_sites=2, n=30)
-    p = score_table(sites, _const_scores([1, 2]))
-    _, _, info = fedavg_train(sites, p, IDENTITY, cfg=FedConfig(rounds=30))
-    assert info["learning_rate"] > 0
-    trace = info["loss_trace"]
-    assert trace[-1] <= trace[0]
-
-
-def test_fedavg_divergence_detection(monkeypatch):
-    rng = np.random.default_rng(9)
-    sites = _linear_sites(rng, n_sites=2, n=30)
-    p = score_table(sites, _const_scores([1, 2]))
-    monkeypatch.setattr(fedsim, "suggest_learning_rate", lambda arms: 25.0)
-    with pytest.raises(FedAvgDivergence) as err:
-        fedavg_train(sites, p, IDENTITY, cfg=FedConfig(rounds=60))
-    assert len(err.value.trace) >= 6
-
-
 def test_audit_passes_live_logs(rng):
     sites, _ = fuzz_dataset(rng, n_sites=3, d=2)
     p = score_table(sites, fuzz_scores(rng, sites, 2))
@@ -413,8 +450,8 @@ def test_audit_flags_record_shaped_payloads():
 def test_audit_flags_unknown_kind_and_server_spoofing():
     log = MessageLog([SiteMessage(sender=2, kind="covariates", round=0, payload={})])
     assert audit_messages(log)
-    log2 = MessageLog([SiteMessage(sender=2, kind="model_params", round=0,
-                                   payload={"to": 1, "arm": 1, "model": {}})])
+    log2 = MessageLog([SiteMessage(sender=2, kind="target_mean_term", round=0,
+                                   payload={"fold": 0, "value": 0.0})])
     assert any("server" in s for s in audit_messages(log2))
 
 

@@ -153,12 +153,12 @@ SMALL = ShiftConfig(site_sizes=(60, 120, 180), n_target=600)
 # sha256 of the sweep CSV for each nuisance mode on the small design, seed 42;
 # a change to these bytes is a change to the estimates
 SWEEP_SHA256 = {
-    ("oracle", "correct"): "7e3a11181344789d7254ff9c04e4918cc0f11f0699bc16024ffa4d05953d25e3",
-    ("oracle", "wrong"): "1ecc32bdd980bb36522138eb9e8ba9de24c214f614ffe6a0056a02371b7069c5",
-    ("tilting", "correct"): "39a93da39c52bbc43088dc24ae560fb3616210c81d03e2d99182e1f4721169eb",
-    ("tilting", "wrong"): "c0644cb131e8c4ab5eb322ab5f06809daffa8ac004b73b74f62dd6146265d74b",
-    ("knn", "correct"): "303da808e610267e7b4937ecca77c9171cd54659735727a378f8bc1a433edfda",
-    ("knn", "wrong"): "3936bf5a8d2cae7e443405d71e22782ee6cf0a2a0469ec9468cdbcc93c378ba6",
+    ("oracle", "correct"): "205a77cc9a6c0003759eb5adea9fd5b5cd3d5a837432d550ef06320e3b6490fc",
+    ("oracle", "wrong"): "36731a47e5e9323702a61e6bef95103629e6940d583499d34329e56062d956e1",
+    ("tilting", "correct"): "821240d5de2c72046b442c0c075a7450673e270ec3e27445e1199280c02e6891",
+    ("tilting", "wrong"): "04dd5b657ca1cc288eceda4a1658bda64d7e69e3cae1b6e6598ac7e05ed84f6a",
+    ("knn", "correct"): "9812d3216ab53c2bc3621c8937cdd97f4f6f213756ce2e3938b938096d6cd3ba",
+    ("knn", "wrong"): "d4b32a00e99103c22c884836ed1de24da265b5e77efb4e3949e3730a57dd962e",
 }
 
 
@@ -177,8 +177,8 @@ def test_small_sweep_csv_bytes_are_pinned(tmp_path, mode, spec_kind):
 # (site 2, first replication at d_kl 1) or call 5 of the arm fits (site 2,
 # second replication at d_kl 1); that site drops out of every estimator
 EXCISED_SWEEP_SHA256 = {
-    "fit_logistic_ratio": "a6cf00aec4aaf76dd88afe5b77a38c27fd51f234c8bc5ab49c0edfba841c31fc",
-    "fit_logistic": "37e9bc0288e8bccd95c5918901690cf0a97b916244599023218c62aee1f218e4",
+    "fit_logistic_ratio": "ecb4f9587ed87217c7c2f03bd6938db9a13d9c32a48e58ce4566ab03c793c980",
+    "fit_logistic": "05ce2d3db6a7315f986c2ddaa6e9fb97cc2c053dc2f4c1561475f2b6ed05d259",
 }
 
 

@@ -1,4 +1,4 @@
-"""Score assembly, pooled scores, cross-fit folds, and the weighted loss."""
+"""Score assembly, pooled scores, cross-fit folds, and the weighted outcome fit."""
 
 import hashlib
 
@@ -17,12 +17,11 @@ from fedcause import (
     gen_covariate_shift,
     oracle_shift_propensity,
     score_table,
-    weighted_loss_and_grad,
     zero_outcome_model,
 )
 from fedcause.density_ratio import (IDENTITY, FeatureMap, RatioModel, expit,
                                     fit_logistic, fit_logistic_ratio)
-from fedcause.nuisance import FoldPlan, fit_scores
+from fedcause.nuisance import FoldPlan, fit_scores, outcome_block
 
 
 def test_assemble_uniform_ratio_reduces_to_count_share():
@@ -225,17 +224,28 @@ def _const_score_set(val: float):
                             (1, 0): lambda x: np.full(len(np.atleast_2d(x)), val)})
 
 
+def _gram(tri, p):
+    """The symmetric matrix of an outcome_block's upper triangle."""
+    g = np.zeros((p, p))
+    g[np.triu_indices(p)] = tri
+    return g + np.triu(g, 1).T
+
+
+# outcome_block holds a site's weighted squared loss as its normal equations
 def test_weighted_loss_single_unit():
     site = SiteDataset.from_arrays(1, np.array([[2.0]]), [1], [3.0])
-    m = OutcomeModel(arm=1, psi=IDENTITY, theta=np.array([0.0, 0.5]))
     table = score_table([site], _const_score_set(0.4))
-    loss, grad, n_exc = weighted_loss_and_grad(m, site, table)
-    # (3 - 0.5*2)^2 / 0.4
-    assert loss == pytest.approx(4.0 / 0.4)
-    assert n_exc == 0
+    gram, cross = outcome_block(site, table, IDENTITY, 1)
+    # design row (1, 2), weight 1 / 0.4
+    assert np.allclose(gram, np.array([1.0, 2.0, 4.0]) / 0.4)
+    assert np.allclose(cross, np.array([3.0, 6.0]) / 0.4)
+    gram, cross = outcome_block(site, table, IDENTITY, 0)
+    assert not np.any(gram) and not np.any(cross)
 
 
 def test_weighted_loss_gradient_matches_finite_differences():
+    # the block is the quadratic sum w (y - design theta)^2, whose gradient
+    # is 2 (D'WD theta - D'Wy)
     rng = np.random.default_rng(41)
     worst = 0.0
     for _ in range(100):
@@ -246,21 +256,23 @@ def test_weighted_loss_gradient_matches_finite_differences():
         p = score_table([site], PropensitySet(e={
             (1, 1): lambda x, a=a: 0.1 + 0.5 / (1 + np.exp(-np.atleast_2d(x) @ a)),
             (1, 0): lambda x, a=a: 0.1 + 0.5 / (1 + np.exp(np.atleast_2d(x) @ a))}))
-        m = OutcomeModel(arm=int(rng.integers(0, 2)), psi=IDENTITY_PLUS_INTERCEPT,
-                         theta=rng.normal(size=d + 1))
-        loss, grad, _ = weighted_loss_and_grad(m, site, p)
-        if loss == 0.0:
+        arm = int(rng.integers(0, 2))
+        theta = rng.normal(size=d + 1)
+        x, y, w, _ = p.arm_weights(site, arm)
+        if len(w) == 0:
             continue
+
+        def loss(th):
+            return float(np.sum(w * (y - IDENTITY_PLUS_INTERCEPT.design(x) @ th) ** 2))
+
+        gram, cross = outcome_block(site, p, IDENTITY_PLUS_INTERCEPT, arm)
+        grad = 2.0 * (_gram(gram, d + 1) @ theta - cross)
         fd = np.zeros_like(grad)
         h = 1e-5
         for j in range(len(grad)):
-            tp = m.theta.copy(); tp[j] += h
-            tm = m.theta.copy(); tm[j] -= h
-            lp, *_ = weighted_loss_and_grad(
-                OutcomeModel(m.arm, m.psi, tp), site, p)
-            lm, *_ = weighted_loss_and_grad(
-                OutcomeModel(m.arm, m.psi, tm), site, p)
-            fd[j] = (lp - lm) / (2 * h)
+            step = np.zeros_like(theta)
+            step[j] = h
+            fd[j] = (loss(theta + step) - loss(theta - step)) / (2 * h)
         rel = np.max(np.abs(fd - grad) / np.maximum(1.0, np.abs(grad)))
         worst = max(worst, rel)
     assert worst < 1e-5
@@ -270,10 +282,11 @@ def test_weighted_loss_counts_zero_score_exclusions():
     site = SiteDataset.from_arrays(1, np.array([[1.0], [-1.0]]), [1, 1], [1.0, 2.0])
     p = score_table([site], PropensitySet(
         e={(1, 1): lambda x: (np.atleast_2d(x)[:, 0] > 0) * 0.5}))
-    m = OutcomeModel(arm=1, psi=IDENTITY, theta=np.array([0.0, 0.0]))
-    loss, grad, n_exc = weighted_loss_and_grad(m, site, p)
-    assert n_exc == 1
-    assert loss == pytest.approx(1.0 / 0.5)
+    assert p.arm_weights(site, 1)[3] == 1
+    gram, cross = outcome_block(site, p, IDENTITY, 1)
+    # only the unit at x = 1, y = 1 with weight 2
+    assert np.allclose(gram, [2.0, 2.0, 2.0])
+    assert np.allclose(cross, [2.0, 2.0])
 
 
 def test_constant_weights_recover_plain_least_squares(rng):

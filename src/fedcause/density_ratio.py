@@ -2,11 +2,11 @@
 
 Three backends are provided. The parametric backend is an exponential tilt
 exp(psi(x)' gamma) on a feature map, fitted either by moment matching (the
-convex dual, damped Newton) or by logistic discrimination of source against
-target (Newton / IRLS). The factored backend multiplies such a tilt by a
-logistic arm propensity expit(psi(x)' beta). The nonparametric backend forms
-a ratio of nearest-neighbour counts. An analytic Gaussian oracle supports
-testing.
+convex dual of entropy balancing) or by logistic discrimination of source
+against target; one block Newton loop solves both. The factored backend
+multiplies such a tilt by a logistic arm propensity expit(psi(x)' beta). The
+nonparametric backend forms a ratio of nearest-neighbour counts. An analytic
+Gaussian oracle supports testing.
 """
 
 from __future__ import annotations
@@ -99,10 +99,9 @@ MISSPECIFIED = FeatureMap("misspecified")
 class TiltingError(Exception):
     """A tilt fit (moment matching or logistic) did not converge.
 
-    Attributes: ``residual`` is the best relative residual norm seen (for a
-    logistic fit, the last Newton decrement), ``iterations`` the Newton
-    iterations used, ``separated`` flags the case where no finite fit exists:
-    the target moments lie outside the reachable set and the dual is
+    Attributes: ``residual`` is the last Newton decrement, ``iterations`` the
+    Newton iterations used, ``separated`` flags the case where no finite fit
+    exists: the target moments lie outside the reachable set and the dual is
     unbounded below, or the logistic labels are separated.
     """
 
@@ -185,21 +184,16 @@ class RatioModel:
             raise ValueError(f"unknown backend {self.backend!r}")
 
     def eval(self, x):
-        vals, _ = self.eval_with_diagnostics(x)
-        return vals
-
-    def eval_with_diagnostics(self, x):
-        """Returns (values, n_floored); n_floored counts empty-ball probes."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         if self.backend == "knn":
-            vals, n_floored = eval_knn([self], x)
-            return (float(vals[0, 0]) if single else vals[0]), n_floored[0]
-        f = np.atleast_2d(self.psi.apply(x))
-        vals = np.exp(f @ self.gamma)
-        if self.backend == "factored":
-            vals *= expit(f @ self.beta)
-        return (float(vals[0]) if single else vals), 0
+            vals = eval_knn([self], x)[0][0]
+        else:
+            f = np.atleast_2d(self.psi.apply(x))
+            vals = np.exp(f @ self.gamma)
+            if self.backend == "factored":
+                vals *= expit(f @ self.beta)
+        return float(vals[0]) if single else vals
 
     def to_json_obj(self) -> dict:
         if self.backend == "knn":
@@ -226,128 +220,6 @@ def _unstandardize(g, mu, sd, has_intercept: bool) -> np.ndarray:
     if has_intercept:
         graw[0] = g[0] - float(((mu / sd)[1:] * g[1:]).sum())
     return graw
-
-
-# a tilting fit has converged once its relative moment residual is at most
-# TILTING_TOL, and stops after TILTING_MAX_ITER damped Newton steps
-TILTING_TOL = 1e-9
-TILTING_MAX_ITER = 200
-
-
-def fit_tilting(source, target, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT) -> RatioModel:
-    """Fit exp(psi(x)' gamma) so source units reweighted by it match target
-    feature totals: sum_source psi exp(psi' gamma) = sum_target psi.
-
-    Solved by damped Newton on the convex dual
-    G(gamma) = sum_source exp(psi' gamma) - gamma' sum_target psi, whose
-    gradient is the moment residual. Steps are Levenberg-damped with a trust
-    cap and backtracked until the dual decreases, so the recorded dual trace
-    is non-increasing. Convergence is declared at relative residual
-    <= TILTING_TOL (gradient norm over max(1, target-moment norm)); after
-    TILTING_MAX_ITER steps the fit stops. A stall at relative
-    residual <= 1e-5 is accepted and flagged soft in fit_info; anything worse
-    raises TiltingError carrying the best residual, with separation (target
-    moments outside the reachable set, dual unbounded below) reported
-    distinctly.
-
-    The returned model reweights source toward target: it estimates
-    (n_target/n_source) p_target/p_source, not the selection-side ratio.
-    """
-    src = np.atleast_2d(np.asarray(source, dtype=float))
-    tgt = np.atleast_2d(np.asarray(target, dtype=float))
-    if src.size == 0 or tgt.size == 0:
-        raise ValueError("source and target must be non-empty")
-    if src.shape[1] != tgt.shape[1]:
-        raise ValueError("source and target dimension mismatch")
-
-    A = np.atleast_2d(psi.apply(src)).astype(float)
-    t = np.atleast_2d(psi.apply(tgt)).sum(axis=0).astype(float)
-    n, p = A.shape
-    has_icpt = psi.has_intercept
-
-    # internal standardization; the intercept column absorbs the centering
-    sd = A.std(axis=0)
-    sd[sd == 0] = 1.0
-    if has_icpt:
-        mu = A.mean(axis=0)
-        n_t = float(len(tgt))
-        A = (A - mu) / sd
-        A[:, 0] = 1.0
-        t = (t - n_t * mu) / sd
-        t[0] = n_t
-    else:
-        mu = np.zeros(p)
-        A = A / sd
-        t = t / sd
-    scale = max(1.0, float(np.linalg.norm(t)))
-
-    def dual(g):
-        with np.errstate(over="ignore"):
-            return float(np.exp(A @ g).sum() - g @ t)
-
-    g = np.zeros(p)
-    cur = dual(g)
-    lam = 0.0
-    best_g, best_rn = g.copy(), math.inf
-    trace = [cur]
-    it = 0
-    for it in range(1, TILTING_MAX_ITER + 1):
-        with np.errstate(over="ignore"):
-            eg = np.exp(A @ g)
-        grad = A.T @ eg - t
-        rn = float(np.linalg.norm(grad)) / scale
-        if rn < best_rn:
-            best_rn, best_g = rn, g.copy()
-        if rn <= TILTING_TOL:
-            gamma = _unstandardize(g, mu, sd, has_icpt)
-            return RatioModel(backend="tilting", gamma=gamma, psi=psi,
-                              fit_info={"iterations": it, "residual": rn,
-                                        "soft": False, "dual_trace": trace})
-        if float(np.linalg.norm(g)) > 50.0 or cur < -1e10:
-            raise TiltingError(
-                f"separation: dual unbounded below, best relative residual {best_rn:.3g}",
-                residual=best_rn, iterations=it, separated=True)
-        H = (A * eg[:, None]).T @ A
-        moved = False
-        for _ in range(30):
-            try:
-                step = np.linalg.solve(H + lam * np.eye(p), -grad)
-            except np.linalg.LinAlgError:
-                lam = max(lam * 10.0, 1e-8)
-                continue
-            sn = float(np.linalg.norm(step))
-            if sn > 4.0:
-                step *= 4.0 / sn
-            ts = 1.0
-            for _ in range(50):
-                g_new = g + ts * step
-                if np.array_equal(g_new, g):
-                    # the dual here is cur exactly, and rounding is monotone,
-                    # so no shorter step gives a different candidate
-                    break
-                cand = dual(g_new)
-                if np.isfinite(cand) and cand < cur - 1e-14 * abs(cur):
-                    g = g_new
-                    cur = cand
-                    trace.append(cur)
-                    moved = True
-                    break
-                ts *= 0.5
-            if moved:
-                lam = lam / 3.0 if lam > 1e-12 else 0.0
-                break
-            lam = max(lam * 10.0, 1e-8)
-        if not moved:
-            break
-
-    if best_rn <= 1e-5:
-        gamma = _unstandardize(best_g, mu, sd, has_icpt)
-        return RatioModel(backend="tilting", gamma=gamma, psi=psi,
-                          fit_info={"iterations": it, "residual": best_rn,
-                                    "soft": True, "dual_trace": trace})
-    raise TiltingError(
-        f"no convergence in {it} iterations, best relative residual {best_rn:.3g}",
-        residual=best_rn, iterations=it, separated=False)
 
 
 def expit(t) -> np.ndarray:
@@ -434,6 +306,102 @@ def _pooled_scale(blocks: Sequence[LogisticBlock], has_icpt: bool) -> np.ndarray
     return T
 
 
+def _logistic_loss(t):
+    """log(1 + exp(t)) summed over rows, and its derivative expit(t) per row,
+    sharing one exp(-|t|)."""
+    e = np.exp(-np.abs(t))
+    return (float(np.sum(np.maximum(t, 0.0) + np.log1p(e))),
+            np.where(t >= 0.0, 1.0, e) / (1.0 + e))
+
+
+def _exponential_loss(t):
+    """exp(t) summed over rows, and its derivative exp(t) per row."""
+    with np.errstate(over="ignore"):
+        e = np.exp(t)
+    return float(np.sum(e)), e
+
+
+def _linear_loss(t):
+    """-t summed over rows, and its derivative -1 per row."""
+    return -float(np.sum(t)), np.full(len(t), -1.0)
+
+
+# the second derivative per row of each curved loss, from its first
+_CURVATURE = {_logistic_loss: lambda q: q * (1.0 - q), _exponential_loss: lambda e: e}
+
+
+def _newton_blocks(blocks, T: np.ndarray):
+    """Minimize the sum over ``blocks`` of (features, loss) of each row's loss
+    of t = b @ features by Newton's method, with the stops, step halving and
+    block-order sums of fit_logistic_blocks; T maps b to the pooled scale,
+    and the own-side test needs every block logistic. Hessian weights are
+    formed at accepted iterates only. Returns (b, step, fit_info), step being
+    the Newton step at b.
+    """
+    n = sum(a.shape[1] for a, _ in blocks)
+    logistic = all(loss is _logistic_loss for _, loss in blocks)
+
+    def evaluate(b):
+        """The summed loss, and each block's predictor and derivative."""
+        f, fitted = 0.0, []
+        for a, loss in blocks:
+            t = b @ a
+            ft, d = loss(t)
+            f += ft
+            fitted.append((t, d))
+        return f, fitted
+
+    b = np.zeros(T.shape[0])
+    cur, fitted = evaluate(b)
+    dec = math.inf
+    for it in range(1, LOGISTIC_MAX_ITER + 1):
+        if ((logistic and all((t < 0.0).all() for t, _ in fitted))
+                or float(np.linalg.norm(T @ b)) > 50.0):
+            raise TiltingError(
+                f"separation: no maximum likelihood estimate after {it - 1} iterations",
+                residual=dec, iterations=it - 1, separated=True)
+        grad = np.zeros(len(b))
+        H = np.zeros((len(b), len(b)))
+        for (a, loss), (_, d) in zip(blocks, fitted):
+            grad += a @ d
+            if loss in _CURVATURE:
+                H += (a * _CURVATURE[loss](d)) @ a.T
+        try:
+            step = np.linalg.solve(H, -grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(H, -grad, rcond=None)[0]
+        dec = float(-grad @ step)
+        if 0.5 * dec <= LOGISTIC_TOL:
+            # quasi-complete separation also ends with a vanishing decrement;
+            # tell it by a direction of near-zero information that still
+            # moves the linear predictor (a collinear feature moves nothing)
+            Tinv = np.linalg.inv(T)
+            lam, vec = np.linalg.eigh(Tinv.T @ H @ Tinv / n)
+            flat = Tinv @ vec[:, lam <= 1e-9]
+            if flat.size and np.max(sum(np.sum((flat.T @ a) ** 2, axis=1)
+                                        for a, _ in blocks) / n) > 1e-6:
+                raise TiltingError(
+                    f"separation: no maximum likelihood estimate, the likelihood "
+                    f"is flat along a direction after {it} iterations",
+                    residual=0.5 * dec, iterations=it, separated=True)
+            return b, step, {"iterations": it, "residual": 0.5 * dec, "stop": "converged"}
+        ts = 1.0
+        for _ in range(50):
+            cand = evaluate(b + ts * step)
+            if cand[0] <= cur:
+                break
+            ts *= 0.5
+        else:
+            raise TiltingError(
+                f"stalled: no decrease along the Newton step, decrement {dec:.3g}",
+                residual=dec, iterations=it, separated=False)
+        b = b + ts * step
+        cur, fitted = cand
+    raise TiltingError(
+        f"no convergence in {LOGISTIC_MAX_ITER} iterations, Newton decrement {dec:.3g}",
+        residual=dec, iterations=LOGISTIC_MAX_ITER, separated=False)
+
+
 def fit_logistic_blocks(blocks, scale: LogisticScale):
     """Maximum-likelihood logistic regression over row blocks:
     P(label = 1 | x) = expit(psi(x)' beta) on the rows of every block.
@@ -474,76 +442,45 @@ def fit_logistic_blocks(blocks, scale: LogisticScale):
         if not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("labels must be 0 or 1")
         ys.append(y)
-        signed.append(blk.features * (1.0 - 2.0 * y) if np.any(y) else blk.features)
-    n = sum(blk.n for blk, _ in blocks)
-    if n == 0:
+        signed.append((blk.features * (1.0 - 2.0 * y) if np.any(y) else blk.features,
+                       _logistic_loss))
+    if sum(blk.n for blk, _ in blocks) == 0:
         raise ValueError("a logistic fit needs rows")
     if all(not np.any(y) for y in ys) or all(np.all(y) for y in ys):
         raise TiltingError("separation: every label is the same", residual=math.inf,
                            iterations=0, separated=True)
     T = _pooled_scale([blk for blk, _ in blocks], scale.psi.has_intercept)
+    b, _, info = _newton_blocks(signed, T)
+    return _unstandardize(b, scale.mu, scale.sd, scale.psi.has_intercept), info
 
-    def nll(b):
-        """Negative log-likelihood, and each block's signed predictor and
-        expit of it, sharing one exp(-|t|)."""
-        f, fitted = 0.0, []
-        for a in signed:
-            t = b @ a
-            e = np.exp(-np.abs(t))
-            f += float(np.sum(np.maximum(t, 0.0) + np.log1p(e)))
-            fitted.append((t, np.where(t >= 0.0, 1.0, e) / (1.0 + e)))
-        return f, fitted
 
-    b = np.zeros(T.shape[0])
-    cur, fitted = nll(b)
-    dec = math.inf
-    for it in range(1, LOGISTIC_MAX_ITER + 1):
-        if (all((t < 0.0).all() for t, _ in fitted)
-                or float(np.linalg.norm(T @ b)) > 50.0):
-            raise TiltingError(
-                f"separation: no maximum likelihood estimate after {it - 1} iterations",
-                residual=dec, iterations=it - 1, separated=True)
-        grad = np.zeros(len(b))
-        H = np.zeros((len(b), len(b)))
-        for a, (_, q) in zip(signed, fitted):
-            grad += a @ q
-            H += (a * (q * (1.0 - q))) @ a.T
-        try:
-            step = np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, -grad, rcond=None)[0]
-        dec = float(-grad @ step)
-        if 0.5 * dec <= LOGISTIC_TOL:
-            # quasi-complete separation also ends with a vanishing decrement;
-            # tell it by a direction of near-zero information that still
-            # moves the linear predictor (a collinear feature moves nothing)
-            Tinv = np.linalg.inv(T)
-            lam, vec = np.linalg.eigh(Tinv.T @ H @ Tinv / n)
-            flat = Tinv @ vec[:, lam <= 1e-9]
-            if flat.size and np.max(sum(np.sum((flat.T @ a) ** 2, axis=1)
-                                        for a in signed) / n) > 1e-6:
-                raise TiltingError(
-                    f"separation: no maximum likelihood estimate, the likelihood "
-                    f"is flat along a direction after {it} iterations",
-                    residual=0.5 * dec, iterations=it, separated=True)
-            beta = _unstandardize(b, scale.mu, scale.sd, scale.psi.has_intercept)
-            return beta, {"iterations": it, "residual": 0.5 * dec,
-                          "stop": "converged"}
-        ts = 1.0
-        for _ in range(50):
-            cand = nll(b + ts * step)
-            if cand[0] <= cur:
-                break
-            ts *= 0.5
-        else:
-            raise TiltingError(
-                f"stalled: no decrease along the Newton step, decrement {dec:.3g}",
-                residual=dec, iterations=it, separated=False)
-        b = b + ts * step
-        cur, fitted = cand
-    raise TiltingError(
-        f"no convergence in {LOGISTIC_MAX_ITER} iterations, Newton decrement {dec:.3g}",
-        residual=dec, iterations=LOGISTIC_MAX_ITER, separated=False)
+def fit_tilting(source, target, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT) -> RatioModel:
+    """Fit exp(psi(x)' gamma) so source units reweighted by it match target
+    feature totals: sum_source psi exp(psi' gamma) = sum_target psi.
+
+    Minimizes the convex dual of entropy balancing (Hainmueller, Political
+    Analysis 2012), sum_source exp(psi' gamma) - gamma' sum_target psi, by
+    the loop of fit_logistic_blocks on a source block with loss exp(t) and a
+    target block with loss -t, standardized by the source's map. It stops as
+    that fit does, separated when the dual is unbounded below; once it has
+    converged, one more Newton step takes gamma to rounding.
+
+    The returned model reweights source toward target: it estimates
+    (n_target/n_source) p_target/p_source, not the selection-side ratio.
+    """
+    src = np.atleast_2d(np.asarray(source, dtype=float))
+    tgt = np.atleast_2d(np.asarray(target, dtype=float))
+    if src.size == 0 or tgt.size == 0:
+        raise ValueError("source and target must be non-empty")
+    if src.shape[1] != tgt.shape[1]:
+        raise ValueError("source and target dimension mismatch")
+    scale, src_block = LogisticScale.announce(psi, src)
+    tgt_block = scale.block(tgt)
+    T = _pooled_scale([src_block, tgt_block], psi.has_intercept)
+    b, step, info = _newton_blocks([(src_block.features, _exponential_loss),
+                                    (tgt_block.features, _linear_loss)], T)
+    gamma = _unstandardize(b + step, scale.mu, scale.sd, psi.has_intercept)
+    return RatioModel(backend="tilting", gamma=gamma, psi=psi, fit_info=info)
 
 
 def fit_logistic(x, labels, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT):
@@ -579,7 +516,8 @@ def fit_logistic_ratio(source, target,
     added to the intercept. psi must have an intercept. The fit is
     fit_logistic_blocks on two blocks, the source's rows labelled 1 and the
     target's labelled 0, standardized by the target's feature means and sds.
-    Unlike fit_tilting, the fit exists unless a hyperplane in psi-space
+    Where fit_tilting needs the target's moments inside the source's
+    reachable set, this fit exists unless a hyperplane in psi-space
     separates the two samples, however far apart their means lie. Raises
     TiltingError as fit_logistic_blocks does.
     """
@@ -601,7 +539,7 @@ def fit_knn(source, target, M: Optional[int] = None) -> RatioModel:
     For a probe x, rho is the Euclidean distance to its M-th nearest source
     point and W counts target points with distance <= rho (closed ball, ties
     included). The estimate is (n_target/n_source) * M / max(W, 1); the floor
-    guards empty balls and is surfaced through eval_with_diagnostics. M
+    guards empty balls, and eval_knn counts the probes it floors. M
     defaults to ceil(n_source^(2/(2+d))). Distances are taken on raw
     coordinates.
     """

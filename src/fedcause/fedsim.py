@@ -165,15 +165,36 @@ def _is_finite_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+# payload keys the report reads as counts; every other number it reads is a sum
+_COUNT_KEYS = {"site_id", "n1", "n0", "n_units", "n_floored", "n_target"}
+
+
+def _read_numbers(i: int, kind: str, pay: dict, keys) -> dict:
+    """pay, the payload of message i, refused with a ValueError naming the
+    message and the key unless each of keys holds a non-negative integer (a
+    count) or a finite number (a sum)."""
+    for key in keys:
+        v, count = pay.get(key), key in _COUNT_KEYS
+        if not (_is_count(v) if count else _is_finite_number(v)):
+            raise ValueError(f"message {i}: {kind} {key} is {v!r}, not "
+                             + ("a non-negative integer" if count else "a finite number"))
+    return pay
+
+
+def _read_aggregates(i: int, pay: dict, cls):
+    """The cls (SiteAggregates or MetaDeltas) that aggregates message i holds."""
+    return cls.from_payload(_read_numbers(i, "aggregates", pay, [f.name for f in fields(cls)]))
+
+
 def _check_published(i: int, pay: dict) -> int:
     """The unit count that publish_ratio_model message i announces. Raises
     ValueError naming the message when a count is not a non-negative integer
     or a model slot is missing."""
-    for key in ("n1", "n0"):
-        n = pay.get(key)
-        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
-            raise ValueError(f"message {i}: publish_ratio_model {key} is {n!r}, "
-                             "not a non-negative integer")
+    _read_numbers(i, "publish_ratio_model", pay, ("n1", "n0"))
     for slot in ("model1", "model0"):
         if slot not in pay:
             raise ValueError(f"message {i}: publish_ratio_model lacks {slot}")
@@ -270,51 +291,58 @@ def _report_from_log(log: MessageLog, ci_level: float = 0.95,
     """The report of a transcript: protocol one's (checked by
     _check_one_per_site) when it holds only aggregates, protocol two's
     (checked by _check_folds) when a site published a ratio model or sent
-    outcome blocks, or the server sent a target-mean term."""
-    target_msgs = log.by_kind("target_mean_term")
+    outcome blocks, or the server sent a target-mean term. A message of an
+    unknown kind, or whose sums or counts the report reads are malformed, is
+    refused with a ValueError naming it."""
+    for i, m in enumerate(log):
+        if m.kind not in _SCHEMAS:
+            raise ValueError(f"message {i}: unknown kind {m.kind!r}")
+        if not isinstance(m.payload, dict):
+            raise ValueError(f"message {i}: {m.kind} payload is not an object")
     protocol_two = any(m.kind in ("publish_ratio_model", "outcome_blocks",
                                   "target_mean_term") for m in log)
     if protocol_two:
         _check_folds(log)
     else:
         _check_one_per_site(log)
-    agg_msgs = log.by_kind("aggregates")
+    agg_msgs = [(i, m) for i, m in enumerate(log) if m.kind == "aggregates"]
     if not agg_msgs:
         raise ValueError("log contains no aggregate messages")
     if not protocol_two:
-        aggs = [SiteAggregates.from_payload(m.payload)
-                for m in sorted(agg_msgs, key=lambda m: m.payload["site_id"])]
-        return clb_combine(aggs, ci_level=ci_level)
+        aggs = [_read_aggregates(i, m.payload, SiteAggregates) for i, m in agg_msgs]
+        return clb_combine(sorted(aggs, key=lambda a: a.site_id), ci_level=ci_level)
 
     per_fold: Dict[int, list] = {}
     n_pooled = 0
     flavor = "clb"
-    for m in agg_msgs:
+    for i, m in agg_msgs:
         pay = m.payload
         f = int(pay["fold"])
         if "excluded" in pay:
             item = Excluded(pay["excluded"])
             flavor = "meta"
         elif "G1" in pay:
-            item = SiteAggregates.from_payload(pay)
+            item = _read_aggregates(i, pay, SiteAggregates)
             n_pooled += item.n_units
         else:
-            item = MetaDeltas.from_payload(pay)
+            item = _read_aggregates(i, pay, MetaDeltas)
             n_pooled += item.n_units
             flavor = "meta"
         per_fold.setdefault(f, []).append(item)
     if n_pooled <= 0:
         raise ValueError("aggregate messages cover no usable units")
 
-    term_by_fold = {int(m.payload["fold"]): m.payload for m in target_msgs}
+    term_keys = ("value", "target_var", "n_target")
+    term_by_fold = {int(m.payload["fold"]): _read_numbers(i, m.kind, m.payload, term_keys)
+                    for i, m in enumerate(log) if m.kind == "target_mean_term"}
     inputs = []
     for f in sorted(per_fold):
         pay = term_by_fold[f]
         inputs.append(AipwInputs(target_mean_term=float(pay["value"]),
                                  target_sq_term=float(pay["target_var"]),
-                                 n_target=int(pay["n_target"]),
+                                 n_target=pay["n_target"],
                                  deltas=per_fold[f],
-                                 lambda_hat=int(pay["n_target"]) / n_pooled,
+                                 lambda_hat=pay["n_target"] / n_pooled,
                                  n_pooled=n_pooled, fold=f))
     return aipw_combine(inputs, flavor=flavor, weights=weights, ci_level=ci_level)
 

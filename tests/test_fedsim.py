@@ -244,16 +244,54 @@ def test_replay_refuses_a_malformed_published_model(key, value, reason):
         replay(MessageLog(_tampered(msgs, 1, **{key: value})))
 
 
-def test_replay_refuses_a_repeated_protocol_one_site():
+def _protocol_one_transcript():
     rng = np.random.default_rng(1)
     sites, _ = fuzz_dataset(rng, n_sites=3)
     rep, log = run_algorithm1(sites, score_table(sites, fuzz_scores(rng, sites, sites[0].d)))
     assert replay(log) == rep
-    msgs = log.messages
+    return log.messages
+
+
+def test_replay_refuses_a_repeated_protocol_one_site():
+    msgs = _protocol_one_transcript()
     with pytest.raises(ValueError, match="message 2: a second aggregates message from site 1"):
         replay(MessageLog(msgs[:2] + [msgs[0]] + msgs[2:]))
     with pytest.raises(ValueError, match="message 3: a second aggregates message from site 2"):
         replay(MessageLog(msgs + [msgs[1]]))
+
+
+def test_replay_refuses_an_unknown_kind():
+    mystery = SiteMessage(1, "mystery_kind", 0, {"raw_rows": [1.0, 2.0]})
+    for msgs in (_protocol_one_transcript(), _two_site_transcript()):
+        with pytest.raises(ValueError, match=f"message {len(msgs)}: unknown kind 'mystery_kind'"):
+            replay(MessageLog(msgs + [mystery]))
+    with pytest.raises(ValueError, match="message 0: unknown kind 'mystery_kind'"):
+        replay(MessageLog([mystery] + _protocol_one_transcript()))
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("G1", "1e3", "G1 is '1e3', not a finite number"),
+    ("G1", float("nan"), "G1 is nan, not a finite number"),
+    ("w2_0", None, "w2_0 is None, not a finite number"),
+    ("n_floored", 1.5, "n_floored is 1.5, not a non-negative integer"),
+], ids=["string", "nan", "missing", "float-count"])
+def test_replay_refuses_a_malformed_protocol_one_aggregate(key, value, reason):
+    msgs = _protocol_one_transcript()
+    with pytest.raises(ValueError, match="message 1: aggregates " + re.escape(reason)):
+        replay(MessageLog(_tampered(msgs, 1, **{key: value})))
+
+
+@pytest.mark.parametrize("kind, key, value, reason", [
+    ("aggregates", "G0", "1e3", "G0 is '1e3', not a finite number"),
+    ("aggregates", "N1", float("inf"), "N1 is inf, not a finite number"),
+    ("target_mean_term", "n_target", 30.5, "n_target is 30.5, not a non-negative integer"),
+    ("target_mean_term", "value", float("nan"), "value is nan, not a finite number"),
+], ids=["aggregate-string", "aggregate-inf", "fractional-target-count", "nan-term"])
+def test_replay_refuses_a_malformed_protocol_two_payload(kind, key, value, reason):
+    msgs = _two_site_transcript()
+    i = next(i for i, m in enumerate(msgs) if m.kind == kind)
+    with pytest.raises(ValueError, match=f"message {i}: {kind} " + re.escape(reason)):
+        replay(MessageLog(_tampered(msgs, i, **{key: value})))
 
 
 def test_algorithm2_equals_centralized_run():

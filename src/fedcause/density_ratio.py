@@ -311,7 +311,7 @@ def _logistic_loss(t):
     sharing one exp(-|t|)."""
     e = np.exp(-np.abs(t))
     return (float(np.sum(np.maximum(t, 0.0) + np.log1p(e))),
-            np.where(t >= 0.0, 1.0, e) / (1.0 + e))
+            np.maximum(e, t >= 0.0) / (1.0 + e))
 
 
 def _exponential_loss(t):

@@ -17,8 +17,7 @@ import numpy as np
 
 from .core import EstimateReport, SiteDataset, TargetCovariates
 from .density_ratio import FeatureMap
-from .nuisance import (SCORE_FLOOR, FoldPlan, OutcomeModel, ScoreTable,
-                       crossfit_split, fit_outcome_direct)
+from .nuisance import FoldPlan, ScoreTable, crossfit_split, fit_outcome_direct
 
 
 class OverlapError(RuntimeError):
@@ -123,37 +122,44 @@ def gaussian_interval(tau: float, var_hat: float, n_effective: float, level: flo
 # Meta: per-site Hajek estimates combined with precision weights
 
 
-def meta_ipw_site(site: SiteDataset, scores: np.ndarray):
-    """Hajek IPW contrast on one site with its own scores: scores[i] is the
-    site's score of unit i at the unit's own arm (ScoreTable.own).
+def _own_arm_sums(frame, values: np.ndarray, idx: np.ndarray, centred: bool):
+    """(n_hat, mean, square sum) of values v over the units idx under their
+    own-score weights w: sum w and sum w v / sum w from the rows of one array
+    (as _clb_aggregate_arrays), then sum (w (v - mean))^2 when centred, else
+    sum (w v)^2."""
+    sums = np.empty((2, len(idx)))
+    w, wv = sums
+    w[:] = frame.own_weight[idx]
+    v = values[idx]
+    np.multiply(w, v, out=wv)
+    n_hat, total = np.add.reduce(sums, axis=1).tolist()
+    mean = total / n_hat
+    dev = w * (v - mean) if centred else wv
+    return n_hat, mean, float(np.square(dev, out=dev).sum())
+
+
+def meta_ipw_site(site: SiteDataset, table: ScoreTable):
+    """Hajek IPW contrast on one site with its own scores, from its frame.
 
     Returns (tau_k, var_k) or Excluded. var_k is the self-normalized plug-in
     squared standard error sum_w^2 (y - mu_hat)^2 / (sum_w)^2 per arm, so it
     shares the Hajek form's indifference to the unknown scale constant.
     """
-    z = site.z_vec
-    y = site.y_vec
-    treated = z == 1
-    if not np.any(treated):
+    if not (table.has(site.site_id, 1) and table.has(site.site_id, 0)):
+        return Excluded("missing arm score model")
+    frame = table.frames[site.site_id]
+    treated, control = frame.units(1), frame.units(0)
+    if not len(treated):
         return Excluded("no treated units")
-    if np.all(treated):
+    if not len(control):
         return Excluded("no control units")
-    s1 = scores[treated]
-    s0 = scores[~treated]
-    if np.any(s1 <= 0.0):
+    if frame.own_bad[treated].any():
         return Excluded("non-positive treated-arm score")
-    if np.any(s0 <= 0.0):
+    if frame.own_bad[control].any():
         return Excluded("non-positive control-arm score")
-    w1 = 1.0 / s1
-    w0 = 1.0 / s0
-    n1_hat = float(np.sum(w1))
-    n0_hat = float(np.sum(w0))
-    mu1 = float(np.sum(w1 * y[treated])) / n1_hat
-    mu0 = float(np.sum(w0 * y[~treated])) / n0_hat
-    v1 = float(np.sum((w1 * (y[treated] - mu1)) ** 2))
-    v0 = float(np.sum((w0 * (y[~treated] - mu0)) ** 2))
-    var_k = v1 / n1_hat ** 2 + v0 / n0_hat ** 2
-    return mu1 - mu0, var_k
+    n1_hat, mu1, v1 = _own_arm_sums(frame, site.y_vec, treated, True)
+    n0_hat, mu0, v0 = _own_arm_sums(frame, site.y_vec, control, True)
+    return mu1 - mu0, v1 / n1_hat ** 2 + v0 / n0_hat ** 2
 
 
 def meta_combine(site_results: Dict[int, Union[Tuple[float, float], Excluded]],
@@ -206,12 +212,7 @@ def meta_combine(site_results: Dict[int, Union[Tuple[float, float], Excluded]],
 def meta_ipw(sites: Sequence[SiteDataset], table: ScoreTable,
              mode="inverse_variance", ci_level: float = 0.95) -> EstimateReport:
     """Per-site Meta-IPW over all sites whose two arm scores are available."""
-    results = {}
-    for s in sites:
-        if not (table.has(s.site_id, 1) and table.has(s.site_id, 0)):
-            results[s.site_id] = Excluded("missing arm score model")
-            continue
-        results[s.site_id] = meta_ipw_site(s, table.own(s.site_id))
+    results = {s.site_id: meta_ipw_site(s, table) for s in sites}
     return meta_combine(results, mode=mode, ci_level=ci_level)
 
 
@@ -219,30 +220,34 @@ def meta_ipw(sites: Sequence[SiteDataset], table: ScoreTable,
 # CLB: pooled Hajek over heterogeneous scores, assembled from site aggregates
 
 
-def _clb_aggregate_arrays(site: SiteDataset, y: np.ndarray, table: ScoreTable,
+def _clb_aggregate_arrays(site: SiteDataset, values: np.ndarray, table: ScoreTable,
                           keep: Optional[np.ndarray]) -> SiteAggregates:
+    """The SiteAggregates of values over the units keep marks (all when None):
+    per arm, the five pooled-weight sums as the rows of one C-order array,
+    each of which reduces pairwise as a 1-d np.sum does, so bit for bit."""
     agg = SiteAggregates(site_id=site.site_id)
-    z = site.z_vec
-    pooled = table.pooled(site.site_id)
+    frame = table.frames[site.site_id]
     for arm in (1, 0):
-        mask = z == arm if keep is None else (z == arm) & keep
-        if not np.any(mask):
+        idx = frame.units(arm, keep)
+        if not len(idx):
             continue
-        s = pooled[mask]
-        agg.n_floored += int(np.sum(s < SCORE_FLOOR))
-        w = 1.0 / np.maximum(s, SCORE_FLOOR)
-        ya = y[mask]
-        G = float(np.sum(w * ya))
-        N = float(np.sum(w))
-        w2 = w * w
-        moments = (float(np.sum(w2)), float(np.sum(w2 * ya)), float(np.sum(w2 * ya * ya)))
+        sums = np.empty((5, len(idx)))
+        wv, w, w2, w2v, w2v2 = sums
+        w[:] = frame.weight[idx]
+        v = values[idx]
+        np.multiply(w, v, out=wv)
+        np.multiply(w, w, out=w2)
+        np.multiply(w2, v, out=w2v)
+        np.multiply(w2v, v, out=w2v2)
+        G, N, *moments = np.add.reduce(sums, axis=1).tolist()
         if arm == 1:
             agg.G1, agg.N1 = G, N
             agg.w2_1, agg.w2y_1, agg.w2y2_1 = moments
         else:
             agg.G0, agg.N0 = G, N
             agg.w2_0, agg.w2y_0, agg.w2y2_0 = moments
-        agg.n_units += int(np.sum(mask))
+        agg.n_floored += int(frame.floored[idx].sum())
+        agg.n_units += len(idx)
     return agg
 
 
@@ -299,49 +304,34 @@ def clb_ipw(sites: Sequence[SiteDataset], table: ScoreTable,
 # Decoupled AIPW: target-mean term plus IPW corrections on residuals
 
 
-def _aipw_residuals(site: SiteDataset, m1: OutcomeModel, m0: OutcomeModel) -> np.ndarray:
-    """Each unit's y - m_z(x) at its realized arm."""
-    x = site.x_matrix
-    return np.where(site.z_vec == 1,
-                    site.y_vec - np.atleast_1d(m1.predict(x)),
-                    site.y_vec - np.atleast_1d(m0.predict(x)))
-
-
 def _aipw_site_terms(site: SiteDataset, resid: np.ndarray, table: ScoreTable,
                      flavor: str, keep: Optional[np.ndarray]):
     """One site's residualized IPW terms over the units keep marks, all when
-    None (resid from _aipw_residuals, outcome models from the complementary
-    fold): for flavor "clb" SiteAggregates under pooled scores; for "meta"
-    MetaDeltas, the per-arm Hajek residual means under the site's own scores,
-    or Excluded when an arm or its score is missing."""
+    None (resid being y - m_z(x) at each unit's arm z, the outcome models
+    from the complementary fold): for flavor "clb" SiteAggregates under
+    pooled scores; for "meta" MetaDeltas, the per-arm Hajek residual means
+    under the site's own scores, or Excluded when an arm or its score is
+    missing."""
     if flavor == "clb":
         return _clb_aggregate_arrays(site, resid, table, keep)
     if flavor != "meta":
         raise ValueError(f"unknown flavor {flavor!r}")
-
-    z = site.z_vec
     if not (table.has(site.site_id, 1) and table.has(site.site_id, 0)):
         return Excluded("missing arm score model")
-    own = table.own(site.site_id)
+    frame = table.frames[site.site_id]
     out = {}
     n_units = 0
     for arm in (1, 0):
-        mask = z == arm if keep is None else (z == arm) & keep
-        if not np.any(mask):
+        idx = frame.units(arm, keep)
+        if not len(idx):
             return Excluded(f"no arm-{arm} units")
-        s = own[mask]
-        if np.any(s <= 0.0):
+        if frame.own_bad[idx].any():
             return Excluded(f"non-positive arm-{arm} score")
-        w = 1.0 / s
-        r = resid[mask]
-        n_hat = float(np.sum(w))
-        out[arm] = (float(np.sum(w * r)) / n_hat, n_hat, float(np.sum((w * r) ** 2)))
-        n_units += int(np.sum(mask))
-    return MetaDeltas(site_id=site.site_id,
-                      d1=out[1][0], d0=out[0][0],
-                      n1_hat=out[1][1], n0_hat=out[0][1],
-                      s2_1=out[1][2], s2_0=out[0][2],
-                      n_units=n_units)
+        out[arm] = _own_arm_sums(frame, resid, idx, False)
+        n_units += len(idx)
+    (n1_hat, d1, s2_1), (n0_hat, d0, s2_0) = out[1], out[0]
+    return MetaDeltas(site_id=site.site_id, d1=d1, d0=d0, n1_hat=n1_hat, n0_hat=n0_hat,
+                      s2_1=s2_1, s2_0=s2_0, n_units=n_units)
 
 
 def aipw_combine(inputs, flavor: str = "clb",
@@ -417,23 +407,27 @@ def aipw_combine(inputs, flavor: str = "clb",
 
 
 def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
-                    table: ScoreTable, fold_plan: FoldPlan, train: Callable,
-                    flavors: Sequence[str]):
+                    table: ScoreTable, fold_plan: FoldPlan, psi: FeatureMap,
+                    train: Callable, flavors: Sequence[str]):
     """The cross-fit fold loop of decoupled AIPW, shared by the in-memory and
     the message-passing paths. ``train(train_include, f)`` returns the fold's
-    (treated, control) outcome models, fitted on the complement of fold f.
-    The plan may cover more sites than ``sites``; only these train and
-    correct. Each fold trains once and residualizes each site once, whatever
-    the flavours. Yields, per fold, (f, target_mean_term, target_var,
-    corrections) where corrections maps each of ``flavors`` to one
-    _aipw_site_terms result per site, in the order of ``sites``.
+    (treated, control) outcome models on psi, fitted on the complement of
+    fold f. The plan may cover more sites than ``sites``; only these train
+    and correct. Each pass builds the target's design once, each site's comes
+    from its frame, and each fold trains and residualizes each site once.
+    Yields, per fold, (f, target_mean_term, target_var, corrections) where
+    corrections maps each of ``flavors`` to one _aipw_site_terms result per
+    site, in the order of ``sites``.
     """
     if target.n < 2:
         raise ValueError("the target-term variance needs at least 2 target rows")
+    target_design = np.atleast_2d(psi.design(target.xs))
+    designs = [table.frames[s.site_id].design(psi) for s in sites]
     for f in range(fold_plan.F):
         m1, m0 = train({s.site_id: fold_plan.train_mask(s.site_id, f) for s in sites}, f)
-        diff = np.atleast_1d(m1.predict(target.xs)) - np.atleast_1d(m0.predict(target.xs))
-        resids = [_aipw_residuals(s, m1, m0) for s in sites]
+        diff = target_design @ m1.theta - target_design @ m0.theta
+        resids = [np.where(s.z_vec == 1, s.y_vec - d @ m1.theta, s.y_vec - d @ m0.theta)
+                  for s, d in zip(sites, designs)]
         keeps = [fold_plan.eval_mask(s.site_id, f) for s in sites]
         corrections = {fl: [_aipw_site_terms(s, r, table, fl, keep)
                             for s, r, keep in zip(sites, resids, keeps)]
@@ -458,7 +452,7 @@ def _aipw_fold_inputs(sites: Sequence[SiteDataset], target: TargetCovariates,
 
     inputs = {fl: [] for fl in flavors}
     for f, mean, var, corrections in _crossfit_folds(sites, target, table, fold_plan,
-                                                     fit, flavors):
+                                                     psi_om, fit, flavors):
         for fl in flavors:
             inputs[fl].append(AipwInputs(
                 target_mean_term=mean, target_sq_term=var, n_target=target.n,

@@ -170,7 +170,7 @@ def _is_count(v) -> bool:
 
 
 # payload keys the report reads as counts; every other number it reads is a sum
-_COUNT_KEYS = {"site_id", "n1", "n0", "n_units", "n_floored", "n_target"}
+_COUNT_KEYS = {"site_id", "n1", "n0", "n_units", "n_floored", "n_target", "fold"}
 
 
 def _read_numbers(i: int, kind: str, pay: dict, keys) -> dict:
@@ -225,8 +225,8 @@ def _check_folds(log: MessageLog) -> None:
     and one aggregates message per publishing site, F being one more than the
     largest fold any message names, and, when it trains, one outcome_blocks
     message per publishing site; a site's aggregates, unless one of them is
-    an exclusion, cover as many units as it published. Published counts and
-    block payloads must be well formed. Raises ValueError naming the message,
+    an exclusion, cover as many units as it published. Published counts,
+    folds and block payloads must be well formed. Raises ValueError naming the message,
     the fold or the site of the first violation."""
     sizes = {m.payload["site_id"]: _check_published(i, m.payload)
              for i, m in enumerate(log) if m.kind == "publish_ratio_model"}
@@ -236,9 +236,7 @@ def _check_folds(log: MessageLog) -> None:
     for i, m in enumerate(log):
         if m.kind not in ("outcome_blocks", "target_mean_term", "aggregates"):
             continue
-        f = int(m.payload["fold"])
-        if f < 0:
-            raise ValueError(f"fold {f}: a {m.kind} message names a negative fold")
+        f = _read_numbers(i, m.kind, m.payload, ("fold",))["fold"]
         n_folds = max(n_folds, f + 1)
         if m.kind == "target_mean_term":
             terms[f] += 1
@@ -317,7 +315,7 @@ def _report_from_log(log: MessageLog, ci_level: float = 0.95,
     flavor = "clb"
     for i, m in agg_msgs:
         pay = m.payload
-        f = int(pay["fold"])
+        f = pay["fold"]
         if "excluded" in pay:
             item = Excluded(pay["excluded"])
             flavor = "meta"
@@ -333,7 +331,7 @@ def _report_from_log(log: MessageLog, ci_level: float = 0.95,
         raise ValueError("aggregate messages cover no usable units")
 
     term_keys = ("value", "target_var", "n_target")
-    term_by_fold = {int(m.payload["fold"]): _read_numbers(i, m.kind, m.payload, term_keys)
+    term_by_fold = {m.payload["fold"]: _read_numbers(i, m.kind, m.payload, term_keys)
                     for i, m in enumerate(log) if m.kind == "target_mean_term"}
     inputs = []
     for f in sorted(per_fold):
@@ -459,7 +457,7 @@ def _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
             return zeros
 
     for f, mean, var, corrections in _crossfit_folds(sites, target, table, fold_plan,
-                                                     fit, (flavor,)):
+                                                     psi_om, fit, (flavor,)):
         log.post(SiteMessage("server", "target_mean_term", f,
                              {"fold": f, "value": mean, "target_var": var,
                               "n_target": int(target.n)}), wire)

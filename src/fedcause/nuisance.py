@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -157,6 +157,39 @@ def fit_scores(sites: Sequence[SiteDataset], target: TargetCovariates,
 
 
 @dataclass(frozen=True)
+class _SiteFrame:
+    """One site's per-unit quantities, derived once per replication from its
+    score-table rows: its covariates and pooled scores, the mask of each arm,
+    the pooled IPW weights 1 / max(pooled, SCORE_FLOOR) with the masks of
+    positive and of floored pooled scores, the own-score weights with the
+    mask of own scores <= 0 (None without a score column), and each feature
+    map's outcome design once asked for."""
+
+    x: np.ndarray
+    pooled: np.ndarray
+    arms: Dict[int, np.ndarray]
+    weight: np.ndarray
+    usable: np.ndarray
+    floored: np.ndarray
+    own_weight: Optional[np.ndarray]
+    own_bad: Optional[np.ndarray]
+    designs: dict = field(default_factory=dict)
+
+    def units(self, arm: int, keep: Optional[np.ndarray] = None) -> np.ndarray:
+        """The ascending indices of arm's units, only those keep marks when
+        given."""
+        mask = self.arms[arm]
+        return (mask if keep is None else mask & keep).nonzero()[0]
+
+    def design(self, psi: FeatureMap) -> np.ndarray:
+        """The site's outcome design psi.design(x), built on first use."""
+        d = self.designs.get(psi)
+        if d is None:
+            d = self.designs[psi] = np.atleast_2d(psi.design(self.x))
+        return d
+
+
+@dataclass(frozen=True)
 class ScoreTable:
     """Every selection score one replication needs, evaluated once per unit.
 
@@ -164,54 +197,39 @@ class ScoreTable:
     e[(site_ids[j], z_i)](x_i), the j-th site's score at unit i's own arm,
     with columns in ascending site order and zeros where that pair has no
     model. ``pairs`` lists the (site, arm) pairs that have one.
-    ``pooled_sums[k]`` holds each unit's pooled score (see ``pooled``).
+    ``frames[k]`` is site k's _SiteFrame.
     """
 
     site_ids: Tuple[int, ...]
     scores: Dict[int, np.ndarray]
     pairs: frozenset
-    pooled_sums: Dict[int, np.ndarray]
+    frames: Dict[int, _SiteFrame]
 
     def has(self, site_id: int, z: int) -> bool:
         return (site_id, int(z)) in self.pairs
 
-    def own(self, site_id: int) -> np.ndarray:
-        """Each unit's score under its own site's model."""
-        return self.scores[site_id][:, self.site_ids.index(site_id)]
-
     def pooled(self, site_id: int) -> np.ndarray:
         """Each unit's pooled score sum_k e[(k, z_i)](x_i), read-only."""
-        return self.pooled_sums[site_id]
-
-    def arm_weights(self, site: SiteDataset, arm: int,
-                    include: Optional[np.ndarray] = None):
-        """(x, y, w, n_excluded) for one arm of a site: the units with a
-        positive pooled score, their weights 1 / max(score, SCORE_FLOOR), and
-        the count of zero-score units left out."""
-        mask = site.z_vec == arm
-        if include is not None:
-            mask = mask & np.asarray(include, dtype=bool)
-        s = self.pooled(site.site_id)[mask]
-        use = s > 0.0
-        keep = np.flatnonzero(mask)[use]
-        return (site.x_matrix[keep], site.y_vec[keep],
-                1.0 / np.maximum(s[use], SCORE_FLOOR), len(s) - len(keep))
+        return self.frames[site_id].pooled
 
 
 def score_table(sites: Sequence[SiteDataset], p: PropensitySet) -> ScoreTable:
     """Evaluate every score of p once on each unit of each site, at the unit's
-    own arm, in one batch per arm; knn RatioScores sharing a target make one eval_knn call."""
+    own arm, in one batch per arm; knn RatioScores sharing a target make one
+    eval_knn call. Each site's frame is derived from its rows."""
     if not p.e:
         raise ValueError("empty propensity set")
     cols = tuple(p.site_ids)
-    scores, pooled = {}, {}
+    scores, frames = {}, {}
     for s in sites:
         table = np.zeros((s.n, len(cols)))
+        arms = {}
         for arm in (1, 0):
-            rows = s.z_vec == arm
-            if not np.any(rows):
+            arms[arm] = s.z_vec == arm
+            rows = arms[arm].nonzero()[0]
+            if not len(rows):
                 continue
-            x = s.x_matrix[rows]
+            x = s.x_matrix.take(rows, axis=0)
             shared = {}
             for j, k in enumerate(cols):
                 fn = p.e.get((k, arm))
@@ -233,9 +251,15 @@ def score_table(sites: Sequence[SiteDataset], p: PropensitySet) -> ScoreTable:
         for arr in (table, total):
             arr.flags.writeable = False
         scores[s.site_id] = table
-        pooled[s.site_id] = total
-    return ScoreTable(site_ids=cols, scores=scores, pairs=frozenset(p.e),
-                      pooled_sums=pooled)
+        own_weight = own_bad = None
+        if s.site_id in cols:
+            own = table[:, cols.index(s.site_id)]
+            own_bad = own <= 0.0
+            own_weight = 1.0 / np.where(own_bad, 1.0, own)
+        frames[s.site_id] = _SiteFrame(
+            s.x_matrix, total, arms, 1.0 / np.maximum(total, SCORE_FLOOR), total > 0.0,
+            total < SCORE_FLOOR, own_weight, own_bad)
+    return ScoreTable(site_ids=cols, scores=scores, pairs=frozenset(p.e), frames=frames)
 
 
 @dataclass(frozen=True)
@@ -311,15 +335,17 @@ def _upper(p: int) -> Tuple[np.ndarray, np.ndarray]:
 def outcome_block(site: SiteDataset, table: ScoreTable, psi: FeatureMap, arm: int,
                   include: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """One site's share of an arm's weighted least-squares normal equations:
-    (the upper triangle of D'WD, row by row, and D'Wy), D being the design of
-    the arm's usable units and W their weights 1 / pooled score. Units whose
-    pooled score is exactly zero are left out; an arm without usable units
-    gives zeros."""
-    x, y, w, _ = table.arm_weights(site, arm, include)
-    design = np.atleast_2d(psi.design(x))
-    dw = design * w[:, None]
+    (the upper triangle of D'WD, row by row, and D'Wy), D being the rows of
+    the site's outcome design for the arm's usable units and W their pooled
+    weights. Units whose pooled score is exactly zero are left out; an arm
+    without usable units gives zeros."""
+    frame = table.frames[site.site_id]
+    usable = frame.usable if include is None else frame.usable & np.asarray(include, dtype=bool)
+    idx = frame.units(arm, usable)
+    design = frame.design(psi).take(idx, axis=0)
+    dw = design * frame.weight[idx][:, None]
     gram = dw.T @ design
-    return gram[_upper(len(gram))], dw.T @ y
+    return gram[_upper(len(gram))], dw.T @ site.y_vec[idx]
 
 
 def solve_outcome_blocks(blocks: Sequence[Tuple[Sequence[float], Sequence[float]]],

@@ -152,6 +152,14 @@ def fuzz_scores(rng, sites, d):
     return PropensitySet(e=e)
 
 
+def usable_arm_rows(table, site, arm):
+    """(x, y, w) of one arm's units with a positive pooled score, w being
+    1 / pooled score: the rows an outcome fit reads, from masks alone."""
+    pooled = table.pooled(site.site_id)
+    mask = (site.z_vec == arm) & (pooled > 0.0)
+    return site.x_matrix[mask], site.y_vec[mask], 1.0 / pooled[mask]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(612)

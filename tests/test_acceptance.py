@@ -161,7 +161,7 @@ def test_criterion_6_disjoint_domain_collaboration():
         results = {}
         for s in sites:
             if screen.individual_ok.get(s.site_id, False):
-                results[s.site_id] = meta_ipw_site(s, table.own(s.site_id))
+                results[s.site_id] = meta_ipw_site(s, table)
             else:
                 results[s.site_id] = Excluded("fails individual overlap on target support")
         try:

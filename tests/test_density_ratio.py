@@ -250,6 +250,20 @@ def test_logistic_rejects_bad_inputs():
         fit_logistic_blocks([(block, [0.0, 1.0, 1.0])], scale)
 
 
+def test_logistic_derivative_is_bitwise_the_masked_select():
+    # max(e, t >= 0) picks 1 for t >= 0 (where e <= 1) and e otherwise, so it
+    # is the select np.where(t >= 0, 1, e) without the masked copy
+    rng = np.random.default_rng(47)
+    t = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 750.0, -750.0, 1e-300, -1e-300],
+                        rng.normal(0.0, 5.0, size=2000), rng.normal(0.0, 300.0, size=200)])
+    with np.errstate(invalid="ignore"):
+        _, got = density_ratio._logistic_loss(t)
+        e = np.exp(-np.abs(t))
+        want = np.where(t >= 0.0, 1.0, e) / (1.0 + e)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 # -- nearest-neighbour ratio --------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from fedcause import (
     AipwInputs,
     AllSitesExcludedError,
     Excluded,
+    MetaDeltas,
     OutcomeModel,
     OverlapError,
     PropensitySet,
@@ -26,9 +27,10 @@ from fedcause import (
     score_table,
     zero_outcome_model,
 )
-from fedcause.density_ratio import IDENTITY
-from fedcause.estimators import (_aipw_residuals, _aipw_site_terms, gaussian_interval,
+from fedcause.density_ratio import IDENTITY, IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, FeatureMap
+from fedcause.estimators import (_aipw_fold_inputs, _aipw_site_terms, gaussian_interval,
                                  meta_ipw_site)
+from fedcause.nuisance import SCORE_FLOOR, crossfit_split, solve_outcome_blocks
 from conftest import fuzz_dataset, fuzz_scores
 
 
@@ -38,7 +40,9 @@ def _const(v):
 
 def _corrections(site, m1, m0, table, flavor):
     """One site's residualized IPW terms, as the cross-fit fold loop forms them."""
-    return _aipw_site_terms(site, _aipw_residuals(site, m1, m0), table, flavor, None)
+    x = site.x_matrix
+    resid = np.where(site.z_vec == 1, site.y_vec - m1.predict(x), site.y_vec - m0.predict(x))
+    return _aipw_site_terms(site, resid, table, flavor, None)
 
 
 def _two_unit_site(site_id=1):
@@ -51,10 +55,9 @@ def _const_set(v, site_ids=(1,)):
 
 
 def _own(site, e1, e0):
-    """The site's own scores at each unit's arm, read from a score table."""
-    table = score_table([site], PropensitySet(e={(site.site_id, 1): e1,
-                                                 (site.site_id, 0): e0}))
-    return table.own(site.site_id)
+    """A score table of the site's own scores alone."""
+    return score_table([site], PropensitySet(e={(site.site_id, 1): e1,
+                                                (site.site_id, 0): e0}))
 
 
 # -- per-site Meta-IPW --------------------------------------------------------
@@ -326,3 +329,164 @@ def test_estimator_reports_scale_invariant_fuzz():
             a, b = fn(score_table(sites, p)), fn(score_table(sites, p.scaled(c)))
             assert a.tau_hat == pytest.approx(b.tau_hat, rel=1e-12, abs=1e-12)
             assert a.var_hat == pytest.approx(b.var_hat, rel=1e-12, abs=1e-12)
+
+
+# -- the per-site frame: one derivation of each per-unit quantity -------------
+
+
+def _frame_case():
+    """Three sites on d = 3. Every score vanishes where x1 > 5 and falls
+    below the floor where x1 < -5, which only three units of site 2 each
+    reach: their pooled scores are floored, the zero ones are left out of
+    the outcome fit and exclude site 2 from the Meta terms of their folds.
+    Site 3 has no control units, so no arm-0 model."""
+    rng = np.random.default_rng(58)
+    sites = []
+    for k, n in ((1, 40), (2, 36), (3, 30)):
+        x = rng.normal(0.3 * k, 1.0, size=(n, 3))
+        if k == 2:
+            x[:3, 1], x[3:6, 1] = 10.0, -10.0
+        z = np.ones(n, dtype=int) if k == 3 else (np.arange(n) % 2 == 0).astype(int)
+        y = x @ np.array([0.5, -0.3, 0.8]) + z + rng.normal(size=n)
+        sites.append(SiteDataset.from_arrays(k, x, z, y))
+    target = TargetCovariates(rng.normal(0.5, 1.0, size=(50, 3)))
+
+    def score(a, b):
+        def fn(x):
+            x = np.atleast_2d(x)
+            v = b / (1.0 + np.exp(-0.1 * x @ a))
+            return np.where(x[:, 1] > 5.0, 0.0, np.where(x[:, 1] < -5.0, 1e-14, v))
+        return fn
+
+    e = {(k, z): score(rng.normal(0.0, 0.5, size=3), rng.uniform(0.1, 0.4))
+         for k in (1, 2, 3) for z in (0, 1) if (k, z) != (3, 0)}
+    return sites, target, score_table(sites, PropensitySet(e=e))
+
+
+def _ref_clb(site, v, pooled, keep):
+    """_clb_aggregate_arrays as masks and one np.sum per sum."""
+    agg = SiteAggregates(site_id=site.site_id)
+    for arm in (1, 0):
+        mask = (site.z_vec == arm) & keep
+        if not np.any(mask):
+            continue
+        s = pooled[mask]
+        agg.n_floored += int(np.sum(s < SCORE_FLOOR))
+        w = 1.0 / np.maximum(s, SCORE_FLOOR)
+        va = v[mask]
+        sums = (float(np.sum(w * va)), float(np.sum(w)), float(np.sum(w * w)),
+                float(np.sum(w * w * va)), float(np.sum(w * w * va * va)))
+        names = ("G1", "N1", "w2_1", "w2y_1", "w2y2_1") if arm else (
+            "G0", "N0", "w2_0", "w2y_0", "w2y2_0")
+        for name, value in zip(names, sums):
+            setattr(agg, name, value)
+        agg.n_units += int(np.sum(mask))
+    return agg
+
+
+def _ref_meta(site, v, own, keep, centred):
+    """Per arm (n_hat, mean, square sum) under own-score weights, or the
+    exclusion reason, as masks and one np.sum per sum."""
+    out = {}
+    for arm in (1, 0):
+        mask = (site.z_vec == arm) & keep
+        if not np.any(mask):
+            return f"no arm-{arm} units"
+        s = own[mask]
+        if np.any(s <= 0.0):
+            return f"non-positive arm-{arm} score"
+        w = 1.0 / s
+        n_hat = float(np.sum(w))
+        mean = float(np.sum(w * v[mask])) / n_hat
+        centre = mean if centred else 0.0
+        out[arm] = (n_hat, mean, float(np.sum((w * (v[mask] - centre)) ** 2)))
+    return out
+
+
+def _ref_block(site, pooled, psi, arm, include):
+    mask = (site.z_vec == arm) & include & (pooled > 0.0)
+    design = psi.design(site.x_matrix[mask])
+    dw = design * (1.0 / np.maximum(pooled[mask], SCORE_FLOOR))[:, None]
+    gram = dw.T @ design
+    return gram[np.triu_indices(len(gram))], dw.T @ site.y_vec[mask]
+
+
+@pytest.mark.parametrize("psi", [IDENTITY_PLUS_INTERCEPT, MISSPECIFIED],
+                         ids=["linear", "misspecified"])
+def test_frame_sums_are_bitwise_the_masked_sums(psi):
+    sites, target, table = _frame_case()
+    pooled = {s.site_id: table.pooled(s.site_id) for s in sites}
+    own = {s.site_id: table.scores[s.site_id][:, table.site_ids.index(s.site_id)]
+           for s in sites}
+    every = {s.site_id: np.ones(s.n, dtype=bool) for s in sites}
+    # site 2 has zero pooled scores and positive ones below the floor
+    assert np.any(pooled[2] == 0.0) and np.any((pooled[2] > 0.0) & (pooled[2] < SCORE_FLOOR))
+
+    # IPW: pooled aggregates and the per-site Meta contrast
+    for s in sites:
+        got = clb_site_aggregates(s, table)
+        assert repr(got) == repr(_ref_clb(s, s.y_vec, pooled[s.site_id], every[s.site_id]))
+        ref = _ref_meta(s, s.y_vec, own[s.site_id], every[s.site_id], True)
+        res = meta_ipw_site(s, table)
+        if s.site_id == 3:
+            assert res == Excluded("missing arm score model")
+        elif isinstance(ref, str):
+            assert isinstance(res, Excluded)
+        else:
+            (n1, mu1, v1), (n0, mu0, v0) = ref[1], ref[0]
+            assert res == (mu1 - mu0, v1 / n1 ** 2 + v0 / n0 ** 2)
+
+    # decoupled AIPW over three folds, both flavours from one pass
+    plan = crossfit_split(sites, 3, np.random.default_rng(2))
+    inputs = _aipw_fold_inputs(sites, target, table, psi, ("clb", "meta"), plan)
+    excluded = 0
+    for f in range(3):
+        train = {s.site_id: plan.train_mask(s.site_id, f) for s in sites}
+        m1, m0 = (solve_outcome_blocks(
+            [_ref_block(s, pooled[s.site_id], psi, arm, train[s.site_id]) for s in sites],
+            arm, psi) for arm in (1, 0))
+        diff = psi.design(target.xs) @ m1.theta - psi.design(target.xs) @ m0.theta
+        for fl in ("clb", "meta"):
+            assert inputs[fl][f].target_mean_term == float(np.mean(diff))
+            assert inputs[fl][f].target_sq_term == float(np.var(diff, ddof=1))
+        for j, s in enumerate(sites):
+            d = psi.design(s.x_matrix)
+            resid = np.where(s.z_vec == 1, s.y_vec - d @ m1.theta, s.y_vec - d @ m0.theta)
+            keep = plan.eval_mask(s.site_id, f)
+            clb = _ref_clb(s, resid, pooled[s.site_id], keep)
+            assert repr(inputs["clb"][f].deltas[j]) == repr(clb)
+            got = inputs["meta"][f].deltas[j]
+            ref = _ref_meta(s, resid, own[s.site_id], keep, False)
+            if s.site_id == 3:
+                assert got == Excluded("missing arm score model")
+            elif isinstance(ref, str):
+                assert got == Excluded(ref)
+                excluded += 1
+            else:
+                (n1, d1, s1), (n0, d0, s0) = ref[1], ref[0]
+                assert repr(got) == repr(MetaDeltas(
+                    site_id=s.site_id, d1=d1, d0=d0, n1_hat=n1, n0_hat=n0, s2_1=s1, s2_0=s0,
+                    n_units=int(np.sum(keep))))
+    # site 2's zero scores exclude it from the Meta corrections of some fold
+    assert excluded
+
+
+@pytest.mark.parametrize("F", [2, 3])
+@pytest.mark.parametrize("flavors", [("clb",), ("meta",), ("clb", "meta")])
+def test_one_fold_pass_builds_each_design_once(monkeypatch, F, flavors):
+    sites, target, table = _frame_case()
+    calls = []
+    real = FeatureMap.design
+
+    def counted(self, x):
+        calls.append(len(x))
+        return real(self, x)
+
+    monkeypatch.setattr(FeatureMap, "design", counted)
+    plan = crossfit_split(sites, F, np.random.default_rng(3))
+    _aipw_fold_inputs(sites, target, table, MISSPECIFIED, flavors, plan)
+    assert sorted(calls) == sorted([target.n] + [s.n for s in sites])
+    # a second pass on the same table reuses the sites' designs
+    calls.clear()
+    _aipw_fold_inputs(sites, target, table, MISSPECIFIED, flavors, plan)
+    assert calls == [target.n]

@@ -25,12 +25,11 @@ from fedcause import (
     score_table,
 )
 from fedcause import fedsim, nuisance
-from fedcause.density_ratio import IDENTITY, RatioModel
+from fedcause.density_ratio import IDENTITY, FeatureMap, RatioModel
 from fedcause.fedsim import (MESSAGE_KINDS, SiteMessage, centralized_algorithm2,
                              fit_outcome_blocks)
-from fedcause.nuisance import (ScoreTable, assemble_propensity, fit_scores,
-                               solve_outcome_blocks)
-from conftest import fuzz_dataset, fuzz_scores
+from fedcause.nuisance import assemble_propensity, fit_scores, solve_outcome_blocks
+from conftest import fuzz_dataset, fuzz_scores, usable_arm_rows
 
 
 def _linear_sites(rng, n_sites=2, n=30, d=2):
@@ -286,7 +285,12 @@ def test_replay_refuses_a_malformed_protocol_one_aggregate(key, value, reason):
     ("aggregates", "N1", float("inf"), "N1 is inf, not a finite number"),
     ("target_mean_term", "n_target", 30.5, "n_target is 30.5, not a non-negative integer"),
     ("target_mean_term", "value", float("nan"), "value is nan, not a finite number"),
-], ids=["aggregate-string", "aggregate-inf", "fractional-target-count", "nan-term"])
+    ("aggregates", "fold", 0.7, "fold is 0.7, not a non-negative integer"),
+    ("aggregates", "fold", -1, "fold is -1, not a non-negative integer"),
+    ("outcome_blocks", "fold", True, "fold is True, not a non-negative integer"),
+    ("target_mean_term", "fold", "1", "fold is '1', not a non-negative integer"),
+], ids=["aggregate-string", "aggregate-inf", "fractional-target-count", "nan-term",
+        "fractional-fold", "negative-fold", "bool-fold", "string-fold"])
 def test_replay_refuses_a_malformed_protocol_two_payload(kind, key, value, reason):
     msgs = _two_site_transcript()
     i = next(i for i, m in enumerate(msgs) if m.kind == kind)
@@ -369,7 +373,7 @@ def test_block_solve_matches_stacked_weighted_lstsq():
         for arm in (1, 0):
             m = solve_outcome_blocks([nuisance.outcome_block(s, table, IDENTITY, arm)
                                       for s in sites], arm, IDENTITY)
-            parts = [table.arm_weights(s, arm) for s in sites]
+            parts = [usable_arm_rows(table, s, arm) for s in sites]
             x, y, w = (np.concatenate([t[j] for t in parts]) for j in range(3))
             D = IDENTITY.design(x)
             ref, *_ = np.linalg.lstsq(D * np.sqrt(w)[:, None], y * np.sqrt(w), rcond=None)
@@ -394,23 +398,26 @@ def test_outcome_blocks_evaluate_no_score_after_the_table_is_built():
     assert calls == []
 
 
-def test_outcome_blocks_build_each_arm_design_once_per_fold(monkeypatch):
+def test_outcome_blocks_build_each_site_design_once(monkeypatch):
     rng = np.random.default_rng(16)
     sites = _linear_sites(rng, n_sites=3, n=30)
     table = score_table(sites, _const_scores([1, 2, 3]))
     calls = []
 
-    real = ScoreTable.arm_weights
+    real = FeatureMap.design
 
-    def counted(self, site, arm, include=None):
-        calls.append((site.site_id, arm))
-        return real(self, site, arm, include)
+    def counted(self, x):
+        calls.append(len(x))
+        return real(self, x)
 
-    monkeypatch.setattr(ScoreTable, "arm_weights", counted)
+    monkeypatch.setattr(FeatureMap, "design", counted)
     log = MessageLog()
-    fit_outcome_blocks(sites, table, IDENTITY, {}, 0, _wire_post(log))
-    assert sorted(calls) == sorted((k, arm) for k in (1, 2, 3) for arm in (1, 0))
-    assert [m.kind for m in log] == ["outcome_blocks"] * 3
+    for fold in (0, 1):
+        include = {s.site_id: np.arange(s.n) % 2 != fold for s in sites}
+        fit_outcome_blocks(sites, table, IDENTITY, include, fold, _wire_post(log))
+    # one full-site design per site, its rows shared by both arms and folds
+    assert calls == [s.n for s in sites]
+    assert [m.kind for m in log] == ["outcome_blocks"] * 6
 
 
 def test_outcome_blocks_are_bitwise_the_in_memory_fit():

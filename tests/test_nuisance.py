@@ -22,6 +22,7 @@ from fedcause import (
 from fedcause.density_ratio import (IDENTITY, FeatureMap, RatioModel, expit,
                                     fit_logistic, fit_logistic_ratio)
 from fedcause.nuisance import FoldPlan, fit_scores, outcome_block
+from conftest import usable_arm_rows
 
 
 def test_assemble_uniform_ratio_reduces_to_count_share():
@@ -258,7 +259,7 @@ def test_weighted_loss_gradient_matches_finite_differences():
             (1, 0): lambda x, a=a: 0.1 + 0.5 / (1 + np.exp(np.atleast_2d(x) @ a))}))
         arm = int(rng.integers(0, 2))
         theta = rng.normal(size=d + 1)
-        x, y, w, _ = p.arm_weights(site, arm)
+        x, y, w = usable_arm_rows(p, site, arm)
         if len(w) == 0:
             continue
 
@@ -282,7 +283,7 @@ def test_weighted_loss_counts_zero_score_exclusions():
     site = SiteDataset.from_arrays(1, np.array([[1.0], [-1.0]]), [1, 1], [1.0, 2.0])
     p = score_table([site], PropensitySet(
         e={(1, 1): lambda x: (np.atleast_2d(x)[:, 0] > 0) * 0.5}))
-    assert p.arm_weights(site, 1)[3] == 1
+    assert p.frames[1].usable.tolist() == [True, False]
     gram, cross = outcome_block(site, p, IDENTITY, 1)
     # only the unit at x = 1, y = 1 with weight 2
     assert np.allclose(gram, [2.0, 2.0, 2.0])

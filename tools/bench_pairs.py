@@ -9,8 +9,11 @@ sides alike. Writes ``BENCH_<label>.json`` in the current directory: the host
 record that run.py prints (CPU count and model, Python, numpy), each
 checkout's commit, and for every pair each side's end-to-end metrics of
 BENCHMARK.json with its failed and attempted counts. A summary gives, per
-metric, both sides' medians and quartiles, the median change/base ratio and
-the pairs in which the change was better.
+metric, both sides' medians and quartiles, the median change/base ratio, the
+pairs in which the change was better, the base's interquartile range, and
+whether the gain rule holds: the change better in at least nine tenths of
+the pairs run (ties count for neither) and its median beyond the base's by
+more than that range, in the metric's better direction.
 """
 
 import argparse
@@ -85,10 +88,13 @@ def main(argv=None) -> int:
         base = [p["base"][m] for p in pairs]
         change = [p["change"][m] for p in pairs]
         better = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
-        summary[m] = {"better": "higher" if higher else "lower",
-                      "base": _quartiles(base), "change": _quartiles(change),
+        qb, qc = _quartiles(base), _quartiles(change)
+        iqr = qb["q3"] - qb["q1"]
+        gap = (qc["median"] - qb["median"]) * (1 if higher else -1)
+        summary[m] = {"better": "higher" if higher else "lower", "base": qb, "change": qc,
                       "median_ratio": statistics.median(c / b for b, c in zip(base, change)),
-                      "change_better_pairs": better}
+                      "change_better_pairs": better, "base_iqr": iqr,
+                      "gain_rule_holds": 10 * better >= 9 * len(pairs) and gap > iqr}
     for side in sides:
         summary[f"failed_{side}"] = sum(p[side]["failed"] for p in pairs)
         summary[f"attempted_{side}"] = sum(p[side]["attempted"] for p in pairs)

@@ -226,8 +226,8 @@ def _check_folds(log: MessageLog) -> None:
     largest fold any message names, and, when it trains, one outcome_blocks
     message per publishing site; a site's aggregates, unless one of them is
     an exclusion, cover as many units as it published. Published counts,
-    folds and block payloads must be well formed. Raises ValueError naming the message,
-    the fold or the site of the first violation."""
+    folds and block payloads must be well formed. Raises ValueError naming
+    the message, the fold or the site of the first violation."""
     sizes = {m.payload["site_id"]: _check_published(i, m.payload)
              for i, m in enumerate(log) if m.kind == "publish_ratio_model"}
     terms, aggs, blocks, covered = Counter(), Counter(), Counter(), Counter()

@@ -238,11 +238,11 @@ LOGISTIC_MAX_ITER = 100
 class LogisticBlock(NamedTuple):
     """One party's rows in a logistic fit: its psi-features standardized by
     the fit's map and stored one feature per row, (p, n), with their column
-    means and centred sums of squares."""
+    means and centred cross-product matrix."""
 
     features: np.ndarray
     mean: np.ndarray
-    m2: np.ndarray
+    scatter: np.ndarray
 
     @property
     def n(self) -> int:
@@ -281,7 +281,8 @@ class LogisticScale:
         if self.psi.has_intercept:
             f[0] = 1.0
         mean = f.mean(axis=1)
-        return LogisticBlock(f, mean, ((f - mean[:, None]) ** 2).sum(axis=1))
+        c = f - mean[:, None]
+        return LogisticBlock(f, mean, c @ c.T)
 
 
 def _feature_rows(psi: FeatureMap, x) -> np.ndarray:
@@ -296,7 +297,7 @@ def _pooled_scale(blocks: Sequence[LogisticBlock], has_icpt: bool) -> np.ndarray
     n = np.array([blk.n for blk in blocks], dtype=float)
     means = np.array([blk.mean for blk in blocks])
     mean = n @ means / n.sum()
-    m2 = sum(blk.m2 for blk in blocks) + n @ (means - mean) ** 2
+    m2 = sum(np.diag(blk.scatter) for blk in blocks) + n @ (means - mean) ** 2
     s = np.sqrt(m2 / n.sum())
     s[s == 0] = 1.0
     T = np.diag(s)
@@ -330,16 +331,21 @@ def _linear_loss(t):
 _CURVATURE = {_logistic_loss: lambda q: q * (1.0 - q), _exponential_loss: lambda e: e}
 
 
-def _newton_blocks(blocks, T: np.ndarray):
+def _newton_blocks(blocks, T: np.ndarray, start: Optional[np.ndarray] = None):
     """Minimize the sum over ``blocks`` of (features, loss) of each row's loss
     of t = b @ features by Newton's method, with the stops, step halving and
     block-order sums of fit_logistic_blocks; T maps b to the pooled scale,
     and the own-side test needs every block logistic. Hessian weights are
-    formed at accepted iterates only. Returns (b, step, fit_info), step being
-    the Newton step at b.
+    formed at accepted iterates only. It starts at ``start`` if that passes
+    the separation tests with a loss no larger than at zero, else at zero.
+    Returns (b, step, fit_info), step being the Newton step at b.
     """
     n = sum(a.shape[1] for a, _ in blocks)
     logistic = all(loss is _logistic_loss for _, loss in blocks)
+
+    def separated(b, fitted):
+        return ((logistic and all((t < 0.0).all() for t, _ in fitted))
+                or float(np.linalg.norm(T @ b)) > 50.0)
 
     def evaluate(b):
         """The summed loss, and each block's predictor and derivative."""
@@ -352,11 +358,16 @@ def _newton_blocks(blocks, T: np.ndarray):
         return f, fitted
 
     b = np.zeros(T.shape[0])
-    cur, fitted = evaluate(b)
+    if start is not None:
+        # each row's loss at zero is loss(0), so the loss at zero needs no pass
+        cand = evaluate(start)
+        if (cand[0] <= sum(a.shape[1] * loss(np.zeros(1))[0] for a, loss in blocks)
+                and not separated(start, cand[1])):
+            b = start
+    cur, fitted = cand if b is start else evaluate(b)
     dec = math.inf
     for it in range(1, LOGISTIC_MAX_ITER + 1):
-        if ((logistic and all((t < 0.0).all() for t, _ in fitted))
-                or float(np.linalg.norm(T @ b)) > 50.0):
+        if separated(b, fitted):
             raise TiltingError(
                 f"separation: no maximum likelihood estimate after {it - 1} iterations",
                 residual=dec, iterations=it - 1, separated=True)
@@ -408,50 +419,76 @@ def fit_logistic_blocks(blocks, scale: LogisticScale):
 
     ``blocks`` is a sequence of (LogisticBlock, labels), each block built
     with ``scale``; labels is an array of 0/1 per row, or one 0/1 label for
-    the whole block. Each Newton evaluation sums the blocks' negative
-    log-likelihood, gradient and Hessian in block order, so no block is
-    stacked with another (the split of Wu et al., JAMIA 2012). Steps are
-    halved until the negative log-likelihood does not increase. The fit stops
-    for one of four reasons:
+    the whole block. Newton's method starts from Fisher's discriminant, which
+    each label's block moments give, when psi has an intercept and that start
+    passes _newton_blocks' checks, and from zero otherwise. Each evaluation
+    sums the blocks' negative log-likelihood, gradient and Hessian in block
+    order, so no block is stacked with another (the split of Wu et al., JAMIA
+    2012). Steps are halved until the negative log-likelihood does not
+    increase. The fit stops for one of four reasons:
 
     - converged: half the squared Newton decrement (the predicted remaining
-      decrease of the negative log-likelihood) is <= LOGISTIC_TOL;
+      decrease of the negative log-likelihood) is <= LOGISTIC_TOL; the fit
+      returns the last iterate plus its Newton step, the maximum likelihood
+      estimate to rounding;
     - separated: the current coefficients put every row strictly on its own
       label's side, their norm exceeds 50, or the decrement vanished while
       the information per row along some direction of the linear predictor
       is <= 1e-9 (quasi-complete separation); the maximum likelihood estimate
       does not exist and TiltingError is raised with separated=True;
-    - stalled: step halving finds no decrease; TiltingError with
-      separated=False;
+    - stalled: step halving finds no decrease; TiltingError, separated=False;
     - capped: TiltingError with separated=False after LOGISTIC_MAX_ITER steps.
 
     The norm and the information are read in the features standardized by
-    the pooled means and sds of all rows, whatever map ``scale`` announces;
-    that scale follows from the blocks' column moments. Labels of a single
-    class are separated by definition. Returns (beta, fit_info) with beta on
-    the scale of psi(x).
+    the pooled means and sds of all rows, whatever map ``scale`` announces.
+    Labels of a single class are separated by definition. Returns (beta,
+    fit_info) with beta on the scale of psi(x).
     """
     # each row's features are multiplied by s = 1 - 2 * label, so its signed
     # predictor t = s * eta is b @ features, negative on its own side; its
     # loss is log(1 + exp(t)) and its gradient features * expit(t)
-    signed, ys = [], []
+    signed, labelled = [], []
     for blk, labels in blocks:
         y = np.asarray(labels, dtype=float)
         if y.ndim and y.shape != (blk.n,):
             raise ValueError("a block needs one label per row")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("labels must be 0 or 1")
-        ys.append(y)
+        labelled.append((blk, y))
         signed.append((blk.features * (1.0 - 2.0 * y) if np.any(y) else blk.features,
                        _logistic_loss))
     if sum(blk.n for blk, _ in blocks) == 0:
         raise ValueError("a logistic fit needs rows")
-    if all(not np.any(y) for y in ys) or all(np.all(y) for y in ys):
+    if all(not np.any(y) for _, y in labelled) or all(np.all(y) for _, y in labelled):
         raise TiltingError("separation: every label is the same", residual=math.inf,
                            iterations=0, separated=True)
-    T = _pooled_scale([blk for blk, _ in blocks], scale.psi.has_intercept)
-    b, _, info = _newton_blocks(signed, T)
-    return _unstandardize(b, scale.mu, scale.sd, scale.psi.has_intercept), info
+    has_icpt = scale.psi.has_intercept
+    T = _pooled_scale([blk for blk, _ in blocks], has_icpt)
+    b, step, info = _newton_blocks(signed, T, _discriminant(labelled) if has_icpt else None)
+    return _unstandardize(b + step, scale.mu, scale.sd, has_icpt), info
+
+
+def _discriminant(labelled) -> Optional[np.ndarray]:
+    """Fisher's linear discriminant of label 1 against 0 over (LogisticBlock,
+    labels) pairs whose first feature is the constant, from each block's
+    moments and its label-1 rows' count and sum: the logistic coefficients
+    when both labels' rows are Gaussian with one covariance (Efron, JASA
+    1975). None if a label has no rows or the within-label scatter is singular."""
+    n = sum(blk.n for blk, _ in labelled)
+    mean = sum(blk.n * blk.mean for blk, _ in labelled) / n
+    n1 = sum(np.sum(y) if y.ndim else y * blk.n for blk, y in labelled)
+    if not 0 < n1 < n:
+        return None
+    mean1 = sum(blk.features @ y if y.ndim else y * blk.n * blk.mean for blk, y in labelled) / n1
+    # d = mean1 - mean0; within labels, the scatter is the pooled less n1 n0 / n d d'
+    d = (mean1 - mean) * n / (n - n1)
+    within = sum(blk.scatter + blk.n * np.outer(blk.mean - mean, blk.mean - mean)
+                 for blk, _ in labelled) - n1 * (n - n1) / n * np.outer(d, d)
+    try:
+        w = np.linalg.solve(within[1:, 1:] / n, d[1:])
+    except np.linalg.LinAlgError:
+        return None
+    return np.r_[math.log(n1 / (n - n1)) - w @ (mean1 - d / 2.0)[1:], w]
 
 
 def fit_tilting(source, target, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT) -> RatioModel:

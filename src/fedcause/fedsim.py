@@ -290,13 +290,16 @@ def _report_from_log(log: MessageLog, ci_level: float = 0.95,
     _check_one_per_site) when it holds only aggregates, protocol two's
     (checked by _check_folds) when a site published a ratio model or sent
     outcome blocks, or the server sent a target-mean term. A message of an
-    unknown kind, or whose sums or counts the report reads are malformed, is
-    refused with a ValueError naming it."""
+    unknown kind, with a key outside its schema, or whose sums or counts the
+    report reads are malformed, is refused with a ValueError naming it."""
     for i, m in enumerate(log):
         if m.kind not in _SCHEMAS:
             raise ValueError(f"message {i}: unknown kind {m.kind!r}")
         if not isinstance(m.payload, dict):
             raise ValueError(f"message {i}: {m.kind} payload is not an object")
+        extra = [key for key in m.payload if key not in _SCHEMAS[m.kind]]
+        if extra:
+            raise ValueError(f"message {i}: {m.kind} key {extra[0]!r} is outside its schema")
     protocol_two = any(m.kind in ("publish_ratio_model", "outcome_blocks",
                                   "target_mean_term") for m in log)
     if protocol_two:

@@ -203,8 +203,8 @@ def test_estimate_names_the_site_of_a_failed_fit(capsys, data_dir, monkeypatch):
 # clb-aipw run on data_dir; a change to these bytes is a change to the
 # protocol's arithmetic or messages
 FEDERATED_SHA256 = {
-    "report": "311aba01b2ce2e2a0040c447f210aff0bd0d70facdcff9a6254648d4025d8c2f",
-    "transcript": "a01040e07665da4e4421c574c3c8e83d2dcdc53790165ce69564106734873ffb",
+    "report": "298c37d43be81f933a28397b9a0f854bd562aa260ea471ed2d79fe189039c28a",
+    "transcript": "c6458ead594c986a04d591bce821c2b91a891e89aad6caa4df273e3a6055ef57",
 }
 
 

@@ -264,6 +264,124 @@ def test_logistic_derivative_is_bitwise_the_masked_select():
     assert got.tobytes() == want.tobytes()
 
 
+def _solver_cases():
+    """(blocks, scale, design, labels) of 240 logistic fits: a site against
+    the target and the arm within the site, for tiny sites (60, 80 and 100
+    units; target 200) at d_kl 0 to 5, three draws each, on both maps with
+    an intercept; then, per map and size, a site whose arms a hyperplane
+    splits and a site beyond the target's support, both separated. design
+    stacks the blocks' psi-rows and labels their labels."""
+    rng = np.random.default_rng(48)
+    c = np.array([1.2, 0.3, -1.2])
+    for psi in (IDENTITY_PLUS_INTERCEPT, MISSPECIFIED):
+        draws = []
+        for d_kl in range(6):
+            # KL(N(mu, I) || N(0, I)) = |mu|^2 / 2
+            mu = np.full(3, math.sqrt(2.0 * d_kl / 3.0))
+            for _ in range(3):
+                tgt = rng.normal(0.0, 1.0, size=(200, 3))
+                for n in (60, 80, 100):
+                    x = rng.normal(mu, 1.0, size=(n, 3))
+                    draws.append((tgt, x, (rng.random(n) < expit(x @ c)).astype(float)))
+        for n in (60, 80, 100):
+            # arms split by a hyperplane in psi, and a site whose x2 (so
+            # also x2^2) lies beyond the target's
+            x = rng.normal(0.0, 1.0, size=(n, 3))
+            split = x[:, 0] + x[:, 1] > 0 if psi is IDENTITY_PLUS_INTERCEPT else x[:, 1] ** 2 > 1
+            far = x.copy()
+            far[:, 1] += np.abs(tgt[:, 1]).max() - x[:, 1].min() + 0.1
+            draws.append((tgt, x, split.astype(float)))
+            draws.append((tgt, far, (rng.random(n) < 0.5).astype(float)))
+        for tgt, x, z in draws:
+            scale, target = LogisticScale.announce(psi, tgt)
+            block = scale.block(x)
+            yield ([(block, 1.0), (target, 0.0)], scale, psi.apply(np.vstack([x, tgt])),
+                   np.r_[np.ones(len(x)), np.zeros(len(tgt))])
+            yield [(block, z)], scale, psi.apply(x), z
+
+
+def _outcome(blocks, scale):
+    """(stop reason, beta or None, iterations) of one fit."""
+    try:
+        beta, info = fit_logistic_blocks(blocks, scale)
+        return info["stop"], beta, info["iterations"]
+    except TiltingError as err:
+        return str(err).split()[0], None, err.iterations
+
+
+def test_converged_logistic_fit_returns_the_mle_to_rounding():
+    # the fit adds the Newton step at its last iterate, which stopped up to
+    # LOGISTIC_TOL short of the maximum; half the decrement read at the
+    # returned coefficients, on the scale of psi, is at rounding level
+    worst, n_conv = 0.0, 0
+    for blocks, scale, design, y in _solver_cases():
+        stop, beta, _ = _outcome(blocks, scale)
+        if stop != "converged":
+            continue
+        q = expit(design @ beta)
+        grad = design.T @ (y - q)
+        hess = (design * (q * (1.0 - q))[:, None]).T @ design
+        worst = max(worst, 0.5 * float(grad @ np.linalg.solve(hess, grad)))
+        n_conv += 1
+    assert n_conv >= 200
+    assert worst <= 1e-18
+
+
+def test_discriminant_start_reaches_the_zero_start_fit(monkeypatch):
+    cases = list(_solver_cases())
+    warm = [_outcome(blocks, scale) for blocks, scale, _, _ in cases]
+    monkeypatch.setattr(density_ratio, "_discriminant", lambda parts: None)
+    cold = [_outcome(blocks, scale) for blocks, scale, _, _ in cases]
+    assert len(cases) >= 200
+    assert [w[0] for w in warm] == [c[0] for c in cold]
+    stops = [w[0] for w in warm]
+    assert stops.count("converged") >= 200 and stops.count("separation:") >= 12
+    for (_, got, _), (_, want, _) in zip(warm, cold):
+        if want is not None:
+            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+    assert np.mean([w[2] for w in warm]) < np.mean([c[2] for c in cold])
+
+
+def _refused_start(reason):
+    """(x, labels, start as a function of the fit's scale) of a fit whose
+    start _newton_blocks must refuse for reason: "norm", too long though it
+    cancels on the rows (a duplicated column); "loss", no better than zero;
+    "own side", every row on its own side (separable labels)."""
+    rng = np.random.default_rng(49)
+    x = rng.normal(size=(300, 2))
+    y = (rng.random(300) < expit(0.3 + x[:, 0] - 0.8 * x[:, 1])).astype(float)
+    if reason == "norm":
+        return np.column_stack([x[:, 0], x]), y, lambda _: np.array([0.15, 60.5, -60.0, -0.4])
+    if reason == "loss":
+        return x, y, lambda _: np.array([0.0, -3.0, 2.4])
+    # 2 (x1 + x2) in the standardized features
+    return (x, (x[:, 0] + x[:, 1] > 0).astype(float),
+            lambda sc: 2.0 * np.r_[sc.mu[1:].sum(), sc.sd[1:]])
+
+
+@pytest.mark.parametrize("reason", ["norm", "loss", "own side"])
+def test_a_refused_start_leaves_the_zero_start_fit_bitwise(monkeypatch, reason):
+    x, y, start_of = _refused_start(reason)
+    # the start's standing, read as the loop reads it
+    scale, block = LogisticScale.announce(IDENTITY_PLUS_INTERCEPT, x)
+    start = start_of(scale)
+    t = start @ (block.features * (1.0 - 2.0 * y))
+    loss = density_ratio._logistic_loss(t)[0]
+    long = np.linalg.norm(density_ratio._pooled_scale([block], True) @ start) > 50.0
+    assert (loss > len(y) * math.log(2.0), long, bool(np.all(t < 0.0))) == (
+        reason == "loss", reason == "norm", reason == "own side")
+
+    def fit(start_or_none):
+        monkeypatch.setattr(density_ratio, "_discriminant", lambda parts: start_or_none)
+        try:
+            beta, info = fit_logistic(x, y, psi=IDENTITY_PLUS_INTERCEPT)
+            return beta.tobytes(), info
+        except TiltingError as err:
+            return str(err), (err.iterations, err.residual, err.separated)
+
+    assert fit(start) == fit(None)
+
+
 # -- nearest-neighbour ratio --------------------------------------------------
 
 

@@ -298,6 +298,23 @@ def test_replay_refuses_a_malformed_protocol_two_payload(kind, key, value, reaso
         replay(MessageLog(_tampered(msgs, i, **{key: value})))
 
 
+@pytest.mark.parametrize("protocol, kind", [
+    ("one", "aggregates"), ("two", "aggregates"), ("two", "publish_ratio_model"),
+    ("two", "outcome_blocks"), ("two", "target_mean_term"),
+], ids=["one-aggregates", "two-aggregates", "published-model", "outcome-blocks",
+        "target-term"])
+def test_replay_refuses_a_key_outside_the_schema(protocol, kind):
+    # the audit flags an added key; replay refuses it, where it used to read
+    # only the keys it needs and reproduce the untampered estimate
+    msgs = _protocol_one_transcript() if protocol == "one" else _two_site_transcript()
+    i = next(i for i, m in enumerate(msgs) if m.kind == kind)
+    tampered = MessageLog(_tampered(msgs, i, raw_y=[0.5, 1.5]))
+    assert audit_messages(tampered) == [
+        f"message {i} ({kind!r} from {msgs[i].sender!r}): unexpected key 'raw_y'"]
+    with pytest.raises(ValueError, match=f"message {i}: {kind} key 'raw_y' is outside its schema"):
+        replay(tampered)
+
+
 def test_algorithm2_equals_centralized_run():
     rng = np.random.default_rng(4)
     sites = _linear_sites(rng, n_sites=3, n=20)

@@ -419,13 +419,13 @@ def fit_logistic_blocks(blocks, scale: LogisticScale):
 
     ``blocks`` is a sequence of (LogisticBlock, labels), each block built
     with ``scale``; labels is an array of 0/1 per row, or one 0/1 label for
-    the whole block. Newton's method starts from Fisher's discriminant, which
-    each label's block moments give, when psi has an intercept and that start
-    passes _newton_blocks' checks, and from zero otherwise. Each evaluation
-    sums the blocks' negative log-likelihood, gradient and Hessian in block
-    order, so no block is stacked with another (the split of Wu et al., JAMIA
-    2012). Steps are halved until the negative log-likelihood does not
-    increase. The fit stops for one of four reasons:
+    the whole block. Newton's method starts from Fisher's discriminant,
+    formed from block moments (_discriminant), when psi has an intercept and
+    that start passes _newton_blocks' checks, and from zero otherwise. Each
+    evaluation sums the blocks' negative log-likelihood, gradient and Hessian
+    in block order, so no block is stacked with another (the split of Wu et
+    al., JAMIA 2012). Steps are halved until the negative log-likelihood does
+    not increase. The fit stops for one of four reasons:
 
     - converged: half the squared Newton decrement (the predicted remaining
       decrease of the negative log-likelihood) is <= LOGISTIC_TOL; the fit

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -34,10 +34,37 @@ from .nuisance import (FoldPlan, ScoreTable, assemble_propensity, crossfit_split
                        outcome_block, score_table, solve_outcome_blocks,
                        zero_outcome_model)
 
-MESSAGE_KINDS = ("publish_ratio_model", "aggregates", "outcome_blocks",
-                 "target_mean_term")
+# The wire format. Per message kind: its sender ("site" or "server") and its
+# payload variants, each a map from key to field type:
+#   count     a non-negative integer; "count?" is one the payload may omit
+#   sum       a finite number
+#   sum+      a finite number >= 0
+#   vector    a list of p finite numbers; the transcript's first cross1 sets p
+#   triangle  a list of p(p + 1)/2 finite numbers, an upper triangle by rows
+#   model     a RatioModel.to_json_obj object with finite coefficients, or null
+#   reason    a string
+# docs/spec-schema.md gives the same tables, and a test holds the two equal.
+SCHEMA = {
+    "publish_ratio_model": ("site", {"models": {
+        "site_id": "count", "n1": "count", "n0": "count",
+        "model1": "model", "model0": "model"}}),
+    "aggregates": ("site", {
+        "sums": {"fold": "count?", "site_id": "count", "G1": "sum", "G0": "sum",
+                 "N1": "sum+", "N0": "sum+", "w2_1": "sum+", "w2y_1": "sum",
+                 "w2y2_1": "sum+", "w2_0": "sum+", "w2y_0": "sum", "w2y2_0": "sum+",
+                 "n_units": "count", "n_floored": "count"},
+        "deltas": {"fold": "count", "site_id": "count", "d1": "sum", "d0": "sum",
+                   "n1_hat": "sum+", "n0_hat": "sum+", "s2_1": "sum+", "s2_0": "sum+",
+                   "n_units": "count"},
+        "exclusion": {"fold": "count", "site_id": "count", "excluded": "reason"}}),
+    "outcome_blocks": ("site", {"blocks": {
+        "fold": "count", "site_id": "count", "cross1": "vector", "gram1": "triangle",
+        "cross0": "vector", "gram0": "triangle"}}),
+    "target_mean_term": ("server", {"term": {
+        "fold": "count", "value": "sum", "target_var": "sum+", "n_target": "count"}}),
+}
 
-_SERVER_KINDS = ("target_mean_term",)
+MESSAGE_KINDS = tuple(SCHEMA)
 
 
 class PrivacyError(RuntimeError):
@@ -158,7 +185,7 @@ def fit_outcome_blocks(sites: Sequence[SiteDataset], table: ScoreTable, psi,
 
 
 # ---------------------------------------------------------------------------
-# Server-side report assembly, shared by live runs and replay
+# Reading transcripts through the schema: the report (live and replayed), the audit
 
 
 def _is_finite_number(v) -> bool:
@@ -169,91 +196,132 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-# payload keys the report reads as counts; every other number it reads is a sum
-_COUNT_KEYS = {"site_id", "n1", "n0", "n_units", "n_floored", "n_target", "fold"}
+# each scalar field type: its test, and what a value that fails it is not
+_SCALARS = {"count": (_is_count, "a non-negative integer"),
+            "sum": (_is_finite_number, "a finite number"),
+            "sum+": (lambda v: _is_finite_number(v) and v >= 0, "a finite number >= 0"),
+            "reason": (lambda v: isinstance(v, str), "a string")}
 
 
-def _read_numbers(i: int, kind: str, pay: dict, keys) -> dict:
-    """pay, the payload of message i, refused with a ValueError naming the
-    message and the key unless each of keys holds a non-negative integer (a
-    count) or a finite number (a sum)."""
-    for key in keys:
-        v, count = pay.get(key), key in _COUNT_KEYS
-        if not (_is_count(v) if count else _is_finite_number(v)):
-            raise ValueError(f"message {i}: {kind} {key} is {v!r}, not "
-                             + ("a non-negative integer" if count else "a finite number"))
-    return pay
+def _read_model(obj) -> Tuple[Optional[RatioModel], List[str]]:
+    """The RatioModel a published model object states (None for null), and
+    its faults, each phrased to follow the name of its slot."""
+    if obj is None:
+        return None, []
+    if not isinstance(obj, dict):
+        return None, [f"is {obj!r}, not a model object or null"]
+    faults = [f"has unexpected model key {k!r}" for k in obj
+              if k not in ("backend", "gamma", "beta", "psi")]
+    try:
+        model = RatioModel.from_json_obj(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        return None, faults + [f"is not a published model: {exc!r}"]
+    coefs = (model.gamma, model.beta) if model.backend == "factored" else (model.gamma,)
+    if not all(c.ndim == 1 and c.shape == coefs[0].shape and c.size
+               and np.isfinite(c).all() for c in coefs):
+        faults.append("gamma and beta are not equally long lists of finite numbers")
+    return model, faults
 
 
-def _read_aggregates(i: int, pay: dict, cls):
-    """The cls (SiteAggregates or MetaDeltas) that aggregates message i holds."""
-    return cls.from_payload(_read_numbers(i, "aggregates", pay, [f.name for f in fields(cls)]))
-
-
-def _check_published(i: int, pay: dict) -> int:
-    """The unit count that publish_ratio_model message i announces. Raises
-    ValueError naming the message when a count is not a non-negative integer
-    or a model slot is missing."""
-    _read_numbers(i, "publish_ratio_model", pay, ("n1", "n0"))
-    for slot in ("model1", "model0"):
-        if slot not in pay:
-            raise ValueError(f"message {i}: publish_ratio_model lacks {slot}")
-    return pay["n1"] + pay["n0"]
-
-
-def _check_blocks(i: int, pay: dict, p: Optional[int]) -> int:
-    """Refuse outcome_blocks message i unless it holds both arms' normal
-    equations in dimension p, which the first block message sets by its
-    cross1; return p."""
-    if p is None:
-        cross = pay.get("cross1")
-        if not (isinstance(cross, list) and cross):
-            raise ValueError(f"message {i}: outcome_blocks cross1 is not a non-empty list")
-        p = len(cross)
-    for arm in (1, 0):
-        for key, size in ((f"gram{arm}", p * (p + 1) // 2), (f"cross{arm}", p)):
+def _read_log(log: MessageLog):
+    """Read each message i of log through SCHEMA, yielding (i, message,
+    variant, values, extra, faults). The variant leaves the fewest payload
+    keys outside, then misses the fewest; values holds each key whose value
+    has its field type (a model as a RatioModel); extra lists the keys outside
+    the variant; each fault is a text that names its key. The sender must be
+    the site_id (or "server"), and the round the fold (or 0 without one)."""
+    p = None
+    for i, m in enumerate(log):
+        kind, pay = m.kind, m.payload
+        known = isinstance(kind, str) and kind in SCHEMA
+        if not known or not isinstance(pay, dict):
+            yield i, m, None, {}, [], [f"{kind} payload is not an object" if known
+                                      else f"unknown kind {kind!r}"]
+            continue
+        sender, variants = SCHEMA[kind]
+        variant = min(variants, key=lambda v: (len(pay.keys() - variants[v].keys()),
+                                             len(variants[v].keys() - pay.keys())))
+        spec, values, faults = variants[variant], {}, []
+        for key, typ in spec.items():
             v = pay.get(key)
-            if not (isinstance(v, list) and len(v) == size
-                    and all(map(_is_finite_number, v))):
-                raise ValueError(f"message {i}: outcome_blocks {key} is not a list "
-                                 f"of {size} finite numbers (p = {p})")
-    return p
+            if typ == "model":
+                if key not in pay:
+                    faults.append(f"{kind} lacks {key}")
+                    continue
+                model, bad = _read_model(v)
+                faults += [f"{kind} {key} {b}" for b in bad]
+                if not bad:
+                    values[key] = model
+            elif typ in ("vector", "triangle"):
+                if p is None and typ == "vector":
+                    if not (isinstance(v, list) and v):
+                        faults.append(f"{kind} {key} is not a non-empty list")
+                        continue
+                    p = len(v)  # the transcript's first cross1 sets p
+                if p is not None:
+                    size = p if typ == "vector" else p * (p + 1) // 2
+                    if isinstance(v, list) and len(v) == size and all(map(_is_finite_number, v)):
+                        values[key] = v
+                    else:
+                        faults.append(f"{kind} {key} is not a list of {size} finite "
+                                      f"numbers (p = {p})")
+            elif key in pay or not typ.endswith("?"):
+                ok, want = _SCALARS[typ.rstrip("?")]
+                if ok(v):
+                    values[key] = v
+                else:
+                    faults.append(f"{kind} {key} is {v!r}, not {want}")
+        by = "server" if sender == "server" else values.get("site_id")
+        if by is not None and not (type(m.sender) is type(by) and m.sender == by):
+            faults.append(f"{kind} from is {m.sender!r}, not {by!r}")
+        fold = values.get("fold", None if "fold" in pay else 0)  # None: a faulty fold
+        if fold is not None and not (type(m.round) is int and m.round == fold):
+            faults.append(f"{kind} round is {m.round!r}, not "
+                          + (f"its fold {fold}" if "fold" in pay else "0, as it names no fold"))
+        yield i, m, variant, values, [k for k in pay if k not in spec], faults
 
 
-def _check_folds(log: MessageLog) -> None:
+def _refuse(i: int, m: SiteMessage, extra, faults) -> None:
+    """Raise a ValueError naming message i and the key of its first fault."""
+    if extra:
+        raise ValueError(f"message {i}: {m.kind} key {extra[0]!r} is outside its schema")
+    if faults:
+        raise ValueError(f"message {i}: {faults[0]}")
+
+
+def _check_folds(reads) -> None:
     """Protocol two sends, for each fold f = 0, ..., F-1, one target_mean_term
     and one aggregates message per publishing site, F being one more than the
     largest fold any message names, and, when it trains, one outcome_blocks
     message per publishing site; a site's aggregates, unless one of them is
-    an exclusion, cover as many units as it published. Published counts,
-    folds and block payloads must be well formed. Raises ValueError naming
-    the message, the fold or the site of the first violation."""
-    sizes = {m.payload["site_id"]: _check_published(i, m.payload)
-             for i, m in enumerate(log) if m.kind == "publish_ratio_model"}
+    an exclusion, cover as many units as it published. Raises ValueError
+    naming the message, the fold or the site of the first violation."""
+    sizes = {v["site_id"]: v["n1"] + v["n0"] for _, kind, _, v in reads
+             if kind == "publish_ratio_model"}
     terms, aggs, blocks, covered = Counter(), Counter(), Counter(), Counter()
     excluded = set()
-    n_folds, p = 0, None
-    for i, m in enumerate(log):
-        if m.kind not in ("outcome_blocks", "target_mean_term", "aggregates"):
+    n_folds = 0
+    for i, kind, variant, v in reads:
+        if kind == "publish_ratio_model":
             continue
-        f = _read_numbers(i, m.kind, m.payload, ("fold",))["fold"]
+        if "fold" not in v:
+            raise ValueError(f"message {i}: {kind} names no fold, which protocol two's do")
+        f = v["fold"]
         n_folds = max(n_folds, f + 1)
-        if m.kind == "target_mean_term":
+        if kind == "target_mean_term":
             terms[f] += 1
             continue
-        k = m.payload["site_id"]
+        k = v["site_id"]
         if k not in sizes:
-            raise ValueError(f"fold {f}: site {k} sent {m.kind} but "
-                             "published no ratio model")
-        if m.kind == "outcome_blocks":
-            p = _check_blocks(i, m.payload, p)
+            raise ValueError(f"fold {f}: site {k} sent {kind} but published no ratio model")
+        if kind == "outcome_blocks":
             blocks[(f, k)] += 1
             continue
         aggs[(f, k)] += 1
-        if "excluded" in m.payload:
+        if variant == "exclusion":
             excluded.add(k)
         else:
-            covered[k] += int(m.payload.get("n_units", 0))
+            covered[k] += v["n_units"]
     for f in range(n_folds):
         if terms[f] != 1:
             raise ValueError(f"fold {f}: {terms[f]} target_mean_term messages; "
@@ -271,88 +339,95 @@ def _check_folds(log: MessageLog) -> None:
                              f"cover {covered[k]} units; it published {sizes[k]}")
 
 
-def _check_one_per_site(log: MessageLog) -> None:
-    """Protocol one sends one aggregates message per site; raises ValueError
-    naming the first message that repeats a site."""
-    seen = set()
-    for i, m in enumerate(log):
-        if m.kind == "aggregates":
-            k = m.payload["site_id"]
-            if k in seen:
-                raise ValueError(f"message {i}: a second aggregates message from "
-                                 f"site {k}; protocol one sends one per site")
-            seen.add(k)
-
-
-def _report_from_log(log: MessageLog, ci_level: float = 0.95,
-                     weights: Optional[Dict[int, float]] = None) -> EstimateReport:
-    """The report of a transcript: protocol one's (checked by
-    _check_one_per_site) when it holds only aggregates, protocol two's
-    (checked by _check_folds) when a site published a ratio model or sent
-    outcome blocks, or the server sent a target-mean term. A message of an
-    unknown kind, with a key outside its schema, or whose sums or counts the
-    report reads are malformed, is refused with a ValueError naming it."""
-    for i, m in enumerate(log):
-        if m.kind not in _SCHEMAS:
-            raise ValueError(f"message {i}: unknown kind {m.kind!r}")
-        if not isinstance(m.payload, dict):
-            raise ValueError(f"message {i}: {m.kind} payload is not an object")
-        extra = [key for key in m.payload if key not in _SCHEMAS[m.kind]]
-        if extra:
-            raise ValueError(f"message {i}: {m.kind} key {extra[0]!r} is outside its schema")
-    protocol_two = any(m.kind in ("publish_ratio_model", "outcome_blocks",
-                                  "target_mean_term") for m in log)
-    if protocol_two:
-        _check_folds(log)
-    else:
-        _check_one_per_site(log)
-    agg_msgs = [(i, m) for i, m in enumerate(log) if m.kind == "aggregates"]
-    if not agg_msgs:
-        raise ValueError("log contains no aggregate messages")
-    if not protocol_two:
-        aggs = [_read_aggregates(i, m.payload, SiteAggregates) for i, m in agg_msgs]
-        return clb_combine(sorted(aggs, key=lambda a: a.site_id), ci_level=ci_level)
-
-    per_fold: Dict[int, list] = {}
-    n_pooled = 0
-    flavor = "clb"
-    for i, m in agg_msgs:
-        pay = m.payload
-        f = pay["fold"]
-        if "excluded" in pay:
-            item = Excluded(pay["excluded"])
-            flavor = "meta"
-        elif "G1" in pay:
-            item = _read_aggregates(i, pay, SiteAggregates)
-            n_pooled += item.n_units
-        else:
-            item = _read_aggregates(i, pay, MetaDeltas)
-            n_pooled += item.n_units
-            flavor = "meta"
-        per_fold.setdefault(f, []).append(item)
-    if n_pooled <= 0:
-        raise ValueError("aggregate messages cover no usable units")
-
-    term_keys = ("value", "target_var", "n_target")
-    term_by_fold = {m.payload["fold"]: _read_numbers(i, m.kind, m.payload, term_keys)
-                    for i, m in enumerate(log) if m.kind == "target_mean_term"}
-    inputs = []
-    for f in sorted(per_fold):
-        pay = term_by_fold[f]
-        inputs.append(AipwInputs(target_mean_term=float(pay["value"]),
-                                 target_sq_term=float(pay["target_var"]),
-                                 n_target=pay["n_target"],
-                                 deltas=per_fold[f],
-                                 lambda_hat=pay["n_target"] / n_pooled,
-                                 n_pooled=n_pooled, fold=f))
-    return aipw_combine(inputs, flavor=flavor, weights=weights, ci_level=ci_level)
-
-
 def replay(log: MessageLog, ci_level: float = 0.95,
            weights: Optional[Dict[int, float]] = None) -> EstimateReport:
     """Rebuild the estimate from a transcript alone. A live run assembles its
-    report through this same parser, so replay matches it bitwise."""
-    return _report_from_log(log, ci_level=ci_level, weights=weights)
+    report here too, so replay matches it bitwise.
+
+    Every message is read through SCHEMA before any rule that spans messages.
+    A transcript holds one aggregate variant: sums, or meta deltas and
+    exclusions. It is protocol one's, sums sent once per site, when it holds
+    only aggregates, and protocol two's (_check_folds) otherwise. Each refusal
+    is a ValueError naming the message and its key, the fold or the site."""
+    reads = []
+    for i, m, variant, values, extra, faults in _read_log(log):
+        _refuse(i, m, extra, faults)
+        reads.append((i, m.kind, variant, values))
+    aggs = [(i, variant, v) for i, kind, variant, v in reads if kind == "aggregates"]
+    protocol_two = len(aggs) < len(reads)
+    # sums: protocol one's, or protocol two's when its first aggregates are
+    clb = not (protocol_two and aggs) or aggs[0][1] == "sums"
+    for i, variant, _ in aggs:
+        if (variant == "sums") != clb:
+            raise ValueError(f"message {i}: aggregates holds {variant}, but this transcript's "
+                             f"aggregates hold {'sums' if clb else 'deltas or exclusions'}")
+    if protocol_two:
+        _check_folds(reads)
+    else:
+        first = {}
+        for i, _, v in aggs:
+            if first.setdefault(v["site_id"], i) != i:
+                raise ValueError(f"message {i}: a second aggregates message from "
+                                 f"site {v['site_id']}; protocol one sends one per site")
+    if not aggs:
+        raise ValueError("log contains no aggregate messages")
+    if not protocol_two:
+        return clb_combine(sorted((SiteAggregates.from_payload(v) for _, _, v in aggs),
+                                  key=lambda a: a.site_id), ci_level=ci_level)
+
+    per_fold: Dict[int, list] = {}
+    n_pooled = 0
+    for _, variant, v in aggs:
+        if variant == "exclusion":
+            item = Excluded(v["excluded"])
+        else:
+            item = (SiteAggregates if clb else MetaDeltas).from_payload(v)
+            n_pooled += item.n_units
+        per_fold.setdefault(v["fold"], []).append(item)
+    if n_pooled <= 0:
+        raise ValueError("aggregate messages cover no usable units")
+
+    terms = {v["fold"]: v for _, kind, _, v in reads if kind == "target_mean_term"}
+    inputs = [AipwInputs(target_mean_term=float(t["value"]),
+                         target_sq_term=float(t["target_var"]), n_target=t["n_target"],
+                         deltas=per_fold[f], lambda_hat=t["n_target"] / n_pooled,
+                         n_pooled=n_pooled, fold=f)
+              for f, t in sorted(terms.items())]
+    return aipw_combine(inputs, flavor="clb" if clb else "meta", weights=weights,
+                        ci_level=ci_level)
+
+
+# longest array a payload may carry before it looks like unit records
+AUDIT_MAX_LEN = 64
+
+
+def _scan_payload(value, path: str, out: List[str]) -> None:
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _scan_payload(v, f"{path}.{k}", out)
+    elif isinstance(value, (list, tuple)):
+        if len(value) > AUDIT_MAX_LEN:
+            out.append(f"{path}: array of length {len(value)} exceeds cap {AUDIT_MAX_LEN}")
+        for v in value:
+            if isinstance(v, (list, tuple, dict)):
+                out.append(f"{path}: nested array shaped like raw records")
+                break
+    elif isinstance(value, str) and len(value) > 256:
+        out.append(f"{path}: string of length {len(value)} exceeds cap 256")
+
+
+def audit_messages(log: MessageLog) -> List[str]:
+    """Static checks that a transcript keeps to the wire schema: each fault
+    that reading it through SCHEMA finds, and each array or string long or
+    nested enough to look like unit records. Returns the list of violations,
+    empty when the log is clean."""
+    violations: List[str] = []
+    for i, m, _, _, extra, faults in _read_log(log):
+        where = f"message {i} ({m.kind!r} from {m.sender!r})"
+        violations += [f"{where}: unexpected key {k!r}" for k in extra]
+        violations += [f"{where}: {fault}" for fault in faults]
+        _scan_payload(m.payload, where, violations)
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +441,7 @@ def run_algorithm1(sites: Sequence[SiteDataset], table: ScoreTable,
     for s in sorted(sites, key=lambda t: t.site_id):
         agg = clb_site_aggregates(s, table)
         log.post(SiteMessage(s.site_id, "aggregates", 0, agg.to_payload()), True)
-    return _report_from_log(log, ci_level=ci_level), log
+    return replay(log, ci_level=ci_level), log
 
 
 # ---------------------------------------------------------------------------
@@ -417,29 +492,25 @@ def _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
     log = MessageLog()
 
     # Sites publish their per-arm ratio models and arm counts.
-    published = {}
     for s in sites:
         n1 = int(np.sum(s.z_vec == 1))
-        n0 = s.n - n1
-        m1r = ratios.get((s.site_id, 1))
-        m0r = ratios.get((s.site_id, 0))
-        payload = {"site_id": s.site_id, "n1": n1, "n0": n0,
-                   "model1": None if m1r is None else m1r.to_json_obj(),
-                   "model0": None if m0r is None else m0r.to_json_obj()}
-        published[s.site_id] = log.post(
-            SiteMessage(s.site_id, "publish_ratio_model", 0, payload), wire)
+        payload = {"site_id": s.site_id, "n1": n1, "n0": s.n - n1}
+        for arm in (1, 0):
+            model = ratios.get((s.site_id, arm))
+            payload[f"model{arm}"] = None if model is None else model.to_json_obj()
+        log.post(SiteMessage(s.site_id, "publish_ratio_model", 0, payload), wire)
 
-    # The server assembles pooled scores from the published models.
+    # The server reads the published models through the wire schema and
+    # assembles pooled scores from them.
     models, counts = {}, {}
     n_published = 0
-    for sid in sorted(published):
-        pay = published[sid]
+    for i, m, _, pay, extra, faults in _read_log(log):
+        _refuse(i, m, extra, faults)
         n_published += pay["n1"] + pay["n0"]
         for arm in (1, 0):
-            obj = pay[f"model{arm}"]
-            if obj is not None:
-                models[(sid, arm)] = RatioModel.from_json_obj(obj)
-                counts[(sid, arm)] = pay[f"n{arm}"]
+            if pay[f"model{arm}"] is not None:
+                models[(pay["site_id"], arm)] = pay[f"model{arm}"]
+                counts[(pay["site_id"], arm)] = pay[f"n{arm}"]
     if not models:
         raise ValueError("no ratio models were published")
     table = score_table(sites, assemble_propensity(models, counts, n_published))
@@ -472,76 +543,4 @@ def _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
             log.post(SiteMessage(s.site_id, "aggregates", f, payload), wire)
 
     # the server reads only the parsed log, so replay is exact
-    return _report_from_log(log, ci_level=ci_level, weights=weights), log
-
-
-# ---------------------------------------------------------------------------
-# Transcript auditing
-
-
-_AGG_KEYS = {f.name for f in fields(SiteAggregates)} | {"fold"}
-_META_KEYS = {f.name for f in fields(MetaDeltas)} | {"fold"}
-_EXCL_KEYS = {"site_id", "fold", "excluded"}
-_MODEL_KEYS = {"backend", "gamma", "beta", "psi"}
-# longest array a payload may carry before it looks like unit records
-AUDIT_MAX_LEN = 64
-
-_SCHEMAS = {
-    "publish_ratio_model": {"site_id", "n1", "n0", "model1", "model0"},
-    "aggregates": _AGG_KEYS | _META_KEYS | _EXCL_KEYS,
-    "outcome_blocks": {"fold", "site_id", "gram1", "cross1", "gram0", "cross0"},
-    "target_mean_term": {"fold", "value", "target_var", "n_target"},
-}
-
-
-def _scan_payload(value, path: str, out: List[str]) -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _scan_payload(v, f"{path}.{k}", out)
-    elif isinstance(value, (list, tuple)):
-        if len(value) > AUDIT_MAX_LEN:
-            out.append(f"{path}: array of length {len(value)} exceeds cap {AUDIT_MAX_LEN}")
-        for v in value:
-            if isinstance(v, (list, tuple, dict)):
-                out.append(f"{path}: nested array shaped like raw records")
-                break
-    elif isinstance(value, str) and len(value) > 256:
-        out.append(f"{path}: string of length {len(value)} exceeds cap 256")
-
-
-def audit_messages(log: MessageLog) -> List[str]:
-    """Static checks that a transcript stays within the aggregate-only schema:
-    known kinds, expected senders, whitelisted keys, no long or nested arrays.
-    Returns the list of violations, empty when the log is clean."""
-    violations: List[str] = []
-    for i, m in enumerate(log):
-        where = f"message {i} ({m.kind!r} from {m.sender!r})"
-        allowed = _SCHEMAS.get(m.kind)
-        if allowed is None:
-            violations.append(f"{where}: unknown kind")
-            continue
-        if m.kind in _SERVER_KINDS:
-            if m.sender != "server":
-                violations.append(f"{where}: must come from the server")
-        else:
-            if not isinstance(m.sender, int):
-                violations.append(f"{where}: must come from a site")
-        if not isinstance(m.payload, dict):
-            violations.append(f"{where}: payload is not an object")
-            continue
-        for key in m.payload:
-            if key not in allowed:
-                violations.append(f"{where}: unexpected key {key!r}")
-        if m.kind == "publish_ratio_model":
-            for slot in ("model1", "model0"):
-                obj = m.payload.get(slot)
-                if obj is None:
-                    continue
-                if not isinstance(obj, dict):
-                    violations.append(f"{where}: {slot} is not an object")
-                    continue
-                for key in obj:
-                    if key not in _MODEL_KEYS:
-                        violations.append(f"{where}: unexpected model key {key!r}")
-        _scan_payload(m.payload, where, violations)
-    return violations
+    return replay(log, ci_level=ci_level, weights=weights), log

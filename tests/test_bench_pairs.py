@@ -1,0 +1,52 @@
+"""The pair summary of tools/bench_pairs.py, on made-up pairs (no run.py)."""
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _pairs(base, change, failed=(0, 0)):
+    return [{"base": {"reps_per_s": b, "setup_s": 1.0, "failed": failed[0], "attempted": 10},
+             "change": {"reps_per_s": c, "setup_s": 1.2, "failed": failed[1], "attempted": 10}}
+            for b, c in zip(base, change)]
+
+
+def test_summary_reads_the_bounds_of_benchmark_json():
+    metrics = bench_pairs.end_to_end(ROOT)
+    assert set(metrics) == {"setup_s", "reps_per_s", "peak_rss_mb"}
+    assert metrics["reps_per_s"] == (True, 0.25) and metrics["setup_s"] == (False, 0.25)
+
+
+@pytest.mark.parametrize("change, within", [
+    ([7.6] * 5, True),     # 24% slower than a base median of 10: inside a 0.25 bound
+    ([7.4] * 5, False),    # 26% slower
+    ([30.0] * 5, True),
+])
+def test_within_bound_holds_the_change_median_to_the_bound(change, within):
+    metrics = {"reps_per_s": (True, 0.25), "setup_s": (False, 0.15)}
+    summary = bench_pairs.summarize(_pairs([9.0, 10.0, 10.0, 11.0, 10.0], change), metrics)
+    assert summary["reps_per_s"]["within_bound"] is within
+    assert summary["reps_per_s"]["bound"] == 0.25
+    # setup 1.0 -> 1.2 is 20% worse, beyond a 0.15 bound for a lower-is-better metric
+    assert summary["setup_s"]["within_bound"] is False
+    assert summary["setup_s"]["pair_ratio"] == pytest.approx({"q1": 1.2, "median": 1.2, "q3": 1.2})
+
+
+def test_summary_gives_pair_ratio_quartiles_and_the_gain_rule():
+    base = [10.0, 20.0, 10.0, 20.0, 10.0, 20.0, 10.0, 20.0, 10.0, 20.0]
+    change = [b * 1.1 for b in base]
+    summary = bench_pairs.summarize(_pairs(base, change, failed=(1, 2)),
+                                    {"reps_per_s": (True, 0.25)})
+    s = summary["reps_per_s"]
+    # each pair gains 10%, so the ratios agree although the base spreads widely
+    assert s["pair_ratio"] == pytest.approx({"q1": 1.1, "median": 1.1, "q3": 1.1})
+    assert s["change_better_pairs"] == 10 and s["base_iqr"] == 10.0
+    assert s["gain_rule_holds"] is False  # the median gap (1.5) is inside the base's IQR
+    assert s["within_bound"] is True
+    assert (summary["failed_base"], summary["failed_change"]) == (10, 20)
+    assert summary["attempted_change"] == 100

@@ -1,6 +1,7 @@
 """Message protocol: transcripts, replay, federated-vs-centralized equality,
 the one-round outcome fit, and the privacy audit."""
 import dataclasses
+import pathlib
 import re
 
 import numpy as np
@@ -313,6 +314,115 @@ def test_replay_refuses_a_key_outside_the_schema(protocol, kind):
         f"message {i} ({kind!r} from {msgs[i].sender!r}): unexpected key 'raw_y'"]
     with pytest.raises(ValueError, match=f"message {i}: {kind} key 'raw_y' is outside its schema"):
         replay(tampered)
+
+
+# one value per mutation; _MISSING deletes the key
+_MISSING = object()
+_MUTATIONS = {"type-swap": "x", "nan": float("nan"), "inf": float("inf"),
+              "-inf": float("-inf"), "negative": -3, "fraction": 0.5, "bool": True,
+              "null": None, "missing": _MISSING}
+
+
+def _field_type(msg, key):
+    """The field type fedsim.SCHEMA gives key in msg's payload variant."""
+    _, variants = fedsim.SCHEMA[msg.kind]
+    return next(spec[key] for spec in variants.values() if set(msg.payload) <= set(spec))
+
+
+@pytest.mark.parametrize("protocol", ["one", "two"])
+def test_every_payload_mutation_is_refused_by_name_or_admitted_by_the_schema(protocol):
+    msgs = _protocol_one_transcript() if protocol == "one" else _two_site_transcript()
+    refused = admitted = 0
+    for i, m in enumerate(msgs):
+        cases = [(key, name, value) for key in m.payload for name, value in _MUTATIONS.items()]
+        for key, name, value in cases + [("zz_extra", "extra", 1.0)]:
+            pay = {k: v for k, v in m.payload.items() if k != key}
+            if value is not _MISSING:
+                pay[key] = value
+            log = MessageLog(msgs[:i] + [dataclasses.replace(m, payload=pay, line=None)]
+                             + msgs[i + 1:])
+            # the schema admits a fractional sum, a negative one where the
+            # sum may be negative, and a null model slot
+            typ = None if name == "extra" else _field_type(m, key)
+            if (typ, name) in {("sum", "negative"), ("sum", "fraction"), ("sum+", "fraction"),
+                               ("model", "null")}:
+                replay(log)
+                assert audit_messages(log) == [], (i, key, name)
+                admitted += 1
+                continue
+            with pytest.raises(ValueError) as err:
+                replay(log)
+            assert re.match(rf"message {i}: .*\b{key}\b", str(err.value)), (key, name, err.value)
+            refused += 1
+    assert refused > 3 * admitted > 0
+
+
+def test_replay_refuses_a_second_aggregate_variant():
+    msgs = _two_site_transcript()
+    i = [i for i, m in enumerate(msgs) if m.kind == "aggregates"][1]
+    pay = msgs[i].payload
+    exclusion = {"fold": pay["fold"], "site_id": pay["site_id"], "excluded": "no arm-1 units"}
+    tampered = MessageLog(msgs[:i] + [dataclasses.replace(msgs[i], payload=exclusion, line=None)]
+                          + msgs[i + 1:])
+    assert audit_messages(tampered) == []  # each message alone keeps to the schema
+    with pytest.raises(ValueError, match=f"message {i}: aggregates holds exclusion, but this "
+                                         "transcript's aggregates hold sums"):
+        replay(tampered)
+    # protocol one sends sums only
+    one = _protocol_one_transcript()
+    deltas = {"fold": 0, "site_id": 2, "d1": 0.5, "d0": 0.25, "n1_hat": 3.0, "n0_hat": 2.0,
+              "s2_1": 1.0, "s2_0": 1.0, "n_units": 9}
+    with pytest.raises(ValueError, match="message 1: aggregates holds deltas, but this "
+                                         "transcript's aggregates hold sums"):
+        replay(MessageLog(one[:1] + [dataclasses.replace(one[1], payload=deltas, line=None)]
+                          + one[2:]))
+
+
+@pytest.mark.parametrize("protocol, kind, change, reason", [
+    ("two", "aggregates", {"sender": 2}, "aggregates from is 2, not 1"),
+    ("two", "aggregates", {"sender": True}, "aggregates from is True, not 1"),
+    ("two", "publish_ratio_model", {"sender": "server"},
+     "publish_ratio_model from is 'server', not 1"),
+    ("two", "target_mean_term", {"sender": 1}, "target_mean_term from is 1, not 'server'"),
+    ("two", "aggregates", {"round": 7}, "aggregates round is 7, not its fold 0"),
+    ("two", "outcome_blocks", {"round": 1}, "outcome_blocks round is 1, not its fold 0"),
+    ("two", "publish_ratio_model", {"round": 1},
+     "publish_ratio_model round is 1, not 0, as it names no fold"),
+    ("one", "aggregates", {"round": 3}, "aggregates round is 3, not 0, as it names no fold"),
+    ("two", "aggregates", {"kind": ["aggregates"]}, "unknown kind ['aggregates']"),
+], ids=["spoofed-site", "bool-site", "server-publishes", "site-sends-server-term",
+        "round-7", "blocks-round", "publish-round", "protocol-one-round", "list-kind"])
+def test_replay_and_audit_refuse_a_wrong_envelope(protocol, kind, change, reason):
+    msgs = _protocol_one_transcript() if protocol == "one" else _two_site_transcript()
+    i = next(i for i, m in enumerate(msgs) if m.kind == kind)
+    msg = dataclasses.replace(msgs[i], line=None, **change)
+    tampered = MessageLog(msgs[:i] + [msg] + msgs[i + 1:])
+    with pytest.raises(ValueError, match=f"message {i}: " + re.escape(reason)):
+        replay(tampered)
+    where = f"message {i} ({msg.kind!r} from {msg.sender!r})"
+    assert audit_messages(tampered) == [f"{where}: {reason}"]
+
+
+def test_spec_schema_tables_are_the_wire_schema():
+    path = pathlib.Path(__file__).resolve().parent.parent / "docs" / "spec-schema.md"
+    heading = re.compile(r"^#### `(\w+)`(?: \((\w+)\))?$")
+    row = re.compile(r"^\| `(\w+)` \| `([\w+?]+)` \| (\w+) \|$")
+    documented, table = {}, None
+    for line in path.read_text().splitlines():
+        if heading.match(line):
+            table = documented.setdefault(heading.match(line).groups(), {})
+        elif row.match(line) and table is not None:
+            key, typ, sender = row.match(line).groups()
+            table[key] = (typ, sender)
+    # a kind with one variant has a table without a variant name
+    assert documented == {
+        (kind, variant if len(variants) > 1 else None): {k: (t, sender) for k, t in spec.items()}
+        for kind, (sender, variants) in fedsim.SCHEMA.items()
+        for variant, spec in variants.items()}
+    # replay builds SiteAggregates and MetaDeltas from exactly these keys
+    _, variants = fedsim.SCHEMA["aggregates"]
+    for variant, cls in (("sums", fedsim.SiteAggregates), ("deltas", fedsim.MetaDeltas)):
+        assert set(variants[variant]) == {f.name for f in dataclasses.fields(cls)} | {"fold"}
 
 
 def test_algorithm2_equals_centralized_run():

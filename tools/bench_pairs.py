@@ -8,12 +8,15 @@ and the change first in odd ones, so a slow spell of the host lands on both
 sides alike. Writes ``BENCH_<label>.json`` in the current directory: the host
 record that run.py prints (CPU count and model, Python, numpy), each
 checkout's commit, and for every pair each side's end-to-end metrics of
-BENCHMARK.json with its failed and attempted counts. A summary gives, per
-metric, both sides' medians and quartiles, the median change/base ratio, the
-pairs in which the change was better, the base's interquartile range, and
-whether the gain rule holds: the change better in at least nine tenths of
-the pairs run (ties count for neither) and its median beyond the base's by
-more than that range, in the metric's better direction.
+the change's BENCHMARK.json with its failed and attempted counts. The
+summary (``summarize``) gives, per metric, both sides' medians and
+quartiles, the quartiles of the per-pair change/base ratios, the pairs in
+which the change was better, the base's interquartile range, whether the
+gain rule holds (the change better in at least nine tenths of the pairs run,
+ties counting for neither, and its median beyond the base's by more than
+that range, in the metric's better direction), and whether the change is
+within the metric's bound: its median no worse than the base's by more than
+the bound's fraction of the base's median.
 """
 
 import argparse
@@ -23,8 +26,13 @@ import statistics
 import subprocess
 import sys
 
-# each end-to-end metric of BENCHMARK.json and whether higher is better
-METRICS = {"setup_s": False, "reps_per_s": True, "peak_rss_mb": False}
+
+def end_to_end(checkout: str) -> dict:
+    """The end-to-end metrics of checkout's BENCHMARK.json: name -> (whether
+    higher is better, bound)."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
+        return {m["name"]: (m["better"] == "higher", m["bound"])
+                for m in json.load(fh)["end_to_end"]}
 
 
 def _commit(checkout: str) -> str:
@@ -35,7 +43,7 @@ def _commit(checkout: str) -> str:
     return head + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def _run(checkout: str, workload: str, seed: int, seconds: float):
+def _run(checkout: str, workload: str, seed: int, seconds: float, metrics):
     """(host record, result) of one run.py invocation in ``checkout``."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
@@ -47,7 +55,7 @@ def _run(checkout: str, workload: str, seed: int, seconds: float):
         raise SystemExit(f"bench_pairs: run.py exited {proc.returncode} in {checkout}")
     host = next(json.loads(ln[5:]) for ln in lines if ln.startswith("host "))
     res = json.loads(lines[-1])
-    out = {name: res["metrics"][name]["value"] for name in METRICS}
+    out = {name: res["metrics"][name]["value"] for name in metrics}
     out.update(attempted=res["attempted"], failed=res["failed"], correct=res["correct"])
     return host, out
 
@@ -55,6 +63,30 @@ def _run(checkout: str, workload: str, seed: int, seconds: float):
 def _quartiles(values):
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": q2, "q3": q3}
+
+
+def summarize(pairs, metrics) -> dict:
+    """The summary of pairs, each {"base": {...}, "change": {...}} holding a
+    side's metric values and its failed and attempted counts, for metrics as
+    end_to_end returns them."""
+    summary = {}
+    for m, (higher, bound) in metrics.items():
+        base = [p["base"][m] for p in pairs]
+        change = [p["change"][m] for p in pairs]
+        better = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+        qb, qc = _quartiles(base), _quartiles(change)
+        iqr = qb["q3"] - qb["q1"]
+        gap = (qc["median"] - qb["median"]) * (1 if higher else -1)
+        summary[m] = {"better": "higher" if higher else "lower", "bound": bound,
+                      "base": qb, "change": qc,
+                      "pair_ratio": _quartiles([c / b for b, c in zip(base, change)]),
+                      "change_better_pairs": better, "base_iqr": iqr,
+                      "gain_rule_holds": 10 * better >= 9 * len(pairs) and gap > iqr,
+                      "within_bound": gap >= -bound * qb["median"]}
+    for side in ("base", "change"):
+        summary[f"failed_{side}"] = sum(p[side]["failed"] for p in pairs)
+        summary[f"attempted_{side}"] = sum(p[side]["attempted"] for p in pairs)
+    return summary
 
 
 def main(argv=None) -> int:
@@ -71,38 +103,24 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 2")
 
     sides = {"base": args.base, "change": args.change}
+    metrics = end_to_end(args.change)
     pairs, host = [], None
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         pair = {"seed": seed, "order": list(order)}
         for side in order:
-            host, pair[side] = _run(sides[side], args.workload, seed, args.seconds)
+            host, pair[side] = _run(sides[side], args.workload, seed, args.seconds,
+                                    metrics)
         pairs.append(pair)
         print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
-            f"{m} {pair['base'][m]:.4g} -> {pair['change'][m]:.4g}" for m in METRICS),
+            f"{m} {pair['base'][m]:.4g} -> {pair['change'][m]:.4g}" for m in metrics),
             file=sys.stderr)
-
-    summary = {}
-    for m, higher in METRICS.items():
-        base = [p["base"][m] for p in pairs]
-        change = [p["change"][m] for p in pairs]
-        better = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
-        qb, qc = _quartiles(base), _quartiles(change)
-        iqr = qb["q3"] - qb["q1"]
-        gap = (qc["median"] - qb["median"]) * (1 if higher else -1)
-        summary[m] = {"better": "higher" if higher else "lower", "base": qb, "change": qc,
-                      "median_ratio": statistics.median(c / b for b, c in zip(base, change)),
-                      "change_better_pairs": better, "base_iqr": iqr,
-                      "gain_rule_holds": 10 * better >= 9 * len(pairs) and gap > iqr}
-    for side in sides:
-        summary[f"failed_{side}"] = sum(p[side]["failed"] for p in pairs)
-        summary[f"attempted_{side}"] = sum(p[side]["attempted"] for p in pairs)
 
     doc = {"label": args.label, "workload": args.workload, "seconds": args.seconds,
            "pairs_run": args.pairs, "host": host,
            "commits": {side: _commit(path) for side, path in sides.items()},
-           "summary": summary, "pairs": pairs}
+           "summary": summarize(pairs, metrics), "pairs": pairs}
     path = f"BENCH_{args.label}.json"
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

@@ -101,7 +101,7 @@ def _build_scores(args, sites, target, manifest) -> PropensitySet:
         if described != loaded:
             raise RuntimeError(f"manifest.json describes n_sites, site_sizes, n_target "
                                f"{described} but the data dir holds {loaded}")
-        return oracle_shift_propensity(shift, manifest["site_means"])
+        return oracle_shift_propensity(shift, manifest["site_means"], sites)
     p, failed = fit_scores(sites, target, args.ratio, wrong=False)
     if failed:
         site_id = min(failed)
@@ -131,9 +131,6 @@ def _cmd_estimate(args) -> int:
             table = score_table(sites, _build_scores(args, sites, target, manifest))
             report, log = run_algorithm1(sites, table, ci_level=args.ci)
         else:
-            if args.ratio == "oracle":
-                raise RuntimeError("--federated clb-aipw publishes fitted "
-                                   "ratio models; use --ratio tilting")
             p = _build_scores(args, sites, target, manifest)
             ratios = {pair: score.ratio for pair, score in p.e.items()}
             cfg = FedConfig(rounds=args.rounds)

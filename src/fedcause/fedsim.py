@@ -347,8 +347,9 @@ def replay(log: MessageLog, ci_level: float = 0.95,
     Every message is read through SCHEMA before any rule that spans messages.
     A transcript holds one aggregate variant: sums, or meta deltas and
     exclusions. It is protocol one's, sums sent once per site, when it holds
-    only aggregates, and protocol two's (_check_folds) otherwise. Each refusal
-    is a ValueError naming the message and its key, the fold or the site."""
+    only aggregates, and protocol two's (_check_folds, one publish message per
+    site) otherwise. Each refusal is a ValueError naming the message and its
+    key, the fold or the site."""
     reads = []
     for i, m, variant, values, extra, faults in _read_log(log):
         _refuse(i, m, extra, faults)
@@ -361,14 +362,15 @@ def replay(log: MessageLog, ci_level: float = 0.95,
         if (variant == "sums") != clb:
             raise ValueError(f"message {i}: aggregates holds {variant}, but this transcript's "
                              f"aggregates hold {'sums' if clb else 'deltas or exclusions'}")
+    # a site publishes once, and sends protocol one's aggregates once
+    first = {}
+    for i, kind, _, v in reads:
+        if ((kind == "publish_ratio_model" or not protocol_two)
+                and first.setdefault((kind, v["site_id"]), i) != i):
+            raise ValueError(f"message {i}: a second {kind} message from site "
+                             f"{v['site_id']}; a site sends one per transcript")
     if protocol_two:
         _check_folds(reads)
-    else:
-        first = {}
-        for i, _, v in aggs:
-            if first.setdefault(v["site_id"], i) != i:
-                raise ValueError(f"message {i}: a second aggregates message from "
-                                 f"site {v['site_id']}; protocol one sends one per site")
     if not aggs:
         raise ValueError("log contains no aggregate messages")
     if not protocol_two:
@@ -500,16 +502,22 @@ def _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
             payload[f"model{arm}"] = None if model is None else model.to_json_obj()
         log.post(SiteMessage(s.site_id, "publish_ratio_model", 0, payload), wire)
 
-    # The server reads the published models through the wire schema and
-    # assembles pooled scores from them.
+    # The server reads the published models through the wire schema, sizes
+    # their coefficients by the target it holds, and assembles pooled scores.
     models, counts = {}, {}
     n_published = 0
     for i, m, _, pay, extra, faults in _read_log(log):
         _refuse(i, m, extra, faults)
         n_published += pay["n1"] + pay["n0"]
         for arm in (1, 0):
-            if pay[f"model{arm}"] is not None:
-                models[(pay["site_id"], arm)] = pay[f"model{arm}"]
+            model = pay[f"model{arm}"]
+            if model is not None:
+                p = model.psi.output_dim(target.d)
+                if len(model.gamma) != p:
+                    raise ValueError(f"message {i}: {m.kind} model{arm} has {len(model.gamma)} "
+                                     f"coefficients; psi {model.psi.name} on d = {target.d} "
+                                     f"needs {p}")
+                models[(pay["site_id"], arm)] = model
                 counts[(pay["site_id"], arm)] = pay[f"n{arm}"]
     if not models:
         raise ValueError("no ratio models were published")

@@ -17,11 +17,10 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .density_ratio import (IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, TiltingError,
-                            oracle_gaussian_ratio)
+from .density_ratio import IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, RatioModel, TiltingError
 from .estimators import (AllSitesExcludedError, OverlapError, _aipw_fold_inputs,
                          aipw_combine, clb_ipw, meta_ipw)
-from .nuisance import PropensitySet, crossfit_split, fit_scores, score_table
+from .nuisance import PropensitySet, assemble_propensity, crossfit_split, fit_scores, score_table
 from .synthgen import ShiftConfig, gen_covariate_shift, place_site_means
 
 ESTIMATOR_IDS = ("meta_ipw", "clb_ipw", "meta_aipw", "clb_aipw")
@@ -151,28 +150,32 @@ class SweepResult:
 # Oracle nuisances for the shift design
 
 
-def oracle_shift_propensity(shift: ShiftConfig, means: Sequence[float]) -> PropensitySet:
-    """Exact selection-arm scores for the shift design, normalized so the
-    site shares integrate to one over the target law."""
-    c = np.asarray(shift.prop_coef, dtype=float)
-    n_pooled = sum(shift.site_sizes)
+def _gaussian_tilt(shift: ShiftConfig, mu_k: float) -> Tuple[float, np.ndarray]:
+    """(a, g) with p_k(x) / p_target(x) = exp(a + g'x) for site law N(mu_k, sigma^2 I)."""
+    s2 = shift.sigma ** 2
     mu_t = np.full(shift.d, shift.mu_target)
-    e = {}
-    for k, mu_k in enumerate(np.asarray(means, dtype=float), start=1):
-        share = shift.site_sizes[k - 1] / n_pooled
-        mu_s = np.full(shift.d, mu_k)
+    m = np.full(shift.d, mu_k)
+    return (mu_t @ mu_t - m @ m) / (2.0 * s2), (m - mu_t) / s2
 
-        def make(arm, mu_s=mu_s, share=share):
-            def fn(x):
-                x = np.atleast_2d(np.asarray(x, dtype=float))
-                ratio = oracle_gaussian_ratio(mu_s, mu_t, shift.sigma, x)
-                p1 = 1.0 / (1.0 + np.exp(x @ c))
-                return share * np.atleast_1d(ratio) * (p1 if arm == 1 else 1.0 - p1)
-            return fn
 
-        e[(k, 1)] = make(1)
-        e[(k, 0)] = make(0)
-    return PropensitySet(e=e)
+def oracle_shift_propensity(shift: ShiftConfig, means: Sequence[float], sites) -> PropensitySet:
+    """Exact selection-arm scores for the shift design, assembled from models
+    as fitted ones are: for each (site, arm) of ``sites`` with units, the
+    factored model on (1, x) of p(x | k, z) / p_target(x) = r_k(x) pi(z | x)
+    n_k / n_kz, r_k the Gaussian ratio of site k's law, with mean means[k - 1],
+    to the target's, and pi(1 | x) = expit(-x'c)."""
+    c = np.asarray(shift.prop_coef, dtype=float)
+    betas = ((1, np.concatenate(([0.0], -c))), (0, np.concatenate(([0.0], c))))
+    models, counts = {}, {}
+    for s in sites:
+        a, g = _gaussian_tilt(shift, means[s.site_id - 1])
+        for arm, beta in betas:
+            counts[(s.site_id, arm)] = n = int(np.count_nonzero(s.z_vec == arm))
+            if n:
+                models[(s.site_id, arm)] = RatioModel(
+                    "factored", np.concatenate(([a + math.log(s.n / n)], g)),
+                    IDENTITY_PLUS_INTERCEPT, beta)
+    return assemble_propensity(models, counts, sum(s.n for s in sites))
 
 
 def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float]) -> Dict[int, float]:
@@ -194,8 +197,7 @@ def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float]) -> Di
     out = {}
     for k, mu_k in enumerate(np.asarray(means, dtype=float), start=1):
         m = np.full(shift.d, mu_k)
-        g = (m - mu_t) / s2
-        a = (mu_t @ mu_t - m @ m) / (2.0 * s2)
+        a, g = _gaussian_tilt(shift, mu_k)
         h = sign * c - 2.0 * g
         tilt = np.exp(h @ m + s2 * np.sum(h * h, axis=1) / 2.0 - 2.0 * a)
         moment = ((np.sum(b * (m + s2 * h), axis=1) - b @ mu_t) ** 2
@@ -212,7 +214,7 @@ def _build_nuisance(spec: SweepSpec, sites, target, means):
     """Returns (PropensitySet, live_sites, failed): the sites whose scores are
     usable, and fit_scores' {site_id: reason} for the dropped ones."""
     if spec.nuisance_mode == "oracle":
-        return oracle_shift_propensity(spec.shift, means), sites, {}
+        return oracle_shift_propensity(spec.shift, means, sites), sites, {}
     p, failed = fit_scores(sites, target, spec.nuisance_mode, spec.ps_spec == "wrong")
     if not p.e:
         raise OverlapError("every ratio fit failed; no scores available")

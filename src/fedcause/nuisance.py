@@ -191,17 +191,13 @@ class _SiteFrame:
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Every selection score one replication needs, evaluated once per unit.
-
-    ``scores[k]`` is an (n_k, K) read-only array for site k: column j holds
-    e[(site_ids[j], z_i)](x_i), the j-th site's score at unit i's own arm,
-    with columns in ascending site order and zeros where that pair has no
-    model. ``pairs`` lists the (site, arm) pairs that have one.
-    ``frames[k]`` is site k's _SiteFrame.
+    """Every selection score one replication needs, evaluated once per unit
+    and kept as each site's _SiteFrame, ``frames[k]``. ``site_ids`` lists
+    the scored sites in ascending order and ``pairs`` the (site, arm) pairs
+    that have a score.
     """
 
     site_ids: Tuple[int, ...]
-    scores: Dict[int, np.ndarray]
     pairs: frozenset
     frames: Dict[int, _SiteFrame]
 
@@ -216,11 +212,13 @@ class ScoreTable:
 def score_table(sites: Sequence[SiteDataset], p: PropensitySet) -> ScoreTable:
     """Evaluate every score of p once on each unit of each site, at the unit's
     own arm, in one batch per arm; knn RatioScores sharing a target make one
-    eval_knn call. Each site's frame is derived from its rows."""
+    eval_knn call. Each site's frame is derived from its rows: column j of
+    its (n_k, K) table holds the score of site_ids[j] at each unit's own arm,
+    zero where that pair has no score."""
     if not p.e:
         raise ValueError("empty propensity set")
     cols = tuple(p.site_ids)
-    scores, frames = {}, {}
+    frames = {}
     for s in sites:
         table = np.zeros((s.n, len(cols)))
         arms = {}
@@ -248,9 +246,7 @@ def score_table(sites: Sequence[SiteDataset], p: PropensitySet) -> ScoreTable:
         total = np.zeros(s.n)
         for j in range(len(cols)):
             total += table[:, j]
-        for arr in (table, total):
-            arr.flags.writeable = False
-        scores[s.site_id] = table
+        total.flags.writeable = False
         own_weight = own_bad = None
         if s.site_id in cols:
             own = table[:, cols.index(s.site_id)]
@@ -259,7 +255,7 @@ def score_table(sites: Sequence[SiteDataset], p: PropensitySet) -> ScoreTable:
         frames[s.site_id] = _SiteFrame(
             s.x_matrix, total, arms, 1.0 / np.maximum(total, SCORE_FLOOR), total > 0.0,
             total < SCORE_FLOOR, own_weight, own_bad)
-    return ScoreTable(site_ids=cols, scores=scores, pairs=frozenset(p.e), frames=frames)
+    return ScoreTable(site_ids=cols, pairs=frozenset(p.e), frames=frames)
 
 
 @dataclass(frozen=True)

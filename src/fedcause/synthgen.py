@@ -194,11 +194,7 @@ def gen_sampling_selecting(cfg: SelectConfig, outcome_fns: Tuple[Callable, Calla
     n_t = cfg.n_target if cfg.n_target is not None else cfg.n_total
     target = TargetCovariates(np.atleast_2d(cfg.sampler(rng, n_t)))
 
-    oracle = PropensitySet(
-        e={pair: (lambda x, f=cfg.selection[pair]:
-                  np.asarray(f(np.atleast_2d(x)), dtype=float).reshape(len(np.atleast_2d(x))))
-           for pair in pairs})
-    return sites, target, dropped_count, oracle
+    return sites, target, dropped_count, PropensitySet(e=dict(cfg.selection))
 
 
 @dataclass

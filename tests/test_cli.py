@@ -157,20 +157,28 @@ def test_estimate_fits_a_far_dataset_in_memory_and_federated(capsys, tmp_path):
     assert _printed_clb_aipw(capsys, data) == _printed_clb_aipw(capsys, data, "--federated")
 
 
-def _printed_clb_aipw(capsys, data, *extra):
-    """stdout of one clb-aipw estimate with tilting ratios."""
+def _printed_clb_aipw(capsys, data, *extra, ratio="tilting"):
+    """stdout of one clb-aipw estimate, with tilting ratios by default."""
     rc = main(["estimate", "--data", str(data), "--estimator", "clb-aipw",
-               "--ratio", "tilting", *extra])
+               "--ratio", ratio, *extra])
     out = capsys.readouterr().out
     assert rc == 0
     return out
 
 
-def test_estimate_federated_aipw_prints_the_in_memory_report(capsys, data_dir):
-    # both paths solve the same per-site normal equations in site order
+@pytest.mark.parametrize("ratio", ["tilting", "oracle"])
+def test_estimate_federated_aipw_prints_the_in_memory_report(capsys, data_dir, tmp_path,
+                                                             ratio):
+    # both paths solve the same per-site normal equations in site order; the
+    # oracle scores are factored models too, so the sites publish them
     for seed in ("0", "5"):
-        assert (_printed_clb_aipw(capsys, data_dir, "--seed", seed)
-                == _printed_clb_aipw(capsys, data_dir, "--seed", seed, "--federated"))
+        log_path = tmp_path / f"{ratio}{seed}.msgs.jsonl"
+        out = _printed_clb_aipw(capsys, data_dir, "--seed", seed, "--federated",
+                                "--log", str(log_path), ratio=ratio)
+        assert out == _printed_clb_aipw(capsys, data_dir, "--seed", seed, ratio=ratio)
+        log = MessageLog.load(log_path)
+        assert audit_messages(log) == []
+        assert replay(log).to_json() + "\n" == out
 
 
 def test_estimate_federated_round_cap_changes_nothing(capsys, data_dir, tmp_path):

@@ -199,7 +199,7 @@ def test_corrections_vanish_with_perfect_models():
     rng = np.random.default_rng(7)
     sites, target, _ = gen_covariate_shift(cfg, rng)
     means = [0.4, -0.6, -0.1]
-    p = score_table(sites, oracle_shift_propensity(cfg, means))
+    p = score_table(sites, oracle_shift_propensity(cfg, means, sites))
     # regression designs always carry a constant column; true intercept is 0
     m1 = OutcomeModel(arm=1, psi=IDENTITY, theta=np.r_[0.0, cfg.beta1])
     m0 = OutcomeModel(arm=0, psi=IDENTITY, theta=np.r_[0.0, cfg.beta0])
@@ -278,7 +278,7 @@ def test_decoupled_aipw_exact_on_linear_outcomes():
     rng = np.random.default_rng(8)
     means = [1.2, -0.8, -0.1]
     sites, target, true_tau = gen_covariate_shift(cfg, rng, means=np.asarray(means))
-    p = score_table(sites, oracle_shift_propensity(cfg, means))
+    p = score_table(sites, oracle_shift_propensity(cfg, means, sites))
     rep = decoupled_aipw(sites, target, p, psi_om=IDENTITY, flavor="clb",
                          F=2, rng=np.random.default_rng(9))
     # noise-free linear outcomes are fit exactly, so only the target-mean
@@ -295,7 +295,7 @@ def test_decoupled_aipw_needs_two_target_rows(monkeypatch, flavor):
     means = [0.5, -0.5, 0.0]
     sites, target, _ = gen_covariate_shift(cfg, np.random.default_rng(8),
                                            means=np.asarray(means))
-    p = score_table(sites, oracle_shift_propensity(cfg, means))
+    p = score_table(sites, oracle_shift_propensity(cfg, means, sites))
 
     def no_training(*args, **kwargs):
         raise AssertionError("a fold trained before the target check")
@@ -360,7 +360,18 @@ def _frame_case():
 
     e = {(k, z): score(rng.normal(0.0, 0.5, size=3), rng.uniform(0.1, 0.4))
          for k in (1, 2, 3) for z in (0, 1) if (k, z) != (3, 0)}
-    return sites, target, score_table(sites, PropensitySet(e=e))
+    p = PropensitySet(e=e)
+    return sites, target, score_table(sites, p), p
+
+
+def _own_scores(p, site):
+    """The site's own score at each unit's arm, evaluated on each arm's rows
+    as score_table evaluates them."""
+    own = np.zeros(site.n)
+    for arm in (1, 0):
+        rows = (site.z_vec == arm).nonzero()[0]
+        own[rows] = p.eval(site.site_id, arm, site.x_matrix.take(rows, axis=0))
+    return own
 
 
 def _ref_clb(site, v, pooled, keep):
@@ -414,10 +425,9 @@ def _ref_block(site, pooled, psi, arm, include):
 @pytest.mark.parametrize("psi", [IDENTITY_PLUS_INTERCEPT, MISSPECIFIED],
                          ids=["linear", "misspecified"])
 def test_frame_sums_are_bitwise_the_masked_sums(psi):
-    sites, target, table = _frame_case()
+    sites, target, table, p = _frame_case()
     pooled = {s.site_id: table.pooled(s.site_id) for s in sites}
-    own = {s.site_id: table.scores[s.site_id][:, table.site_ids.index(s.site_id)]
-           for s in sites}
+    own = {s.site_id: _own_scores(p, s) for s in sites}
     every = {s.site_id: np.ones(s.n, dtype=bool) for s in sites}
     # site 2 has zero pooled scores and positive ones below the floor
     assert np.any(pooled[2] == 0.0) and np.any((pooled[2] > 0.0) & (pooled[2] < SCORE_FLOOR))
@@ -474,7 +484,7 @@ def test_frame_sums_are_bitwise_the_masked_sums(psi):
 @pytest.mark.parametrize("F", [2, 3])
 @pytest.mark.parametrize("flavors", [("clb",), ("meta",), ("clb", "meta")])
 def test_one_fold_pass_builds_each_design_once(monkeypatch, F, flavors):
-    sites, target, table = _frame_case()
+    sites, target, table, _ = _frame_case()
     calls = []
     real = FeatureMap.design
 

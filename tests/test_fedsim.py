@@ -244,6 +244,33 @@ def test_replay_refuses_a_malformed_published_model(key, value, reason):
         replay(MessageLog(_tampered(msgs, 1, **{key: value})))
 
 
+def test_replay_refuses_a_second_publish_from_one_site():
+    msgs = _two_site_transcript()
+    assert [(m.kind, m.sender) for m in msgs[:2]] == [("publish_ratio_model", 1),
+                                                      ("publish_ratio_model", 2)]
+    tampered = MessageLog([msgs[0]] + msgs)
+    assert audit_messages(tampered) == []  # each message alone keeps to the schema
+    with pytest.raises(ValueError, match="message 1: a second publish_ratio_model message "
+                                         "from site 1"):
+        replay(tampered)
+
+
+def test_algorithm2_refuses_a_model_sized_for_another_dimension():
+    # psi (1, x) on d = 2 needs 3 coefficients; d is not on the wire, so only
+    # the server, which holds the target, can size a published model
+    rng = np.random.default_rng(3)
+    sites = _linear_sites(rng, n_sites=2, n=24)
+    target = TargetCovariates(rng.normal(size=(30, 2)))
+    ratios = _fitted_ratios(sites, target)
+    m = ratios[(2, 0)]
+    ratios[(2, 0)] = dataclasses.replace(m, gamma=m.gamma[:2], beta=m.beta[:2])
+    with pytest.raises(ValueError, match="message 1: publish_ratio_model model0 has 2 "
+                                         "coefficients; psi identity_plus_intercept on "
+                                         "d = 2 needs 3"):
+        run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
+                       rng=np.random.default_rng(0))
+
+
 def _protocol_one_transcript():
     rng = np.random.default_rng(1)
     sites, _ = fuzz_dataset(rng, n_sites=3)

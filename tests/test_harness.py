@@ -107,9 +107,10 @@ def test_spec_json_round_trip():
     assert dataclasses.asdict(back)["shift"]["site_sizes"] == (50, 60, 70)
 
 
-def test_factored_tilting_scores_track_the_oracle():
+@pytest.fixture(scope="module")
+def large_fit():
     # both factors are log-linear in (1, x) under this design, so on a large
-    # draw every fitted (site, arm) score sits close to the exact one
+    # draw every fitted (site, arm) model sits close to the exact one
     shift = ShiftConfig(site_sizes=(4000, 8000, 12000), n_target=40000, d_kl=3.0)
     rng = np.random.default_rng(7)
     means = place_site_means(shift.d_kl, shift.n_sites, shift.sigma, shift.mu_target, rng)
@@ -117,11 +118,29 @@ def test_factored_tilting_scores_track_the_oracle():
     spec = SweepSpec(d_kl_grid=(3.0,), nuisance_mode="tilting", shift=shift)
     fitted, live, failed = _build_nuisance(spec, sites, target, means)
     assert failed == {} and [s.site_id for s in live] == [s.site_id for s in sites]
-    oracle = oracle_shift_propensity(shift, means)
+    return fitted, oracle_shift_propensity(shift, means, sites), target
+
+
+def test_factored_tilting_scores_track_the_oracle(large_fit):
+    fitted, oracle, target = large_fit
     probes = target.xs[:5000]
     for k, z in sorted(oracle.e):
         log_ratio = np.log(fitted.eval(k, z, probes) / oracle.eval(k, z, probes))
         assert np.median(np.abs(log_ratio)) < 0.1, (k, z)
+
+
+def test_factored_tilting_coefficients_track_the_oracle(large_fit):
+    # coefficient by coefficient; the largest error on this draw is about 0.045
+    fitted, oracle, _ = large_fit
+    assert sorted(fitted.e) == sorted(oracle.e) == [(k, z) for k in (1, 2, 3) for z in (0, 1)]
+    for pair, exact in oracle.e.items():
+        score = fitted.e[pair]
+        assert score.share == exact.share, pair
+        assert score.ratio.backend == exact.ratio.backend == "factored"
+        for name in ("gamma", "beta"):
+            got, want = getattr(score.ratio, name), getattr(exact.ratio, name)
+            assert got.shape == want.shape == (4,)
+            assert np.max(np.abs(got - want)) < 0.1, (pair, name, got, want)
 
 
 def test_failed_fit_is_counted_as_an_excision(monkeypatch, tmp_path):
@@ -153,8 +172,8 @@ SMALL = ShiftConfig(site_sizes=(60, 120, 180), n_target=600)
 # sha256 of the sweep CSV for each nuisance mode on the small design, seed 42;
 # a change to these bytes is a change to the estimates
 SWEEP_SHA256 = {
-    ("oracle", "correct"): "205a77cc9a6c0003759eb5adea9fd5b5cd3d5a837432d550ef06320e3b6490fc",
-    ("oracle", "wrong"): "36731a47e5e9323702a61e6bef95103629e6940d583499d34329e56062d956e1",
+    ("oracle", "correct"): "86fa360c8e88c3eaf3b513a8d28547c06f1b8fe67d8d0daa0eebdbf5f7cf7c87",
+    ("oracle", "wrong"): "474ed079631fd597c70b41d57d3db97b15f3ab48c445bedd6070dba08ba7acea",
     ("tilting", "correct"): "4f5174015c83ae0551dd80b25630a8ddd1feb58602a4931971b4c35793341834",
     ("tilting", "wrong"): "9ad7f492dd00a235b8a01ea48f7f8c319c1f68048844425b5d9f31d0d82a5918",
     ("knn", "correct"): "9812d3216ab53c2bc3621c8937cdd97f4f6f213756ce2e3938b938096d6cd3ba",
@@ -297,7 +316,9 @@ def _many_draw_site_variances(shift, means, n_draws, seed, block=200_000):
     # draws come from the target law, as E_k[f] = E_target[r_k f]: there the
     # tilt 1 / r_k is half as steep as 1 / r_k^2 under the site law, and the
     # estimate is far less noisy
-    p = oracle_shift_propensity(shift, means)
+    # the scores' shares cancel, so any draw of the sites serves
+    sites, _, _ = gen_covariate_shift(shift, np.random.default_rng(0), means=np.asarray(means))
+    p = oracle_shift_propensity(shift, means, sites)
     c = np.asarray(shift.prop_coef, dtype=float)
     b1 = np.asarray(shift.beta1, dtype=float)
     b0 = np.asarray(shift.beta0, dtype=float)

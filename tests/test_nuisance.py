@@ -147,10 +147,16 @@ def test_pooled_score_is_the_left_to_right_column_sum():
             e[(k, arm)] = (lambda x, w=w, c=scale * (arm + 1):
                            c * np.exp(np.atleast_2d(x) @ w))
     x = rng.normal(size=(500, 2))
-    site = SiteDataset.from_arrays(1, x, rng.integers(0, 2, size=500), np.zeros(500))
-    table = score_table([site], PropensitySet(e=e))
-    cols = table.scores[1]
-    assert cols.shape == (500, 9)
+    z = rng.integers(0, 2, size=500)
+    site = SiteDataset.from_arrays(1, x, z, np.zeros(500))
+    p = PropensitySet(e=e)
+    table = score_table([site], p)
+    # each column at every unit's own arm, evaluated on each arm's rows
+    cols = np.zeros((500, 9))
+    for arm in (1, 0):
+        rows = (z == arm).nonzero()[0]
+        for j in range(9):
+            cols[rows, j] = p.eval(j + 1, arm, x.take(rows, axis=0))
     ref = cols[:, 0].copy()
     for j in range(1, 9):
         ref = ref + cols[:, j]
@@ -306,7 +312,7 @@ def test_direct_fit_recovers_exact_linear_outcomes():
     rng = np.random.default_rng(42)
     sites, _, _ = gen_covariate_shift(cfg, rng)
     means = [1.0, -0.5, 0.2]
-    p = score_table(sites, oracle_shift_propensity(cfg, means))
+    p = score_table(sites, oracle_shift_propensity(cfg, means, sites))
     m1 = fit_outcome_direct(sites, 1, IDENTITY, p)
     m0 = fit_outcome_direct(sites, 0, IDENTITY, p)
     # outcomes have no intercept, so the guaranteed constant column gets ~0

@@ -185,15 +185,8 @@ class RatioModel:
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if self.backend == "knn":
-            vals = eval_knn([self], x)[0][0]
-        else:
-            f = np.atleast_2d(self.psi.apply(x))
-            vals = np.exp(f @ self.gamma)
-            if self.backend == "factored":
-                vals *= expit(f @ self.beta)
-        return float(vals[0]) if single else vals
+        vals = eval_ratios([self], x)[0]
+        return float(vals[0]) if x.ndim == 1 else vals
 
     def to_json_obj(self) -> dict:
         if self.backend == "knn":
@@ -213,6 +206,21 @@ class RatioModel:
         return cls(backend=obj["backend"], gamma=np.asarray(obj["gamma"], dtype=float),
                    psi=FeatureMap(obj["psi"]),
                    beta=np.asarray(obj["beta"], dtype=float) if factored else None)
+
+
+def eval_ratios(models: Sequence[RatioModel], x) -> np.ndarray:
+    """(K, n) values at probes x of K models that share one pass: knn models
+    sharing a target (eval_knn), or tilting and factored models on the
+    feature map of the first, for which psi(x) is formed once."""
+    if models[0].backend == "knn":
+        return eval_knn(models, x)[0]
+    f = np.atleast_2d(models[0].psi.apply(x))
+    out = np.empty((len(models), len(f)))
+    for vals, m in zip(out, models):
+        np.exp(f @ m.gamma, out=vals)
+        if m.backend == "factored":
+            vals *= expit(f @ m.beta)
+    return out
 
 
 def _unstandardize(g, mu, sd, has_intercept: bool) -> np.ndarray:

@@ -347,9 +347,8 @@ def replay(log: MessageLog, ci_level: float = 0.95,
     Every message is read through SCHEMA before any rule that spans messages.
     A transcript holds one aggregate variant: sums, or meta deltas and
     exclusions. It is protocol one's, sums sent once per site, when it holds
-    only aggregates, and protocol two's (_check_folds, one publish message per
-    site) otherwise. Each refusal is a ValueError naming the message and its
-    key, the fold or the site."""
+    only aggregates, and protocol two's (_check_folds) otherwise. Each refusal
+    is a ValueError naming the message and its key, the fold or the site."""
     reads = []
     for i, m, variant, values, extra, faults in _read_log(log):
         _refuse(i, m, extra, faults)
@@ -512,11 +511,10 @@ def _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
         for arm in (1, 0):
             model = pay[f"model{arm}"]
             if model is not None:
-                p = model.psi.output_dim(target.d)
-                if len(model.gamma) != p:
+                if len(model.gamma) != model.psi.output_dim(target.d):
                     raise ValueError(f"message {i}: {m.kind} model{arm} has {len(model.gamma)} "
                                      f"coefficients; psi {model.psi.name} on d = {target.d} "
-                                     f"needs {p}")
+                                     f"needs {model.psi.output_dim(target.d)}")
                 models[(pay["site_id"], arm)] = model
                 counts[(pay["site_id"], arm)] = pay[f"n{arm}"]
     if not models:

@@ -159,11 +159,10 @@ def _gaussian_tilt(shift: ShiftConfig, mu_k: float) -> Tuple[float, np.ndarray]:
 
 
 def oracle_shift_propensity(shift: ShiftConfig, means: Sequence[float], sites) -> PropensitySet:
-    """Exact selection-arm scores for the shift design, assembled from models
-    as fitted ones are: for each (site, arm) of ``sites`` with units, the
-    factored model on (1, x) of p(x | k, z) / p_target(x) = r_k(x) pi(z | x)
-    n_k / n_kz, r_k the Gaussian ratio of site k's law, with mean means[k - 1],
-    to the target's, and pi(1 | x) = expit(-x'c)."""
+    """Exact selection-arm scores for the shift design, assembled as fitted
+    models are: per (site, arm) of ``sites`` with units, the factored model
+    on (1, x) of p(x | k, z) / p_target(x) = r_k(x) pi(z | x) n_k / n_kz, r_k
+    the Gaussian ratio for site mean means[k - 1], pi(1 | x) = expit(-x'c)."""
     c = np.asarray(shift.prop_coef, dtype=float)
     betas = ((1, np.concatenate(([0.0], -c))), (0, np.concatenate(([0.0], c))))
     models, counts = {}, {}

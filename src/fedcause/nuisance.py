@@ -14,7 +14,7 @@ import numpy as np
 from .core import SiteDataset, TargetCovariates
 from .density_ratio import (IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, FeatureMap,
                             LogisticBlock, LogisticScale, RatioModel, TiltingError,
-                            eval_knn, fit_knn, fit_logistic_blocks,
+                            eval_ratios, fit_knn, fit_logistic_blocks,
                             fit_logistic_ratio_blocks, misspecify_features)
 
 # near-zero assignment scores are floored here before any division
@@ -192,10 +192,8 @@ class _SiteFrame:
 @dataclass(frozen=True)
 class ScoreTable:
     """Every selection score one replication needs, evaluated once per unit
-    and kept as each site's _SiteFrame, ``frames[k]``. ``site_ids`` lists
-    the scored sites in ascending order and ``pairs`` the (site, arm) pairs
-    that have a score.
-    """
+    into each site's _SiteFrame, ``frames[k]``. ``site_ids`` lists the scored
+    sites in ascending order, ``pairs`` the (site, arm) pairs with a score."""
 
     site_ids: Tuple[int, ...]
     pairs: frozenset
@@ -211,33 +209,30 @@ class ScoreTable:
 
 def score_table(sites: Sequence[SiteDataset], p: PropensitySet) -> ScoreTable:
     """Evaluate every score of p once on each unit of each site, at the unit's
-    own arm, in one batch per arm; knn RatioScores sharing a target make one
-    eval_knn call. Each site's frame is derived from its rows: column j of
-    its (n_k, K) table holds the score of site_ids[j] at each unit's own arm,
-    zero where that pair has no score."""
+    own arm, in one batch per arm; RatioScores sharing a feature map, or knn
+    ones a target, make one eval_ratios call. Frames derive from the rows."""
     if not p.e:
         raise ValueError("empty propensity set")
     cols = tuple(p.site_ids)
     frames = {}
     for s in sites:
         table = np.zeros((s.n, len(cols)))
-        arms = {}
-        for arm in (1, 0):
-            arms[arm] = s.z_vec == arm
-            rows = arms[arm].nonzero()[0]
+        arms = {arm: s.z_vec == arm for arm in (1, 0)}
+        for arm, mask in arms.items():
+            rows = mask.nonzero()[0]
             if not len(rows):
                 continue
             x = s.x_matrix.take(rows, axis=0)
             shared = {}
             for j, k in enumerate(cols):
                 fn = p.e.get((k, arm))
-                if isinstance(fn, RatioScore) and fn.ratio.backend == "knn":
-                    key = (fn.feat, id(fn.ratio.target_points))
+                if isinstance(fn, RatioScore):
+                    key = (fn.feat, fn.ratio.psi, id(fn.ratio.target_points))
                     shared.setdefault(key, []).append((j, fn))
                 elif fn is not None:
                     table[rows, j] = p.eval(k, arm, x)
             for group in shared.values():
-                vals, _ = eval_knn([fn.ratio for _, fn in group], group[0][1].feat(x))
+                vals = eval_ratios([fn.ratio for _, fn in group], group[0][1].feat(x))
                 for (j, fn), v in zip(group, vals):
                     table[rows, j] = fn.share * v
         # summed over the columns from the left; the order is part of the

@@ -600,13 +600,13 @@ def test_algorithm2_evaluates_each_published_score_once_per_unit(monkeypatch):
     target = TargetCovariates(rng.normal(size=(40, 2)))
     ratios = _fitted_ratios(sites, target)
     rows = []
-    real = RatioModel.eval
+    real = nuisance.eval_ratios
 
-    def counted(self, x):
-        rows.append(len(np.atleast_2d(x)))
-        return real(self, x)
+    def counted(models, x):
+        rows.append(len(models) * len(np.atleast_2d(x)))
+        return real(models, x)
 
-    monkeypatch.setattr(RatioModel, "eval", counted)
+    monkeypatch.setattr(nuisance, "eval_ratios", counted)
     run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
                    cfg=FedConfig(rounds=4), F=2, rng=np.random.default_rng(14))
     assert sum(rows) == sum(s.n for s in sites) * len(sites)

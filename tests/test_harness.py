@@ -256,10 +256,10 @@ def test_tilting_sweep_averages_under_five_newton_iterations_per_fit(monkeypatch
 @pytest.mark.parametrize("mode", ["oracle", "tilting", "knn"])
 def test_replication_evaluates_each_score_once_per_unit(monkeypatch, mode):
     # a score row is one unit under one site's model: score_table evaluates
-    # oracle and tilting scores one column at a time and an arm's knn scores
-    # in one shared pass
+    # an arm's ratio scores that share a feature map (or a knn target) in one
+    # pass, and any other score through PropensitySet.eval
     real = harness._build_nuisance
-    real_eval, real_knn = nuisance.PropensitySet.eval, nuisance.eval_knn
+    real_eval, real_ratios = nuisance.PropensitySet.eval, nuisance.eval_ratios
     rows = []
     failed = []
 
@@ -267,9 +267,9 @@ def test_replication_evaluates_each_score_once_per_unit(monkeypatch, mode):
         rows.append(len(np.atleast_2d(x)))
         return real_eval(p, site_id, z, x)
 
-    def counted_knn(models, x):
+    def counted_ratios(models, x):
         rows.append(len(models) * len(np.atleast_2d(x)))
-        return real_knn(models, x)
+        return real_ratios(models, x)
 
     def counted(*args):
         p, live, site_failures = real(*args)
@@ -278,7 +278,7 @@ def test_replication_evaluates_each_score_once_per_unit(monkeypatch, mode):
 
     monkeypatch.setattr(harness, "_build_nuisance", counted)
     monkeypatch.setattr(nuisance.PropensitySet, "eval", counted_eval)
-    monkeypatch.setattr(nuisance, "eval_knn", counted_knn)
+    monkeypatch.setattr(nuisance, "eval_ratios", counted_ratios)
     spec = SweepSpec(d_kl_grid=(1.0,), replications=1, nuisance_mode=mode,
                      meta_weight_mode="vanilla", shift=SMALL)
     out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0))

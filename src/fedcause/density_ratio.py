@@ -35,10 +35,12 @@ def misspecify_features(x) -> np.ndarray:
 
 
 def _with_constant(x2d: np.ndarray) -> np.ndarray:
-    """(1, x) rows: a ones column, then x."""
+    """(1, x) rows: a ones column, then x, copied a column at a time, which
+    is faster than one strided copy of the block."""
     out = np.empty((len(x2d), x2d.shape[1] + 1))
     out[:, 0] = 1.0
-    out[:, 1:] = x2d
+    for j in range(x2d.shape[1]):
+        out[:, j + 1] = x2d[:, j]
     return out
 
 

@@ -150,11 +150,8 @@ class SweepResult:
 # Oracle nuisances for the shift design
 
 
-def _gaussian_tilt(shift: ShiftConfig, mu_k: float) -> Tuple[float, np.ndarray]:
-    """(a, g) with p_k(x) / p_target(x) = exp(a + g'x) for site law N(mu_k, sigma^2 I)."""
-    s2 = shift.sigma ** 2
-    mu_t = np.full(shift.d, shift.mu_target)
-    m = np.full(shift.d, mu_k)
+def _gaussian_tilt(m: np.ndarray, mu_t: np.ndarray, s2: float) -> Tuple[float, np.ndarray]:
+    """(a, g) with N(m, s2 I) / N(mu_t, s2 I) = exp(a + g'x) at every x."""
     return (mu_t @ mu_t - m @ m) / (2.0 * s2), (m - mu_t) / s2
 
 
@@ -165,9 +162,10 @@ def oracle_shift_propensity(shift: ShiftConfig, means: Sequence[float], sites) -
     the Gaussian ratio for site mean means[k - 1], pi(1 | x) = expit(-x'c)."""
     c = np.asarray(shift.prop_coef, dtype=float)
     betas = ((1, np.concatenate(([0.0], -c))), (0, np.concatenate(([0.0], c))))
+    mu_t = np.full(shift.d, shift.mu_target)
     models, counts = {}, {}
     for s in sites:
-        a, g = _gaussian_tilt(shift, means[s.site_id - 1])
+        a, g = _gaussian_tilt(np.full(shift.d, means[s.site_id - 1]), mu_t, shift.sigma ** 2)
         for arm, beta in betas:
             counts[(s.site_id, arm)] = n = int(np.count_nonzero(s.z_vec == arm))
             if n:
@@ -196,7 +194,7 @@ def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float]) -> Di
     out = {}
     for k, mu_k in enumerate(np.asarray(means, dtype=float), start=1):
         m = np.full(shift.d, mu_k)
-        a, g = _gaussian_tilt(shift, mu_k)
+        a, g = _gaussian_tilt(m, mu_t, s2)
         h = sign * c - 2.0 * g
         tilt = np.exp(h @ m + s2 * np.sum(h * h, axis=1) / 2.0 - 2.0 * a)
         moment = ((np.sum(b * (m + s2 * h), axis=1) - b @ mu_t) ** 2

@@ -382,6 +382,29 @@ def test_a_refused_start_leaves_the_zero_start_fit_bitwise(monkeypatch, reason):
     assert fit(start) == fit(None)
 
 
+@pytest.mark.parametrize("psi", [IDENTITY_PLUS_INTERCEPT, MISSPECIFIED],
+                         ids=["linear", "misspecified"])
+def test_shared_pass_is_bitwise_each_model_on_its_own_features(psi):
+    # eval_ratios forms psi(x) once for all models on the map; each model's
+    # values are those of its own exp(psi(x)' gamma) * expit(psi(x)' beta)
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(257, 3))
+    p = psi.output_dim(3)
+    models = [RatioModel("tilting", rng.normal(size=p), psi),
+              RatioModel("factored", rng.normal(size=p), psi, rng.normal(size=p)),
+              RatioModel("factored", rng.normal(size=p), psi, rng.normal(size=p))]
+    got = density_ratio.eval_ratios(models, x)
+    f = psi.apply(x)
+    for vals, m in zip(got, models):
+        want = np.exp(f @ m.gamma)
+        if m.backend == "factored":
+            want = want * expit(f @ m.beta)
+        assert vals.tobytes() == want.tobytes()
+        assert m.eval(x).tobytes() == want.tobytes()
+    # one probe gives a float
+    assert models[-1].eval(x[0]) == pytest.approx(want[0], rel=1e-12)
+
+
 # -- nearest-neighbour ratio --------------------------------------------------
 
 

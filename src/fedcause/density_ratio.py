@@ -118,17 +118,24 @@ class TiltingError(Exception):
 KNN_BLOCK = 32
 
 
-def _sq_dists(probes: np.ndarray, points: np.ndarray, buf=None) -> np.ndarray:
-    """(len(probes), len(points)) squared Euclidean distances, accumulated one
-    coordinate at a time from the left; for fewer than 8 coordinates this is
-    bitwise the sum over the last axis of the broadcast difference. The result
-    and a temporary of its size live in buf when given."""
-    shape = (2, len(probes), len(points))
+def _lift(points: np.ndarray) -> np.ndarray:
+    """(d, 2, n) rows (1, t_j) per coordinate j of n points: [p_j, -1] @
+    (1, t_j) is p_j - t_j exactly, as both products are exact."""
+    return np.stack((np.ones((points.shape[1], len(points))), points.T), axis=1)
+
+
+def _sq_dists(probes: np.ndarray, lifted: np.ndarray, buf=None) -> np.ndarray:
+    """(len(probes), n) squared Euclidean distances to the n points of lifted
+    = _lift(points), one product p_j - t_j per coordinate, squared and added
+    from the left: for fewer than 8 coordinates, bitwise the sum over the last
+    axis of the broadcast difference. Result and temporary live in buf if given."""
+    left = np.stack((probes.T, np.full(probes.T.shape, -1.0)), axis=2)
+    shape = (2, len(probes), lifted.shape[2])
     out, diff = np.empty(shape) if buf is None else buf[:np.prod(shape)].reshape(shape)
-    np.subtract(probes[:, 0, None], points[None, :, 0], out=out)
+    np.matmul(left[0], lifted[0], out=out)
     out *= out
-    for j in range(1, probes.shape[1]):
-        np.subtract(probes[:, j, None], points[None, :, j], out=diff)
+    for a, b in zip(left[1:], lifted[1:]):
+        np.matmul(a, b, out=diff)
         diff *= diff
         out += diff
     return out
@@ -147,13 +154,18 @@ def eval_knn(models, x):
         raise ValueError(f"probes have {pts.shape[1]} columns; the knn model has {tgt.shape[1]}")
     w = np.empty((len(models), len(pts)))
     buf = np.empty(2 * KNN_BLOCK * (len(tgt) + max(m.n_source for m in models)))
+    lifted, sources = _lift(tgt), [_lift(m.source_points) for m in models]
     for lo in range(0, len(pts), KNN_BLOCK):
         block = pts[lo:lo + KNN_BLOCK]
-        d2t = _sq_dists(block, tgt, buf)
-        for wk, m in zip(w, models):
-            d2s = _sq_dists(block, m.source_points, buf[d2t.size:])
+        d2t = _sq_dists(block, lifted, buf)
+        # each model's squared radius, copied along its row into the free half;
+        # counts sum in uint32, as uint16 would wrap above 65,535 points
+        rho2 = buf[d2t.size:2 * d2t.size].reshape(d2t.shape)
+        for wk, m, src in zip(w, models, sources):
+            d2s = _sq_dists(block, src, buf[2 * d2t.size:])
             d2s.partition(m.M - 1, axis=1)
-            wk[lo:lo + KNN_BLOCK] = np.count_nonzero(d2t <= d2s[:, m.M - 1, None], axis=1)
+            np.copyto(rho2, d2s[:, m.M - 1, None])
+            wk[lo:lo + KNN_BLOCK] = (d2t <= rho2).view(np.uint8).sum(axis=1, dtype=np.uint32)
     c = np.array([(m.n_target / m.n_source) * m.M for m in models])
     return c[:, None] / np.maximum(w, 1), [int(np.sum(wk < 1)) for wk in w]
 

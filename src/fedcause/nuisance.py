@@ -208,45 +208,48 @@ class ScoreTable:
 
 
 def score_table(sites: Sequence[SiteDataset], p: PropensitySet) -> ScoreTable:
-    """Evaluate every score of p once on each unit of each site, at the unit's
-    own arm, in one batch per arm; RatioScores sharing a feature map, or knn
-    ones a target, make one eval_ratios call. Frames derive from the rows."""
+    """Evaluate every score of p once on each unit, at the unit's own arm, in
+    one batch per arm over all sites; RatioScores sharing a feature map, or
+    knn ones a target, make one eval_ratios call. Frames derive from the rows."""
     if not p.e:
         raise ValueError("empty propensity set")
     cols = tuple(p.site_ids)
-    frames = {}
-    for s in sites:
-        table = np.zeros((s.n, len(cols)))
-        arms = {arm: s.z_vec == arm for arm in (1, 0)}
-        for arm, mask in arms.items():
-            rows = mask.nonzero()[0]
-            if not len(rows):
-                continue
-            x = s.x_matrix.take(rows, axis=0)
-            shared = {}
-            for j, k in enumerate(cols):
-                fn = p.e.get((k, arm))
-                if isinstance(fn, RatioScore):
-                    key = (fn.feat, fn.ratio.psi, id(fn.ratio.target_points))
-                    shared.setdefault(key, []).append((j, fn))
-                elif fn is not None:
-                    table[rows, j] = p.eval(k, arm, x)
-            for group in shared.values():
-                vals = eval_ratios([fn.ratio for _, fn in group], group[0][1].feat(x))
-                for (j, fn), v in zip(group, vals):
-                    table[rows, j] = fn.share * v
+    masks = [{arm: s.z_vec == arm for arm in (1, 0)} for s in sites]
+    pooled = [np.zeros(s.n) for s in sites]
+    own_scores = [np.zeros(s.n) if s.site_id in cols else None for s in sites]
+    for arm in (1, 0):
+        rows = [m[arm].nonzero()[0] for m in masks]
+        if not any(len(r) for r in rows):
+            continue
+        x = np.concatenate([s.x_matrix.take(r, axis=0) for s, r in zip(sites, rows)])
+        vals, shared = np.zeros((len(cols), len(x))), {}
+        for j, k in enumerate(cols):
+            fn = p.e.get((k, arm))
+            if isinstance(fn, RatioScore):
+                key = (fn.feat, fn.ratio.psi, id(fn.ratio.target_points))
+                shared.setdefault(key, []).append((j, fn))
+            elif fn is not None:
+                vals[j] = p.eval(k, arm, x)
+        for group in shared.values():
+            ratios = eval_ratios([fn.ratio for _, fn in group], group[0][1].feat(x))
+            for (j, fn), v in zip(group, ratios):
+                vals[j] = fn.share * v
         # summed over the columns from the left; the order is part of the
-        # result: table.sum(axis=1) adds in another order from 8 columns on,
-        # and rounds differently
-        total = np.zeros(s.n)
-        for j in range(len(cols)):
-            total += table[:, j]
+        # result: a pairwise sum adds in another order from 8 columns on, and
+        # rounds differently
+        total = np.zeros(len(x))
+        for v in vals:
+            total += v
+        for s, r, hi, pool, own in zip(sites, rows, np.cumsum([len(r) for r in rows]),
+                                       pooled, own_scores):
+            pool[r] = total[hi - len(r):hi]
+            if own is not None:
+                own[r] = vals[cols.index(s.site_id), hi - len(r):hi]
+    frames = {}
+    for s, arms, total, own in zip(sites, masks, pooled, own_scores):
         total.flags.writeable = False
-        own_weight = own_bad = None
-        if s.site_id in cols:
-            own = table[:, cols.index(s.site_id)]
-            own_bad = own <= 0.0
-            own_weight = 1.0 / np.where(own_bad, 1.0, own)
+        own_bad = None if own is None else own <= 0.0
+        own_weight = None if own is None else 1.0 / np.where(own_bad, 1.0, own)
         frames[s.site_id] = _SiteFrame(
             s.x_matrix, total, arms, 1.0 / np.maximum(total, SCORE_FLOOR), total > 0.0,
             total < SCORE_FLOOR, own_weight, own_bad)

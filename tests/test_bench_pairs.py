@@ -1,6 +1,7 @@
 """The pair summary of tools/bench_pairs.py, on made-up pairs (no run.py)."""
 import importlib.util
 import pathlib
+import subprocess
 
 import pytest
 
@@ -10,10 +11,13 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def _pairs(base, change, failed=(0, 0)):
-    return [{"base": {"reps_per_s": b, "setup_s": 1.0, "failed": failed[0], "attempted": 10},
-             "change": {"reps_per_s": c, "setup_s": 1.2, "failed": failed[1], "attempted": 10}}
-            for b, c in zip(base, change)]
+def _pairs(base, change, failed=(0, 0), digests=None):
+    digests = digests or [("d", "d")] * len(base)
+    return [{"base": {"reps_per_s": b, "setup_s": 1.0, "failed": failed[0], "attempted": 10,
+                      "digest": db},
+             "change": {"reps_per_s": c, "setup_s": 1.2, "failed": failed[1], "attempted": 10,
+                        "digest": dc}}
+            for b, c, (db, dc) in zip(base, change, digests)]
 
 
 def test_summary_reads_the_bounds_of_benchmark_json():
@@ -50,3 +54,30 @@ def test_summary_gives_pair_ratio_quartiles_and_the_gain_rule():
     assert s["within_bound"] is True
     assert (summary["failed_base"], summary["failed_change"]) == (10, 20)
     assert summary["attempted_change"] == 100
+
+
+def test_summary_counts_the_pairs_whose_output_digests_differ():
+    metrics = {"reps_per_s": (True, 0.25)}
+    same = bench_pairs.summarize(_pairs([10.0] * 4, [11.0] * 4), metrics)
+    assert same["outputs_differ_pairs"] == 0
+    digests = [("a", "a"), ("b", "c"), ("c", "c"), ("d", "a")]
+    moved = bench_pairs.summarize(_pairs([10.0] * 4, [11.0] * 4, digests=digests), metrics)
+    assert moved["outputs_differ_pairs"] == 2
+
+
+def test_run_reads_the_printed_digest(monkeypatch):
+    # a stand-in for run.py's stdout: the host line, the checks, the result
+    digest = "5b679ed3" + "0" * 56
+    stdout = "\n".join([
+        'host {"cpus": 2}', "metric reps_per_s 25.1 1/s", f"check output_sha256 {digest}",
+        '{"correct": true, "attempted": 8, "failed": 0, '
+        '"metrics": {"reps_per_s": {"value": 25.1, "unit": "1/s"}}}'])
+
+    def fake_run(cmd, cwd, capture_output, text):
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    host, out = bench_pairs._run(".", "mc-knn", 5001, 1.0, {"reps_per_s": (True, 0.25)})
+    assert host == {"cpus": 2}
+    assert out == {"reps_per_s": 25.1, "attempted": 8, "failed": 0, "correct": True,
+                   "digest": digest}

@@ -9,14 +9,16 @@ from fedcause import (
     IDENTITY_PLUS_INTERCEPT,
     MISSPECIFIED,
     RatioModel,
+    ShiftConfig,
     TiltingError,
     fit_knn,
     fit_tilting,
+    gen_covariate_shift,
     misspecify_features,
     oracle_gaussian_ratio,
 )
 from fedcause import density_ratio
-from fedcause.density_ratio import (IDENTITY, KNN_BLOCK, LogisticScale, _sq_dists,
+from fedcause.density_ratio import (IDENTITY, KNN_BLOCK, LogisticScale, _lift, _sq_dists,
                                     eval_knn, expit, fit_logistic, fit_logistic_blocks,
                                     fit_logistic_ratio, fit_logistic_ratio_blocks)
 from conftest import brute_knn_ratio
@@ -501,7 +503,7 @@ def test_knn_blocked_kernel_is_bitwise_the_broadcast(d, prescale):
             assert np.array_equal(vals, ref_vals), (n_probe, M)
             assert n_floored == ref_floored
     noisy = rng.normal(size=(300, d))
-    assert np.array_equal(_sq_dists(noisy, tgt),
+    assert np.array_equal(_sq_dists(noisy, _lift(tgt)),
                           np.sum((noisy[:, None, :] - tgt[None, :, :]) ** 2, axis=2))
     # probes beside the source but far from every target point floor their
     # empty balls, and the count of them is unchanged
@@ -553,6 +555,47 @@ def test_knn_shared_pass_is_bitwise_the_per_model_broadcast(d, prescale):
         ref_vals, ref_floored = _broadcast_knn(m, probes)
         assert f == ref_floored > 0
         assert np.array_equal(v, ref_vals)
+
+
+def _broadcast_in_chunks(model, probes, rows=250):
+    """_broadcast_knn over chunks of probe rows, so that its (probes, points,
+    d) difference arrays stay small; each probe's value is its own."""
+    parts = [_broadcast_knn(model, probes[lo:lo + rows]) for lo in range(0, len(probes), rows)]
+    return np.concatenate([v for v, _ in parts]), sum(f for _, f in parts)
+
+
+@pytest.mark.parametrize("d_kl", [1.0, 3.0])
+@pytest.mark.parametrize("wrong", [False, True])
+def test_knn_kernel_is_bitwise_the_broadcast_at_the_benchmark_design(d_kl, wrong):
+    # the mc-knn design: sites 250/500/750 and a 2,500-point target; every
+    # site's arm model probed at all sites' units of that arm, as score_table
+    # does, on raw or misspecified features
+    shift = ShiftConfig(site_sizes=(250, 500, 750), n_target=2500, d_kl=d_kl)
+    sites, target, _ = gen_covariate_shift(shift, np.random.default_rng(300 + int(d_kl)))
+    feat = misspecify_features if wrong else np.atleast_2d
+    tgt = feat(target.xs)
+    for arm in (1, 0):
+        models = [fit_knn(feat(s.x_matrix[s.z_vec == arm]), tgt) for s in sites]
+        probes = np.concatenate([feat(s.x_matrix[s.z_vec == arm]) for s in sites])
+        vals, floored = eval_knn(models, probes)
+        for m, v, f in zip(models, vals, floored):
+            ref_vals, ref_floored = _broadcast_in_chunks(m, probes)
+            assert v.tobytes() == ref_vals.tobytes(), (arm, m.n_source)
+            assert f == ref_floored
+
+
+def test_knn_counts_a_ball_of_more_than_65535_target_points():
+    # the first probe's closed ball holds 70,000 duplicates of it, more than a
+    # 16-bit count can hold; the second's ball is empty and the third's holds
+    # the whole target
+    tgt = np.vstack([np.zeros((70_000, 2)), np.full((5, 2), 9.0)])
+    m = fit_knn([[0.0, 0.0], [40.0, 40.0]], tgt, M=1)
+    probes = np.array([[0.0, 0.0], [40.0, 40.0], [9.0, 9.0]])
+    (vals,), (n_floored,) = eval_knn([m], probes)
+    ref_vals, ref_floored = _broadcast_knn(m, probes)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert n_floored == ref_floored == 1
+    assert vals.tolist() == [(70_005 / 2) / 70_000, 70_005 / 2, (70_005 / 2) / 70_005]
 
 
 def test_knn_shared_pass_refuses_models_that_do_not_share():

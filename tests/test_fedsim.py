@@ -546,7 +546,7 @@ def test_outcome_blocks_evaluate_no_score_after_the_table_is_built():
 
     table = score_table(sites, PropensitySet(e={(k, z): half for k in (1, 2, 3)
                                                 for z in (0, 1)}))
-    assert len(calls) == 3 * 2 * 3  # sites x arms x score columns
+    assert len(calls) == 2 * 3  # arms x score columns, each over every site's rows
     calls.clear()
     fit_outcome_blocks(sites, table, IDENTITY, {}, 0, _wire_post(MessageLog()))
     assert calls == []

@@ -291,22 +291,30 @@ def test_replication_evaluates_each_score_once_per_unit(monkeypatch, mode):
 def test_knn_replication_counts_target_neighbours_once_per_unit(monkeypatch, spec_kind):
     # each unit is probed by every site's model at its arm, and those models
     # share one target: its distances are computed for sum_k n_k probe rows,
-    # not n_sites times that
-    real = density_ratio._sq_dists
-    target_rows = []
+    # not n_sites times that, in one eval_knn call per arm over all sites
+    real, real_knn = density_ratio._sq_dists, density_ratio.eval_knn
+    target_rows, knn_calls = [], []
 
-    def counted(probes, points, *args):
-        if len(points) == SMALL.n_target:
+    def counted(probes, lifted, *args):
+        # lifted holds the points as (d, 2, n)
+        if lifted.shape[2] == SMALL.n_target:
             target_rows.append(len(probes))
-        return real(probes, points, *args)
+        return real(probes, lifted, *args)
+
+    def counted_knn(models, x):
+        knn_calls.append(len(models))
+        return real_knn(models, x)
 
     monkeypatch.setattr(density_ratio, "_sq_dists", counted)
+    monkeypatch.setattr(density_ratio, "eval_knn", counted_knn)
     spec = SweepSpec(d_kl_grid=(1.0,), replications=1, nuisance_mode="knn",
                      ps_spec=spec_kind, meta_weight_mode="vanilla", shift=SMALL)
     out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0))
     assert all(res[0] != "fail" for res in out["results"].values())
     assert max(SMALL.site_sizes) < SMALL.n_target
     assert sum(target_rows) == sum(SMALL.site_sizes)
+    # one call per arm, each holding every site's model of that arm
+    assert knn_calls == [SMALL.n_sites, SMALL.n_sites]
 
 
 def _many_draw_site_variances(shift, means, n_draws, seed, block=200_000):

@@ -21,7 +21,8 @@ from fedcause import (
 )
 from fedcause.density_ratio import (IDENTITY, FeatureMap, RatioModel, expit,
                                     fit_logistic, fit_logistic_ratio)
-from fedcause.nuisance import FoldPlan, fit_scores, outcome_block
+from fedcause.nuisance import SCORE_FLOOR, FoldPlan, fit_scores, outcome_block
+from fedcause.synthgen import place_site_means
 from conftest import usable_arm_rows
 
 
@@ -161,6 +162,53 @@ def test_pooled_score_is_the_left_to_right_column_sum():
     for j in range(1, 9):
         ref = ref + cols[:, j]
     assert table.pooled(1).tobytes() == ref.tobytes()
+
+
+def _per_site_frame(site, p, cols):
+    """(pooled, weight, own_weight) of site's units from its own rows alone:
+    each column by PropensitySet.eval on the rows of each arm, the columns
+    summed from the left."""
+    table = np.zeros((site.n, len(cols)))
+    for arm in (1, 0):
+        rows = (site.z_vec == arm).nonzero()[0]
+        for j, k in enumerate(cols):
+            if len(rows):
+                table[rows, j] = p.eval(k, arm, site.x_matrix.take(rows, axis=0))
+    pooled = np.zeros(site.n)
+    for j in range(len(cols)):
+        pooled += table[:, j]
+    own = table[:, cols.index(site.site_id)]
+    return pooled, 1.0 / np.maximum(pooled, SCORE_FLOOR), 1.0 / np.where(own <= 0.0, 1.0, own)
+
+
+@pytest.mark.parametrize("K", [3, 12])
+@pytest.mark.parametrize("backend, wrong", [("oracle", False), ("tilting", False),
+                                            ("tilting", True), ("knn", False), ("knn", True)])
+def test_score_table_arm_pass_over_all_sites_is_bitwise_the_per_site_pass(K, backend, wrong):
+    # score_table evaluates each score once over every site's rows of an arm;
+    # each frame must read as if its site's rows had been scored alone
+    shift = ShiftConfig(n_sites=K, site_sizes=tuple(90 + 20 * k for k in range(K)),
+                        n_target=800, d_kl=1.0)
+    rng = np.random.default_rng(40 + K)
+    means = place_site_means(shift.d_kl, K, shift.sigma, shift.mu_target, rng)
+    sites, target, _ = gen_covariate_shift(shift, rng, means=means)
+    # the second site has no control units, so arm 0 has no rows there
+    s = sites[1]
+    sites[1] = SiteDataset.from_arrays(s.site_id, s.x_matrix, np.ones(s.n, dtype=int), s.y_vec)
+    if backend == "oracle":
+        p = oracle_shift_propensity(shift, means, sites)
+    else:
+        p, failed = fit_scores(sites, target, backend, wrong)
+        assert failed == {}
+    assert (2, 0) not in p.e and len(p.e) == 2 * K - 1
+    cols = tuple(p.site_ids)
+    table = score_table(sites, p)
+    for s in sites:
+        frame = table.frames[s.site_id]
+        pooled, weight, own_weight = _per_site_frame(s, p, cols)
+        assert frame.pooled.tobytes() == pooled.tobytes()
+        assert frame.weight.tobytes() == weight.tobytes()
+        assert frame.own_weight.tobytes() == own_weight.tobytes()
 
 
 def test_propensity_scaled_validates_and_scales():

@@ -8,7 +8,8 @@ and the change first in odd ones, so a slow spell of the host lands on both
 sides alike. Writes ``BENCH_<label>.json`` in the current directory: the host
 record that run.py prints (CPU count and model, Python, numpy), each
 checkout's commit, and for every pair each side's end-to-end metrics of
-the change's BENCHMARK.json with its failed and attempted counts. The
+the change's BENCHMARK.json with its failed and attempted counts and the
+``check output_sha256`` digest it printed. The
 summary (``summarize``) gives, per metric, both sides' medians and
 quartiles, the quartiles of the per-pair change/base ratios, the pairs in
 which the change was better, the base's interquartile range, whether the
@@ -16,7 +17,9 @@ gain rule holds (the change better in at least nine tenths of the pairs run,
 ties counting for neither, and its median beyond the base's by more than
 that range, in the metric's better direction), and whether the change is
 within the metric's bound: its median no worse than the base's by more than
-the bound's fraction of the base's median.
+the bound's fraction of the base's median. ``outputs_differ_pairs`` counts
+the pairs whose two sides printed different digests: 0 means the change
+left every output unchanged.
 """
 
 import argparse
@@ -54,9 +57,11 @@ def _run(checkout: str, workload: str, seed: int, seconds: float, metrics):
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"bench_pairs: run.py exited {proc.returncode} in {checkout}")
     host = next(json.loads(ln[5:]) for ln in lines if ln.startswith("host "))
+    digest = next(ln.split()[-1] for ln in lines if ln.startswith("check output_sha256 "))
     res = json.loads(lines[-1])
     out = {name: res["metrics"][name]["value"] for name in metrics}
-    out.update(attempted=res["attempted"], failed=res["failed"], correct=res["correct"])
+    out.update(attempted=res["attempted"], failed=res["failed"], correct=res["correct"],
+               digest=digest)
     return host, out
 
 
@@ -67,8 +72,8 @@ def _quartiles(values):
 
 def summarize(pairs, metrics) -> dict:
     """The summary of pairs, each {"base": {...}, "change": {...}} holding a
-    side's metric values and its failed and attempted counts, for metrics as
-    end_to_end returns them."""
+    side's metric values, its failed and attempted counts and its output
+    digest, for metrics as end_to_end returns them."""
     summary = {}
     for m, (higher, bound) in metrics.items():
         base = [p["base"][m] for p in pairs]
@@ -86,6 +91,8 @@ def summarize(pairs, metrics) -> dict:
     for side in ("base", "change"):
         summary[f"failed_{side}"] = sum(p[side]["failed"] for p in pairs)
         summary[f"attempted_{side}"] = sum(p[side]["attempted"] for p in pairs)
+    summary["outputs_differ_pairs"] = sum(p["base"]["digest"] != p["change"]["digest"]
+                                          for p in pairs)
     return summary
 
 
@@ -114,7 +121,8 @@ def main(argv=None) -> int:
                                     metrics)
         pairs.append(pair)
         print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
-            f"{m} {pair['base'][m]:.4g} -> {pair['change'][m]:.4g}" for m in metrics),
+            f"{m} {pair['base'][m]:.4g} -> {pair['change'][m]:.4g}" for m in metrics)
+            + ("" if pair["base"]["digest"] == pair["change"]["digest"] else ", outputs differ"),
             file=sys.stderr)
 
     doc = {"label": args.label, "workload": args.workload, "seconds": args.seconds,

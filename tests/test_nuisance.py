@@ -171,9 +171,10 @@ def _per_site_frame(site, p, cols):
     table = np.zeros((site.n, len(cols)))
     for arm in (1, 0):
         rows = (site.z_vec == arm).nonzero()[0]
-        for j, k in enumerate(cols):
-            if len(rows):
-                table[rows, j] = p.eval(k, arm, site.x_matrix.take(rows, axis=0))
+        if len(rows):
+            x = site.x_matrix.take(rows, axis=0)
+            for j, k in enumerate(cols):
+                table[rows, j] = p.eval(k, arm, x)
     pooled = np.zeros(site.n)
     for j in range(len(cols)):
         pooled += table[:, j]

@@ -20,7 +20,7 @@ from .estimators import (AipwInputs, AllSitesExcludedError, Excluded,
                          aipw_combine, clb_combine, clb_ipw,
                          clb_site_aggregates, decoupled_aipw, meta_combine,
                          meta_ipw)
-from .fedsim import (FedConfig, MessageLog, PrivacyError, audit_messages,
+from .fedsim import (MessageLog, PrivacyError, audit_messages,
                      expected_message_count, replay, run_algorithm1,
                      run_algorithm2)
 from .harness import (SweepSpec, ci_grid, oracle_meta_site_variances,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AipwInputs", "AllSitesExcludedError", "EstimateReport", "Excluded",
-    "FeatureMap", "FedConfig", "FoldPlan",
+    "FeatureMap", "FoldPlan",
     "IDENTITY_PLUS_INTERCEPT", "MISSPECIFIED", "MessageLog", "MetaDeltas",
     "OutcomeModel", "OverlapError", "PrivacyError", "PropensitySet",
     "RatioModel", "ScoreTable", "ShiftConfig", "SiteAggregates",

@@ -15,7 +15,7 @@ from .core import (read_sites_csv, read_target_csv, validate_dataset,
                    write_sites_csv, write_target_csv)
 from .density_ratio import IDENTITY_PLUS_INTERCEPT
 from .estimators import clb_ipw, decoupled_aipw, meta_ipw
-from .fedsim import FedConfig, run_algorithm1, run_algorithm2
+from .fedsim import run_algorithm1, run_algorithm2
 from .harness import SweepSpec, ci_grid, oracle_shift_propensity, sweep_kl
 from .nuisance import PropensitySet, fit_scores, score_table
 from .synthgen import ShiftConfig, gen_covariate_shift, place_site_means
@@ -53,13 +53,7 @@ def _cmd_generate(args) -> int:
         # the dial applies the scalar squared-deviation formula verbatim,
         # with no dimension factor
         "d_kl_convention": "sum over sites of (mu_k - mu_target)^2 / (2 sigma^2)",
-        "config": {
-            "n_sites": cfg.n_sites, "site_sizes": list(cfg.site_sizes),
-            "n_target": cfg.n_target, "d": cfg.d,
-            "mu_target": cfg.mu_target, "sigma": cfg.sigma, "d_kl": cfg.d_kl,
-            "prop_coef": list(cfg.prop_coef), "beta1": list(cfg.beta1),
-            "beta0": list(cfg.beta0), "noise_sd": cfg.noise_sd,
-        },
+        "config": cfg.to_json_obj(),
     }
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -133,10 +127,8 @@ def _cmd_estimate(args) -> int:
         else:
             p = _build_scores(args, sites, target, manifest)
             ratios = {pair: score.ratio for pair, score in p.e.items()}
-            cfg = FedConfig(rounds=args.rounds)
             report, log = run_algorithm2(
-                sites, target, ratios, IDENTITY_PLUS_INTERCEPT, cfg=cfg,
-                flavor="clb", F=args.folds,
+                sites, target, ratios, IDENTITY_PLUS_INTERCEPT, flavor="clb", F=args.folds,
                 rng=np.random.default_rng(args.seed), ci_level=args.ci)
         if args.log:
             log.save(args.log)
@@ -213,9 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--federated", action="store_true",
                    help="run the message protocol instead of in-memory math")
     e.add_argument("--log", help="write the message transcript (JSONL)")
-    e.add_argument("--rounds", type=int, default=50,
-                   help="round cap per fold of the federated outcome fit, "
-                        "which takes one round")
     e.set_defaults(fn=_cmd_estimate)
 
     s = sub.add_parser("sweep-kl", help="MSE/bias sweep over the heterogeneity dial")

@@ -101,13 +101,8 @@ class AipwInputs:
     target_sq_term: float
     n_target: int
     deltas: list
-    lambda_hat: float
     n_pooled: int
     fold: int = 0
-
-    def __post_init__(self):
-        if self.lambda_hat <= 0:
-            raise ValueError("lambda_hat must be positive")
 
 
 def gaussian_interval(tau: float, var_hat: float, n_effective: float, level: float):
@@ -334,24 +329,26 @@ def _aipw_site_terms(site: SiteDataset, resid: np.ndarray, table: ScoreTable,
                       s2_1=s2_1, s2_0=s2_0, n_units=n_units)
 
 
-def aipw_combine(inputs, flavor: str = "clb",
+def aipw_combine(inputs: Sequence[AipwInputs], flavor: str = "clb",
                  weights: Optional[Dict[int, float]] = None,
                  ci_level: float = 0.95) -> EstimateReport:
     """Assemble the decoupled estimate from per-fold inputs.
 
     Per fold, tau_f = target_mean_term + correction; the final estimate
     averages the folds. The plug-in variance adds the target-sample variance
-    of the modelled contrast (divided by lambda_hat) at weight 1/F and the
-    residual correction variance at weight 1/F^2, reflecting that the folds
-    share the target sample but correct disjoint units. n_effective is the
-    pooled source count.
+    of the modelled contrast (divided by lambda_hat = n_target / n_pooled)
+    at weight 1/F and the residual correction variance at weight 1/F^2,
+    reflecting that the folds share the target sample but correct disjoint
+    units. n_effective is the pooled source count.
     """
-    folds: List[AipwInputs] = list(inputs) if isinstance(inputs, (list, tuple)) else [inputs]
+    folds = list(inputs)
     if not folds:
         raise ValueError("no fold inputs")
     if any(f.n_target <= 0 for f in folds):
         raise ValueError("empty target set")
     n_pooled = folds[0].n_pooled
+    if n_pooled <= 0:
+        raise ValueError("n_pooled must be positive")
     if any(f.n_pooled != n_pooled for f in folds):
         raise ValueError("inconsistent pooled counts across folds")
     F = len(folds)
@@ -394,7 +391,7 @@ def aipw_combine(inputs, flavor: str = "clb",
         else:
             raise ValueError(f"unknown flavor {flavor!r}")
         taus.append(f.target_mean_term + corr)
-        vts.append(f.target_sq_term / f.lambda_hat)
+        vts.append(f.target_sq_term / (f.n_target / n_pooled))
         vcs.append(vc)
 
     tau = sum(taus) / F
@@ -456,8 +453,7 @@ def _aipw_fold_inputs(sites: Sequence[SiteDataset], target: TargetCovariates,
         for fl in flavors:
             inputs[fl].append(AipwInputs(
                 target_mean_term=mean, target_sq_term=var, n_target=target.n,
-                deltas=corrections[fl], lambda_hat=target.n / n_pooled,
-                n_pooled=n_pooled, fold=f))
+                deltas=corrections[fl], n_pooled=n_pooled, fold=f))
     return inputs
 
 

@@ -141,22 +141,11 @@ class MessageLog:
         return cls(messages)
 
 
-@dataclass(frozen=True)
-class FedConfig:
-    """Protocol two's round cap per fold. The outcome fit is quadratic and
-    takes one round, so every valid cap gives the same run."""
-
-    rounds: int = 50
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-
-
 def expected_message_count(n_sites: int, rounds: int, folds: int) -> int:
-    """Transcript length of protocol two with training under any round cap:
-    each site's publish message, and per fold each site's outcome blocks and
-    aggregates plus the server's target term."""
+    """Transcript length of protocol two with training: each site's publish
+    message, and per fold each site's outcome blocks and aggregates plus the
+    server's target term. rounds is ignored: the outcome fit is exact in one
+    round per fold."""
     return n_sites * (2 * folds + 1) + folds
 
 
@@ -293,14 +282,16 @@ def _check_folds(reads) -> None:
     """Protocol two sends, for each fold f = 0, ..., F-1, one target_mean_term
     and one aggregates message per publishing site, F being one more than the
     largest fold any message names, and, when it trains, one outcome_blocks
-    message per publishing site; a site's aggregates, unless one of them is
-    an exclusion, cover as many units as it published. Raises ValueError
-    naming the message, the fold or the site of the first violation."""
+    message per publishing site; every target_mean_term gives the same
+    n_target; a site's aggregates, unless one of them is an exclusion, cover
+    as many units as it published. Raises ValueError naming the message, the
+    fold or the site of the first violation."""
     sizes = {v["site_id"]: v["n1"] + v["n0"] for _, kind, _, v in reads
              if kind == "publish_ratio_model"}
     terms, aggs, blocks, covered = Counter(), Counter(), Counter(), Counter()
     excluded = set()
     n_folds = 0
+    first_term = None
     for i, kind, variant, v in reads:
         if kind == "publish_ratio_model":
             continue
@@ -310,6 +301,11 @@ def _check_folds(reads) -> None:
         n_folds = max(n_folds, f + 1)
         if kind == "target_mean_term":
             terms[f] += 1
+            first_term = first_term or (i, v["n_target"])
+            if v["n_target"] != first_term[1]:
+                raise ValueError(f"message {i}: target_mean_term n_target is {v['n_target']}, "
+                                 f"but message {first_term[0]} gives {first_term[1]}; "
+                                 "the folds share one target sample")
             continue
         k = v["site_id"]
         if k not in sizes:
@@ -377,22 +373,17 @@ def replay(log: MessageLog, ci_level: float = 0.95,
                                   key=lambda a: a.site_id), ci_level=ci_level)
 
     per_fold: Dict[int, list] = {}
-    n_pooled = 0
     for _, variant, v in aggs:
-        if variant == "exclusion":
-            item = Excluded(v["excluded"])
-        else:
-            item = (SiteAggregates if clb else MetaDeltas).from_payload(v)
-            n_pooled += item.n_units
+        item = (Excluded(v["excluded"]) if variant == "exclusion"
+                else (SiteAggregates if clb else MetaDeltas).from_payload(v))
         per_fold.setdefault(v["fold"], []).append(item)
-    if n_pooled <= 0:
-        raise ValueError("aggregate messages cover no usable units")
-
+    # every published unit counts, an excluded site's too, as in decoupled_aipw
+    n_pooled = sum(v["n1"] + v["n0"] for _, kind, _, v in reads
+                   if kind == "publish_ratio_model")
     terms = {v["fold"]: v for _, kind, _, v in reads if kind == "target_mean_term"}
     inputs = [AipwInputs(target_mean_term=float(t["value"]),
                          target_sq_term=float(t["target_var"]), n_target=t["n_target"],
-                         deltas=per_fold[f], lambda_hat=t["n_target"] / n_pooled,
-                         n_pooled=n_pooled, fold=f)
+                         deltas=per_fold[f], n_pooled=n_pooled, fold=f)
               for f, t in sorted(terms.items())]
     return aipw_combine(inputs, flavor="clb" if clb else "meta", weights=weights,
                         ci_level=ci_level)
@@ -451,8 +442,7 @@ def run_algorithm1(sites: Sequence[SiteDataset], table: ScoreTable,
 
 def run_algorithm2(sites: Sequence[SiteDataset], target: TargetCovariates,
                    ratios: Dict[Tuple[int, int], Optional[RatioModel]],
-                   psi_om, cfg: Optional[FedConfig] = None, flavor: str = "clb",
-                   F: int = 2, rng=None,
+                   psi_om, flavor: str = "clb", F: int = 2, rng=None,
                    weights: Optional[Dict[int, float]] = None,
                    ci_level: float = 0.95, train: bool = True
                    ) -> Tuple[EstimateReport, MessageLog]:
@@ -460,17 +450,15 @@ def run_algorithm2(sites: Sequence[SiteDataset], target: TargetCovariates,
 
     ratios maps (site_id, arm) to a fitted selection-side density-ratio model;
     the target covariate table is public input the server already holds.
-    cfg caps the training rounds per fold; the outcome fit takes one, so any
-    valid cap gives the same run. With train False the outcome models are
-    zeros, cross-fitting collapses to a single fold, and no block messages
-    flow.
+    Each fold's outcome fit is exact in one round of block messages. With
+    train False the outcome models are zeros, cross-fitting collapses to a
+    single fold, and no block messages flow.
     """
     return _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
                             weights, ci_level, train, wire=True)
 
 
-def centralized_algorithm2(sites, target, ratios, psi_om,
-                           cfg: Optional[FedConfig] = None, flavor: str = "clb",
+def centralized_algorithm2(sites, target, ratios, psi_om, flavor: str = "clb",
                            F: int = 2, rng=None, weights=None,
                            ci_level: float = 0.95, train: bool = True):
     """The same computation with every exchange kept in memory: the reference

@@ -9,7 +9,7 @@ selection label routing them to a (site, arm) cell or dropping them.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -64,6 +64,11 @@ class ShiftConfig:
         for name in ("prop_coef", "beta1", "beta0"):
             if len(getattr(self, name)) != self.d:
                 raise ValueError(f"{name} must have length d")
+
+    def to_json_obj(self) -> dict:
+        """The fields in declaration order, tuples as lists; ShiftConfig(**obj)
+        is its inverse."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 PROBE_DRAWS = 1000

@@ -14,7 +14,6 @@ import pytest
 from fedcause import (
     AllSitesExcludedError,
     Excluded,
-    FedConfig,
     OverlapError,
     IDENTITY_PLUS_INTERCEPT,
     RatioModel,
@@ -208,10 +207,10 @@ def test_criterion_7_federated_equals_centralized_and_audits_clean():
         flavor = "clb" if i % 2 == 0 else "meta"
         F = 2 if i % 3 else 3
         train = i % 10 < 7
-        cfg = FedConfig(rounds=int(rng.integers(2, 6)))
+        rng.integers(2, 6)  # unused; dropping it would shift every later fuzz draw
         weights = ({s.site_id: float(rng.uniform(0.5, 2.0)) for s in sites}
                    if flavor == "meta" else None)
-        kw = dict(psi_om=IDENTITY_PLUS_INTERCEPT, cfg=cfg, flavor=flavor, F=F,
+        kw = dict(psi_om=IDENTITY_PLUS_INTERCEPT, flavor=flavor, F=F,
                   train=train, weights=weights)
         out_f = _outcome_of(lambda: run_algorithm2(
             sites, target, ratios, rng=np.random.default_rng((SEED, 70, i)), **kw)[0])
@@ -240,7 +239,7 @@ def test_criterion_7_federated_equals_centralized_and_audits_clean():
                 ratios = _fuzz_ratio_models(rng, sites, d)
                 _, log = run_algorithm2(
                     sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
-                    cfg=FedConfig(rounds=2), F=2, train=(i % 20 == 9),
+                    F=2, train=(i % 20 == 9),
                     rng=np.random.default_rng((SEED, 72, i)))
         except (ValueError, OverlapError, AllSitesExcludedError):
             # an arm can be empty in a tiny fuzz fold; no transcript to audit

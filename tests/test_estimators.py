@@ -236,7 +236,7 @@ def test_aipw_combine_lambda_one_zero_residuals():
     # one fold, zero residual corrections: variance reduces to the target term
     silent = SiteAggregates(site_id=1, N1=25.0, N0=25.0)
     inputs = AipwInputs(target_mean_term=0.7, target_sq_term=2.3, n_target=50,
-                        deltas=[silent], lambda_hat=1.0, n_pooled=50, fold=0)
+                        deltas=[silent], n_pooled=50, fold=0)
     rep = aipw_combine([inputs], flavor="clb")
     assert rep.tau_hat == pytest.approx(0.7)
     assert rep.var_hat == pytest.approx(2.3)
@@ -250,7 +250,7 @@ def test_aipw_combine_zero_models_reduces_to_clb():
     m0 = zero_outcome_model(0, IDENTITY, d=1)
     deltas = [_corrections(s, m1, m0, p, "clb") for s in sites]
     inputs = AipwInputs(target_mean_term=0.0, target_sq_term=0.0, n_target=10,
-                        deltas=deltas, lambda_hat=10 / 4, n_pooled=4, fold=0)
+                        deltas=deltas, n_pooled=4, fold=0)
     rep = aipw_combine([inputs], flavor="clb")
     ref = clb_combine([clb_site_aggregates(s, p) for s in sites])
     assert rep.tau_hat == ref.tau_hat
@@ -262,15 +262,22 @@ def test_aipw_meta_flavor_weighted_combine():
                        zero_outcome_model(0, IDENTITY, 1),
                        score_table([site], _const_set(0.5)), "meta")
     inputs = AipwInputs(target_mean_term=0.25, target_sq_term=0.0, n_target=8,
-                        deltas=[d_a], lambda_hat=2.0, n_pooled=4, fold=0)
+                        deltas=[d_a], n_pooled=4, fold=0)
     rep = aipw_combine([inputs], flavor="meta", weights={1: 1.0})
     assert rep.tau_hat == pytest.approx(0.25 + (2.0 - 1.0))
 
 
-def test_aipw_inputs_validate_lambda():
-    with pytest.raises(ValueError):
-        AipwInputs(target_mean_term=0.0, target_sq_term=0.0, n_target=5,
-                   deltas=[], lambda_hat=0.0, n_pooled=5, fold=0)
+def test_aipw_combine_refuses_a_non_positive_count():
+    # lambda_hat = n_target / n_pooled must be positive and finite
+    silent = SiteAggregates(site_id=1, N1=2.0, N0=2.0)
+    for n_target, n_pooled, message in ((0, 5, "empty target set"),
+                                        (-1, 5, "empty target set"),
+                                        (5, 0, "n_pooled must be positive"),
+                                        (5, -2, "n_pooled must be positive")):
+        inputs = AipwInputs(target_mean_term=0.0, target_sq_term=1.0, n_target=n_target,
+                            deltas=[silent], n_pooled=n_pooled, fold=0)
+        with pytest.raises(ValueError, match=message):
+            aipw_combine([inputs])
 
 
 def test_decoupled_aipw_exact_on_linear_outcomes():

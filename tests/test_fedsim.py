@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fedcause import (
-    FedConfig,
     IDENTITY_PLUS_INTERCEPT,
     MessageLog,
     PrivacyError,
@@ -17,6 +16,7 @@ from fedcause import (
     TargetCovariates,
     audit_messages,
     clb_ipw,
+    decoupled_aipw,
     expected_message_count,
     fit_knn,
     fit_outcome_direct,
@@ -63,10 +63,9 @@ def test_message_count_formula(n_sites, F):
     sites = _linear_sites(rng, n_sites=n_sites, n=24)
     target = TargetCovariates(rng.normal(size=(30, 2)))
     _, log = run_algorithm2(sites, target, _fitted_ratios(sites, target),
-                            psi_om=IDENTITY_PLUS_INTERCEPT, cfg=FedConfig(rounds=7),
-                            F=F, rng=np.random.default_rng(0))
+                            psi_om=IDENTITY_PLUS_INTERCEPT, F=F, rng=np.random.default_rng(0))
     # K publish messages, and per fold K outcome blocks, K aggregates and
-    # one target term, whatever the round cap
+    # one target term; the rounds argument is ignored
     assert len(log) == expected_message_count(n_sites, 7, F) == n_sites * (2 * F + 1) + F
     assert expected_message_count(n_sites, 50, F) == len(log)
 
@@ -109,8 +108,7 @@ def test_log_jsonl_round_trip(tmp_path, rng):
     sites = _linear_sites(rng, n_sites=2, n=24)
     target = TargetCovariates(rng.normal(size=(30, 2)))
     rep, log2 = run_algorithm2(sites, target, _fitted_ratios(sites, target),
-                               psi_om=IDENTITY_PLUS_INTERCEPT, cfg=FedConfig(rounds=3),
-                               F=2, rng=np.random.default_rng(0))
+                               psi_om=IDENTITY_PLUS_INTERCEPT, F=2, rng=np.random.default_rng(0))
     path, path2 = tmp_path / "aipw.msgs.jsonl", tmp_path / "aipw2.msgs.jsonl"
     log2.save(path)
     back = MessageLog.load(path)
@@ -135,7 +133,7 @@ def test_algorithm2_encodes_each_message_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(json, "dumps", counted)
     _, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
-                            cfg=FedConfig(rounds=4), F=2, rng=np.random.default_rng(0))
+                            F=2, rng=np.random.default_rng(0))
     log.save(tmp_path / "run.msgs.jsonl")
     assert len(log) == expected_message_count(2, 4, 2)
     assert len(calls) == len(log)
@@ -146,9 +144,8 @@ def test_algorithm2_transcript_matches_expected_count():
     sites = _linear_sites(rng, n_sites=2, n=24)
     target = TargetCovariates(rng.normal(size=(30, 2)))
     ratios = _fitted_ratios(sites, target)
-    cfg = FedConfig(rounds=4)
     rep, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
-                              cfg=cfg, F=2, rng=np.random.default_rng(0))
+                              F=2, rng=np.random.default_rng(0))
     assert len(log) == expected_message_count(2, 4, 2)
     kinds = {m.kind for m in log}
     assert kinds <= set(MESSAGE_KINDS)
@@ -160,8 +157,7 @@ def _two_site_transcript():
     sites = _linear_sites(rng, n_sites=2, n=24)
     target = TargetCovariates(rng.normal(size=(30, 2)))
     _, log = run_algorithm2(sites, target, _fitted_ratios(sites, target),
-                            psi_om=IDENTITY_PLUS_INTERCEPT, cfg=FedConfig(rounds=2),
-                            F=2, rng=np.random.default_rng(0))
+                            psi_om=IDENTITY_PLUS_INTERCEPT, F=2, rng=np.random.default_rng(0))
     return log.messages
 
 
@@ -196,6 +192,28 @@ def test_replay_refuses_a_dropped_or_repeated_fold_message():
         replay(MessageLog(msgs[:t] + [msgs[t]] + msgs[t:]))
     with pytest.raises(ValueError, match="fold 1: 0 target_mean_term messages"):
         replay(MessageLog(msgs[:t] + msgs[t + 1:]))
+
+
+def test_replay_refuses_target_terms_that_disagree_on_n_target():
+    # the folds share one target sample; a server that misstates its size in
+    # one fold's term would rescale that fold's target-term variance
+    rng = np.random.default_rng(3)
+    sites = _linear_sites(rng, n_sites=2, n=24)
+    target = TargetCovariates(rng.normal(size=(30, 2)))
+    rep, log = run_algorithm2(sites, target, _fitted_ratios(sites, target),
+                              psi_om=IDENTITY_PLUS_INTERCEPT, F=3, rng=np.random.default_rng(0))
+    assert replay(log) == rep
+    msgs = log.messages
+    terms = [i for i, m in enumerate(msgs) if m.kind == "target_mean_term"]
+    assert [msgs[i].payload["n_target"] for i in terms] == [30, 30, 30]
+    for t in terms[1:]:
+        with pytest.raises(ValueError, match=f"message {t}: target_mean_term n_target is 8, "
+                                             f"but message {terms[0]} gives 30"):
+            replay(MessageLog(_tampered(msgs, t, n_target=8)))
+    with pytest.raises(ValueError, match=f"message {terms[1]}: target_mean_term n_target "
+                                         f"is 30, but message {terms[0]} gives 8"):
+        replay(MessageLog(_tampered(msgs, terms[0], n_target=8)))
+    assert audit_messages(MessageLog(_tampered(msgs, terms[1], n_target=8))) == []
 
 
 def _tampered(msgs, i, **changes):
@@ -457,12 +475,31 @@ def test_algorithm2_equals_centralized_run():
     sites = _linear_sites(rng, n_sites=3, n=20)
     target = TargetCovariates(rng.normal(size=(25, 2)))
     ratios = _fitted_ratios(sites, target)
-    cfg = FedConfig(rounds=5)
     rep_f, _ = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
-                              cfg=cfg, F=2, rng=np.random.default_rng(11))
+                              F=2, rng=np.random.default_rng(11))
     rep_c, _ = centralized_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
-                                      cfg=cfg, F=2, rng=np.random.default_rng(11))
+                                      F=2, rng=np.random.default_rng(11))
     assert rep_f == rep_c
+
+
+def test_algorithm2_meta_report_counts_an_excluded_site_as_decoupled_aipw_does():
+    # site 1 has no controls, so its meta corrections are exclusions; its
+    # units still count in n_pooled, in replay as in the in-memory sum
+    rng = np.random.default_rng(9)
+    sites = _linear_sites(rng, n_sites=3, n=40)
+    s1 = sites[0]
+    sites[0] = SiteDataset.from_arrays(1, s1.x_matrix, np.ones(s1.n, dtype=int), s1.y_vec)
+    target = TargetCovariates(rng.normal(size=(50, 2)))
+    p, failed = fit_scores(sites, target, "tilting", wrong=False)
+    assert failed == {} and (1, 0) not in p.e
+    ratios = {pair: score.ratio for pair, score in p.e.items()}
+    rep, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
+                              flavor="meta", F=2, rng=np.random.default_rng(4))
+    assert sum(m.payload.get("excluded") is not None for m in log) == 2
+    ref = decoupled_aipw(sites, target, score_table(sites, p), IDENTITY_PLUS_INTERCEPT,
+                         flavor="meta", F=2, rng=np.random.default_rng(4))
+    assert rep == ref
+    assert rep.n_effective == 120
 
 
 def test_algorithm2_without_training_reduces_to_pooled_ipw():
@@ -496,7 +533,7 @@ def test_algorithm2_needs_two_target_rows(monkeypatch):
         for train in (True, False):
             with pytest.raises(ValueError, match="needs at least 2 target rows"):
                 run(sites, one_row, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
-                    cfg=FedConfig(rounds=2), train=train, rng=np.random.default_rng(0))
+                    train=train, rng=np.random.default_rng(0))
 
 
 def test_algorithm2_rejects_neighbour_ratio_models():
@@ -608,7 +645,7 @@ def test_algorithm2_evaluates_each_published_score_once_per_unit(monkeypatch):
 
     monkeypatch.setattr(nuisance, "eval_ratios", counted)
     run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
-                   cfg=FedConfig(rounds=4), F=2, rng=np.random.default_rng(14))
+                   F=2, rng=np.random.default_rng(14))
     assert sum(rows) == sum(s.n for s in sites) * len(sites)
 
 
@@ -625,7 +662,7 @@ def test_factored_models_round_trip_exactly_and_audit_clean():
         assert np.array_equal(back.gamma, m.gamma) and np.array_equal(back.beta, m.beta)
         assert np.array_equal(back.eval(target.xs), m.eval(target.xs))
     _, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
-                            cfg=FedConfig(rounds=2), F=2, rng=np.random.default_rng(0))
+                            F=2, rng=np.random.default_rng(0))
     assert audit_messages(log) == []
     for msg in log.by_kind("publish_ratio_model"):
         for slot in ("model1", "model0"):

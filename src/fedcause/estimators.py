@@ -95,12 +95,13 @@ class MetaDeltas(_Payload):
 
 @dataclass
 class AipwInputs:
-    """Everything the decoupled combination needs for one cross-fit fold."""
+    """Everything the decoupled combination needs for one cross-fit fold;
+    deltas maps each site id to the site's residual terms."""
 
     target_mean_term: float
     target_sq_term: float
     n_target: int
-    deltas: list
+    deltas: dict
     n_pooled: int
     fold: int = 0
 
@@ -133,6 +134,38 @@ def _own_arm_sums(frame, values: np.ndarray, idx: np.ndarray, centred: bool):
     return n_hat, mean, float(np.square(dev, out=dev).sum())
 
 
+def _meta_deltas(site: SiteDataset, values: np.ndarray, table: ScoreTable,
+                 keep: Optional[np.ndarray], centred: bool):
+    """The per-site kernel of both Meta flavours: per arm, the Hajek mean of
+    values over the units keep marks (all when None) under the site's own
+    scores and its square sum (_own_arm_sums), as MetaDeltas; or Excluded
+    when an arm's score model, units or positive scores are missing."""
+    if not (table.has(site.site_id, 1) and table.has(site.site_id, 0)):
+        return Excluded("missing arm score model")
+    frame = table.frames[site.site_id]
+    out = {}
+    n_units = 0
+    for arm in (1, 0):
+        idx = frame.units(arm, keep)
+        if not len(idx):
+            return Excluded(f"no arm-{arm} units")
+        if frame.own_bad[idx].any():
+            return Excluded(f"non-positive arm-{arm} score")
+        out[arm] = _own_arm_sums(frame, values, idx, centred)
+        n_units += len(idx)
+    (n1_hat, d1, s2_1), (n0_hat, d0, s2_0) = out[1], out[0]
+    return MetaDeltas(site_id=site.site_id, d1=d1, d0=d0, n1_hat=n1_hat, n0_hat=n0_hat,
+                      s2_1=s2_1, s2_0=s2_0, n_units=n_units)
+
+
+def _meta_contrast(d):
+    """(tau_k, var_k) = (d1 - d0, s2_1 / n1_hat^2 + s2_0 / n0_hat^2) of
+    MetaDeltas; an Excluded passes through."""
+    if isinstance(d, Excluded):
+        return d
+    return d.d1 - d.d0, d.s2_1 / d.n1_hat ** 2 + d.s2_0 / d.n0_hat ** 2
+
+
 def meta_ipw_site(site: SiteDataset, table: ScoreTable):
     """Hajek IPW contrast on one site with its own scores, from its frame.
 
@@ -140,64 +173,46 @@ def meta_ipw_site(site: SiteDataset, table: ScoreTable):
     squared standard error sum_w^2 (y - mu_hat)^2 / (sum_w)^2 per arm, so it
     shares the Hajek form's indifference to the unknown scale constant.
     """
-    if not (table.has(site.site_id, 1) and table.has(site.site_id, 0)):
-        return Excluded("missing arm score model")
-    frame = table.frames[site.site_id]
-    treated, control = frame.units(1), frame.units(0)
-    if not len(treated):
-        return Excluded("no treated units")
-    if not len(control):
-        return Excluded("no control units")
-    if frame.own_bad[treated].any():
-        return Excluded("non-positive treated-arm score")
-    if frame.own_bad[control].any():
-        return Excluded("non-positive control-arm score")
-    n1_hat, mu1, v1 = _own_arm_sums(frame, site.y_vec, treated, True)
-    n0_hat, mu0, v0 = _own_arm_sums(frame, site.y_vec, control, True)
-    return mu1 - mu0, v1 / n1_hat ** 2 + v0 / n0_hat ** 2
+    return _meta_contrast(_meta_deltas(site, site.y_vec, table, None, True))
 
 
-def meta_combine(site_results: Dict[int, Union[Tuple[float, float], Excluded]],
-                 mode="inverse_variance", ci_level: float = 0.95) -> EstimateReport:
-    """Combine per-site (tau_k, var_k) results.
-
-    mode "inverse_variance" weighs each included site by 1/var_k and reports
-    var_hat = 1 / sum(1/var_k); mode ("fixed", {site_id: w}) renormalizes the
-    given weights over the included sites and reports var_hat =
-    sum(w_tilde^2 var_k). Excluded sites appear in the diagnostics with their
-    reason. n_effective is 1: var_hat is already the squared standard error.
-    """
-    diagnostics = []
-    included: List[Tuple[int, float, float]] = []
-    for sid in sorted(site_results):
-        res = site_results[sid]
-        if isinstance(res, Excluded):
-            diagnostics.append((sid, False, res.reason))
-        else:
-            included.append((sid, float(res[0]), float(res[1])))
+def _meta_weighted(results: Dict[int, Union[Tuple[float, float], Excluded]],
+                   weights: Optional[Dict[int, float]]):
+    """(tau, var, diagnostics) of per-site (tau_k, var_k) results, summed in
+    ascending site order. weights None weighs each included site by 1/var_k
+    and gives var = 1 / sum(1/var_k); a map {site_id: w} renormalizes w over
+    the included sites (a missing id weighs 0) and gives var =
+    sum(w_tilde^2 var_k). Diagnostics name each site, with its weight or the
+    reason it was excluded."""
+    included = [(sid, float(res[0]), float(res[1])) for sid, res in sorted(results.items())
+                if not isinstance(res, Excluded)]
     if not included:
         raise AllSitesExcludedError("all sites excluded from the Meta combination")
-
-    if mode == "inverse_variance":
+    if weights is None:
         raw = {sid: 1.0 / max(var, 1e-300) for sid, _, var in included}
     else:
-        kind, weights = mode
-        if kind != "fixed":
-            raise ValueError(f"unknown combination mode {mode!r}")
-        raw = {sid: float(weights[sid]) for sid, _, _ in included}
+        raw = {sid: float(weights.get(sid, 0.0)) for sid, _, _ in included}
         if any(w < 0 for w in raw.values()) or sum(raw.values()) <= 0:
             raise ValueError("fixed weights must be non-negative and not all zero")
     total = sum(raw.values())
     eta = {sid: w / total for sid, w in raw.items()}
-
     tau = sum(eta[sid] * tk for sid, tk, _ in included)
-    if mode == "inverse_variance":
-        var_hat = 1.0 / sum(1.0 / max(var, 1e-300) for _, _, var in included)
-    else:
-        var_hat = sum(eta[sid] ** 2 * var for sid, _, var in included)
-    for sid, _, _ in included:
-        diagnostics.append((sid, True, f"weight={eta[sid]:.6g}"))
-    diagnostics.sort(key=lambda t: t[0])
+    var = (1.0 / total if weights is None
+           else sum(eta[sid] ** 2 * vk for sid, _, vk in included))
+    diagnostics = [(sid, False, res.reason) if isinstance(res, Excluded)
+                   else (sid, True, f"weight={eta[sid]:.6g}")
+                   for sid, res in sorted(results.items())]
+    return tau, var, diagnostics
+
+
+def meta_combine(site_results: Dict[int, Union[Tuple[float, float], Excluded]],
+                 weights: Optional[Dict[int, float]] = None,
+                 ci_level: float = 0.95) -> EstimateReport:
+    """Combine per-site (tau_k, var_k) results under inverse-variance weights
+    (weights None) or the given {site_id: w} (_meta_weighted). Excluded sites
+    appear in the diagnostics with their reason. n_effective is 1: var_hat is
+    already the squared standard error."""
+    tau, var_hat, diagnostics = _meta_weighted(site_results, weights)
     lo, hi = gaussian_interval(tau, var_hat, 1.0, ci_level)
     return EstimateReport(estimator_name="MetaIPW", tau_hat=tau, var_hat=var_hat,
                           n_effective=1.0, ci_level=ci_level, ci_lo=lo, ci_hi=hi,
@@ -205,10 +220,11 @@ def meta_combine(site_results: Dict[int, Union[Tuple[float, float], Excluded]],
 
 
 def meta_ipw(sites: Sequence[SiteDataset], table: ScoreTable,
-             mode="inverse_variance", ci_level: float = 0.95) -> EstimateReport:
+             weights: Optional[Dict[int, float]] = None,
+             ci_level: float = 0.95) -> EstimateReport:
     """Per-site Meta-IPW over all sites whose two arm scores are available."""
     results = {s.site_id: meta_ipw_site(s, table) for s in sites}
-    return meta_combine(results, mode=mode, ci_level=ci_level)
+    return meta_combine(results, weights=weights, ci_level=ci_level)
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +270,13 @@ def clb_site_aggregates(site: SiteDataset, table: ScoreTable) -> SiteAggregates:
     return _clb_aggregate_arrays(site, site.y_vec, table, None)
 
 
-def clb_combine(aggs: Sequence[SiteAggregates], ci_level: float = 0.95) -> EstimateReport:
-    """Server-side combination: mu_hat_z = sum_k G_z / sum_k N_z, tau their
-    difference. The plug-in variance is the self-normalized Hajek form
-    var_hat = n_pooled * (V1 / N1_hat^2 + V0 / N0_hat^2) with V the centred
-    squared-weight sums, n_pooled the units the aggregates cover and
-    n_effective = n_pooled; the unobservable drop share cancels throughout.
-    Sums run in ascending site order, fixed for bitwise reproducibility.
-    """
+def _clb_pool(aggs: Sequence[SiteAggregates], centred: bool):
+    """The pooled combiner of both CLB flavours: (tau, V, diagnostics) with
+    tau = sum G1 / sum N1 - sum G0 / sum N0 and V = V1 / N1^2 + V0 / N0^2,
+    V_z the arm's squared-weight sums centred at its mean mu_z when centred,
+    else at 0. Sums run in ascending site order, fixed for bitwise
+    reproducibility."""
     aggs = sorted(aggs, key=lambda a: a.site_id)
-    if not aggs:
-        raise ValueError("no site aggregates to combine")
-    n_pooled = sum(a.n_units for a in aggs)
-    if n_pooled <= 0:
-        raise ValueError("n_pooled must be positive")
     N1 = sum(a.N1 for a in aggs)
     N0 = sum(a.N0 for a in aggs)
     if N1 <= 0.0:
@@ -276,14 +285,31 @@ def clb_combine(aggs: Sequence[SiteAggregates], ci_level: float = 0.95) -> Estim
         raise OverlapError("control arm empty across all sites")
     mu1 = sum(a.G1 for a in aggs) / N1
     mu0 = sum(a.G0 for a in aggs) / N0
-    tau = mu1 - mu0
     v1 = VarAccumulator(sum(a.w2_1 for a in aggs), sum(a.w2y_1 for a in aggs),
                         sum(a.w2y2_1 for a in aggs))
     v0 = VarAccumulator(sum(a.w2_0 for a in aggs), sum(a.w2y_0 for a in aggs),
                         sum(a.w2y2_0 for a in aggs))
-    var_hat = n_pooled * (v1.centred(mu1) / N1 ** 2 + v0.centred(mu0) / N0 ** 2)
-    diagnostics = [(a.site_id, True,
-                    f"n_units={a.n_units} floored={a.n_floored}") for a in aggs]
+    c1, c0 = (mu1, mu0) if centred else (0.0, 0.0)
+    V = v1.centred(c1) / N1 ** 2 + v0.centred(c0) / N0 ** 2
+    diagnostics = [(a.site_id, True, f"n_units={a.n_units} floored={a.n_floored}")
+                   for a in aggs]
+    return mu1 - mu0, V, diagnostics
+
+
+def clb_combine(aggs: Sequence[SiteAggregates], ci_level: float = 0.95) -> EstimateReport:
+    """Server-side combination: mu_hat_z = sum_k G_z / sum_k N_z, tau their
+    difference (_clb_pool). The plug-in variance is the self-normalized Hajek
+    form var_hat = n_pooled * (V1 / N1_hat^2 + V0 / N0_hat^2) with V the
+    centred squared-weight sums, n_pooled the units the aggregates cover and
+    n_effective = n_pooled; the unobservable drop share cancels throughout.
+    """
+    if not aggs:
+        raise ValueError("no site aggregates to combine")
+    n_pooled = sum(a.n_units for a in aggs)
+    if n_pooled <= 0:
+        raise ValueError("n_pooled must be positive")
+    tau, V, diagnostics = _clb_pool(aggs, centred=True)
+    var_hat = n_pooled * V
     lo, hi = gaussian_interval(tau, var_hat, n_pooled, ci_level)
     return EstimateReport(estimator_name="ClbIPW", tau_hat=tau, var_hat=var_hat,
                           n_effective=float(n_pooled), ci_level=ci_level,
@@ -299,47 +325,20 @@ def clb_ipw(sites: Sequence[SiteDataset], table: ScoreTable,
 # Decoupled AIPW: target-mean term plus IPW corrections on residuals
 
 
-def _aipw_site_terms(site: SiteDataset, resid: np.ndarray, table: ScoreTable,
-                     flavor: str, keep: Optional[np.ndarray]):
-    """One site's residualized IPW terms over the units keep marks, all when
-    None (resid being y - m_z(x) at each unit's arm z, the outcome models
-    from the complementary fold): for flavor "clb" SiteAggregates under
-    pooled scores; for "meta" MetaDeltas, the per-arm Hajek residual means
-    under the site's own scores, or Excluded when an arm or its score is
-    missing."""
-    if flavor == "clb":
-        return _clb_aggregate_arrays(site, resid, table, keep)
-    if flavor != "meta":
-        raise ValueError(f"unknown flavor {flavor!r}")
-    if not (table.has(site.site_id, 1) and table.has(site.site_id, 0)):
-        return Excluded("missing arm score model")
-    frame = table.frames[site.site_id]
-    out = {}
-    n_units = 0
-    for arm in (1, 0):
-        idx = frame.units(arm, keep)
-        if not len(idx):
-            return Excluded(f"no arm-{arm} units")
-        if frame.own_bad[idx].any():
-            return Excluded(f"non-positive arm-{arm} score")
-        out[arm] = _own_arm_sums(frame, resid, idx, False)
-        n_units += len(idx)
-    (n1_hat, d1, s2_1), (n0_hat, d0, s2_0) = out[1], out[0]
-    return MetaDeltas(site_id=site.site_id, d1=d1, d0=d0, n1_hat=n1_hat, n0_hat=n0_hat,
-                      s2_1=s2_1, s2_0=s2_0, n_units=n_units)
-
-
 def aipw_combine(inputs: Sequence[AipwInputs], flavor: str = "clb",
                  weights: Optional[Dict[int, float]] = None,
                  ci_level: float = 0.95) -> EstimateReport:
     """Assemble the decoupled estimate from per-fold inputs.
 
-    Per fold, tau_f = target_mean_term + correction; the final estimate
-    averages the folds. The plug-in variance adds the target-sample variance
-    of the modelled contrast (divided by lambda_hat = n_target / n_pooled)
-    at weight 1/F and the residual correction variance at weight 1/F^2,
-    reflecting that the folds share the target sample but correct disjoint
-    units. n_effective is the pooled source count.
+    Per fold, tau_f = target_mean_term + correction, the correction being
+    the flavour's IPW combination of the fold's residual terms: _clb_pool
+    with sums centred at 0, or _meta_weighted with the given weights (equal
+    ones when None). The final estimate averages the folds. The plug-in
+    variance adds the target-sample variance of the modelled contrast
+    (divided by lambda_hat = n_target / n_pooled) at weight 1/F and the
+    residual correction variance at weight 1/F^2, reflecting that the folds
+    share the target sample but correct disjoint units. n_effective is the
+    pooled source count.
     """
     folds = list(inputs)
     if not folds:
@@ -351,48 +350,23 @@ def aipw_combine(inputs: Sequence[AipwInputs], flavor: str = "clb",
         raise ValueError("n_pooled must be positive")
     if any(f.n_pooled != n_pooled for f in folds):
         raise ValueError("inconsistent pooled counts across folds")
+    if flavor not in ("clb", "meta"):
+        raise ValueError(f"unknown flavor {flavor!r}")
     F = len(folds)
 
     taus, vts, vcs = [], [], []
     diagnostics = []
     for f in folds:
         if flavor == "clb":
-            aggs = sorted(f.deltas, key=lambda a: a.site_id)
-            N1 = sum(a.N1 for a in aggs)
-            N0 = sum(a.N0 for a in aggs)
-            if N1 <= 0.0 or N0 <= 0.0:
-                raise OverlapError("an arm is empty across all sites in a fold")
-            corr = sum(a.G1 for a in aggs) / N1 - sum(a.G0 for a in aggs) / N0
-            s2_1 = sum(a.w2y2_1 for a in aggs)
-            s2_0 = sum(a.w2y2_0 for a in aggs)
-            vc = n_pooled * (s2_1 / N1 ** 2 + s2_0 / N0 ** 2)
-            for a in aggs:
-                diagnostics.append((a.site_id, True,
-                                    f"fold={f.fold} n_units={a.n_units} floored={a.n_floored}"))
-        elif flavor == "meta":
-            incl = [d for d in f.deltas if not isinstance(d, Excluded)]
-            for d in f.deltas:
-                if isinstance(d, Excluded):
-                    diagnostics.append((-1, False, f"fold={f.fold} {d.reason}"))
-            if not incl:
-                raise AllSitesExcludedError("all sites excluded from a fold's corrections")
-            raw = {d.site_id: (1.0 if weights is None else float(weights.get(d.site_id, 0.0)))
-                   for d in incl}
-            tot = sum(raw.values())
-            if tot <= 0:
-                raise ValueError("correction weights sum to zero")
-            corr = sum(raw[d.site_id] / tot * (d.d1 - d.d0) for d in incl)
-            vc = n_pooled * sum((raw[d.site_id] / tot) ** 2 *
-                                (d.s2_1 / d.n1_hat ** 2 + d.s2_0 / d.n0_hat ** 2)
-                                for d in incl)
-            for d in incl:
-                diagnostics.append((d.site_id, True,
-                                    f"fold={f.fold} weight={raw[d.site_id] / tot:.6g}"))
+            corr, vc, rows = _clb_pool(f.deltas.values(), centred=False)
         else:
-            raise ValueError(f"unknown flavor {flavor!r}")
+            corr, vc, rows = _meta_weighted(
+                {sid: _meta_contrast(d) for sid, d in f.deltas.items()},
+                {sid: 1.0 for sid in f.deltas} if weights is None else weights)
+        diagnostics += [(sid, ok, f"fold={f.fold} {text}") for sid, ok, text in rows]
         taus.append(f.target_mean_term + corr)
         vts.append(f.target_sq_term / (f.n_target / n_pooled))
-        vcs.append(vc)
+        vcs.append(n_pooled * vc)
 
     tau = sum(taus) / F
     var_hat = sum(vts) / F + sum(vcs) / F ** 2
@@ -413,11 +387,16 @@ def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
     and correct. Each pass builds the target's design once, each site's comes
     from its frame, and each fold trains and residualizes each site once.
     Yields, per fold, (f, target_mean_term, target_var, corrections) where
-    corrections maps each of ``flavors`` to one _aipw_site_terms result per
-    site, in the order of ``sites``.
+    corrections maps each of ``flavors`` to {site_id: the site's residual
+    terms}: its SiteAggregates for "clb", its MetaDeltas or Excluded for
+    "meta".
     """
     if target.n < 2:
         raise ValueError("the target-term variance needs at least 2 target rows")
+    kernels = {"clb": _clb_aggregate_arrays,
+               "meta": lambda *args: _meta_deltas(*args, centred=False)}
+    if not kernels.keys() >= set(flavors):
+        raise ValueError(f"unknown flavor in {tuple(flavors)!r}")
     target_design = np.atleast_2d(psi.design(target.xs))
     designs = [table.frames[s.site_id].design(psi) for s in sites]
     for f in range(fold_plan.F):
@@ -426,8 +405,8 @@ def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
         resids = [np.where(s.z_vec == 1, s.y_vec - d @ m1.theta, s.y_vec - d @ m0.theta)
                   for s, d in zip(sites, designs)]
         keeps = [fold_plan.eval_mask(s.site_id, f) for s in sites]
-        corrections = {fl: [_aipw_site_terms(s, r, table, fl, keep)
-                            for s, r, keep in zip(sites, resids, keeps)]
+        corrections = {fl: {s.site_id: kernels[fl](s, r, table, keep)
+                            for s, r, keep in zip(sites, resids, keeps)}
                        for fl in flavors}
         yield f, float(np.mean(diff)), float(np.var(diff, ddof=1)), corrections
 

@@ -369,14 +369,14 @@ def replay(log: MessageLog, ci_level: float = 0.95,
     if not aggs:
         raise ValueError("log contains no aggregate messages")
     if not protocol_two:
-        return clb_combine(sorted((SiteAggregates.from_payload(v) for _, _, v in aggs),
-                                  key=lambda a: a.site_id), ci_level=ci_level)
+        return clb_combine([SiteAggregates.from_payload(v) for _, _, v in aggs],
+                           ci_level=ci_level)
 
-    per_fold: Dict[int, list] = {}
+    per_fold: Dict[int, dict] = {}
     for _, variant, v in aggs:
         item = (Excluded(v["excluded"]) if variant == "exclusion"
                 else (SiteAggregates if clb else MetaDeltas).from_payload(v))
-        per_fold.setdefault(v["fold"], []).append(item)
+        per_fold.setdefault(v["fold"], {})[v["site_id"]] = item
     # every published unit counts, an excluded site's too, as in decoupled_aipw
     n_pooled = sum(v["n1"] + v["n0"] for _, kind, _, v in reads
                    if kind == "publish_ratio_model")
@@ -529,12 +529,12 @@ def _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
         log.post(SiteMessage("server", "target_mean_term", f,
                              {"fold": f, "value": mean, "target_var": var,
                               "n_target": int(target.n)}), wire)
-        for s, res in zip(sites, corrections[flavor]):
+        for k, res in corrections[flavor].items():
             if isinstance(res, Excluded):
-                payload = {"fold": f, "site_id": s.site_id, "excluded": res.reason}
+                payload = {"fold": f, "site_id": k, "excluded": res.reason}
             else:
                 payload = {"fold": f, **res.to_payload()}
-            log.post(SiteMessage(s.site_id, "aggregates", f, payload), wire)
+            log.post(SiteMessage(k, "aggregates", f, payload), wire)
 
     # the server reads only the parsed log, so replay is exact
     return replay(log, ci_level=ci_level, weights=weights), log

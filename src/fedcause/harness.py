@@ -39,7 +39,8 @@ class SweepSpec:
     placements re-draws the site means that many times per dial value and
     cycles replications over them. meta_weight_mode picks the per-site
     combination weights: exact asymptotic precisions ("oracle"), plug-in
-    inverse variances ("estimated"), or equal ("vanilla").
+    inverse variances ("estimated"), or equal ("vanilla"); meta_aipw weighs
+    its folds' corrections equally under both "estimated" and "vanilla".
     """
 
     d_kl_grid: tuple = (0.0, 1.0, 2.0, 3.0, 4.0)
@@ -231,13 +232,11 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
         if bad:
             meta_error = (f"site {bad[0]}: oracle meta variance "
                           f"{variances[bad[0]]!r} is not positive")
-        fixed = {k: 1.0 / v for k, v in variances.items() if v > 0.0}
-        meta_mode, aipw_weights = ("fixed", fixed), fixed
+        weights = {k: 1.0 / v for k, v in variances.items() if v > 0.0}
     elif spec.meta_weight_mode == "vanilla":
-        meta_mode = ("fixed", {s.site_id: 1.0 for s in sites})
-        aipw_weights = None
+        weights = {s.site_id: 1.0 for s in sites}
     else:
-        meta_mode, aipw_weights = "inverse_variance", None
+        weights = None
 
     # both AIPW estimators share one cross-fit pass; a failed pass fails both
     flavors = tuple(est[:-len("_aipw")] for est in spec.estimators if est.endswith("_aipw"))
@@ -258,15 +257,13 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
             continue
         try:
             if est == "meta_ipw":
-                rep_out = meta_ipw(live, table, mode=meta_mode, ci_level=spec.ci_level)
+                rep_out = meta_ipw(live, table, weights=weights, ci_level=spec.ci_level)
             elif est == "clb_ipw":
                 rep_out = clb_ipw(live, table, ci_level=spec.ci_level)
             else:
                 flavor = est[:-len("_aipw")]
-                rep_out = aipw_combine(
-                    aipw_inputs[flavor], flavor=flavor,
-                    weights=aipw_weights if flavor == "meta" else None,
-                    ci_level=spec.ci_level)
+                rep_out = aipw_combine(aipw_inputs[flavor], flavor=flavor, weights=weights,
+                                       ci_level=spec.ci_level)
             covered = bool(rep_out.ci_lo <= true_tau <= rep_out.ci_hi)
             out["results"][est] = (rep_out.tau_hat,
                                    rep_out.var_hat / rep_out.n_effective,

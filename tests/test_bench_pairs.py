@@ -56,6 +56,26 @@ def test_summary_gives_pair_ratio_quartiles_and_the_gain_rule():
     assert summary["attempted_change"] == 100
 
 
+def test_a_base_spread_wider_than_the_bound_is_unresolved():
+    # a bimodal base: quartiles 0.1425 and 0.1875 about a median of 0.15, an
+    # interquartile range of 0.045 > 0.25 x 0.15
+    base = [0.14, 0.14, 0.15, 0.15, 0.20, 0.21]
+    metrics = {"setup_s": (False, 0.25), "reps_per_s": (True, 0.25)}
+    pairs = _pairs([10.0] * 6, [9.0] * 6)
+    for p, b in zip(pairs, base):
+        p["base"]["setup_s"] = b
+    for changed, unresolved in (([0.15] * 6, True),    # inside the spread
+                                ([0.13] * 6, False),   # below every base run
+                                ([0.22] * 6, True)):   # above every base run: worse
+        for p, c in zip(pairs, changed):
+            p["change"]["setup_s"] = c
+        summary = bench_pairs.summarize(pairs, metrics)
+        assert summary["setup_s"]["base_iqr"] == pytest.approx(0.045)
+        assert summary["setup_s"]["unresolved"] is unresolved
+        # a base without spread always resolves
+        assert summary["reps_per_s"]["unresolved"] is False
+
+
 def test_summary_counts_the_pairs_whose_output_digests_differ():
     metrics = {"reps_per_s": (True, 0.25)}
     same = bench_pairs.summarize(_pairs([10.0] * 4, [11.0] * 4), metrics)

@@ -28,8 +28,8 @@ from fedcause import (
     zero_outcome_model,
 )
 from fedcause.density_ratio import IDENTITY, IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, FeatureMap
-from fedcause.estimators import (_aipw_fold_inputs, _aipw_site_terms, gaussian_interval,
-                                 meta_ipw_site)
+from fedcause.estimators import (_aipw_fold_inputs, _clb_aggregate_arrays, _meta_deltas,
+                                 gaussian_interval, meta_ipw_site)
 from fedcause.nuisance import SCORE_FLOOR, crossfit_split, solve_outcome_blocks
 from conftest import fuzz_dataset, fuzz_scores
 
@@ -42,7 +42,9 @@ def _corrections(site, m1, m0, table, flavor):
     """One site's residualized IPW terms, as the cross-fit fold loop forms them."""
     x = site.x_matrix
     resid = np.where(site.z_vec == 1, site.y_vec - m1.predict(x), site.y_vec - m0.predict(x))
-    return _aipw_site_terms(site, resid, table, flavor, None)
+    if flavor == "clb":
+        return _clb_aggregate_arrays(site, resid, table, None)
+    return _meta_deltas(site, resid, table, None, False)
 
 
 def _two_unit_site(site_id=1):
@@ -73,10 +75,10 @@ def test_meta_site_constant_scores():
 def test_meta_site_excludes_missing_arm():
     all_treated = SiteDataset.from_arrays(1, np.zeros((3, 1)), [1, 1, 1], [1.0, 2.0, 3.0])
     out = meta_ipw_site(all_treated, _own(all_treated, _const(0.5), _const(0.5)))
-    assert isinstance(out, Excluded) and "no control units" in out.reason
+    assert isinstance(out, Excluded) and "no arm-0 units" in out.reason
     all_control = SiteDataset.from_arrays(1, np.zeros((3, 1)), [0, 0, 0], [1.0, 2.0, 3.0])
     out = meta_ipw_site(all_control, _own(all_control, _const(0.5), _const(0.5)))
-    assert isinstance(out, Excluded) and "no treated units" in out.reason
+    assert isinstance(out, Excluded) and "no arm-1 units" in out.reason
 
 
 def test_meta_site_scale_invariant(rng):
@@ -113,7 +115,7 @@ def test_meta_combine_inverse_variance_weighting():
 
 
 def test_meta_combine_fixed_weights():
-    rep = meta_combine({1: (0.0, 1.0), 2: (4.0, 3.0)}, mode=("fixed", {1: 3.0, 2: 1.0}))
+    rep = meta_combine({1: (0.0, 1.0), 2: (4.0, 3.0)}, weights={1: 3.0, 2: 1.0})
     assert rep.tau_hat == pytest.approx(1.0)
     # eta-tilde = (0.75, 0.25): var = 0.5625 * 1 + 0.0625 * 3
     assert rep.var_hat == pytest.approx(0.75)
@@ -236,7 +238,7 @@ def test_aipw_combine_lambda_one_zero_residuals():
     # one fold, zero residual corrections: variance reduces to the target term
     silent = SiteAggregates(site_id=1, N1=25.0, N0=25.0)
     inputs = AipwInputs(target_mean_term=0.7, target_sq_term=2.3, n_target=50,
-                        deltas=[silent], n_pooled=50, fold=0)
+                        deltas={1: silent}, n_pooled=50, fold=0)
     rep = aipw_combine([inputs], flavor="clb")
     assert rep.tau_hat == pytest.approx(0.7)
     assert rep.var_hat == pytest.approx(2.3)
@@ -248,7 +250,7 @@ def test_aipw_combine_zero_models_reduces_to_clb():
     p = score_table(sites, _const_set(0.5, site_ids=(1, 2)))
     m1 = zero_outcome_model(1, IDENTITY, d=1)
     m0 = zero_outcome_model(0, IDENTITY, d=1)
-    deltas = [_corrections(s, m1, m0, p, "clb") for s in sites]
+    deltas = {s.site_id: _corrections(s, m1, m0, p, "clb") for s in sites}
     inputs = AipwInputs(target_mean_term=0.0, target_sq_term=0.0, n_target=10,
                         deltas=deltas, n_pooled=4, fold=0)
     rep = aipw_combine([inputs], flavor="clb")
@@ -262,7 +264,7 @@ def test_aipw_meta_flavor_weighted_combine():
                        zero_outcome_model(0, IDENTITY, 1),
                        score_table([site], _const_set(0.5)), "meta")
     inputs = AipwInputs(target_mean_term=0.25, target_sq_term=0.0, n_target=8,
-                        deltas=[d_a], n_pooled=4, fold=0)
+                        deltas={1: d_a}, n_pooled=4, fold=0)
     rep = aipw_combine([inputs], flavor="meta", weights={1: 1.0})
     assert rep.tau_hat == pytest.approx(0.25 + (2.0 - 1.0))
 
@@ -275,7 +277,7 @@ def test_aipw_combine_refuses_a_non_positive_count():
                                         (5, 0, "n_pooled must be positive"),
                                         (5, -2, "n_pooled must be positive")):
         inputs = AipwInputs(target_mean_term=0.0, target_sq_term=1.0, n_target=n_target,
-                            deltas=[silent], n_pooled=n_pooled, fold=0)
+                            deltas={1: silent}, n_pooled=n_pooled, fold=0)
         with pytest.raises(ValueError, match=message):
             aipw_combine([inputs])
 
@@ -293,6 +295,30 @@ def test_decoupled_aipw_exact_on_linear_outcomes():
     assert abs(rep.tau_hat - true_tau) < 0.5
     resid_like = rep.var_hat
     assert resid_like >= 0.0
+
+
+def test_meta_weights_refuse_a_negative_and_give_a_missing_site_zero():
+    # meta_combine and meta AIPW's corrections weigh sites by one rule
+    with pytest.raises(ValueError, match="non-negative"):
+        meta_combine({1: (0.0, 1.0), 2: (4.0, 3.0)}, weights={1: 1.0, 2: -1.0})
+    rep = meta_combine({1: (0.0, 1.0), 2: (4.0, 3.0)}, weights={1: 2.0})
+    assert rep == meta_combine({1: (0.0, 1.0), 2: (4.0, 3.0)}, weights={1: 2.0, 2: 0.0})
+    assert (rep.tau_hat, rep.var_hat) == (0.0, 1.0)
+    assert rep.per_site_diagnostics == [(1, True, "weight=1"), (2, True, "weight=0")]
+
+    cfg = ShiftConfig(site_sizes=(40, 40, 40), n_target=50, d_kl=1.0)
+    means = [0.5, -0.5, 0.0]
+    sites, target, _ = gen_covariate_shift(cfg, np.random.default_rng(8),
+                                           means=np.asarray(means))
+    p = score_table(sites, oracle_shift_propensity(cfg, means, sites))
+
+    def aipw(weights):
+        return decoupled_aipw(sites, target, p, IDENTITY, flavor="meta", weights=weights,
+                              rng=np.random.default_rng(3))
+
+    with pytest.raises(ValueError, match="non-negative"):
+        aipw({1: 1.0, 2: -1.0, 3: 2.0})
+    assert aipw({1: 1.0, 3: 2.0}) == aipw({1: 1.0, 2: 0.0, 3: 2.0})
 
 
 @pytest.mark.parametrize("flavor", ["clb", "meta"])
@@ -466,13 +492,13 @@ def test_frame_sums_are_bitwise_the_masked_sums(psi):
         for fl in ("clb", "meta"):
             assert inputs[fl][f].target_mean_term == float(np.mean(diff))
             assert inputs[fl][f].target_sq_term == float(np.var(diff, ddof=1))
-        for j, s in enumerate(sites):
+        for s in sites:
             d = psi.design(s.x_matrix)
             resid = np.where(s.z_vec == 1, s.y_vec - d @ m1.theta, s.y_vec - d @ m0.theta)
             keep = plan.eval_mask(s.site_id, f)
             clb = _ref_clb(s, resid, pooled[s.site_id], keep)
-            assert repr(inputs["clb"][f].deltas[j]) == repr(clb)
-            got = inputs["meta"][f].deltas[j]
+            assert repr(inputs["clb"][f].deltas[s.site_id]) == repr(clb)
+            got = inputs["meta"][f].deltas[s.site_id]
             ref = _ref_meta(s, resid, own[s.site_id], keep, False)
             if s.site_id == 3:
                 assert got == Excluded("missing arm score model")

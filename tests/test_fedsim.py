@@ -482,9 +482,9 @@ def test_algorithm2_equals_centralized_run():
     assert rep_f == rep_c
 
 
-def test_algorithm2_meta_report_counts_an_excluded_site_as_decoupled_aipw_does():
-    # site 1 has no controls, so its meta corrections are exclusions; its
-    # units still count in n_pooled, in replay as in the in-memory sum
+def _site_one_all_treated():
+    """Three sites of 40 rows with tilting scores; site 1 has no controls, so
+    its meta corrections are exclusions."""
     rng = np.random.default_rng(9)
     sites = _linear_sites(rng, n_sites=3, n=40)
     s1 = sites[0]
@@ -492,6 +492,12 @@ def test_algorithm2_meta_report_counts_an_excluded_site_as_decoupled_aipw_does()
     target = TargetCovariates(rng.normal(size=(50, 2)))
     p, failed = fit_scores(sites, target, "tilting", wrong=False)
     assert failed == {} and (1, 0) not in p.e
+    return sites, target, p
+
+
+def test_algorithm2_meta_report_counts_an_excluded_site_as_decoupled_aipw_does():
+    # site 1's units still count in n_pooled, in replay as in the in-memory sum
+    sites, target, p = _site_one_all_treated()
     ratios = {pair: score.ratio for pair, score in p.e.items()}
     rep, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
                               flavor="meta", F=2, rng=np.random.default_rng(4))
@@ -500,6 +506,35 @@ def test_algorithm2_meta_report_counts_an_excluded_site_as_decoupled_aipw_does()
                          flavor="meta", F=2, rng=np.random.default_rng(4))
     assert rep == ref
     assert rep.n_effective == 120
+
+
+def test_meta_aipw_names_the_excluded_site_in_site_order():
+    sites, target, p = _site_one_all_treated()
+    ratios = {pair: score.ratio for pair, score in p.e.items()}
+    rep, _ = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
+                            flavor="meta", F=2, rng=np.random.default_rng(4))
+    ref = decoupled_aipw(sites, target, score_table(sites, p), IDENTITY_PLUS_INTERCEPT,
+                         flavor="meta", F=2, rng=np.random.default_rng(4))
+    for report in (rep, ref):
+        diagnostics = report.per_site_diagnostics
+        assert [row[:2] for row in diagnostics] == [(1, False), (2, True), (3, True)] * 2
+        assert diagnostics[0][2] == "fold=0 missing arm score model"
+        assert diagnostics[3][2] == "fold=1 missing arm score model"
+
+
+def test_replay_does_not_depend_on_the_order_of_a_folds_aggregates():
+    sites, target, p = _site_one_all_treated()
+    ratios = {pair: score.ratio for pair, score in p.e.items()}
+    for flavor in ("clb", "meta"):
+        rep, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
+                                  flavor=flavor, F=2, rng=np.random.default_rng(4))
+        msgs = list(log)
+        fold0 = [i for i, m in enumerate(msgs)
+                 if m.kind == "aggregates" and m.payload["fold"] == 0]
+        assert len(fold0) == 3
+        for i, m in zip(fold0, [msgs[i] for i in reversed(fold0)]):
+            msgs[i] = m
+        assert replay(MessageLog(msgs)) == replay(log) == rep
 
 
 def test_algorithm2_without_training_reduces_to_pooled_ipw():

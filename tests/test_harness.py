@@ -469,8 +469,8 @@ def test_aipw_combine_error_fails_only_its_flavour(monkeypatch):
     monkeypatch.setattr(harness, "oracle_meta_site_variances",
                         lambda *a: {k: 1.0 for k in (1, 2, 3)})
     clean = harness._run_one_rep(spec, 42, 0, 0, means)
-    assert out["results"]["meta_aipw"] == ("fail", "correction weights sum to zero")
-    assert out["results"]["meta_ipw"][0] == "fail"
+    reason = "fixed weights must be non-negative and not all zero"
+    assert out["results"]["meta_aipw"] == out["results"]["meta_ipw"] == ("fail", reason)
     assert out["results"]["clb_aipw"] == clean["results"]["clb_aipw"]
     assert out["results"]["clb_ipw"] == clean["results"]["clb_ipw"]
     assert clean["results"]["meta_aipw"][0] != "fail"

@@ -17,7 +17,10 @@ gain rule holds (the change better in at least nine tenths of the pairs run,
 ties counting for neither, and its median beyond the base's by more than
 that range, in the metric's better direction), and whether the change is
 within the metric's bound: its median no worse than the base's by more than
-the bound's fraction of the base's median. ``outputs_differ_pairs`` counts
+the bound's fraction of the base's median. A metric is ``unresolved`` when
+the base spreads wider than the bound (its interquartile range above the
+bound's fraction of its median), so neither verdict can be read from the
+medians, unless every change run beats every base run. ``outputs_differ_pairs`` counts
 the pairs whose two sides printed different digests: 0 means the change
 left every output unchanged.
 """
@@ -82,12 +85,14 @@ def summarize(pairs, metrics) -> dict:
         qb, qc = _quartiles(base), _quartiles(change)
         iqr = qb["q3"] - qb["q1"]
         gap = (qc["median"] - qb["median"]) * (1 if higher else -1)
+        beats_all = min(change) > max(base) if higher else max(change) < min(base)
         summary[m] = {"better": "higher" if higher else "lower", "bound": bound,
                       "base": qb, "change": qc,
                       "pair_ratio": _quartiles([c / b for b, c in zip(base, change)]),
                       "change_better_pairs": better, "base_iqr": iqr,
                       "gain_rule_holds": 10 * better >= 9 * len(pairs) and gap > iqr,
-                      "within_bound": gap >= -bound * qb["median"]}
+                      "within_bound": gap >= -bound * qb["median"],
+                      "unresolved": iqr > bound * qb["median"] and not beats_all}
     for side in ("base", "change"):
         summary[f"failed_{side}"] = sum(p[side]["failed"] for p in pairs)
         summary[f"attempted_{side}"] = sum(p[side]["attempted"] for p in pairs)

@@ -27,7 +27,7 @@ from .harness import (SweepSpec, ci_grid, oracle_meta_site_variances,
                       oracle_shift_propensity, run_monte_carlo, sweep_kl)
 from .nuisance import (FoldPlan, OutcomeModel, PropensitySet, ScoreTable,
                        assemble_propensity, crossfit_split,
-                       fit_outcome_direct, score_table, zero_outcome_model)
+                       fit_outcome_direct, score_table)
 from .synthgen import ShiftConfig, gen_covariate_shift, place_site_means
 
 __version__ = "0.1.0"
@@ -49,5 +49,4 @@ __all__ = [
     "read_target_csv", "replay", "run_algorithm1", "run_algorithm2",
     "run_monte_carlo", "score_table", "sweep_kl", "validate_dataset",
     "write_sites_csv", "write_target_csv",
-    "zero_outcome_model",
 ]

@@ -34,14 +34,15 @@ class Excluded:
 
 
 class _Payload:
-    """Message payload of a dataclass: its fields, in declaration order."""
+    """Message payload of a dataclass: its fields, in declaration order; a
+    field the payload omits takes its default."""
 
     def to_payload(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_payload(cls, obj: dict):
-        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
 
 
 @dataclass
@@ -63,19 +64,6 @@ class SiteAggregates(_Payload):
     w2y2_0: float = 0.0
     n_units: int = 0
     n_floored: int = 0
-
-
-@dataclass
-class VarAccumulator:
-    """Squared-weight moment sums for one arm; centred second moments are
-    recovered as sum_w2y2 - 2 mu sum_w2y + mu^2 sum_w2."""
-
-    sum_w2: float = 0.0
-    sum_w2y: float = 0.0
-    sum_w2y2: float = 0.0
-
-    def centred(self, mu: float) -> float:
-        return max(self.sum_w2y2 - 2.0 * mu * self.sum_w2y + mu * mu * self.sum_w2, 0.0)
 
 
 @dataclass
@@ -273,8 +261,9 @@ def clb_site_aggregates(site: SiteDataset, table: ScoreTable) -> SiteAggregates:
 def _clb_pool(aggs: Sequence[SiteAggregates], centred: bool):
     """The pooled combiner of both CLB flavours: (tau, V, diagnostics) with
     tau = sum G1 / sum N1 - sum G0 / sum N0 and V = V1 / N1^2 + V0 / N0^2,
-    V_z the arm's squared-weight sums centred at its mean mu_z when centred,
-    else at 0. Sums run in ascending site order, fixed for bitwise
+    V_z = max(w2y2 - 2 c w2y + c^2 w2, 0) the arm's squared-weight sums
+    centred at c = mu_z when centred, else at c = 0, which multiplies its w2
+    and w2y sums by 0. Sums run in ascending site order, fixed for bitwise
     reproducibility."""
     aggs = sorted(aggs, key=lambda a: a.site_id)
     N1 = sum(a.N1 for a in aggs)
@@ -285,12 +274,13 @@ def _clb_pool(aggs: Sequence[SiteAggregates], centred: bool):
         raise OverlapError("control arm empty across all sites")
     mu1 = sum(a.G1 for a in aggs) / N1
     mu0 = sum(a.G0 for a in aggs) / N0
-    v1 = VarAccumulator(sum(a.w2_1 for a in aggs), sum(a.w2y_1 for a in aggs),
-                        sum(a.w2y2_1 for a in aggs))
-    v0 = VarAccumulator(sum(a.w2_0 for a in aggs), sum(a.w2y_0 for a in aggs),
-                        sum(a.w2y2_0 for a in aggs))
     c1, c0 = (mu1, mu0) if centred else (0.0, 0.0)
-    V = v1.centred(c1) / N1 ** 2 + v0.centred(c0) / N0 ** 2
+
+    def square_sum(z: int, c: float) -> float:
+        w2, w2y, w2y2 = (sum(getattr(a, f"{m}_{z}") for a in aggs) for m in ("w2", "w2y", "w2y2"))
+        return max(w2y2 - 2.0 * c * w2y + c * c * w2, 0.0)
+
+    V = square_sum(1, c1) / N1 ** 2 + square_sum(0, c0) / N0 ** 2
     diagnostics = [(a.site_id, True, f"n_units={a.n_units} floored={a.n_floored}")
                    for a in aggs]
     return mu1 - mu0, V, diagnostics

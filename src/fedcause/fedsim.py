@@ -30,13 +30,12 @@ from .density_ratio import RatioModel
 from .estimators import (AipwInputs, Excluded, MetaDeltas, SiteAggregates,
                          _crossfit_folds, aipw_combine, clb_combine,
                          clb_site_aggregates)
-from .nuisance import (FoldPlan, ScoreTable, assemble_propensity, crossfit_split,
-                       outcome_block, score_table, solve_outcome_blocks,
-                       zero_outcome_model)
+from .nuisance import (ScoreTable, assemble_propensity, crossfit_split, outcome_block,
+                       score_table, solve_outcome_blocks)
 
 # The wire format. Per message kind: its sender ("site" or "server") and its
 # payload variants, each a map from key to field type:
-#   count     a non-negative integer; "count?" is one the payload may omit
+#   count     a non-negative integer
 #   sum       a finite number
 #   sum+      a finite number >= 0
 #   vector    a list of p finite numbers; the transcript's first cross1 sets p
@@ -49,10 +48,13 @@ SCHEMA = {
         "site_id": "count", "n1": "count", "n0": "count",
         "model1": "model", "model0": "model"}}),
     "aggregates": ("site", {
-        "sums": {"fold": "count?", "site_id": "count", "G1": "sum", "G0": "sum",
-                 "N1": "sum+", "N0": "sum+", "w2_1": "sum+", "w2y_1": "sum",
-                 "w2y2_1": "sum+", "w2_0": "sum+", "w2y_0": "sum", "w2y2_0": "sum+",
-                 "n_units": "count", "n_floored": "count"},
+        "sums": {"site_id": "count", "G1": "sum", "G0": "sum", "N1": "sum+", "N0": "sum+",
+                 "w2_1": "sum+", "w2y_1": "sum", "w2y2_1": "sum+", "w2_0": "sum+",
+                 "w2y_0": "sum", "w2y2_0": "sum+", "n_units": "count", "n_floored": "count"},
+        # protocol two's clb sums: its correction centres at 0, so w2_z and w2y_z go
+        "fold_sums": {"fold": "count", "site_id": "count", "G1": "sum", "G0": "sum",
+                      "N1": "sum+", "N0": "sum+", "w2y2_1": "sum+", "w2y2_0": "sum+",
+                      "n_units": "count", "n_floored": "count"},
         "deltas": {"fold": "count", "site_id": "count", "d1": "sum", "d0": "sum",
                    "n1_hat": "sum+", "n0_hat": "sum+", "s2_1": "sum+", "s2_0": "sum+",
                    "n_units": "count"},
@@ -74,7 +76,7 @@ class PrivacyError(RuntimeError):
 @dataclass
 class SiteMessage:
     """One exchange. ``line`` is the JSON line the receiver parsed, kept when
-    the message went over the wire or was loaded from a transcript."""
+    the message was posted or loaded from a transcript."""
 
     sender: Union[str, int]
     kind: str
@@ -102,13 +104,12 @@ class SiteMessage:
 class MessageLog:
     messages: List[SiteMessage] = field(default_factory=list)
 
-    def post(self, msg: SiteMessage, wire: bool) -> dict:
-        """Record msg and return the payload its receiver reads. With wire set
-        the message is encoded once and the log keeps the parsed line, so the
-        receiver consumes exactly what the transcript holds; JSON round-trips
-        finite floats exactly, so this never changes the arithmetic."""
-        if wire:
-            msg = SiteMessage.from_json_line(msg.to_json_line())
+    def post(self, msg: SiteMessage) -> dict:
+        """Record msg and return the payload its receiver reads. The message is
+        encoded once and the log keeps the parsed line, so the receiver
+        consumes exactly what the transcript holds; JSON round-trips finite
+        floats exactly, so this never changes the arithmetic."""
+        msg = SiteMessage.from_json_line(msg.to_json_line())
         self.messages.append(msg)
         return msg.payload
 
@@ -142,10 +143,9 @@ class MessageLog:
 
 
 def expected_message_count(n_sites: int, rounds: int, folds: int) -> int:
-    """Transcript length of protocol two with training: each site's publish
-    message, and per fold each site's outcome blocks and aggregates plus the
-    server's target term. rounds is ignored: the outcome fit is exact in one
-    round per fold."""
+    """Transcript length of protocol two: each site's publish message, and per
+    fold each site's outcome blocks and aggregates plus the server's target
+    term. rounds is ignored: the outcome fit is exact in one round per fold."""
     return n_sites * (2 * folds + 1) + folds
 
 
@@ -154,12 +154,12 @@ def expected_message_count(n_sites: int, rounds: int, folds: int) -> int:
 
 
 def fit_outcome_blocks(sites: Sequence[SiteDataset], table: ScoreTable, psi,
-                       include: Dict[int, np.ndarray], fold: int, post):
+                       include: Dict[int, np.ndarray], fold: int, log: MessageLog):
     """Fit one fold's outcome models in one round: each site posts the
-    outcome_block of both arms, and the server sums them in site order and
-    solves, the arithmetic of fit_outcome_direct (Wu et al., 2012). The loss
-    is quadratic, so the one round is exact. ``post`` records a message and
-    returns the payload its receiver consumes. Returns (treated, control).
+    outcome_block of both arms to log, and the server sums the payloads it
+    receives in site order and solves, the arithmetic of fit_outcome_direct
+    (Wu et al., 2012). The loss is quadratic, so the one round is exact.
+    Returns (treated, control).
     """
     received = []
     for s in sites:
@@ -167,7 +167,7 @@ def fit_outcome_blocks(sites: Sequence[SiteDataset], table: ScoreTable, psi,
         for arm in (1, 0):
             gram, cross = outcome_block(s, table, psi, arm, include.get(s.site_id))
             payload[f"gram{arm}"], payload[f"cross{arm}"] = gram.tolist(), cross.tolist()
-        received.append(post(SiteMessage(s.site_id, "outcome_blocks", fold, payload)))
+        received.append(log.post(SiteMessage(s.site_id, "outcome_blocks", fold, payload)))
     return tuple(solve_outcome_blocks([(pay[f"gram{arm}"], pay[f"cross{arm}"])
                                        for pay in received], arm, psi)
                  for arm in (1, 0))
@@ -254,8 +254,8 @@ def _read_log(log: MessageLog):
                     else:
                         faults.append(f"{kind} {key} is not a list of {size} finite "
                                       f"numbers (p = {p})")
-            elif key in pay or not typ.endswith("?"):
-                ok, want = _SCALARS[typ.rstrip("?")]
+            else:
+                ok, want = _SCALARS[typ]
                 if ok(v):
                     values[key] = v
                 else:
@@ -280,15 +280,15 @@ def _refuse(i: int, m: SiteMessage, extra, faults) -> None:
 
 def _check_folds(reads) -> None:
     """Protocol two sends, for each fold f = 0, ..., F-1, one target_mean_term
-    and one aggregates message per publishing site, F being one more than the
-    largest fold any message names, and, when it trains, one outcome_blocks
-    message per publishing site; every target_mean_term gives the same
-    n_target; a site's aggregates, unless one of them is an exclusion, cover
-    as many units as it published. Raises ValueError naming the message, the
-    fold or the site of the first violation."""
+    and, per publishing site, one outcome_blocks and one aggregates message,
+    F being one more than the largest fold any message names; every
+    target_mean_term gives the same n_target; a site's aggregates, unless one
+    of them is an exclusion, cover as many units as it published. Raises
+    ValueError naming the message, the fold or the site of the first
+    violation."""
     sizes = {v["site_id"]: v["n1"] + v["n0"] for _, kind, _, v in reads
              if kind == "publish_ratio_model"}
-    terms, aggs, blocks, covered = Counter(), Counter(), Counter(), Counter()
+    terms, sent, covered = Counter(), Counter(), Counter()
     excluded = set()
     n_folds = 0
     first_term = None
@@ -310,25 +310,20 @@ def _check_folds(reads) -> None:
         k = v["site_id"]
         if k not in sizes:
             raise ValueError(f"fold {f}: site {k} sent {kind} but published no ratio model")
-        if kind == "outcome_blocks":
-            blocks[(f, k)] += 1
-            continue
-        aggs[(f, k)] += 1
+        sent[(kind, f, k)] += 1
         if variant == "exclusion":
             excluded.add(k)
-        else:
+        elif kind == "aggregates":
             covered[k] += v["n_units"]
     for f in range(n_folds):
         if terms[f] != 1:
             raise ValueError(f"fold {f}: {terms[f]} target_mean_term messages; "
                              "protocol two sends exactly one per fold")
         for k in sorted(sizes):
-            if blocks and blocks[(f, k)] != 1:
-                raise ValueError(f"fold {f}: site {k} sent {blocks[(f, k)]} outcome_blocks "
-                                 "messages; a training run sends exactly one per fold")
-            if aggs[(f, k)] != 1:
-                raise ValueError(f"fold {f}: site {k} sent {aggs[(f, k)]} aggregates "
-                                 "messages; protocol two sends exactly one per fold")
+            for kind in ("outcome_blocks", "aggregates"):
+                if sent[(kind, f, k)] != 1:
+                    raise ValueError(f"fold {f}: site {k} sent {sent[(kind, f, k)]} {kind} "
+                                     "messages; protocol two sends exactly one per fold")
     for k in sorted(sizes.keys() - excluded):
         if covered[k] != sizes[k]:
             raise ValueError(f"site {k}: its aggregates over folds 0-{n_folds - 1} "
@@ -341,22 +336,25 @@ def replay(log: MessageLog, ci_level: float = 0.95,
     report here too, so replay matches it bitwise.
 
     Every message is read through SCHEMA before any rule that spans messages.
-    A transcript holds one aggregate variant: sums, or meta deltas and
-    exclusions. It is protocol one's, sums sent once per site, when it holds
-    only aggregates, and protocol two's (_check_folds) otherwise. Each refusal
-    is a ValueError naming the message and its key, the fold or the site."""
+    A transcript holds one aggregate variant: protocol one's sums, or
+    protocol two's fold_sums (clb) or meta deltas and exclusions. It is
+    protocol one's, sums sent once per site, when it holds only aggregates,
+    and protocol two's (_check_folds) otherwise. Each refusal is a ValueError
+    naming the message and its key, the fold or the site."""
     reads = []
     for i, m, variant, values, extra, faults in _read_log(log):
         _refuse(i, m, extra, faults)
         reads.append((i, m.kind, variant, values))
     aggs = [(i, variant, v) for i, kind, variant, v in reads if kind == "aggregates"]
     protocol_two = len(aggs) < len(reads)
-    # sums: protocol one's, or protocol two's when its first aggregates are
-    clb = not (protocol_two and aggs) or aggs[0][1] == "sums"
+    # protocol one's hold sums, protocol two's what its first aggregates hold
+    family = {"deltas": "deltas or exclusions", "exclusion": "deltas or exclusions"}
+    held = family.get(aggs[0][1], aggs[0][1]) if protocol_two and aggs else "sums"
     for i, variant, _ in aggs:
-        if (variant == "sums") != clb:
+        if family.get(variant, variant) != held:
             raise ValueError(f"message {i}: aggregates holds {variant}, but this transcript's "
-                             f"aggregates hold {'sums' if clb else 'deltas or exclusions'}")
+                             f"aggregates hold {held}")
+    clb = held != "deltas or exclusions"
     # a site publishes once, and sends protocol one's aggregates once
     first = {}
     for i, kind, _, v in reads:
@@ -432,7 +430,7 @@ def run_algorithm1(sites: Sequence[SiteDataset], table: ScoreTable,
     log = MessageLog()
     for s in sorted(sites, key=lambda t: t.site_id):
         agg = clb_site_aggregates(s, table)
-        log.post(SiteMessage(s.site_id, "aggregates", 0, agg.to_payload()), True)
+        log.post(SiteMessage(s.site_id, "aggregates", 0, agg.to_payload()))
     return replay(log, ci_level=ci_level), log
 
 
@@ -444,31 +442,16 @@ def run_algorithm2(sites: Sequence[SiteDataset], target: TargetCovariates,
                    ratios: Dict[Tuple[int, int], Optional[RatioModel]],
                    psi_om, flavor: str = "clb", F: int = 2, rng=None,
                    weights: Optional[Dict[int, float]] = None,
-                   ci_level: float = 0.95, train: bool = True
-                   ) -> Tuple[EstimateReport, MessageLog]:
+                   ci_level: float = 0.95) -> Tuple[EstimateReport, MessageLog]:
     """Decoupled collaborative estimation as an explicit message exchange.
 
     ratios maps (site_id, arm) to a fitted selection-side density-ratio model;
     the target covariate table is public input the server already holds.
-    Each fold's outcome fit is exact in one round of block messages. With
-    train False the outcome models are zeros, cross-fitting collapses to a
-    single fold, and no block messages flow.
+    Each fold of crossfit_split(sites, F, rng) fits its outcome models exactly
+    in one round of block messages. Every message goes over the wire, and the
+    report is read from the parsed log alone, so it is bitwise decoupled_aipw
+    on the published scores with the same folds, and replay gives it again.
     """
-    return _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
-                            weights, ci_level, train, wire=True)
-
-
-def centralized_algorithm2(sites, target, ratios, psi_om, flavor: str = "clb",
-                           F: int = 2, rng=None, weights=None,
-                           ci_level: float = 0.95, train: bool = True):
-    """The same computation with every exchange kept in memory: the reference
-    the message-passing run must match bitwise."""
-    return _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
-                            weights, ci_level, train, wire=False)
-
-
-def _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
-                     weights, ci_level, train, wire: bool):
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
         raise ValueError("no sites")
@@ -487,7 +470,7 @@ def _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
         for arm in (1, 0):
             model = ratios.get((s.site_id, arm))
             payload[f"model{arm}"] = None if model is None else model.to_json_obj()
-        log.post(SiteMessage(s.site_id, "publish_ratio_model", 0, payload), wire)
+        log.post(SiteMessage(s.site_id, "publish_ratio_model", 0, payload))
 
     # The server reads the published models through the wire schema, sizes
     # their coefficients by the target it holds, and assembles pooled scores.
@@ -509,32 +492,24 @@ def _algorithm2_impl(sites, target, ratios, psi_om, flavor, F, rng,
         raise ValueError("no ratio models were published")
     table = score_table(sites, assemble_propensity(models, counts, n_published))
 
-    if train:
-        fold_plan = crossfit_split(sites, F, rng)
+    def fit(train_include, f):
+        return fit_outcome_blocks(sites, table, psi_om, train_include, f, log)
 
-        def fit(train_include, f):
-            return fit_outcome_blocks(sites, table, psi_om, train_include, f,
-                                      lambda m: log.post(m, wire))
-    else:
-        fold_plan = FoldPlan(F=1, fold_index={s.site_id: np.zeros(s.n, dtype=int)
-                                              for s in sites})
-        zeros = (zero_outcome_model(1, psi_om, sites[0].d),
-                 zero_outcome_model(0, psi_om, sites[0].d))
-
-        def fit(train_include, f):
-            return zeros
-
-    for f, mean, var, corrections in _crossfit_folds(sites, target, table, fold_plan,
+    # a site sends the keys of its flavour's variant only
+    spec = SCHEMA["aggregates"][1]["fold_sums" if flavor == "clb" else "deltas"]
+    for f, mean, var, corrections in _crossfit_folds(sites, target, table,
+                                                     crossfit_split(sites, F, rng),
                                                      psi_om, fit, (flavor,)):
         log.post(SiteMessage("server", "target_mean_term", f,
                              {"fold": f, "value": mean, "target_var": var,
-                              "n_target": int(target.n)}), wire)
+                              "n_target": int(target.n)}))
         for k, res in corrections[flavor].items():
             if isinstance(res, Excluded):
                 payload = {"fold": f, "site_id": k, "excluded": res.reason}
             else:
-                payload = {"fold": f, **res.to_payload()}
-            log.post(SiteMessage(k, "aggregates", f, payload), wire)
+                payload = {key: v for key, v in {"fold": f, **res.to_payload()}.items()
+                           if key in spec}
+            log.post(SiteMessage(k, "aggregates", f, payload))
 
     # the server reads only the parsed log, so replay is exact
     return replay(log, ci_level=ci_level, weights=weights), log

@@ -314,11 +314,6 @@ class OutcomeModel:
         return float(out[0]) if single else out
 
 
-def zero_outcome_model(arm: int, psi: FeatureMap, d: int) -> OutcomeModel:
-    p = psi.output_dim(d) + (0 if psi.has_intercept else 1)
-    return OutcomeModel(arm=arm, psi=psi, theta=np.zeros(p))
-
-
 @functools.lru_cache(maxsize=None)
 def _upper(p: int) -> Tuple[np.ndarray, np.ndarray]:
     """Row-major indices of a p x p upper triangle; cached, as np.triu_indices

@@ -34,7 +34,7 @@ from fedcause import (
 )
 from fedcause.density_ratio import IDENTITY
 from fedcause.estimators import meta_ipw_site
-from fedcause.fedsim import centralized_algorithm2
+from fedcause.nuisance import assemble_propensity, crossfit_split
 from fedcause.synthgen import check_overlap
 from conftest import (
     brute_knn_ratio,
@@ -197,6 +197,16 @@ def _outcome_of(fn):
         return ("raised", type(exc).__name__, str(exc))
 
 
+def _in_memory_algorithm2(sites, target, ratios, psi_om, flavor, F, rng, weights):
+    """decoupled_aipw on the pooled scores protocol two assembles from ratios,
+    over the folds of crossfit_split(sites, F, rng)."""
+    sites = sorted(sites, key=lambda s: s.site_id)
+    counts = {(s.site_id, z): int(np.sum(s.z_vec == z)) for s in sites for z in (0, 1)}
+    table = score_table(sites, assemble_propensity(ratios, counts, sum(s.n for s in sites)))
+    return decoupled_aipw(sites, target, table, psi_om, flavor=flavor, weights=weights,
+                          fold_plan=crossfit_split(sites, F, rng))
+
+
 def test_criterion_7_federated_equals_centralized_and_audits_clean():
     mismatches = 0
     for i in range(100):
@@ -206,16 +216,14 @@ def test_criterion_7_federated_equals_centralized_and_audits_clean():
         ratios = _fuzz_ratio_models(rng, sites, d)
         flavor = "clb" if i % 2 == 0 else "meta"
         F = 2 if i % 3 else 3
-        train = i % 10 < 7
         rng.integers(2, 6)  # unused; dropping it would shift every later fuzz draw
         weights = ({s.site_id: float(rng.uniform(0.5, 2.0)) for s in sites}
                    if flavor == "meta" else None)
-        kw = dict(psi_om=IDENTITY_PLUS_INTERCEPT, flavor=flavor, F=F,
-                  train=train, weights=weights)
+        kw = dict(psi_om=IDENTITY_PLUS_INTERCEPT, flavor=flavor, F=F, weights=weights)
         out_f = _outcome_of(lambda: run_algorithm2(
             sites, target, ratios, rng=np.random.default_rng((SEED, 70, i)), **kw)[0])
-        out_c = _outcome_of(lambda: centralized_algorithm2(
-            sites, target, ratios, rng=np.random.default_rng((SEED, 70, i)), **kw)[0])
+        out_c = _outcome_of(lambda: _in_memory_algorithm2(
+            sites, target, ratios, rng=np.random.default_rng((SEED, 70, i)), **kw))
         if out_f != out_c:
             mismatches += 1
         table = score_table(sites, fuzz_scores(rng, sites, d))
@@ -239,8 +247,7 @@ def test_criterion_7_federated_equals_centralized_and_audits_clean():
                 ratios = _fuzz_ratio_models(rng, sites, d)
                 _, log = run_algorithm2(
                     sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
-                    F=2, train=(i % 20 == 9),
-                    rng=np.random.default_rng((SEED, 72, i)))
+                    F=2, rng=np.random.default_rng((SEED, 72, i)))
         except (ValueError, OverlapError, AllSitesExcludedError):
             # an arm can be empty in a tiny fuzz fold; no transcript to audit
             i += 1

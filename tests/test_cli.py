@@ -202,7 +202,7 @@ def test_estimate_names_the_site_of_a_failed_fit(capsys, data_dir, monkeypatch):
 # protocol's arithmetic or messages
 FEDERATED_SHA256 = {
     "report": "298c37d43be81f933a28397b9a0f854bd562aa260ea471ed2d79fe189039c28a",
-    "transcript": "c6458ead594c986a04d591bce821c2b91a891e89aad6caa4df273e3a6055ef57",
+    "transcript": "e267c7681e61fb0b1b25f40f403863f03960554f75e9ed59909c55ea9058e8de",
 }
 
 

@@ -25,7 +25,6 @@ from fedcause import (
     meta_ipw,
     oracle_shift_propensity,
     score_table,
-    zero_outcome_model,
 )
 from fedcause.density_ratio import IDENTITY, IDENTITY_PLUS_INTERCEPT, MISSPECIFIED, FeatureMap
 from fedcause.estimators import (_aipw_fold_inputs, _clb_aggregate_arrays, _meta_deltas,
@@ -215,8 +214,8 @@ def test_corrections_vanish_with_perfect_models():
 def test_corrections_with_zero_model_equal_ipw_terms():
     site = _two_unit_site()
     p = score_table([site], _const_set(0.5))
-    m1 = zero_outcome_model(1, IDENTITY, d=1)
-    m0 = zero_outcome_model(0, IDENTITY, d=1)
+    m1 = OutcomeModel(arm=1, psi=IDENTITY, theta=np.zeros(2))
+    m0 = OutcomeModel(arm=0, psi=IDENTITY, theta=np.zeros(2))
     agg = _corrections(site, m1, m0, p, "clb")
     raw = clb_site_aggregates(site, p)
     assert (agg.G1, agg.N1, agg.G0, agg.N0) == (raw.G1, raw.N1, raw.G0, raw.N0)
@@ -229,7 +228,7 @@ def test_correction_single_unit_residual():
     site = SiteDataset.from_arrays(1, np.array([[3.0]]), [1], [2.0])
     p = score_table([site], _const_set(0.5))
     m1 = OutcomeModel(arm=1, psi=IDENTITY, theta=np.array([0.0, 0.5]))
-    m0 = zero_outcome_model(0, IDENTITY, d=1)
+    m0 = OutcomeModel(arm=0, psi=IDENTITY, theta=np.zeros(2))
     agg = _corrections(site, m1, m0, p, "clb")
     assert agg.G1 / agg.N1 == pytest.approx(0.5)
 
@@ -248,8 +247,8 @@ def test_aipw_combine_lambda_one_zero_residuals():
 def test_aipw_combine_zero_models_reduces_to_clb():
     sites = [_two_unit_site(1), _two_unit_site(2)]
     p = score_table(sites, _const_set(0.5, site_ids=(1, 2)))
-    m1 = zero_outcome_model(1, IDENTITY, d=1)
-    m0 = zero_outcome_model(0, IDENTITY, d=1)
+    m1 = OutcomeModel(arm=1, psi=IDENTITY, theta=np.zeros(2))
+    m0 = OutcomeModel(arm=0, psi=IDENTITY, theta=np.zeros(2))
     deltas = {s.site_id: _corrections(s, m1, m0, p, "clb") for s in sites}
     inputs = AipwInputs(target_mean_term=0.0, target_sq_term=0.0, n_target=10,
                         deltas=deltas, n_pooled=4, fold=0)
@@ -260,8 +259,8 @@ def test_aipw_combine_zero_models_reduces_to_clb():
 
 def test_aipw_meta_flavor_weighted_combine():
     site = _two_unit_site()
-    d_a = _corrections(site, zero_outcome_model(1, IDENTITY, 1),
-                       zero_outcome_model(0, IDENTITY, 1),
+    d_a = _corrections(site, OutcomeModel(arm=1, psi=IDENTITY, theta=np.zeros(2)),
+                       OutcomeModel(arm=0, psi=IDENTITY, theta=np.zeros(2)),
                        score_table([site], _const_set(0.5)), "meta")
     inputs = AipwInputs(target_mean_term=0.25, target_sq_term=0.0, n_target=8,
                         deltas={1: d_a}, n_pooled=4, fold=0)

@@ -1,4 +1,4 @@
-"""Message protocol: transcripts, replay, federated-vs-centralized equality,
+"""Message protocol: transcripts, replay, federated-vs-in-memory equality,
 the one-round outcome fit, and the privacy audit."""
 import dataclasses
 import pathlib
@@ -27,9 +27,9 @@ from fedcause import (
 )
 from fedcause import fedsim, nuisance
 from fedcause.density_ratio import IDENTITY, FeatureMap, RatioModel
-from fedcause.fedsim import (MESSAGE_KINDS, SiteMessage, centralized_algorithm2,
-                             fit_outcome_blocks)
-from fedcause.nuisance import assemble_propensity, fit_scores, solve_outcome_blocks
+from fedcause.fedsim import MESSAGE_KINDS, SiteMessage, fit_outcome_blocks
+from fedcause.nuisance import (assemble_propensity, crossfit_split, fit_scores,
+                               solve_outcome_blocks)
 from conftest import fuzz_dataset, fuzz_scores, usable_arm_rows
 
 
@@ -234,6 +234,19 @@ def test_replay_refuses_a_dropped_or_repeated_outcome_blocks_message():
         replay(MessageLog(msgs[:b] + [msgs[b]] + msgs[b:]))
 
 
+def test_replay_refuses_a_transcript_without_its_outcome_fit():
+    # every protocol-two run trains, so the corrections rest on the blocks
+    sites, target, p = _site_one_all_treated()
+    ratios = {pair: score.ratio for pair, score in p.e.items()}
+    for flavor in ("clb", "meta"):
+        _, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
+                                flavor=flavor, F=2, rng=np.random.default_rng(4))
+        msgs = [m for m in log if m.kind != "outcome_blocks"]
+        assert len(msgs) == len(log) - 6
+        with pytest.raises(ValueError, match="fold 0: site 1 sent 0 outcome_blocks messages"):
+            replay(MessageLog(msgs))
+
+
 @pytest.mark.parametrize("key, value, reason", [
     ("gram1", [1.0] * 5, "gram1 is not a list of 6 finite numbers"),
     ("cross0", [1.0] * 4, "cross0 is not a list of 3 finite numbers"),
@@ -411,7 +424,7 @@ def test_replay_refuses_a_second_aggregate_variant():
                           + msgs[i + 1:])
     assert audit_messages(tampered) == []  # each message alone keeps to the schema
     with pytest.raises(ValueError, match=f"message {i}: aggregates holds exclusion, but this "
-                                         "transcript's aggregates hold sums"):
+                                         "transcript's aggregates hold fold_sums"):
         replay(tampered)
     # protocol one sends sums only
     one = _protocol_one_transcript()
@@ -464,10 +477,31 @@ def test_spec_schema_tables_are_the_wire_schema():
         (kind, variant if len(variants) > 1 else None): {k: (t, sender) for k, t in spec.items()}
         for kind, (sender, variants) in fedsim.SCHEMA.items()
         for variant, spec in variants.items()}
-    # replay builds SiteAggregates and MetaDeltas from exactly these keys
+    # replay builds SiteAggregates and MetaDeltas from exactly these keys;
+    # protocol two's clb sums leave out the moments its correction multiplies by 0
     _, variants = fedsim.SCHEMA["aggregates"]
-    for variant, cls in (("sums", fedsim.SiteAggregates), ("deltas", fedsim.MetaDeltas)):
-        assert set(variants[variant]) == {f.name for f in dataclasses.fields(cls)} | {"fold"}
+    sums, deltas = ({f.name for f in dataclasses.fields(cls)}
+                    for cls in (fedsim.SiteAggregates, fedsim.MetaDeltas))
+    assert set(variants["sums"]) == sums
+    assert set(variants["fold_sums"]) == sums - {"w2_1", "w2y_1", "w2_0", "w2y_0"} | {"fold"}
+    assert set(variants["deltas"]) == deltas | {"fold"}
+
+
+def test_replay_refuses_protocol_two_sums_that_carry_unread_moments():
+    msgs = _two_site_transcript()
+    i = next(i for i, m in enumerate(msgs) if m.kind == "aggregates")
+    unread = {"w2_1": 2.5, "w2y_1": -1.0, "w2_0": 3.0, "w2y_0": 0.5}
+    for key, value in unread.items():
+        tampered = MessageLog(_tampered(msgs, i, **{key: value}))
+        assert audit_messages(tampered) == [
+            f"message {i} ('aggregates' from {msgs[i].sender!r}): unexpected key {key!r}"]
+        with pytest.raises(ValueError, match=f"message {i}: aggregates key {key!r} is outside"):
+            replay(tampered)
+    # with all four it reads as protocol one's sums, which name no fold
+    tampered = MessageLog(_tampered(msgs, i, **unread))
+    assert audit_messages(tampered)
+    with pytest.raises(ValueError, match=f"message {i}: aggregates key 'fold' is outside"):
+        replay(tampered)
 
 
 def test_algorithm2_equals_centralized_run():
@@ -475,11 +509,14 @@ def test_algorithm2_equals_centralized_run():
     sites = _linear_sites(rng, n_sites=3, n=20)
     target = TargetCovariates(rng.normal(size=(25, 2)))
     ratios = _fitted_ratios(sites, target)
-    rep_f, _ = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
-                              F=2, rng=np.random.default_rng(11))
-    rep_c, _ = centralized_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
-                                      F=2, rng=np.random.default_rng(11))
-    assert rep_f == rep_c
+    counts = {(s.site_id, z): int(np.sum(s.z_vec == z)) for s in sites for z in (0, 1)}
+    table = score_table(sites, assemble_propensity(ratios, counts, sum(s.n for s in sites)))
+    for flavor in ("clb", "meta"):
+        rep_f, _ = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
+                                  flavor=flavor, F=2, rng=np.random.default_rng(11))
+        rep_c = decoupled_aipw(sites, target, table, IDENTITY_PLUS_INTERCEPT, flavor=flavor,
+                               fold_plan=crossfit_split(sites, 2, np.random.default_rng(11)))
+        assert rep_f == rep_c
 
 
 def _site_one_all_treated():
@@ -537,21 +574,6 @@ def test_replay_does_not_depend_on_the_order_of_a_folds_aggregates():
         assert replay(MessageLog(msgs)) == replay(log) == rep
 
 
-def test_algorithm2_without_training_reduces_to_pooled_ipw():
-    rng = np.random.default_rng(5)
-    sites = _linear_sites(rng, n_sites=2, n=26)
-    target = TargetCovariates(rng.normal(size=(30, 2)))
-    ratios = _fitted_ratios(sites, target)
-    rep, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY,
-                              train=False, rng=np.random.default_rng(0))
-    counts = {(s.site_id, z): int(np.sum(s.z_vec == z)) for s in sites for z in (0, 1)}
-    p = score_table(sites, assemble_propensity(ratios, counts,
-                                               n_pooled=sum(counts.values())))
-    direct = clb_ipw(sites, p)
-    assert rep.tau_hat == direct.tau_hat
-    assert rep.var_hat >= 0.0
-
-
 def test_algorithm2_needs_two_target_rows(monkeypatch):
     import fedcause.fedsim as fedsim
     rng = np.random.default_rng(5)
@@ -564,11 +586,9 @@ def test_algorithm2_needs_two_target_rows(monkeypatch):
         raise AssertionError("a fold trained before the target check")
 
     monkeypatch.setattr(fedsim, "fit_outcome_blocks", no_training)
-    for run in (run_algorithm2, centralized_algorithm2):
-        for train in (True, False):
-            with pytest.raises(ValueError, match="needs at least 2 target rows"):
-                run(sites, one_row, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
-                    train=train, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="needs at least 2 target rows"):
+        run_algorithm2(sites, one_row, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
+                       rng=np.random.default_rng(0))
 
 
 def test_algorithm2_rejects_neighbour_ratio_models():
@@ -579,10 +599,6 @@ def test_algorithm2_rejects_neighbour_ratio_models():
               (1, 0): fit_knn(sites[0].x_matrix[sites[0].z_vec == 0], target.xs, M=2)}
     with pytest.raises(PrivacyError):
         run_algorithm2(sites, target, ratios, psi_om=IDENTITY)
-
-
-def _wire_post(log):
-    return lambda m: log.post(m, True)
 
 
 def test_block_solve_matches_stacked_weighted_lstsq():
@@ -620,7 +636,7 @@ def test_outcome_blocks_evaluate_no_score_after_the_table_is_built():
                                                 for z in (0, 1)}))
     assert len(calls) == 2 * 3  # arms x score columns, each over every site's rows
     calls.clear()
-    fit_outcome_blocks(sites, table, IDENTITY, {}, 0, _wire_post(MessageLog()))
+    fit_outcome_blocks(sites, table, IDENTITY, {}, 0, MessageLog())
     assert calls == []
 
 
@@ -640,7 +656,7 @@ def test_outcome_blocks_build_each_site_design_once(monkeypatch):
     log = MessageLog()
     for fold in (0, 1):
         include = {s.site_id: np.arange(s.n) % 2 != fold for s in sites}
-        fit_outcome_blocks(sites, table, IDENTITY, include, fold, _wire_post(log))
+        fit_outcome_blocks(sites, table, IDENTITY, include, fold, log)
     # one full-site design per site, its rows shared by both arms and folds
     assert calls == [s.n for s in sites]
     assert [m.kind for m in log] == ["outcome_blocks"] * 6
@@ -655,8 +671,7 @@ def test_outcome_blocks_are_bitwise_the_in_memory_fit():
     include = {s.site_id: rng.random(s.n) < 0.7 for s in sites}
     include[3] &= sites[2].z_vec == 1  # site 3 trains no control units
     log = MessageLog()
-    m1, m0 = fit_outcome_blocks(sites, table, IDENTITY_PLUS_INTERCEPT, include, 4,
-                                _wire_post(log))
+    m1, m0 = fit_outcome_blocks(sites, table, IDENTITY_PLUS_INTERCEPT, include, 4, log)
     for m, arm in ((m1, 1), (m0, 0)):
         ref = fit_outcome_direct(sites, arm, IDENTITY_PLUS_INTERCEPT, table, include=include)
         assert m.theta.tobytes() == ref.theta.tobytes()

@@ -17,7 +17,6 @@ from fedcause import (
     gen_covariate_shift,
     oracle_shift_propensity,
     score_table,
-    zero_outcome_model,
 )
 from fedcause.density_ratio import (IDENTITY, FeatureMap, RatioModel, expit,
                                     fit_logistic, fit_logistic_ratio)
@@ -271,7 +270,7 @@ def test_outcome_model_predict_and_json():
     m = OutcomeModel(arm=1, psi=IDENTITY_PLUS_INTERCEPT, theta=np.array([1.0, 2.0, -1.0]))
     x = np.array([[0.5, 0.25], [1.0, 1.0]])
     assert np.allclose(m.predict(x), [1.0 + 1.0 - 0.25, 2.0])
-    zm = zero_outcome_model(0, IDENTITY, d=3)
+    zm = OutcomeModel(arm=0, psi=IDENTITY, theta=np.zeros(4))
     assert np.allclose(zm.predict(np.ones((2, 3))), 0.0)
 
 

@@ -235,7 +235,7 @@ def read_sites_csv(path) -> list:
         raise ValueError(f"{path}: no data rows")
     ids = rows["site_id"]
     return [SiteDataset.from_arrays(int(k), rows["x"][ids == k], rows["z"][ids == k],
-                                    rows["y"][ids == k]) for k in np.unique(ids)]
+                                    rows["y"][ids == k]) for k in sorted(set(ids.tolist()))]
 
 
 def write_target_csv(target: TargetCovariates, path) -> None:

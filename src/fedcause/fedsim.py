@@ -215,11 +215,13 @@ def _read_model(obj) -> Tuple[Optional[RatioModel], List[str]]:
 def _read_log(log: MessageLog):
     """Read each message i of log through SCHEMA, yielding (i, message,
     variant, values, extra, faults). The variant leaves the fewest payload
-    keys outside, then misses the fewest; values holds each key whose value
-    has its field type (a model as a RatioModel); extra lists the keys outside
-    the variant; each fault is a text that names its key. The sender must be
-    the site_id (or "server"), and the round the fold (or 0 without one)."""
+    keys outside, then misses the fewest, and is not sums in protocol two's
+    log (one holding any known kind but aggregates); values holds each key
+    whose value has its field type (a model as a RatioModel); extra lists the
+    keys outside the variant; each fault is a text that names its key. The
+    sender must be the site_id (or "server"), and the round the fold (or 0 without one)."""
     p = None
+    two = any(m.kind in MESSAGE_KINDS and m.kind != "aggregates" for m in log)
     for i, m in enumerate(log):
         kind, pay = m.kind, m.payload
         known = isinstance(kind, str) and kind in SCHEMA
@@ -228,8 +230,8 @@ def _read_log(log: MessageLog):
                                       else f"unknown kind {kind!r}"]
             continue
         sender, variants = SCHEMA[kind]
-        variant = min(variants, key=lambda v: (len(pay.keys() - variants[v].keys()),
-                                             len(variants[v].keys() - pay.keys())))
+        variant = min((v for v in variants if not (two and v == "sums")), key=lambda v: (
+            len(pay.keys() - variants[v].keys()), len(variants[v].keys() - pay.keys())))
         spec, values, faults = variants[variant], {}, []
         for key, typ in spec.items():
             v = pay.get(key)
@@ -271,9 +273,10 @@ def _read_log(log: MessageLog):
 
 
 def _refuse(i: int, m: SiteMessage, extra, faults) -> None:
-    """Raise a ValueError naming message i and the key of its first fault."""
+    """Raise a ValueError naming message i and each key outside its schema, or its first fault."""
     if extra:
-        raise ValueError(f"message {i}: {m.kind} key {extra[0]!r} is outside its schema")
+        also = f", as are {', '.join(map(repr, extra[1:]))}" if extra[1:] else ""
+        raise ValueError(f"message {i}: {m.kind} key {extra[0]!r} is outside its schema{also}")
     if faults:
         raise ValueError(f"message {i}: {faults[0]}")
 
@@ -295,8 +298,6 @@ def _check_folds(reads) -> None:
     for i, kind, variant, v in reads:
         if kind == "publish_ratio_model":
             continue
-        if "fold" not in v:
-            raise ValueError(f"message {i}: {kind} names no fold, which protocol two's do")
         f = v["fold"]
         n_folds = max(n_folds, f + 1)
         if kind == "target_mean_term":

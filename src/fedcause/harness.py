@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, Sequence, Tuple
 
@@ -296,6 +295,7 @@ def run_monte_carlo(spec: SweepSpec, seed: int, jobs: int = 1) -> SweepResult:
     tasks = [(spec, seed, gi, r, placements[(gi, r % spec.placements)])
              for gi in range(len(spec.d_kl_grid)) for r in range(spec.replications)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outs = list(pool.map(_run_one_rep, *zip(*tasks),
                                  chunksize=max(1, len(tasks) // (jobs * 8))))

@@ -1,5 +1,6 @@
 """The pair summary of tools/bench_pairs.py, on made-up pairs (no run.py)."""
 import importlib.util
+import json
 import pathlib
 import subprocess
 
@@ -101,3 +102,59 @@ def test_run_reads_the_printed_digest(monkeypatch):
     assert host == {"cpus": 2}
     assert out == {"reps_per_s": 25.1, "attempted": 8, "failed": 0, "correct": True,
                    "digest": digest}
+
+
+def test_tied_pairs_count_for_neither_side():
+    # peak_rss_mb can tie to the KB: six tied pairs, three better, one worse
+    metrics = {"peak_rss_mb": (False, 0.15)}
+    base = [42.9] * 10
+    change = [42.9] * 6 + [42.8] * 3 + [43.0]
+    pairs = _pairs([10.0] * 10, [10.0] * 10)
+    for p, b, c in zip(pairs, base, change):
+        p["base"]["peak_rss_mb"], p["change"]["peak_rss_mb"] = b, c
+    s = bench_pairs.summarize(pairs, metrics)["peak_rss_mb"]
+    assert (s["change_better_pairs"], s["base_better_pairs"]) == (3, 1)
+    assert s["gain_rule_holds"] is False
+    # ties alone favour neither side, so no gain is claimed either way
+    tied = bench_pairs.summarize(_pairs([10.0] * 10, [10.0] * 10), {"reps_per_s": (True, 0.25)})
+    assert (tied["reps_per_s"]["change_better_pairs"],
+            tied["reps_per_s"]["base_better_pairs"]) == (0, 0)
+    assert tied["reps_per_s"]["gain_rule_holds"] is False
+
+
+def test_main_runs_every_workload_and_writes_one_file_each(monkeypatch, tmp_path):
+    # run.py is stood in for: the change side reads 1.0 reps/s more
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, metrics):
+        calls.append((workload, seed, checkout))
+        value = 11.0 if checkout == "after" else 10.0
+        return {"cpus": 2}, {**{m: value for m in metrics}, "attempted": 4, "failed": 0,
+                             "correct": True, "digest": "d"}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.setattr(bench_pairs, "end_to_end", lambda checkout: {"reps_per_s": (True, 0.25)})
+    monkeypatch.setattr(bench_pairs, "workloads", lambda checkout: ["w1", "w2", "w3"])
+    monkeypatch.setattr(bench_pairs, "_commit", lambda checkout: checkout)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--base", "before", "--change", "after", "--workload", "all",
+                             "--pairs", "2", "--seed", "7", "--label", "x"]) == 0
+    # within a workload the side that runs first alternates, and seeds count up
+    assert calls == [(w, seed, side) for w in ("w1", "w2", "w3")
+                     for seed, order in ((7, ("before", "after")), (8, ("after", "before")))
+                     for side in order]
+    for w in ("w1", "w2", "w3"):
+        doc = json.loads((tmp_path / f"BENCH_{w}-x.json").read_text())
+        assert doc["workload"] == w and doc["label"] == "x" and doc["pairs_run"] == 2
+        assert doc["commits"] == {"base": "before", "change": "after"}
+        assert doc["summary"]["reps_per_s"]["change_better_pairs"] == 2
+
+    calls.clear()
+    assert bench_pairs.main(["--base", "before", "--change", "after", "--workload", "w3",
+                             "--workload", "w1", "--workload", "w3", "--label", "y"]) == 0
+    # each workload once, in the order given, for the default 10 pairs
+    assert [w for w, _, _ in calls] == ["w3"] * 20 + ["w1"] * 20
+    assert sorted(f.name for f in tmp_path.glob("BENCH_*-y.json")) == [
+        "BENCH_w1-y.json", "BENCH_w3-y.json"]
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--base", "b", "--change", "a", "--workload", "w9", "--label", "z"])

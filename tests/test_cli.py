@@ -2,10 +2,14 @@
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fedcause
 from fedcause import MessageLog, SweepSpec, ShiftConfig, audit_messages, replay
 from fedcause.cli import main
 
@@ -512,3 +516,37 @@ def test_ci_grid_cli_reports_excisions(tmp_path, capsys, monkeypatch):
     assert [ln for ln in err if "dropped" in ln] == [
         "ps_spec correct, om_spec correct: 1 of 3 replications dropped a site whose "
         "score fit failed"]
+
+
+# a fresh interpreter generates a dataset, runs a federated clb-aipw estimate
+# on it and a serial Monte Carlo sweep, then prints the modules those loaded
+# beyond numpy's own (numpy 1.x loads numpy.ma with numpy)
+_FOOTPRINT_SCRIPT = """
+import json, sys
+import numpy
+before = set(sys.modules)
+from fedcause import ShiftConfig, SweepSpec, run_monte_carlo
+from fedcause.cli import main
+cfg, out = sys.argv[1:]
+assert main(["generate", "--config", cfg, "--seed", "1", "--out", out]) == 0
+assert main(["estimate", "--data", out, "--estimator", "clb-aipw", "--federated"]) == 0
+run_monte_carlo(SweepSpec(d_kl_grid=(1.0,), replications=1,
+                          shift=ShiftConfig(site_sizes=(50, 60, 70), n_target=120)), seed=1)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_a_serial_run_loads_neither_the_process_pool_nor_masked_arrays(tmp_path):
+    # only jobs > 1 needs a process pool; a serial run keeps its memory
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"site_sizes": [60, 80, 100], "n_target": 150}))
+    src = str(pathlib.Path(fedcause.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(cfg_path),
+                           str(tmp_path / "d")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout.splitlines()[-1])
+    assert "fedcause.harness" in added and "fedcause.fedsim" in added
+    heavy = ("multiprocessing", "concurrent.futures.process", "numpy.ma")
+    assert [m for m in added if any(m == h or m.startswith(h + ".") for h in heavy)] == []

@@ -497,10 +497,15 @@ def test_replay_refuses_protocol_two_sums_that_carry_unread_moments():
             f"message {i} ('aggregates' from {msgs[i].sender!r}): unexpected key {key!r}"]
         with pytest.raises(ValueError, match=f"message {i}: aggregates key {key!r} is outside"):
             replay(tampered)
-    # with all four it reads as protocol one's sums, which name no fold
+    # with all four it still reads as fold_sums, since protocol two sends no
+    # sums, and the refusal names each of the four
     tampered = MessageLog(_tampered(msgs, i, **unread))
-    assert audit_messages(tampered)
-    with pytest.raises(ValueError, match=f"message {i}: aggregates key 'fold' is outside"):
+    assert audit_messages(tampered) == [
+        f"message {i} ('aggregates' from {msgs[i].sender!r}): unexpected key {key!r}"
+        for key in unread]
+    with pytest.raises(ValueError, match=re.escape(
+            f"message {i}: aggregates key 'w2_1' is outside its schema, "
+            "as are 'w2y_1', 'w2_0', 'w2y_0'")):
         replay(tampered)
 
 

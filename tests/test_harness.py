@@ -189,6 +189,19 @@ def test_small_sweep_csv_bytes_are_pinned(tmp_path, mode, spec_kind):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[(mode, spec_kind)]
 
 
+# sha256 of the interval-quality grid's CSV with tilting scores on the small
+# design, 10 replications at seed 42: the four (ps_spec, om_spec) cells share
+# each replication's draw, so a grid that reuses it must keep these bytes
+CI_GRID_SHA256 = "33ede66b6d4b4e3885151cf8edaffc1afc77f57c66265361ce6b661b3b5711a0"
+
+
+def test_small_ci_grid_csv_bytes_are_pinned(tmp_path):
+    spec = SweepSpec(replications=10, nuisance_mode="tilting", shift=SMALL)
+    out = tmp_path / "ci.csv"
+    ci_grid(spec, seed=42, out_path=out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CI_GRID_SHA256
+
+
 # sha256 of the small tilting sweep's CSV (seed 42, oracle meta weights, 3
 # folds), followed by each cell's mean interval half-width, which the CSV
 # omits, when one site's fit is forced to fail: call 2 of the site ratio fits

@@ -3,19 +3,21 @@
     python3 tools/bench_pairs.py --base ../parent --change . --workload mc-tilting \
         --pairs 10 --seconds 28 --seed 5001 --label logistic-blocks
 
-Pair i runs both checkouts at seed ``seed + i``, the base first in even pairs
-and the change first in odd ones, so a slow spell of the host lands on both
-sides alike. Writes ``BENCH_<label>.json`` in the current directory: the host
-record that run.py prints (CPU count and model, Python, numpy), each
-checkout's commit, and for every pair each side's end-to-end metrics of
-the change's BENCHMARK.json with its failed and attempted counts and the
-``check output_sha256`` digest it printed. The
-summary (``summarize``) gives, per metric, both sides' medians and
-quartiles, the quartiles of the per-pair change/base ratios, the pairs in
-which the change was better, the base's interquartile range, whether the
-gain rule holds (the change better in at least nine tenths of the pairs run,
-ties counting for neither, and its median beyond the base's by more than
-that range, in the metric's better direction), and whether the change is
+``--workload`` may be given more than once, or as ``all`` for every workload
+of the change's BENCHMARK.json; the workloads run one after another. Within
+a workload, pair i runs both checkouts at seed ``seed + i``, the base first
+in even pairs and the change first in odd ones, so a slow spell of the host
+lands on both sides alike. Writes ``BENCH_<workload>-<label>.json`` per
+workload in the current directory: the host record that run.py prints (CPU
+count and model, Python, numpy), each checkout's commit, and for every pair
+each side's end-to-end metrics of the change's BENCHMARK.json with its
+failed and attempted counts and the ``check output_sha256`` digest it
+printed. The summary (``summarize``) gives, per metric, both sides' medians
+and quartiles, the quartiles of the per-pair change/base ratios, the pairs
+in which each side was better (a tied pair counts for neither), the base's
+interquartile range, whether the gain rule holds (the change better in at
+least nine tenths of the pairs run and its median beyond the base's by more
+than that range, in the metric's better direction), and whether the change is
 within the metric's bound: its median no worse than the base's by more than
 the bound's fraction of the base's median. A metric is ``unresolved`` when
 the base spreads wider than the bound (its interquartile range above the
@@ -39,6 +41,12 @@ def end_to_end(checkout: str) -> dict:
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         return {m["name"]: (m["better"] == "higher", m["bound"])
                 for m in json.load(fh)["end_to_end"]}
+
+
+def workloads(checkout: str) -> list:
+    """The workload names of checkout's BENCHMARK.json, in its order."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
+        return [w["name"] for w in json.load(fh)["workloads"]]
 
 
 def _commit(checkout: str) -> str:
@@ -82,6 +90,7 @@ def summarize(pairs, metrics) -> dict:
         base = [p["base"][m] for p in pairs]
         change = [p["change"][m] for p in pairs]
         better = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+        worse = sum((c < b) if higher else (c > b) for b, c in zip(base, change))
         qb, qc = _quartiles(base), _quartiles(change)
         iqr = qb["q3"] - qb["q1"]
         gap = (qc["median"] - qb["median"]) * (1 if higher else -1)
@@ -89,7 +98,8 @@ def summarize(pairs, metrics) -> dict:
         summary[m] = {"better": "higher" if higher else "lower", "bound": bound,
                       "base": qb, "change": qc,
                       "pair_ratio": _quartiles([c / b for b, c in zip(base, change)]),
-                      "change_better_pairs": better, "base_iqr": iqr,
+                      "change_better_pairs": better, "base_better_pairs": worse,
+                      "base_iqr": iqr,
                       "gain_rule_holds": 10 * better >= 9 * len(pairs) and gap > iqr,
                       "within_bound": gap >= -bound * qb["median"],
                       "unresolved": iqr > bound * qb["median"] and not beats_all}
@@ -101,11 +111,32 @@ def summarize(pairs, metrics) -> dict:
     return summary
 
 
+def bench(sides: dict, workload: str, args, metrics) -> dict:
+    """The BENCH document of args.pairs alternating pairs on one workload."""
+    pairs, host = [], None
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        pair = {"seed": seed, "order": list(order)}
+        for side in order:
+            host, pair[side] = _run(sides[side], workload, seed, args.seconds, metrics)
+        pairs.append(pair)
+        print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
+            f"{m} {pair['base'][m]:.4g} -> {pair['change'][m]:.4g}" for m in metrics)
+            + ("" if pair["base"]["digest"] == pair["change"]["digest"] else ", outputs differ"),
+            file=sys.stderr)
+    return {"label": args.label, "workload": workload, "seconds": args.seconds,
+            "pairs_run": args.pairs, "host": host,
+            "commits": {side: _commit(path) for side, path in sides.items()},
+            "summary": summarize(pairs, metrics), "pairs": pairs}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="checkout measured as before")
     ap.add_argument("--change", required=True, help="checkout measured as after")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, action="append",
+                    help="a workload of BENCHMARK.json, or all; may be repeated")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=28.0)
     ap.add_argument("--seed", type=int, default=5001)
@@ -113,32 +144,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
+    known = workloads(args.change)
+    names = [w for name in args.workload for w in (known if name == "all" else [name])]
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        ap.error(f"unknown workload {unknown[0]!r}; BENCHMARK.json names {', '.join(known)}")
 
     sides = {"base": args.base, "change": args.change}
     metrics = end_to_end(args.change)
-    pairs, host = [], None
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        pair = {"seed": seed, "order": list(order)}
-        for side in order:
-            host, pair[side] = _run(sides[side], args.workload, seed, args.seconds,
-                                    metrics)
-        pairs.append(pair)
-        print(f"pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
-            f"{m} {pair['base'][m]:.4g} -> {pair['change'][m]:.4g}" for m in metrics)
-            + ("" if pair["base"]["digest"] == pair["change"]["digest"] else ", outputs differ"),
-            file=sys.stderr)
-
-    doc = {"label": args.label, "workload": args.workload, "seconds": args.seconds,
-           "pairs_run": args.pairs, "host": host,
-           "commits": {side: _commit(path) for side, path in sides.items()},
-           "summary": summarize(pairs, metrics), "pairs": pairs}
-    path = f"BENCH_{args.label}.json"
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {path}", file=sys.stderr)
+    for workload in dict.fromkeys(names):  # each once, in the order given
+        doc = bench(sides, workload, args, metrics)
+        path = f"BENCH_{workload}-{args.label}.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {path}", file=sys.stderr)
     return 0
 
 

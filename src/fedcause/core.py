@@ -234,7 +234,7 @@ def read_sites_csv(path) -> list:
     if len(rows) == 0:
         raise ValueError(f"{path}: no data rows")
     ids = rows["site_id"]
-    return [SiteDataset.from_arrays(int(k), rows["x"][ids == k], rows["z"][ids == k],
+    return [SiteDataset.from_arrays(k, rows["x"][ids == k], rows["z"][ids == k],
                                     rows["y"][ids == k]) for k in sorted(set(ids.tolist()))]
 
 

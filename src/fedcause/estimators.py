@@ -322,8 +322,9 @@ def aipw_combine(inputs: Sequence[AipwInputs], flavor: str = "clb",
 
     Per fold, tau_f = target_mean_term + correction, the correction being
     the flavour's IPW combination of the fold's residual terms: _clb_pool
-    with sums centred at 0, or _meta_weighted with the given weights (equal
-    ones when None). The final estimate averages the folds. The plug-in
+    with sums centred at 0, or _meta_weighted with the given weights (each
+    site's plug-in inverse variance of its correction when None, as in
+    meta_combine). The final estimate averages the folds. The plug-in
     variance adds the target-sample variance of the modelled contrast
     (divided by lambda_hat = n_target / n_pooled) at weight 1/F and the
     residual correction variance at weight 1/F^2, reflecting that the folds
@@ -351,8 +352,7 @@ def aipw_combine(inputs: Sequence[AipwInputs], flavor: str = "clb",
             corr, vc, rows = _clb_pool(f.deltas.values(), centred=False)
         else:
             corr, vc, rows = _meta_weighted(
-                {sid: _meta_contrast(d) for sid, d in f.deltas.items()},
-                {sid: 1.0 for sid in f.deltas} if weights is None else weights)
+                {sid: _meta_contrast(d) for sid, d in f.deltas.items()}, weights)
         diagnostics += [(sid, ok, f"fold={f.fold} {text}") for sid, ok, text in rows]
         taus.append(f.target_mean_term + corr)
         vts.append(f.target_sq_term / (f.n_target / n_pooled))

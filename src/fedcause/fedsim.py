@@ -38,11 +38,14 @@ from .nuisance import (ScoreTable, assemble_propensity, crossfit_split, outcome_
 #   count     a non-negative integer
 #   sum       a finite number
 #   sum+      a finite number >= 0
-#   vector    a list of p finite numbers; the transcript's first cross1 sets p
+#   vector    a list of p finite numbers; the transcript's first cross1 sets p <= AUDIT_MAX_LEN
 #   triangle  a list of p(p + 1)/2 finite numbers, an upper triangle by rows
-#   model     a RatioModel.to_json_obj object with finite coefficients, or null
-#   reason    a string
-# docs/spec-schema.md gives the same tables, and a test holds the two equal.
+#   model     a RatioModel.to_json_obj object, 1 to AUDIT_MAX_LEN finite coefficients, or null
+#   reason    a string of at most AUDIT_MAX_CHARS characters
+# The caps keep unit records off the wire. docs/spec-schema.md gives the same
+# tables, and a test holds the two equal.
+AUDIT_MAX_LEN, AUDIT_MAX_CHARS = 64, 256
+
 SCHEMA = {
     "publish_ratio_model": ("site", {"models": {
         "site_id": "count", "n1": "count", "n0": "count",
@@ -185,11 +188,19 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
+def _shown(v) -> str:
+    """v in a fault: a list, an object or an overlong string by its length only."""
+    what = {list: "a list", dict: "an object", str: "a string"}.get(type(v))
+    short = what is None or what == "a string" and len(v) <= AUDIT_MAX_CHARS
+    return repr(v) if short else f"{what} of length {len(v)}"
+
+
 # each scalar field type: its test, and what a value that fails it is not
 _SCALARS = {"count": (_is_count, "a non-negative integer"),
             "sum": (_is_finite_number, "a finite number"),
             "sum+": (lambda v: _is_finite_number(v) and v >= 0, "a finite number >= 0"),
-            "reason": (lambda v: isinstance(v, str), "a string")}
+            "reason": (lambda v: isinstance(v, str) and len(v) <= AUDIT_MAX_CHARS,
+                       f"a string of at most {AUDIT_MAX_CHARS} characters")}
 
 
 def _read_model(obj) -> Tuple[Optional[RatioModel], List[str]]:
@@ -198,17 +209,18 @@ def _read_model(obj) -> Tuple[Optional[RatioModel], List[str]]:
     if obj is None:
         return None, []
     if not isinstance(obj, dict):
-        return None, [f"is {obj!r}, not a model object or null"]
-    faults = [f"has unexpected model key {k!r}" for k in obj
+        return None, [f"is {_shown(obj)}, not a model object or null"]
+    faults = [f"has unexpected model key {_shown(k)}" for k in obj
               if k not in ("backend", "gamma", "beta", "psi")]
     try:
         model = RatioModel.from_json_obj(obj)
     except (KeyError, TypeError, ValueError) as exc:
         return None, faults + [f"is not a published model: {exc!r}"]
     coefs = (model.gamma, model.beta) if model.backend == "factored" else (model.gamma,)
-    if not all(c.ndim == 1 and c.shape == coefs[0].shape and c.size
+    if not all(c.ndim == 1 and c.shape == coefs[0].shape and 0 < c.size <= AUDIT_MAX_LEN
                and np.isfinite(c).all() for c in coefs):
-        faults.append("gamma and beta are not equally long lists of finite numbers")
+        faults.append(f"gamma and beta are not equally long lists of 1 to {AUDIT_MAX_LEN} "
+                      "finite numbers")
     return model, faults
 
 
@@ -227,7 +239,7 @@ def _read_log(log: MessageLog):
         known = isinstance(kind, str) and kind in SCHEMA
         if not known or not isinstance(pay, dict):
             yield i, m, None, {}, [], [f"{kind} payload is not an object" if known
-                                      else f"unknown kind {kind!r}"]
+                                      else f"unknown kind {_shown(kind)}"]
             continue
         sender, variants = SCHEMA[kind]
         variant = min((v for v in variants if not (two and v == "sums")), key=lambda v: (
@@ -248,6 +260,10 @@ def _read_log(log: MessageLog):
                     if not (isinstance(v, list) and v):
                         faults.append(f"{kind} {key} is not a non-empty list")
                         continue
+                    if len(v) > AUDIT_MAX_LEN:
+                        faults.append(f"{kind} {key} holds {len(v)} numbers; p is at most "
+                                      f"{AUDIT_MAX_LEN}")
+                        continue
                     p = len(v)  # the transcript's first cross1 sets p
                 if p is not None:
                     size = p if typ == "vector" else p * (p + 1) // 2
@@ -261,13 +277,13 @@ def _read_log(log: MessageLog):
                 if ok(v):
                     values[key] = v
                 else:
-                    faults.append(f"{kind} {key} is {v!r}, not {want}")
+                    faults.append(f"{kind} {key} is {_shown(v)}, not {want}")
         by = "server" if sender == "server" else values.get("site_id")
         if by is not None and not (type(m.sender) is type(by) and m.sender == by):
-            faults.append(f"{kind} from is {m.sender!r}, not {by!r}")
+            faults.append(f"{kind} from is {_shown(m.sender)}, not {by!r}")
         fold = values.get("fold", None if "fold" in pay else 0)  # None: a faulty fold
         if fold is not None and not (type(m.round) is int and m.round == fold):
-            faults.append(f"{kind} round is {m.round!r}, not "
+            faults.append(f"{kind} round is {_shown(m.round)}, not "
                           + (f"its fold {fold}" if "fold" in pay else "0, as it names no fold"))
         yield i, m, variant, values, [k for k in pay if k not in spec], faults
 
@@ -275,8 +291,9 @@ def _read_log(log: MessageLog):
 def _refuse(i: int, m: SiteMessage, extra, faults) -> None:
     """Raise a ValueError naming message i and each key outside its schema, or its first fault."""
     if extra:
-        also = f", as are {', '.join(map(repr, extra[1:]))}" if extra[1:] else ""
-        raise ValueError(f"message {i}: {m.kind} key {extra[0]!r} is outside its schema{also}")
+        also = f", as are {', '.join(map(_shown, extra[1:]))}" if extra[1:] else ""
+        raise ValueError(f"message {i}: {m.kind} key {_shown(extra[0])} is outside its "
+                         f"schema{also}")
     if faults:
         raise ValueError(f"message {i}: {faults[0]}")
 
@@ -388,36 +405,16 @@ def replay(log: MessageLog, ci_level: float = 0.95,
                         ci_level=ci_level)
 
 
-# longest array a payload may carry before it looks like unit records
-AUDIT_MAX_LEN = 64
-
-
-def _scan_payload(value, path: str, out: List[str]) -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _scan_payload(v, f"{path}.{k}", out)
-    elif isinstance(value, (list, tuple)):
-        if len(value) > AUDIT_MAX_LEN:
-            out.append(f"{path}: array of length {len(value)} exceeds cap {AUDIT_MAX_LEN}")
-        for v in value:
-            if isinstance(v, (list, tuple, dict)):
-                out.append(f"{path}: nested array shaped like raw records")
-                break
-    elif isinstance(value, str) and len(value) > 256:
-        out.append(f"{path}: string of length {len(value)} exceeds cap 256")
-
-
 def audit_messages(log: MessageLog) -> List[str]:
-    """Static checks that a transcript keeps to the wire schema: each fault
-    that reading it through SCHEMA finds, and each array or string long or
-    nested enough to look like unit records. Returns the list of violations,
-    empty when the log is clean."""
+    """Static checks that a transcript keeps to the wire schema: one violation
+    per key outside its variant and per fault that reading it through SCHEMA
+    finds, a payload shaped like unit records among them, since the field
+    types cap every list and string. Empty when the log is clean."""
     violations: List[str] = []
     for i, m, _, _, extra, faults in _read_log(log):
-        where = f"message {i} ({m.kind!r} from {m.sender!r})"
-        violations += [f"{where}: unexpected key {k!r}" for k in extra]
+        where = f"message {i} ({_shown(m.kind)} from {_shown(m.sender)})"
+        violations += [f"{where}: unexpected key {_shown(k)}" for k in extra]
         violations += [f"{where}: {fault}" for fault in faults]
-        _scan_payload(m.payload, where, violations)
     return violations
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ class SweepSpec:
     placements re-draws the site means that many times per dial value and
     cycles replications over them. meta_weight_mode picks the per-site
     combination weights: exact asymptotic precisions ("oracle"), plug-in
-    inverse variances ("estimated"), or equal ("vanilla"); meta_aipw weighs
-    its folds' corrections equally under both "estimated" and "vanilla".
+    inverse variances ("estimated"), or equal ("vanilla").
     """
 
     d_kl_grid: tuple = (0.0, 1.0, 2.0, 3.0, 4.0)
@@ -207,7 +206,9 @@ def _build_nuisance(spec: SweepSpec, sites, target, means):
 
 
 def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
-                 means: Tuple[float, ...]) -> dict:
+                 means: Tuple[float, ...], variances: Optional[dict] = None) -> dict:
+    """One replication at the placement means; variances, which the "oracle"
+    meta_weight_mode reads, are oracle_meta_site_variances(spec.shift, means)."""
     rng = np.random.default_rng((seed, grid_index, rep))
     sites, target, true_tau = gen_covariate_shift(spec.shift, rng,
                                                   means=np.asarray(means))
@@ -225,7 +226,6 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
     psi_om = MISSPECIFIED if spec.om_spec == "wrong" else IDENTITY_PLUS_INTERCEPT
     meta_error = None
     if spec.meta_weight_mode == "oracle":
-        variances = oracle_meta_site_variances(spec.shift, means)
         # an infinite variance has the limit weight 0; zero or NaN has none
         bad = [k for k, v in variances.items() if not v > 0.0]
         if bad:
@@ -283,16 +283,18 @@ def run_monte_carlo(spec: SweepSpec, seed: int, jobs: int = 1) -> SweepResult:
     sweep itself always completes."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    placements: Dict[Tuple[int, int], Tuple[float, ...]] = {}
+    placements: Dict[Tuple[int, int], tuple] = {}
     for gi, d_kl in enumerate(spec.d_kl_grid):
         # replication r uses placement r % placements; draw only those
         for pi in range(min(spec.placements, spec.replications)):
             mrng = np.random.default_rng((seed, 9000 + gi, pi))
             means = place_site_means(float(d_kl), spec.shift.n_sites,
                                      spec.shift.sigma, spec.shift.mu_target, mrng)
-            placements[(gi, pi)] = tuple(float(v) for v in means)
+            means = tuple(float(v) for v in means)
+            placements[(gi, pi)] = (means, oracle_meta_site_variances(spec.shift, means)
+                                    if spec.meta_weight_mode == "oracle" else None)
 
-    tasks = [(spec, seed, gi, r, placements[(gi, r % spec.placements)])
+    tasks = [(spec, seed, gi, r, *placements[(gi, r % spec.placements)])
              for gi in range(len(spec.d_kl_grid)) for r in range(spec.replications)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it

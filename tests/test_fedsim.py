@@ -378,7 +378,8 @@ def test_replay_refuses_a_key_outside_the_schema(protocol, kind):
 _MISSING = object()
 _MUTATIONS = {"type-swap": "x", "nan": float("nan"), "inf": float("inf"),
               "-inf": float("-inf"), "negative": -3, "fraction": 0.5, "bool": True,
-              "null": None, "missing": _MISSING}
+              "null": None, "missing": _MISSING, "long-list": [0.5] * 65,
+              "long-string": "x" * 257}
 
 
 def _field_type(msg, key):
@@ -387,9 +388,20 @@ def _field_type(msg, key):
     return next(spec[key] for spec in variants.values() if set(msg.payload) <= set(spec))
 
 
-@pytest.mark.parametrize("protocol", ["one", "two"])
+def _meta_transcript():
+    """Protocol two's meta flavour, with site 1's corrections as exclusions."""
+    sites, target, p = _site_one_all_treated()
+    rep, log = run_algorithm2(sites, target, {pair: score.ratio for pair, score in p.e.items()},
+                              psi_om=IDENTITY_PLUS_INTERCEPT, flavor="meta", F=2,
+                              rng=np.random.default_rng(4))
+    assert replay(log) == rep and log.by_kind("aggregates")[0].payload["excluded"]
+    return log.messages
+
+
+@pytest.mark.parametrize("protocol", ["one", "two", "two-meta"])
 def test_every_payload_mutation_is_refused_by_name_or_admitted_by_the_schema(protocol):
-    msgs = _protocol_one_transcript() if protocol == "one" else _two_site_transcript()
+    msgs = {"one": _protocol_one_transcript, "two": _two_site_transcript,
+            "two-meta": _meta_transcript}[protocol]()
     refused = admitted = 0
     for i, m in enumerate(msgs):
         cases = [(key, name, value) for key in m.payload for name, value in _MUTATIONS.items()]
@@ -400,10 +412,10 @@ def test_every_payload_mutation_is_refused_by_name_or_admitted_by_the_schema(pro
             log = MessageLog(msgs[:i] + [dataclasses.replace(m, payload=pay, line=None)]
                              + msgs[i + 1:])
             # the schema admits a fractional sum, a negative one where the
-            # sum may be negative, and a null model slot
+            # sum may be negative, a null model slot and a short reason
             typ = None if name == "extra" else _field_type(m, key)
             if (typ, name) in {("sum", "negative"), ("sum", "fraction"), ("sum+", "fraction"),
-                               ("model", "null")}:
+                               ("model", "null"), ("reason", "type-swap")}:
                 replay(log)
                 assert audit_messages(log) == [], (i, key, name)
                 admitted += 1
@@ -447,7 +459,7 @@ def test_replay_refuses_a_second_aggregate_variant():
     ("two", "publish_ratio_model", {"round": 1},
      "publish_ratio_model round is 1, not 0, as it names no fold"),
     ("one", "aggregates", {"round": 3}, "aggregates round is 3, not 0, as it names no fold"),
-    ("two", "aggregates", {"kind": ["aggregates"]}, "unknown kind ['aggregates']"),
+    ("two", "aggregates", {"kind": ["aggregates"]}, "unknown kind a list of length 1"),
 ], ids=["spoofed-site", "bool-site", "server-publishes", "site-sends-server-term",
         "round-7", "blocks-round", "publish-round", "protocol-one-round", "list-kind"])
 def test_replay_and_audit_refuse_a_wrong_envelope(protocol, kind, change, reason):
@@ -457,7 +469,9 @@ def test_replay_and_audit_refuse_a_wrong_envelope(protocol, kind, change, reason
     tampered = MessageLog(msgs[:i] + [msg] + msgs[i + 1:])
     with pytest.raises(ValueError, match=f"message {i}: " + re.escape(reason)):
         replay(tampered)
-    where = f"message {i} ({msg.kind!r} from {msg.sender!r})"
+    # a list kind is named by its length, as every fault names a list
+    shown = "a list of length 1" if isinstance(msg.kind, list) else repr(msg.kind)
+    where = f"message {i} ({shown} from {msg.sender!r})"
     assert audit_messages(tampered) == [f"{where}: {reason}"]
 
 
@@ -722,6 +736,48 @@ def test_factored_models_round_trip_exactly_and_audit_clean():
     for msg in log.by_kind("publish_ratio_model"):
         for slot in ("model1", "model0"):
             assert list(msg.payload[slot]) == ["backend", "gamma", "beta", "psi"]
+
+
+def test_a_protocol_two_run_on_ten_covariates_audits_clean_and_replays(tmp_path):
+    # p = 11 under (1, x), so each gram triangle holds 66 numbers: more than
+    # AUDIT_MAX_LEN, but sized by p, which the schema caps instead
+    rng = np.random.default_rng(17)
+    sites = []
+    for k in (1, 2):
+        x = rng.normal(size=(200, 10))
+        z = (rng.random(200) < 0.5).astype(int)
+        sites.append(SiteDataset.from_arrays(k, x, z, x @ rng.normal(size=10) + z))
+    target = TargetCovariates(rng.normal(size=(300, 10)))
+    rep, log = run_algorithm2(sites, target, _fitted_ratios(sites, target),
+                              psi_om=IDENTITY_PLUS_INTERCEPT, F=2, rng=np.random.default_rng(0))
+    assert [len(m.payload["gram1"]) for m in log.by_kind("outcome_blocks")] == [66] * 4
+    assert audit_messages(log) == []
+    log.save(tmp_path / "run.msgs.jsonl")
+    assert replay(MessageLog.load(tmp_path / "run.msgs.jsonl")) == rep
+
+
+_RECORDS = [1234.5 + i for i in range(100)]
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("outcome_blocks", "cross1", _RECORDS[:65]),
+    ("publish_ratio_model", "model1", "gamma-and-beta"),
+    ("aggregates", "excluded", ("unit 1234.5; " * 20)[:257]),
+    ("aggregates", "G1", _RECORDS),
+    ("aggregates", "raw_y", _RECORDS),
+], ids=["long-first-cross1", "long-gamma", "long-reason", "list-in-scalar", "list-in-added-key"])
+def test_record_shaped_payloads_are_refused_by_name_without_their_values(kind, key, value):
+    msgs = _meta_transcript() if key == "excluded" else _two_site_transcript()
+    i = next(i for i, m in enumerate(msgs) if m.kind == kind)
+    if value == "gamma-and-beta":  # both, so that they stay equally long
+        value = {**msgs[i].payload[key], "gamma": _RECORDS[:65], "beta": _RECORDS[:65]}
+    tampered = MessageLog(_tampered(msgs, i, **{key: value}))
+    violations = audit_messages(tampered)
+    assert len(violations) == 1
+    assert violations[0].startswith(f"message {i} ({kind!r} from ") and key in violations[0]
+    with pytest.raises(ValueError, match=rf"message {i}: {kind} .*\b{key}\b") as err:
+        replay(tampered)
+    assert all("1234.5" not in text for text in violations + [str(err.value)])
 
 
 def test_audit_passes_live_logs(rng):

@@ -421,9 +421,8 @@ def test_replication_trains_each_aipw_fold_once(monkeypatch, mode):
                      folds=3, shift=SMALL)
     means = (0.5, -0.5, 1.0)
     site_vars = {1: 0.5, 2: 1.0, 3: 2.0}
-    monkeypatch.setattr(harness, "oracle_meta_site_variances", lambda *a: site_vars)
     calls = _counted_outcome_fits(monkeypatch)
-    out = harness._run_one_rep(spec, 42, 0, 0, means)
+    out = harness._run_one_rep(spec, 42, 0, 0, means, site_vars)
     assert len(calls) == 2 * spec.folds
 
     sites, target, table, plan = _rep_inputs(spec, 42, means)
@@ -467,23 +466,44 @@ def test_zero_oracle_meta_variance_fails_only_the_meta_cells():
     for est in ("clb_ipw", "clb_aipw"):
         cell = res.cells[(1.0, est)]
         assert not cell.aborted and cell.n_fail == 0
-    out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0))
+    means = (0.5, -0.5, 1.0)
+    out = harness._run_one_rep(spec, 42, 0, 0, means,
+                               harness.oracle_meta_site_variances(spec.shift, means))
     reason = "site 1: oracle meta variance 0.0 is not positive"
     assert out["results"]["meta_ipw"] == out["results"]["meta_aipw"] == ("fail", reason)
 
 
-def test_aipw_combine_error_fails_only_its_flavour(monkeypatch):
+def test_aipw_combine_error_fails_only_its_flavour():
     # infinite oracle variances give the meta combinations all-zero weights
     spec = SweepSpec(d_kl_grid=(1.0,), replications=1, shift=SMALL)
     means = (0.5, -0.5, 1.0)
-    monkeypatch.setattr(harness, "oracle_meta_site_variances",
-                        lambda *a: {k: np.inf for k in (1, 2, 3)})
-    out = harness._run_one_rep(spec, 42, 0, 0, means)
-    monkeypatch.setattr(harness, "oracle_meta_site_variances",
-                        lambda *a: {k: 1.0 for k in (1, 2, 3)})
-    clean = harness._run_one_rep(spec, 42, 0, 0, means)
+    out = harness._run_one_rep(spec, 42, 0, 0, means, {k: np.inf for k in (1, 2, 3)})
+    clean = harness._run_one_rep(spec, 42, 0, 0, means, {k: 1.0 for k in (1, 2, 3)})
     reason = "fixed weights must be non-negative and not all zero"
     assert out["results"]["meta_aipw"] == out["results"]["meta_ipw"] == ("fail", reason)
     assert out["results"]["clb_aipw"] == clean["results"]["clb_aipw"]
     assert out["results"]["clb_ipw"] == clean["results"]["clb_ipw"]
     assert clean["results"]["meta_aipw"][0] != "fail"
+
+
+def test_estimated_meta_aipw_weighs_each_site_by_its_correction_inverse_variance():
+    # the plug-in weights meta_combine takes when weights is None, here of
+    # each fold's per-site corrections; "vanilla" weighs them equally
+    shift = ShiftConfig(site_sizes=(100, 200, 300), noise_sd=1.0)
+    means = (0.5, -0.5, 1.0)
+
+    def cell(mode):
+        spec = SweepSpec(d_kl_grid=(1.0,), replications=1, estimators=("meta_aipw",),
+                         meta_weight_mode=mode, shift=shift)
+        return spec, harness._run_one_rep(spec, 42, 0, 0, means)["results"]["meta_aipw"]
+
+    spec, estimated = cell("estimated")
+    assert estimated[0] != cell("vanilla")[1][0]
+    sites, target, table, plan = _rep_inputs(spec, 42, means)
+    folds = estimators._aipw_fold_inputs(sites, target, table, IDENTITY_PLUS_INTERCEPT,
+                                         ("meta",), plan)["meta"]
+    per_fold = [estimators.aipw_combine(
+        [f], flavor="meta",
+        weights={k: 1.0 / (d.s2_1 / d.n1_hat ** 2 + d.s2_0 / d.n0_hat ** 2)
+                 for k, d in f.deltas.items()}) for f in folds]
+    assert estimated[0] == sum(r.tau_hat for r in per_fold) / len(folds)

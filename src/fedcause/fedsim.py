@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import EstimateReport, SiteDataset, TargetCovariates
-from .density_ratio import RatioModel
+from .density_ratio import FEATURE_MAP_NAMES, RatioModel
 from .estimators import (AipwInputs, Excluded, MetaDeltas, SiteAggregates,
                          _crossfit_folds, aipw_combine, clb_combine,
                          clb_site_aggregates)
@@ -210,18 +210,18 @@ def _read_model(obj) -> Tuple[Optional[RatioModel], List[str]]:
         return None, []
     if not isinstance(obj, dict):
         return None, [f"is {_shown(obj)}, not a model object or null"]
+    coef_keys = ("gamma", "beta") if obj.get("backend") == "factored" else ("gamma",)
     faults = [f"has unexpected model key {_shown(k)}" for k in obj
-              if k not in ("backend", "gamma", "beta", "psi")]
-    try:
-        model = RatioModel.from_json_obj(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        return None, faults + [f"is not a published model: {exc!r}"]
-    coefs = (model.gamma, model.beta) if model.backend == "factored" else (model.gamma,)
-    if not all(c.ndim == 1 and c.shape == coefs[0].shape and 0 < c.size <= AUDIT_MAX_LEN
-               and np.isfinite(c).all() for c in coefs):
+              if k not in ("backend", "psi") + coef_keys]
+    for key, names in (("backend", ("tilting", "factored")), ("psi", FEATURE_MAP_NAMES)):
+        if obj.get(key) not in names:
+            faults.append(f"{key} is {_shown(obj.get(key))}, not one of {', '.join(names)}")
+    coefs = [obj.get(k) for k in coef_keys]
+    if not all(isinstance(c, list) and 0 < len(c) == len(coefs[0]) <= AUDIT_MAX_LEN
+               and all(map(_is_finite_number, c)) for c in coefs):
         faults.append(f"gamma and beta are not equally long lists of 1 to {AUDIT_MAX_LEN} "
                       "finite numbers")
-    return model, faults
+    return (None if faults else RatioModel.from_json_obj(obj)), faults
 
 
 def _read_log(log: MessageLog):

@@ -206,7 +206,7 @@ def _build_nuisance(spec: SweepSpec, sites, target, means):
 
 
 def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
-                 means: Tuple[float, ...], variances: Optional[dict] = None) -> dict:
+                 means: Tuple[float, ...], variances: Optional[dict]) -> dict:
     """One replication at the placement means; variances, which the "oracle"
     meta_weight_mode reads, are oracle_meta_site_variances(spec.shift, means)."""
     rng = np.random.default_rng((seed, grid_index, rep))
@@ -283,7 +283,7 @@ def run_monte_carlo(spec: SweepSpec, seed: int, jobs: int = 1) -> SweepResult:
     sweep itself always completes."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    placements: Dict[Tuple[int, int], tuple] = {}
+    placements: Dict[Tuple[int, int], Tuple[Tuple[float, ...], Optional[dict]]] = {}
     for gi, d_kl in enumerate(spec.d_kl_grid):
         # replication r uses placement r % placements; draw only those
         for pi in range(min(spec.placements, spec.replications)):

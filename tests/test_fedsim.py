@@ -761,16 +761,21 @@ _RECORDS = [1234.5 + i for i in range(100)]
 
 @pytest.mark.parametrize("kind, key, value", [
     ("outcome_blocks", "cross1", _RECORDS[:65]),
-    ("publish_ratio_model", "model1", "gamma-and-beta"),
+    ("publish_ratio_model", "model1", {"gamma": _RECORDS[:65], "beta": _RECORDS[:65]}),
+    ("publish_ratio_model", "model1", {"backend": "tilting", "beta": _RECORDS[:65]}),
+    ("publish_ratio_model", "model1", {"gamma": "row 1234.5"}),
+    ("publish_ratio_model", "model1", {"psi": ("unit 1234.5; " * 20)[:257]}),
     ("aggregates", "excluded", ("unit 1234.5; " * 20)[:257]),
     ("aggregates", "G1", _RECORDS),
     ("aggregates", "raw_y", _RECORDS),
-], ids=["long-first-cross1", "long-gamma", "long-reason", "list-in-scalar", "list-in-added-key"])
+], ids=["long-first-cross1", "long-gamma", "tilting-beta", "string-gamma", "long-psi",
+        "long-reason", "list-in-scalar", "list-in-added-key"])
 def test_record_shaped_payloads_are_refused_by_name_without_their_values(kind, key, value):
     msgs = _meta_transcript() if key == "excluded" else _two_site_transcript()
     i = next(i for i, m in enumerate(msgs) if m.kind == kind)
-    if value == "gamma-and-beta":  # both, so that they stay equally long
-        value = {**msgs[i].payload[key], "gamma": _RECORDS[:65], "beta": _RECORDS[:65]}
+    if key == "model1":  # fields changed inside the published factored model
+        assert msgs[i].payload[key]["backend"] == "factored"
+        value = {**msgs[i].payload[key], **value}
     tampered = MessageLog(_tampered(msgs, i, **{key: value}))
     violations = audit_messages(tampered)
     assert len(violations) == 1

@@ -293,7 +293,7 @@ def test_replication_evaluates_each_score_once_per_unit(monkeypatch, mode):
     monkeypatch.setattr(nuisance, "eval_ratios", counted_ratios)
     spec = SweepSpec(d_kl_grid=(1.0,), replications=1, nuisance_mode=mode,
                      meta_weight_mode="vanilla", shift=SMALL)
-    out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0))
+    out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0), None)
     assert failed == [{}]
     assert all(res[0] != "fail" for res in out["results"].values())
     assert sum(rows) == sum(SMALL.site_sizes) * SMALL.n_sites
@@ -321,7 +321,7 @@ def test_knn_replication_counts_target_neighbours_once_per_unit(monkeypatch, spe
     monkeypatch.setattr(density_ratio, "eval_knn", counted_knn)
     spec = SweepSpec(d_kl_grid=(1.0,), replications=1, nuisance_mode="knn",
                      ps_spec=spec_kind, meta_weight_mode="vanilla", shift=SMALL)
-    out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0))
+    out = harness._run_one_rep(spec, 42, 0, 0, (0.5, -0.5, 1.0), None)
     assert all(res[0] != "fail" for res in out["results"].values())
     assert max(SMALL.site_sizes) < SMALL.n_target
     assert sum(target_rows) == sum(SMALL.site_sizes)
@@ -443,7 +443,7 @@ def test_failed_aipw_fold_training_fails_both_flavours(monkeypatch):
     means = (0.5, -0.5, 1.0)
     calls = _counted_outcome_fits(
         monkeypatch, lambda include: {k: np.zeros_like(m) for k, m in include.items()})
-    out = harness._run_one_rep(spec, 42, 0, 0, means)
+    out = harness._run_one_rep(spec, 42, 0, 0, means, None)
     assert len(calls) == 1
     sites, target, table, plan = _rep_inputs(spec, 42, means)
     with pytest.raises(ValueError) as exc:
@@ -495,7 +495,7 @@ def test_estimated_meta_aipw_weighs_each_site_by_its_correction_inverse_variance
     def cell(mode):
         spec = SweepSpec(d_kl_grid=(1.0,), replications=1, estimators=("meta_aipw",),
                          meta_weight_mode=mode, shift=shift)
-        return spec, harness._run_one_rep(spec, 42, 0, 0, means)["results"]["meta_aipw"]
+        return spec, harness._run_one_rep(spec, 42, 0, 0, means, None)["results"]["meta_aipw"]
 
     spec, estimated = cell("estimated")
     assert estimated[0] != cell("vanilla")[1][0]

@@ -203,25 +203,6 @@ class RatioModel:
         vals = eval_ratios([self], x)[0]
         return float(vals[0]) if x.ndim == 1 else vals
 
-    def to_json_obj(self) -> dict:
-        if self.backend == "knn":
-            raise ValueError("knn models embed raw unit records and cannot be published")
-        obj = {"backend": self.backend, "gamma": [float(v) for v in self.gamma]}
-        if self.backend == "factored":
-            obj["beta"] = [float(v) for v in self.beta]
-        obj["psi"] = self.psi.name
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RatioModel":
-        if obj["backend"] not in ("tilting", "factored"):
-            raise ValueError("only tilting and factored models are published; knn "
-                             "point sets live outside the schema")
-        factored = obj["backend"] == "factored"
-        return cls(backend=obj["backend"], gamma=np.asarray(obj["gamma"], dtype=float),
-                   psi=FeatureMap(obj["psi"]),
-                   beta=np.asarray(obj["beta"], dtype=float) if factored else None)
-
 
 def eval_ratios(models: Sequence[RatioModel], x) -> np.ndarray:
     """(K, n) values at probes x of K models that share one pass: knn models

@@ -9,7 +9,7 @@ self-normalized for the same reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -33,20 +33,8 @@ class Excluded:
     reason: str
 
 
-class _Payload:
-    """Message payload of a dataclass: its fields, in declaration order; a
-    field the payload omits takes its default."""
-
-    def to_payload(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_payload(cls, obj: dict):
-        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
-
-
 @dataclass
-class SiteAggregates(_Payload):
+class SiteAggregates:
     """Un-normalized IPW sums G and estimated arm sizes N for one site, plus
     the squared-weight moments needed to rebuild the plug-in variance after
     the across-site combination."""
@@ -67,7 +55,7 @@ class SiteAggregates(_Payload):
 
 
 @dataclass
-class MetaDeltas(_Payload):
+class MetaDeltas:
     """Per-site Hajek residual means and their variance moments, one arm each,
     computed with the site's own scores."""
 

@@ -20,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import EstimateReport, SiteDataset, TargetCovariates
-from .density_ratio import FEATURE_MAP_NAMES, RatioModel
+from .density_ratio import FEATURE_MAP_NAMES, FeatureMap, RatioModel
 from .estimators import (AipwInputs, Excluded, MetaDeltas, SiteAggregates,
                          _crossfit_folds, aipw_combine, clb_combine,
                          clb_site_aggregates)
@@ -35,12 +35,12 @@ from .nuisance import (ScoreTable, assemble_propensity, crossfit_split, outcome_
 
 # The wire format. Per message kind: its sender ("site" or "server") and its
 # payload variants, each a map from key to field type:
-#   count     a non-negative integer
-#   sum       a finite number
+#   count     an integer from 0 to 2**53, which a float holds exactly
+#   sum       a number that float() holds as a finite value
 #   sum+      a finite number >= 0
 #   vector    a list of p finite numbers; the transcript's first cross1 sets p <= AUDIT_MAX_LEN
 #   triangle  a list of p(p + 1)/2 finite numbers, an upper triangle by rows
-#   model     a RatioModel.to_json_obj object, 1 to AUDIT_MAX_LEN finite coefficients, or null
+#   model     a _model_obj object, 1 to AUDIT_MAX_LEN finite coefficients, or null
 #   reason    a string of at most AUDIT_MAX_CHARS characters
 # The caps keep unit records off the wire. docs/spec-schema.md gives the same
 # tables, and a test holds the two equal.
@@ -181,26 +181,42 @@ def fit_outcome_blocks(sites: Sequence[SiteDataset], table: ScoreTable, psi,
 
 
 def _is_finite_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(float(v))
+    except OverflowError:  # an integer beyond the largest float
+        return False
 
 
 def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= 2 ** 53
 
 
 def _shown(v) -> str:
-    """v in a fault: a list, an object or an overlong string by its length only."""
+    """v in a fault: a list or an object by its length only, a string over
+    AUDIT_MAX_CHARS characters by its length and an integer of more digits by its bits."""
+    if isinstance(v, int) and abs(v) >= 10 ** AUDIT_MAX_CHARS:
+        return f"an integer of {v.bit_length()} bits"
     what = {list: "a list", dict: "an object", str: "a string"}.get(type(v))
     short = what is None or what == "a string" and len(v) <= AUDIT_MAX_CHARS
     return repr(v) if short else f"{what} of length {len(v)}"
 
 
 # each scalar field type: its test, and what a value that fails it is not
-_SCALARS = {"count": (_is_count, "a non-negative integer"),
+_SCALARS = {"count": (_is_count, "an integer from 0 to 2**53"),
             "sum": (_is_finite_number, "a finite number"),
             "sum+": (lambda v: _is_finite_number(v) and v >= 0, "a finite number >= 0"),
             "reason": (lambda v: isinstance(v, str) and len(v) <= AUDIT_MAX_CHARS,
                        f"a string of at most {AUDIT_MAX_CHARS} characters")}
+
+
+def _model_obj(model: RatioModel) -> dict:
+    """The published object of a tilting or factored model: backend, gamma,
+    beta (factored only), psi."""
+    obj = {"backend": model.backend, "gamma": [float(v) for v in model.gamma]}
+    if model.backend == "factored":
+        obj["beta"] = [float(v) for v in model.beta]
+    obj["psi"] = model.psi.name
+    return obj
 
 
 def _read_model(obj) -> Tuple[Optional[RatioModel], List[str]]:
@@ -221,7 +237,10 @@ def _read_model(obj) -> Tuple[Optional[RatioModel], List[str]]:
                and all(map(_is_finite_number, c)) for c in coefs):
         faults.append(f"gamma and beta are not equally long lists of 1 to {AUDIT_MAX_LEN} "
                       "finite numbers")
-    return (None if faults else RatioModel.from_json_obj(obj)), faults
+    if faults:
+        return None, faults
+    gamma, *beta = (np.asarray(c, dtype=float) for c in coefs)
+    return RatioModel(obj["backend"], gamma, FeatureMap(obj["psi"]), *beta), []
 
 
 def _read_log(log: MessageLog):
@@ -385,13 +404,12 @@ def replay(log: MessageLog, ci_level: float = 0.95,
     if not aggs:
         raise ValueError("log contains no aggregate messages")
     if not protocol_two:
-        return clb_combine([SiteAggregates.from_payload(v) for _, _, v in aggs],
-                           ci_level=ci_level)
+        return clb_combine([SiteAggregates(**v) for _, _, v in aggs], ci_level=ci_level)
 
     per_fold: Dict[int, dict] = {}
     for _, variant, v in aggs:
-        item = (Excluded(v["excluded"]) if variant == "exclusion"
-                else (SiteAggregates if clb else MetaDeltas).from_payload(v))
+        item = (Excluded(v["excluded"]) if variant == "exclusion" else
+                (SiteAggregates if clb else MetaDeltas)(**{k: v[k] for k in v if k != "fold"}))
         per_fold.setdefault(v["fold"], {})[v["site_id"]] = item
     # every published unit counts, an excluded site's too, as in decoupled_aipw
     n_pooled = sum(v["n1"] + v["n0"] for _, kind, _, v in reads
@@ -428,7 +446,7 @@ def run_algorithm1(sites: Sequence[SiteDataset], table: ScoreTable,
     log = MessageLog()
     for s in sorted(sites, key=lambda t: t.site_id):
         agg = clb_site_aggregates(s, table)
-        log.post(SiteMessage(s.site_id, "aggregates", 0, agg.to_payload()))
+        log.post(SiteMessage(s.site_id, "aggregates", 0, asdict(agg)))
     return replay(log, ci_level=ci_level), log
 
 
@@ -467,7 +485,7 @@ def run_algorithm2(sites: Sequence[SiteDataset], target: TargetCovariates,
         payload = {"site_id": s.site_id, "n1": n1, "n0": s.n - n1}
         for arm in (1, 0):
             model = ratios.get((s.site_id, arm))
-            payload[f"model{arm}"] = None if model is None else model.to_json_obj()
+            payload[f"model{arm}"] = None if model is None else _model_obj(model)
         log.post(SiteMessage(s.site_id, "publish_ratio_model", 0, payload))
 
     # The server reads the published models through the wire schema, sizes
@@ -505,7 +523,7 @@ def run_algorithm2(sites: Sequence[SiteDataset], target: TargetCovariates,
             if isinstance(res, Excluded):
                 payload = {"fold": f, "site_id": k, "excluded": res.reason}
             else:
-                payload = {key: v for key, v in {"fold": f, **res.to_payload()}.items()
+                payload = {key: v for key, v in {"fold": f, **asdict(res)}.items()
                            if key in spec}
             log.post(SiteMessage(k, "aggregates", f, payload))
 

@@ -303,38 +303,29 @@ def run_monte_carlo(spec: SweepSpec, seed: int, jobs: int = 1) -> SweepResult:
                                  chunksize=max(1, len(tasks) // (jobs * 8))))
     else:
         outs = [_run_one_rep(*t) for t in tasks]
-    results = {(t[2], t[3]): res for t, res in zip(tasks, outs)}
 
     cells = {}
     for gi, d_kl in enumerate(spec.d_kl_grid):
-        per_est = {est: [] for est in spec.estimators}
-        fails = {est: 0 for est in spec.estimators}
-        n_excised = sum(results[(gi, r)]["excised"] for r in range(spec.replications))
-        for r in range(spec.replications):
-            res = results[(gi, r)]
-            for est in spec.estimators:
-                entry = res["results"][est]
-                if entry[0] == "fail":
-                    fails[est] += 1
-                else:
-                    per_est[est].append(entry)
+        reps = outs[gi * spec.replications:(gi + 1) * spec.replications]  # tasks go dial by dial
+        n_excised = sum(res["excised"] for res in reps)
         for est in spec.estimators:
-            stats = CellStats(n_fail=fails[est], n_reps=spec.replications,
-                              n_excised=n_excised)
-            ok = per_est[est]
-            if fails[est] > spec.max_fail_frac * spec.replications:
+            # each non-failed entry with its own replication's true tau
+            ok = [(res["results"][est], res["true_tau"]) for res in reps
+                  if res["results"][est][0] != "fail"]
+            n_fail = spec.replications - len(ok)
+            stats = CellStats(n_fail=n_fail, n_reps=spec.replications, n_excised=n_excised)
+            if n_fail > spec.max_fail_frac * spec.replications:
                 stats.aborted = True
             elif ok:
-                taus = np.array([e[0] for e in ok])
-                tvals = [results[(gi, r)]["true_tau"] for r in range(spec.replications)
-                         if results[(gi, r)]["results"][est][0] != "fail"]
+                entries, tvals = zip(*ok)
+                taus = np.array([e[0] for e in entries])
                 errs = taus - np.array(tvals)
                 stats.bias = float(np.mean(errs))
                 stats.var = float(np.var(taus))
                 stats.mse = stats.bias ** 2 + stats.var
                 stats.mean_tau_hat = float(np.mean(taus))
-                stats.mean_half_width = float(np.mean([e[2] for e in ok]))
-                stats.coverage = float(np.mean([1.0 if e[3] else 0.0 for e in ok]))
+                stats.mean_half_width = float(np.mean([e[2] for e in entries]))
+                stats.coverage = float(np.mean([1.0 if e[3] else 0.0 for e in entries]))
             cells[(float(d_kl), est)] = stats
     return SweepResult(spec=spec, seed=seed, cells=cells)
 

@@ -276,7 +276,7 @@ def crossfit_split(sites: Sequence[SiteDataset], F: int, rng) -> FoldPlan:
     a given generator state. Fold sizes within a site differ by at most 1."""
     if F < 2:
         raise ValueError("F must be >= 2")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     fold_index = {}
     for s in sites:
         if s.n < F:

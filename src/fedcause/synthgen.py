@@ -18,12 +18,6 @@ from .core import SiteDataset, TargetCovariates
 from .nuisance import PropensitySet
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 @dataclass(frozen=True)
 class ShiftConfig:
     """Fixed-size covariate-shift design.
@@ -113,7 +107,7 @@ def place_site_means(d_kl: float, K: int, sigma: float, mu_target: float, rng) -
         raise ValueError("K must be >= 1")
     if d_kl < 0:
         raise ValueError("d_kl must be non-negative")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     if d_kl == 0:
         return np.full(K, mu_target, dtype=float)
     sq = rng.dirichlet(np.ones(K)) * (2.0 * sigma ** 2 * d_kl)
@@ -129,7 +123,7 @@ def gen_covariate_shift(cfg: ShiftConfig, rng, means: Optional[np.ndarray] = Non
     ``means`` fixes the site means; when omitted they are drawn here with
     place_site_means. true_tau = (beta1 - beta0)' (mu_target * 1).
     """
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     if means is None:
         means = place_site_means(cfg.d_kl, cfg.n_sites, cfg.sigma, cfg.mu_target, rng)
     means = np.asarray(means, dtype=float)
@@ -163,7 +157,7 @@ def gen_sampling_selecting(cfg: SelectConfig, outcome_fns: Tuple[Callable, Calla
     Returns (sites, target, dropped_count, oracle) where oracle is the true
     selection-probability set. Sites that receive no units are omitted.
     """
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     cfg.probe_sum_to_one(rng)
     y1_fn, y0_fn = outcome_fns
 

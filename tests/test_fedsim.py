@@ -1,6 +1,7 @@
 """Message protocol: transcripts, replay, federated-vs-in-memory equality,
 the one-round outcome fit, and the privacy audit."""
 import dataclasses
+import json
 import pathlib
 import re
 
@@ -26,7 +27,7 @@ from fedcause import (
     score_table,
 )
 from fedcause import fedsim, nuisance
-from fedcause.density_ratio import IDENTITY, FeatureMap, RatioModel
+from fedcause.density_ratio import IDENTITY, FeatureMap
 from fedcause.fedsim import MESSAGE_KINDS, SiteMessage, fit_outcome_blocks
 from fedcause.nuisance import (assemble_propensity, crossfit_split, fit_scores,
                                solve_outcome_blocks)
@@ -95,7 +96,6 @@ def test_log_jsonl_round_trip(tmp_path, rng):
     p = score_table(sites, fuzz_scores(rng, sites, 2))
     _, log = run_algorithm1(sites, p)
     line = log.messages[0].to_json_line()
-    import json
     keys = list(json.loads(line).keys())
     assert keys == ["round", "from", "kind", "payload"]
     path = tmp_path / "run.msgs.jsonl"
@@ -119,7 +119,6 @@ def test_log_jsonl_round_trip(tmp_path, rng):
 
 
 def test_algorithm2_encodes_each_message_once(tmp_path, monkeypatch):
-    import json
     rng = np.random.default_rng(3)
     sites = _linear_sites(rng, n_sites=2, n=24)
     target = TargetCovariates(rng.normal(size=(30, 2)))
@@ -263,9 +262,9 @@ def test_replay_refuses_a_malformed_outcome_blocks_payload(key, value, reason):
 
 
 @pytest.mark.parametrize("key, value, reason", [
-    ("n1", "abc", "n1 is 'abc', not a non-negative integer"),
-    ("n0", 12.0, "n0 is 12.0, not a non-negative integer"),
-    ("n0", True, "n0 is True, not a non-negative integer"),
+    ("n1", "abc", "n1 is 'abc', not an integer from 0 to 2**53"),
+    ("n0", 12.0, "n0 is 12.0, not an integer from 0 to 2**53"),
+    ("n0", True, "n0 is True, not an integer from 0 to 2**53"),
     ("model1", None, "lacks model1"),
 ], ids=["n1-string", "n0-float", "n0-bool", "no-model1"])
 def test_replay_refuses_a_malformed_published_model(key, value, reason):
@@ -331,23 +330,32 @@ def test_replay_refuses_an_unknown_kind():
     ("G1", "1e3", "G1 is '1e3', not a finite number"),
     ("G1", float("nan"), "G1 is nan, not a finite number"),
     ("w2_0", None, "w2_0 is None, not a finite number"),
-    ("n_floored", 1.5, "n_floored is 1.5, not a non-negative integer"),
-], ids=["string", "nan", "missing", "float-count"])
+    ("n_floored", 1.5, "n_floored is 1.5, not an integer from 0 to 2**53"),
+    # 10**400 overflows a float, and a float holds no count past 2**53 exactly
+    ("G1", 10 ** 400, "G1 is an integer of 1329 bits, not a finite number"),
+    ("N1", -10 ** 400, "N1 is an integer of 1329 bits, not a finite number >= 0"),
+    ("n_units", 10 ** 400, "n_units is an integer of 1329 bits, not an integer from 0 to 2**53"),
+    ("site_id", 10 ** 400, "site_id is an integer of 1329 bits, not an integer from 0 to 2**53"),
+    ("n_floored", 2 ** 53 + 1, "n_floored is 9007199254740993, not an integer from 0 to 2**53"),
+], ids=["string", "nan", "missing", "float-count", "huge-sum", "huge-sum+", "huge-count",
+        "huge-site-id", "count-past-float"])
 def test_replay_refuses_a_malformed_protocol_one_aggregate(key, value, reason):
-    msgs = _protocol_one_transcript()
+    tampered = MessageLog(_tampered(_protocol_one_transcript(), 1, **{key: value}))
+    [violation] = audit_messages(tampered)
+    assert violation.startswith("message 1 (") and ": aggregates " + reason in violation
     with pytest.raises(ValueError, match="message 1: aggregates " + re.escape(reason)):
-        replay(MessageLog(_tampered(msgs, 1, **{key: value})))
+        replay(tampered)
 
 
 @pytest.mark.parametrize("kind, key, value, reason", [
     ("aggregates", "G0", "1e3", "G0 is '1e3', not a finite number"),
     ("aggregates", "N1", float("inf"), "N1 is inf, not a finite number"),
-    ("target_mean_term", "n_target", 30.5, "n_target is 30.5, not a non-negative integer"),
+    ("target_mean_term", "n_target", 30.5, "n_target is 30.5, not an integer from 0 to 2**53"),
     ("target_mean_term", "value", float("nan"), "value is nan, not a finite number"),
-    ("aggregates", "fold", 0.7, "fold is 0.7, not a non-negative integer"),
-    ("aggregates", "fold", -1, "fold is -1, not a non-negative integer"),
-    ("outcome_blocks", "fold", True, "fold is True, not a non-negative integer"),
-    ("target_mean_term", "fold", "1", "fold is '1', not a non-negative integer"),
+    ("aggregates", "fold", 0.7, "fold is 0.7, not an integer from 0 to 2**53"),
+    ("aggregates", "fold", -1, "fold is -1, not an integer from 0 to 2**53"),
+    ("outcome_blocks", "fold", True, "fold is True, not an integer from 0 to 2**53"),
+    ("target_mean_term", "fold", "1", "fold is '1', not an integer from 0 to 2**53"),
 ], ids=["aggregate-string", "aggregate-inf", "fractional-target-count", "nan-term",
         "fractional-fold", "negative-fold", "bool-fold", "string-fold"])
 def test_replay_refuses_a_malformed_protocol_two_payload(kind, key, value, reason):
@@ -379,7 +387,7 @@ _MISSING = object()
 _MUTATIONS = {"type-swap": "x", "nan": float("nan"), "inf": float("inf"),
               "-inf": float("-inf"), "negative": -3, "fraction": 0.5, "bool": True,
               "null": None, "missing": _MISSING, "long-list": [0.5] * 65,
-              "long-string": "x" * 257}
+              "long-string": "x" * 257, "huge-int": 10 ** 400}
 
 
 def _field_type(msg, key):
@@ -719,17 +727,18 @@ def test_algorithm2_evaluates_each_published_score_once_per_unit(monkeypatch):
 
 
 def test_factored_models_round_trip_exactly_and_audit_clean():
-    import json
     rng = np.random.default_rng(21)
     sites = _linear_sites(rng, n_sites=2, n=30)
     target = TargetCovariates(rng.normal(size=(40, 2)))
     ratios = _fitted_ratios(sites, target)
     for m in ratios.values():
         assert m.backend == "factored"
-        back = RatioModel.from_json_obj(json.loads(json.dumps(m.to_json_obj())))
-        assert back.psi == m.psi
-        assert np.array_equal(back.gamma, m.gamma) and np.array_equal(back.beta, m.beta)
-        assert np.array_equal(back.eval(target.xs), m.eval(target.xs))
+        # fedsim's writer, JSON text, then its reader
+        back, faults = fedsim._read_model(json.loads(json.dumps(fedsim._model_obj(m))))
+        assert faults == [] and back.backend == "factored" and back.psi == m.psi
+        assert back.gamma.tobytes() == m.gamma.tobytes()
+        assert back.beta.tobytes() == m.beta.tobytes()
+        assert back.eval(target.xs).tobytes() == m.eval(target.xs).tobytes()
     _, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
                             F=2, rng=np.random.default_rng(0))
     assert audit_messages(log) == []

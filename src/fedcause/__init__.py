@@ -25,18 +25,16 @@ from .fedsim import (MessageLog, PrivacyError, audit_messages,
                      run_algorithm2)
 from .harness import (SweepSpec, ci_grid, oracle_meta_site_variances,
                       oracle_shift_propensity, run_monte_carlo, sweep_kl)
-from .nuisance import (FoldPlan, OutcomeModel, PropensitySet, ScoreTable,
-                       assemble_propensity, crossfit_split,
-                       fit_outcome_direct, score_table)
+from .nuisance import (FoldPlan, PropensitySet, ScoreTable, assemble_propensity,
+                       crossfit_split, fit_outcome_direct, score_table)
 from .synthgen import ShiftConfig, gen_covariate_shift, place_site_means
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AipwInputs", "AllSitesExcludedError", "EstimateReport", "Excluded",
-    "FeatureMap", "FoldPlan",
-    "IDENTITY_PLUS_INTERCEPT", "MISSPECIFIED", "MessageLog", "MetaDeltas",
-    "OutcomeModel", "OverlapError", "PrivacyError", "PropensitySet",
+    "FeatureMap", "FoldPlan", "IDENTITY_PLUS_INTERCEPT", "MISSPECIFIED",
+    "MessageLog", "MetaDeltas", "OverlapError", "PrivacyError", "PropensitySet",
     "RatioModel", "ScoreTable", "ShiftConfig", "SiteAggregates",
     "SiteDataset", "SweepSpec", "TargetCovariates", "TiltingError",
     "aipw_combine", "assemble_propensity", "audit_messages", "ci_grid",

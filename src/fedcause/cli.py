@@ -16,8 +16,8 @@ from .core import (read_sites_csv, read_target_csv, validate_dataset,
 from .density_ratio import IDENTITY_PLUS_INTERCEPT
 from .estimators import clb_ipw, decoupled_aipw, meta_ipw
 from .fedsim import run_algorithm1, run_algorithm2
-from .harness import SweepSpec, ci_grid, oracle_shift_propensity, sweep_kl
-from .nuisance import PropensitySet, fit_scores, score_table
+from .harness import SweepSpec, _build_scores, ci_grid, sweep_kl
+from .nuisance import PropensitySet, score_table
 from .synthgen import ShiftConfig, gen_covariate_shift, place_site_means
 
 _EST_IDS = {"meta-ipw": "meta_ipw", "clb-ipw": "clb_ipw",
@@ -83,20 +83,20 @@ def _load_data_dir(path):
     return sites, target, manifest
 
 
-def _build_scores(args, sites, target, manifest) -> PropensitySet:
-    """Oracle scores from the manifest, or one fitted ratio model per
-    (site, arm); a failed fit is an error that names its site."""
+def _scores(args, sites, target, manifest) -> PropensitySet:
+    """Oracle scores from the manifest's shift and site means, or one fitted
+    ratio model per (site, arm); a failed fit is an error that names its site."""
+    shift = means = None
     if args.ratio == "oracle":
         if manifest is None:
             raise RuntimeError("--ratio oracle needs manifest.json in the data dir")
-        shift = ShiftConfig(**manifest["config"])
+        shift, means = ShiftConfig(**manifest["config"]), manifest["site_means"]
         described = (shift.n_sites, list(shift.site_sizes), shift.n_target)
         loaded = (len(sites), [s.n for s in sites], target.n)
         if described != loaded:
             raise RuntimeError(f"manifest.json describes n_sites, site_sizes, n_target "
                                f"{described} but the data dir holds {loaded}")
-        return oracle_shift_propensity(shift, manifest["site_means"], sites)
-    p, failed = fit_scores(sites, target, args.ratio, wrong=False)
+    p, _, failed = _build_scores(args.ratio, sites, target, shift, means)
     if failed:
         site_id = min(failed)
         raise RuntimeError(f"site {site_id}: ratio fit failed: {failed[site_id]}")
@@ -115,38 +115,35 @@ def _cmd_estimate(args) -> int:
     for w in report_check.warnings:
         print(f"warning: {w}", file=sys.stderr)
     est = _EST_IDS[args.estimator]
+    if args.federated and est == "meta_ipw":
+        raise RuntimeError("--federated does not run meta-ipw: each site's estimate "
+                           "needs no protocol beyond its own aggregates")
+    p = _scores(args, sites, target, manifest)
+    flavor = est.split("_")[0]  # an AIPW estimator's flavour
+    rng = np.random.default_rng(args.seed)
 
     if args.federated:
-        if est not in ("clb_ipw", "clb_aipw"):
-            raise RuntimeError(
-                "--federated supports clb-ipw and clb-aipw; the per-site "
-                "estimators need no protocol beyond their own aggregates")
         if est == "clb_ipw":
-            table = score_table(sites, _build_scores(args, sites, target, manifest))
-            report, log = run_algorithm1(sites, table, ci_level=args.ci)
+            report, log = run_algorithm1(sites, score_table(sites, p), ci_level=args.ci)
         else:
-            p = _build_scores(args, sites, target, manifest)
             ratios = {pair: score.ratio for pair, score in p.e.items()}
-            report, log = run_algorithm2(
-                sites, target, ratios, IDENTITY_PLUS_INTERCEPT, flavor="clb", F=args.folds,
-                rng=np.random.default_rng(args.seed), ci_level=args.ci)
+            report, log = run_algorithm2(sites, target, ratios, IDENTITY_PLUS_INTERCEPT,
+                                         flavor=flavor, F=args.folds, rng=rng,
+                                         ci_level=args.ci)
         if args.log:
             log.save(args.log)
             print(f"wrote {len(log)} messages to {args.log}", file=sys.stderr)
         print(report.to_json())
         return 0
 
-    table = score_table(sites, _build_scores(args, sites, target, manifest))
+    table = score_table(sites, p)
     if est == "meta_ipw":
         report = meta_ipw(sites, table, ci_level=args.ci)
     elif est == "clb_ipw":
         report = clb_ipw(sites, table, ci_level=args.ci)
     else:
-        flavor = "meta" if est == "meta_aipw" else "clb"
-        report = decoupled_aipw(sites, target, table, IDENTITY_PLUS_INTERCEPT,
-                                flavor=flavor, F=args.folds,
-                                rng=np.random.default_rng(args.seed),
-                                ci_level=args.ci)
+        report = decoupled_aipw(sites, target, table, IDENTITY_PLUS_INTERCEPT, flavor=flavor,
+                                F=args.folds, rng=rng, ci_level=args.ci)
     print(report.to_json())
     return 0
 

@@ -223,12 +223,20 @@ def _read_body(fh, dtype, ndmin: int) -> np.ndarray:
         return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=ndmin)
 
 
+def _read_header(fh, path, lead: str) -> int:
+    """d of a header that reads lead, then x1,...,xd with d >= 1; any other
+    header raises ValueError naming the file and the header found."""
+    found = fh.readline().rstrip("\r\n")
+    d = found.count(",") + 1 - lead.count(",")
+    if d < 1 or found != lead + ",".join(f"x{j + 1}" for j in range(d)):
+        raise ValueError(f"{path}: header must be {lead}x1,...,xd, not {found!r}")
+    return d
+
+
 def read_sites_csv(path) -> list:
     """Sites in ascending site_id order, each keeping its rows' file order."""
     with open(path) as fh:
-        d = len(fh.readline().split(",")) - 3
-        if d < 1:
-            raise ValueError(f"{path}: header must be site_id,z,y,x1,...,xd")
+        d = _read_header(fh, path, "site_id,z,y,")
         rows = _read_body(fh, [("site_id", np.int64), ("z", np.int64), ("y", float),
                                ("x", float, (d,))], 1)
     if len(rows) == 0:
@@ -246,7 +254,7 @@ def write_target_csv(target: TargetCovariates, path) -> None:
 
 def read_target_csv(path) -> TargetCovariates:
     with open(path) as fh:
-        d = len(fh.readline().split(","))
+        d = _read_header(fh, path, "")
         xs = _read_body(fh, float, 2)
     if len(xs) and xs.shape[1] != d:
         raise ValueError(f"{path}: header names {d} columns but rows hold {xs.shape[1]}")

@@ -524,54 +524,23 @@ def fit_tilting(source, target, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT) -> Ra
     return RatioModel(backend="tilting", gamma=gamma, psi=psi, fit_info=info)
 
 
-def fit_logistic(x, labels, psi: FeatureMap = IDENTITY_PLUS_INTERCEPT):
-    """Maximum-likelihood logistic regression P(label = 1 | x) = expit(psi(x)' beta):
-    fit_logistic_blocks on one block, standardized by its own feature means
-    and sds. Raises ValueError unless x and labels are non-empty and of equal
-    length with 0/1 labels, and TiltingError when the fit stops without
-    converging. Returns (beta, fit_info) with beta on the scale of psi(x).
-    """
-    scale, block = LogisticScale.announce(psi, x)
-    y = np.asarray(labels, dtype=float).reshape(-1)
-    if len(y) != block.n or len(y) == 0:
-        raise ValueError("x and labels must be non-empty and of equal length")
-    return fit_logistic_blocks([(block, y)], scale)
-
-
 def fit_logistic_ratio_blocks(source: LogisticBlock, target: LogisticBlock,
                               scale: LogisticScale) -> RatioModel:
-    """fit_logistic_ratio on prebuilt blocks: the source block labelled 1, the
-    target block labelled 0, both standardized by ``scale``."""
-    beta, info = fit_logistic_blocks([(source, 1.0), (target, 0.0)], scale)
-    beta[0] += math.log(target.n / source.n)
-    return RatioModel(backend="tilting", gamma=beta, psi=scale.psi, fit_info=info)
-
-
-def fit_logistic_ratio(source, target,
-                       psi: FeatureMap = IDENTITY_PLUS_INTERCEPT) -> RatioModel:
     """Exponential-tilt model of p_source/p_target fitted by logistic
     discrimination of source against target (Qin, Biometrika 1998).
 
     The pooled-sample log-odds of "source" is psi(x)' beta; the density ratio
     is exp(psi(x)' beta) * n_target / n_source, so log(n_target/n_source) is
-    added to the intercept. psi must have an intercept. The fit is
-    fit_logistic_blocks on two blocks, the source's rows labelled 1 and the
-    target's labelled 0, standardized by the target's feature means and sds.
-    Where fit_tilting needs the target's moments inside the source's
-    reachable set, this fit exists unless a hyperplane in psi-space
-    separates the two samples, however far apart their means lie. Raises
-    TiltingError as fit_logistic_blocks does.
+    added to the intercept, which psi must have. The fit is
+    fit_logistic_blocks on the source block labelled 1 and the target block
+    labelled 0, both built with ``scale``. Where fit_tilting needs the
+    target's moments inside the source's reachable set, this fit exists
+    unless a hyperplane in psi-space separates the two samples, however far
+    apart their means lie. Raises TiltingError as fit_logistic_blocks does.
     """
-    if not psi.has_intercept:
-        raise ValueError("a logistic ratio needs an intercept in the feature map")
-    src = np.atleast_2d(np.asarray(source, dtype=float))
-    tgt = np.atleast_2d(np.asarray(target, dtype=float))
-    if src.size == 0 or tgt.size == 0:
-        raise ValueError("source and target must be non-empty")
-    if src.shape[1] != tgt.shape[1]:
-        raise ValueError("source and target dimension mismatch")
-    scale, tgt_block = LogisticScale.announce(psi, tgt)
-    return fit_logistic_ratio_blocks(scale.block(src), tgt_block, scale)
+    beta, info = fit_logistic_blocks([(source, 1.0), (target, 0.0)], scale)
+    beta[0] += math.log(target.n / source.n)
+    return RatioModel(backend="tilting", gamma=beta, psi=scale.psi, fit_info=info)
 
 
 def fit_knn(source, target, M: Optional[int] = None) -> RatioModel:

@@ -360,7 +360,7 @@ def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
                     train: Callable, flavors: Sequence[str]):
     """The cross-fit fold loop of decoupled AIPW, shared by the in-memory and
     the message-passing paths. ``train(train_include, f)`` returns the fold's
-    (treated, control) outcome models on psi, fitted on the complement of
+    outcome coefficients (theta1, theta0) on psi, fitted on the complement of
     fold f. The plan may cover more sites than ``sites``; only these train
     and correct. Each pass builds the target's design once, each site's comes
     from its frame, and each fold trains and residualizes each site once.
@@ -378,9 +378,9 @@ def _crossfit_folds(sites: Sequence[SiteDataset], target: TargetCovariates,
     target_design = np.atleast_2d(psi.design(target.xs))
     designs = [table.frames[s.site_id].design(psi) for s in sites]
     for f in range(fold_plan.F):
-        m1, m0 = train({s.site_id: fold_plan.train_mask(s.site_id, f) for s in sites}, f)
-        diff = target_design @ m1.theta - target_design @ m0.theta
-        resids = [np.where(s.z_vec == 1, s.y_vec - d @ m1.theta, s.y_vec - d @ m0.theta)
+        t1, t0 = train({s.site_id: fold_plan.train_mask(s.site_id, f) for s in sites}, f)
+        diff = target_design @ t1 - target_design @ t0
+        resids = [np.where(s.z_vec == 1, s.y_vec - d @ t1, s.y_vec - d @ t0)
                   for s, d in zip(sites, designs)]
         keeps = [fold_plan.eval_mask(s.site_id, f) for s in sites]
         corrections = {fl: {s.site_id: kernels[fl](s, r, table, keep)

@@ -122,9 +122,6 @@ class MessageLog:
     def __len__(self):
         return len(self.messages)
 
-    def by_kind(self, kind: str) -> List[SiteMessage]:
-        return [m for m in self.messages if m.kind == kind]
-
     def save(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("".join((m.to_json_line() if m.line is None else m.line) + "\n"
@@ -162,7 +159,7 @@ def fit_outcome_blocks(sites: Sequence[SiteDataset], table: ScoreTable, psi,
     outcome_block of both arms to log, and the server sums the payloads it
     receives in site order and solves, the arithmetic of fit_outcome_direct
     (Wu et al., 2012). The loss is quadratic, so the one round is exact.
-    Returns (treated, control).
+    Returns the coefficients (theta1, theta0) of the treated and control arms.
     """
     received = []
     for s in sites:
@@ -172,7 +169,7 @@ def fit_outcome_blocks(sites: Sequence[SiteDataset], table: ScoreTable, psi,
             payload[f"gram{arm}"], payload[f"cross{arm}"] = gram.tolist(), cross.tolist()
         received.append(log.post(SiteMessage(s.site_id, "outcome_blocks", fold, payload)))
     return tuple(solve_outcome_blocks([(pay[f"gram{arm}"], pay[f"cross{arm}"])
-                                       for pay in received], arm, psi)
+                                       for pay in received], arm)
                  for arm in (1, 0))
 
 

@@ -71,6 +71,9 @@ class SweepSpec:
             raise ValueError(f"unknown nuisance mode {self.nuisance_mode!r}")
         if self.ps_spec not in ("correct", "wrong") or self.om_spec not in ("correct", "wrong"):
             raise ValueError("ps_spec and om_spec must be 'correct' or 'wrong'")
+        if "wrong" in (self.ps_spec, self.om_spec) and self.shift.d != 3:
+            raise ValueError("a 'wrong' ps_spec or om_spec needs shift.d = 3: the "
+                             f"misspecified map reads 3 covariates, not {self.shift.d}")
         if self.meta_weight_mode not in ("oracle", "estimated", "vanilla"):
             raise ValueError(f"unknown weight mode {self.meta_weight_mode!r}")
         if not (0.0 < self.ci_level < 1.0):
@@ -186,18 +189,16 @@ def oracle_meta_site_variances(shift: ShiftConfig, means: Sequence[float]) -> Di
     return out
 
 
-# ---------------------------------------------------------------------------
-# Fitted nuisances; a site whose fit fails is dropped
-
-
-def _build_nuisance(spec: SweepSpec, sites, target, means):
-    """Returns (PropensitySet, live_sites, failed): the sites whose scores are
-    usable, and fit_scores' {site_id: reason} for the dropped ones."""
-    if spec.nuisance_mode == "oracle":
-        return oracle_shift_propensity(spec.shift, means, sites), sites, {}
-    p, failed = fit_scores(sites, target, spec.nuisance_mode, spec.ps_spec == "wrong")
-    if not p.e:
-        raise OverlapError("every ratio fit failed; no scores available")
+def _build_scores(mode: str, sites, target, shift: Optional[ShiftConfig] = None,
+                  means: Optional[Sequence[float]] = None, wrong: bool = False):
+    """(PropensitySet, live_sites, failed) for nuisance mode "oracle" (the
+    exact scores of the shift design at the site means), "tilting" or "knn"
+    (fit_scores, on the misspecified map when wrong is set). failed maps
+    the id of each site whose fit failed to the reason; live_sites are the
+    others. A sweep drops a failed site; `fedcause estimate` refuses it."""
+    if mode == "oracle":
+        return oracle_shift_propensity(shift, means, sites), sites, {}
+    p, failed = fit_scores(sites, target, mode, wrong)
     return p, [s for s in sites if s.site_id not in failed], failed
 
 
@@ -214,8 +215,11 @@ def _run_one_rep(spec: SweepSpec, seed: int, grid_index: int, rep: int,
                                                   means=np.asarray(means))
     out = {"true_tau": true_tau, "results": {}, "excised": False}
     try:
-        p, live, failed = _build_nuisance(spec, sites, target, means)
+        p, live, failed = _build_scores(spec.nuisance_mode, sites, target, spec.shift,
+                                        means, spec.ps_spec == "wrong")
         out["excised"] = bool(failed)
+        if not live:
+            raise OverlapError("every ratio fit failed; no scores available")
         table = score_table(live, p)
     except (OverlapError, TiltingError, ValueError) as exc:
         out["excised"] = True
@@ -357,16 +361,17 @@ def ci_grid(spec: SweepSpec, seed: int, out_path, jobs: int = 1) -> Dict[tuple, 
     combinations, each run on the same derived data streams."""
     rows = {}
     lines = [",".join(CI_GRID_COLUMNS)]
-    for ps in ("correct", "wrong"):
-        for om in ("correct", "wrong"):
-            cell_spec = replace(spec, d_kl_grid=(3.0,), ps_spec=ps, om_spec=om)
-            result = run_monte_carlo(cell_spec, seed, jobs=jobs)
-            for est in spec.estimators:
-                c = result.cells[(3.0, est)]
-                rows[(est, ps, om)] = c
-                lines.append(",".join([
-                    est, ps, om, _fmt(c.mean_tau_hat),
-                    _fmt(c.mean_half_width), _fmt(c.coverage)]))
+    # every cell's spec is checked before the first replication runs
+    cells = {(ps, om): replace(spec, d_kl_grid=(3.0,), ps_spec=ps, om_spec=om)
+             for ps in ("correct", "wrong") for om in ("correct", "wrong")}
+    for (ps, om), cell_spec in cells.items():
+        result = run_monte_carlo(cell_spec, seed, jobs=jobs)
+        for est in spec.estimators:
+            c = result.cells[(3.0, est)]
+            rows[(est, ps, om)] = c
+            lines.append(",".join([
+                est, ps, om, _fmt(c.mean_tau_hat),
+                _fmt(c.mean_half_width), _fmt(c.coverage)]))
     with open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return rows

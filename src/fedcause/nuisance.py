@@ -288,32 +288,6 @@ def crossfit_split(sites: Sequence[SiteDataset], F: int, rng) -> FoldPlan:
     return FoldPlan(F=F, fold_index=fold_index)
 
 
-@dataclass
-class OutcomeModel:
-    """Linear outcome regression for one arm on a feature map.
-
-    A constant term always leads the coefficient vector: predictions are
-    psi.design(x) @ theta, where design prepends a ones column whenever the
-    map itself has none.
-    """
-
-    arm: int
-    psi: FeatureMap
-    theta: np.ndarray
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        if not np.all(np.isfinite(self.theta)):
-            raise ValueError("non-finite outcome-model parameters")
-
-    def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        d = np.atleast_2d(self.psi.design(x))
-        out = d @ self.theta
-        return float(out[0]) if single else out
-
-
 @functools.lru_cache(maxsize=None)
 def _upper(p: int) -> Tuple[np.ndarray, np.ndarray]:
     """Row-major indices of a p x p upper triangle; cached, as np.triu_indices
@@ -338,11 +312,13 @@ def outcome_block(site: SiteDataset, table: ScoreTable, psi: FeatureMap, arm: in
 
 
 def solve_outcome_blocks(blocks: Sequence[Tuple[Sequence[float], Sequence[float]]],
-                         arm: int, psi: FeatureMap) -> OutcomeModel:
-    """The arm's outcome model from the sites' outcome_block pairs, summed in
-    the given order: the exact minimizer of the pooled weighted squared loss,
-    solved by least squares on the normal equations (the minimum-norm
-    solution when they are singular)."""
+                         arm: int) -> np.ndarray:
+    """The arm's outcome coefficients theta from the sites' outcome_block
+    pairs, summed in the given order: the exact minimizer of the pooled
+    weighted squared loss, solved by least squares on the normal equations
+    (the minimum-norm solution when they are singular). A prediction is
+    psi.design(x) @ theta, so theta leads with the constant term. A
+    non-finite theta raises ValueError."""
     gram_tri = sum(np.asarray(g, dtype=float) for g, _ in blocks)
     cross = sum(np.asarray(c, dtype=float) for _, c in blocks)
     if not np.any(gram_tri):
@@ -352,12 +328,14 @@ def solve_outcome_blocks(blocks: Sequence[Tuple[Sequence[float], Sequence[float]
     gram[upper] = gram_tri
     gram.T[upper] = gram_tri
     theta, *_ = np.linalg.lstsq(gram, cross, rcond=None)
-    return OutcomeModel(arm=arm, psi=psi, theta=theta)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("non-finite outcome-model parameters")
+    return theta
 
 
 def fit_outcome_direct(sites: Sequence[SiteDataset], arm: int, psi: FeatureMap,
                        table: ScoreTable,
-                       include: Optional[Dict[int, np.ndarray]] = None) -> OutcomeModel:
+                       include: Optional[Dict[int, np.ndarray]] = None) -> np.ndarray:
     """Minimize the pooled weighted squared loss exactly: every site's
     outcome_block, in ascending site order, through solve_outcome_blocks, as
     the federated protocol does. Scaling every score by one constant scales
@@ -365,4 +343,4 @@ def fit_outcome_direct(sites: Sequence[SiteDataset], arm: int, psi: FeatureMap,
     """
     return solve_outcome_blocks(
         [outcome_block(s, table, psi, arm, None if include is None else include.get(s.site_id))
-         for s in sorted(sites, key=lambda t: t.site_id)], arm, psi)
+         for s in sorted(sites, key=lambda t: t.site_id)], arm)

@@ -47,10 +47,13 @@ class ShiftConfig:
             v = getattr(self, name)
             if not isinstance(v, numbers.Real) or not np.isfinite(v):
                 raise ValueError(f"{name} must be a finite number")
+        sizes = (self.n_sites, self.n_target, self.d, *self.site_sizes)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in sizes):
+            raise ValueError("n_sites, site_sizes, n_target and d must be integers")
         if self.n_sites < 1 or len(self.site_sizes) != self.n_sites:
             raise ValueError("site_sizes must list one positive size per site")
-        if any(n <= 0 for n in self.site_sizes) or self.n_target <= 0:
-            raise ValueError("sizes must be positive")
+        if min(sizes) < 1:
+            raise ValueError("sizes and d must be positive")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.d_kl < 0 or self.noise_sd < 0:

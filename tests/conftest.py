@@ -7,7 +7,10 @@ pass/fail verdicts survive output capturing.
 import numpy as np
 import pytest
 
-from fedcause import PropensitySet, SiteDataset, TargetCovariates
+from fedcause import (IDENTITY_PLUS_INTERCEPT, PropensitySet, SiteDataset,
+                      TargetCovariates)
+from fedcause.density_ratio import (LogisticScale, fit_logistic_blocks,
+                                    fit_logistic_ratio_blocks)
 from fedcause.synthgen import SelectConfig, gen_sampling_selecting
 
 _CRITERION_LINES = []
@@ -27,6 +30,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("=", "acceptance criteria")
     for _, line in sorted(_CRITERION_LINES):
         terminalreporter.write_line(line)
+
+
+# ---------------------------------------------------------------------------
+# logistic fits on raw rows, through the block functions the package calls
+
+
+def logistic(x, labels, psi=IDENTITY_PLUS_INTERCEPT):
+    """(beta, fit_info) of P(label = 1 | x) = expit(psi(x)' beta), fitted on
+    one block standardized by x's own feature means and sds."""
+    scale, block = LogisticScale.announce(psi, x)
+    return fit_logistic_blocks([(block, np.asarray(labels, dtype=float))], scale)
+
+
+def logistic_ratio(source, target, psi=IDENTITY_PLUS_INTERCEPT):
+    """The logistic ratio model of p_source/p_target, standardized by the
+    target's feature means and sds, as fit_scores fits a site's ratio."""
+    scale, block = LogisticScale.announce(psi, target)
+    return fit_logistic_ratio_blocks(scale.block(source), block, scale)
 
 
 # ---------------------------------------------------------------------------

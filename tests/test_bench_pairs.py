@@ -136,6 +136,8 @@ def test_main_runs_every_workload_and_writes_one_file_each(monkeypatch, tmp_path
     monkeypatch.setattr(bench_pairs, "end_to_end", lambda checkout: {"reps_per_s": (True, 0.25)})
     monkeypatch.setattr(bench_pairs, "workloads", lambda checkout: ["w1", "w2", "w3"])
     monkeypatch.setattr(bench_pairs, "_commit", lambda checkout: checkout)
+    monkeypatch.setattr(bench_pairs, "design_size",
+                        lambda checkout: {"src_lines": len(checkout), "all_names": 1})
     monkeypatch.chdir(tmp_path)
     assert bench_pairs.main(["--base", "before", "--change", "after", "--workload", "all",
                              "--pairs", "2", "--seed", "7", "--label", "x"]) == 0
@@ -148,6 +150,8 @@ def test_main_runs_every_workload_and_writes_one_file_each(monkeypatch, tmp_path
         assert doc["workload"] == w and doc["label"] == "x" and doc["pairs_run"] == 2
         assert doc["commits"] == {"base": "before", "change": "after"}
         assert doc["summary"]["reps_per_s"]["change_better_pairs"] == 2
+        assert doc["summary"]["design"] == {"base": {"src_lines": 6, "all_names": 1},
+                                            "change": {"src_lines": 5, "all_names": 1}}
 
     calls.clear()
     assert bench_pairs.main(["--base", "before", "--change", "after", "--workload", "w3",
@@ -158,3 +162,20 @@ def test_main_runs_every_workload_and_writes_one_file_each(monkeypatch, tmp_path
         "BENCH_w1-y.json", "BENCH_w3-y.json"]
     with pytest.raises(SystemExit):
         bench_pairs.main(["--base", "b", "--change", "a", "--workload", "w9", "--label", "z"])
+
+
+def test_design_size_counts_source_lines_and_parses_all(tmp_path):
+    pkg = tmp_path / "src" / "fedcause"
+    pkg.mkdir(parents=True)
+    # an __init__ that fails on import: the count must only parse it
+    (pkg / "__init__.py").write_text('raise ImportError("not imported")\n'
+                                     '__version__ = "0"\n__all__ = [\n    "a", "b",\n    "c"]\n')
+    (pkg / "core.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    assert bench_pairs.design_size(tmp_path) == {"src_lines": 8, "all_names": 3}
+    # this checkout, against its own files and its package's __all__
+    import fedcause
+    files = sorted((ROOT / "src" / "fedcause").glob("*.py"))
+    assert bench_pairs.design_size(ROOT) == {
+        "src_lines": sum(f.read_text().count("\n") for f in files),
+        "all_names": len(fedcause.__all__)}

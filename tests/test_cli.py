@@ -187,6 +187,24 @@ def test_estimate_federated_aipw_prints_the_in_memory_report(capsys, data_dir, t
         assert replay(log).to_json() + "\n" == out
 
 
+@pytest.mark.parametrize("ratio", ["tilting", "oracle"])
+def test_estimate_federated_meta_aipw_prints_the_in_memory_report(capsys, data_dir, tmp_path,
+                                                                  ratio):
+    # protocol two's meta flavour: the outcome fit pools every site's blocks,
+    # and each site sends its fold deltas
+    log_path = tmp_path / f"meta-{ratio}.msgs.jsonl"
+    args = ["estimate", "--data", str(data_dir), "--estimator", "meta-aipw",
+            "--ratio", ratio, "--seed", "5"]
+    assert main(args) == 0
+    in_memory = capsys.readouterr().out
+    assert main([*args, "--federated", "--log", str(log_path)]) == 0
+    out = capsys.readouterr().out
+    assert out == in_memory and json.loads(out)["estimator_name"] == "MetaAIPW"
+    log = MessageLog.load(log_path)
+    assert len(log) == 17 and audit_messages(log) == []
+    assert replay(log).to_json() + "\n" == out
+
+
 def test_estimate_names_the_site_of_a_failed_fit(capsys, data_dir, monkeypatch):
     from fedcause import TiltingError, nuisance
 
@@ -289,7 +307,8 @@ def test_estimate_federated_rejects_per_site_estimator(capsys, data_dir):
     rc = main(["estimate", "--data", str(data_dir), "--estimator", "meta-ipw",
                "--federated"])
     err = capsys.readouterr().err
-    assert rc == 1 and "error:" in err
+    assert rc == 1 and err.startswith("error: --federated does not run meta-ipw")
+    assert "aipw" not in err and "clb" not in err
 
 
 def test_estimate_oracle_needs_manifest(capsys, data_dir, tmp_path):
@@ -340,15 +359,15 @@ def test_estimate_rejects_a_ci_level_outside_the_unit_interval(capsys, data_dir)
 
 
 def test_estimate_checks_the_ci_level_before_any_fit(capsys, data_dir, monkeypatch):
-    import fedcause.cli as cli
-    real = cli.fit_scores
+    import fedcause.harness as harness
+    real = harness.fit_scores
     calls = []
 
     def counted(*a, **kw):
         calls.append(None)
         return real(*a, **kw)
 
-    monkeypatch.setattr(cli, "fit_scores", counted)
+    monkeypatch.setattr(harness, "fit_scores", counted)
     rc = main(["estimate", "--data", str(data_dir), "--estimator", "clb-aipw",
                "--federated", "--ci", "1.5"])
     assert rc == 1

@@ -85,6 +85,26 @@ def test_sites_csv_needs_a_covariate_column(tmp_path, text):
         read_sites_csv(path)
 
 
+@pytest.mark.parametrize("header", ["z,site_id,y,x1", "a,b,c,d", "site_id,z,y,x2",
+                                    "site_id,z,y,x1,x1", "site_id,z,y,X1"])
+def test_sites_csv_refuses_any_other_header(tmp_path, header):
+    # "z,site_id,y,x1" would read each unit's arm as its site and its site as its arm
+    path = tmp_path / "s.csv"
+    path.write_text(header + "\n" + ",".join(["1"] * (header.count(",") + 1)) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_sites_csv(path)
+    assert str(exc.value) == f"{path}: header must be site_id,z,y,x1,...,xd, not {header!r}"
+
+
+@pytest.mark.parametrize("header", ["a,b", "x2,x1", "x1,x3", "x1, x2", "site_id,z,y,x1"])
+def test_target_csv_refuses_any_other_header(tmp_path, header):
+    path = tmp_path / "t.csv"
+    path.write_text(header + "\n" + ",".join(["1"] * (header.count(",") + 1)) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_target_csv(path)
+    assert str(exc.value) == f"{path}: header must be x1,...,xd, not {header!r}"
+
+
 def test_csv_blank_lines_are_ignored(tmp_path, rng):
     sites = _random_sites(rng)
     target = TargetCovariates(rng.normal(size=(7, 3)))

@@ -20,9 +20,9 @@ from fedcause import (
 )
 from fedcause import density_ratio, fedsim
 from fedcause.density_ratio import (IDENTITY, KNN_BLOCK, LogisticScale, _lift, _sq_dists,
-                                    eval_knn, expit, fit_logistic, fit_logistic_blocks,
-                                    fit_logistic_ratio, fit_logistic_ratio_blocks)
-from conftest import brute_knn_ratio
+                                    eval_knn, expit, fit_logistic_blocks,
+                                    fit_logistic_ratio_blocks)
+from conftest import brute_knn_ratio, logistic, logistic_ratio
 
 
 # -- exponential tilting ------------------------------------------------------
@@ -153,7 +153,7 @@ def test_logistic_recovers_coefficients_and_states_convergence():
     x = rng.normal(size=(20000, 3))
     beta = np.array([0.5, 1.2, 0.3, -1.2])
     y = (rng.random(len(x)) < expit(beta[0] + x @ beta[1:])).astype(int)
-    got, info = fit_logistic(x, y, psi=IDENTITY_PLUS_INTERCEPT)
+    got, info = logistic(x, y)
     assert np.max(np.abs(got - beta)) < 0.1
     assert info["stop"] == "converged" and info["residual"] <= 1e-10
     # the score equations of the maximum-likelihood estimate hold
@@ -172,12 +172,12 @@ def test_logistic_separation_is_reported_distinctly():
     ]
     for xs, labels in cases:
         with pytest.raises(TiltingError) as err:
-            fit_logistic(xs, labels, psi=IDENTITY_PLUS_INTERCEPT)
+            logistic(xs, labels)
         assert err.value.separated
 
 
 @pytest.mark.parametrize("fit", [
-    lambda x, y: fit_logistic(x, y, psi=IDENTITY_PLUS_INTERCEPT),
+    logistic,
     lambda x, y: fit_tilting(x[y == 1], x[y == 0], psi=IDENTITY_PLUS_INTERCEPT),
 ], ids=["fit_logistic", "fit_tilting"])
 def test_logistic_iteration_cap_is_not_separation(monkeypatch, fit):
@@ -202,7 +202,7 @@ def test_logistic_ratio_fits_a_site_that_moment_matching_cannot():
     with pytest.raises(TiltingError) as err:
         fit_tilting(src[arm], tgt, psi=IDENTITY_PLUS_INTERCEPT)
     assert err.value.separated
-    m = fit_logistic_ratio(src, tgt, psi=IDENTITY_PLUS_INTERCEPT)
+    m = logistic_ratio(src, tgt)
     assert m.backend == "tilting" and m.fit_info["stop"] == "converged"
     # the oracle log-ratio slope is (mu_s - mu_t) / sigma^2 per coordinate
     assert np.max(np.abs(m.gamma[1:] - (mu_s - mu_t) / 4.0)) < 0.1
@@ -215,10 +215,10 @@ def test_two_block_fit_is_the_stacked_fit(psi):
     rng = np.random.default_rng(45)
     src = rng.normal(1.0, 2.0, size=(300, 3))
     tgt = rng.normal(-0.1, 2.0, size=(2000, 3))
-    stacked, info = fit_logistic(np.vstack([src, tgt]),
-                                 np.r_[np.ones(len(src)), np.zeros(len(tgt))], psi=psi)
+    stacked, info = logistic(np.vstack([src, tgt]),
+                             np.r_[np.ones(len(src)), np.zeros(len(tgt))], psi=psi)
     stacked[0] += math.log(len(tgt) / len(src))
-    m = fit_logistic_ratio(src, tgt, psi=psi)
+    m = logistic_ratio(src, tgt, psi=psi)
     assert m.fit_info["iterations"] == info["iterations"]
     assert np.max(np.abs(m.gamma - stacked)) <= 1e-10 * np.max(np.abs(stacked))
     # splitting a block changes only the order of the sums
@@ -244,15 +244,12 @@ def test_separable_site_block_is_reported_separated():
 
 
 def test_logistic_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        fit_logistic([[0.0], [1.0]], [0, 2])
-    with pytest.raises(ValueError):
-        fit_logistic([[0.0], [1.0]], [0])
-    with pytest.raises(ValueError):
-        fit_logistic_ratio([[0.0]], [[1.0]], psi=IDENTITY)
     scale, block = LogisticScale.announce(IDENTITY_PLUS_INTERCEPT, [[0.0], [1.0]])
-    with pytest.raises(ValueError, match="one label per row"):
-        fit_logistic_blocks([(block, [0.0, 1.0, 1.0])], scale)
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        fit_logistic_blocks([(block, [0.0, 2.0])], scale)
+    for labels in ([0.0], [0.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="one label per row"):
+            fit_logistic_blocks([(block, labels)], scale)
 
 
 def test_logistic_derivative_is_bitwise_the_masked_select():
@@ -379,7 +376,7 @@ def test_a_refused_start_leaves_the_zero_start_fit_bitwise(monkeypatch, reason):
     def fit(start_or_none):
         monkeypatch.setattr(density_ratio, "_discriminant", lambda parts: start_or_none)
         try:
-            beta, info = fit_logistic(x, y, psi=IDENTITY_PLUS_INTERCEPT)
+            beta, info = logistic(x, y)
             return beta.tobytes(), info
         except TiltingError as err:
             return str(err), (err.iterations, err.residual, err.separated)

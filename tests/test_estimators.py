@@ -8,7 +8,6 @@ from fedcause import (
     AllSitesExcludedError,
     Excluded,
     MetaDeltas,
-    OutcomeModel,
     OverlapError,
     PropensitySet,
     ShiftConfig,
@@ -37,10 +36,11 @@ def _const(v):
     return lambda x: np.full(len(np.atleast_2d(x)), v)
 
 
-def _corrections(site, m1, m0, table, flavor):
-    """One site's residualized IPW terms, as the cross-fit fold loop forms them."""
-    x = site.x_matrix
-    resid = np.where(site.z_vec == 1, site.y_vec - m1.predict(x), site.y_vec - m0.predict(x))
+def _corrections(site, theta1, theta0, table, flavor):
+    """One site's residualized IPW terms under the outcome coefficients of
+    each arm on (1, x), as the cross-fit fold loop forms them."""
+    d = IDENTITY.design(site.x_matrix)
+    resid = np.where(site.z_vec == 1, site.y_vec - d @ theta1, site.y_vec - d @ theta0)
     if flavor == "clb":
         return _clb_aggregate_arrays(site, resid, table, None)
     return _meta_deltas(site, resid, table, None, False)
@@ -202,24 +202,21 @@ def test_corrections_vanish_with_perfect_models():
     means = [0.4, -0.6, -0.1]
     p = score_table(sites, oracle_shift_propensity(cfg, means, sites))
     # regression designs always carry a constant column; true intercept is 0
-    m1 = OutcomeModel(arm=1, psi=IDENTITY, theta=np.r_[0.0, cfg.beta1])
-    m0 = OutcomeModel(arm=0, psi=IDENTITY, theta=np.r_[0.0, cfg.beta0])
+    theta1, theta0 = np.r_[0.0, cfg.beta1], np.r_[0.0, cfg.beta0]
     for s in sites:
-        agg = _corrections(s, m1, m0, p, "clb")
+        agg = _corrections(s, theta1, theta0, p, "clb")
         assert abs(agg.G1) < 1e-9 and abs(agg.G0) < 1e-9
-        d = _corrections(s, m1, m0, p, "meta")
+        d = _corrections(s, theta1, theta0, p, "meta")
         assert abs(d.d1) < 1e-12 and abs(d.d0) < 1e-12
 
 
 def test_corrections_with_zero_model_equal_ipw_terms():
     site = _two_unit_site()
     p = score_table([site], _const_set(0.5))
-    m1 = OutcomeModel(arm=1, psi=IDENTITY, theta=np.zeros(2))
-    m0 = OutcomeModel(arm=0, psi=IDENTITY, theta=np.zeros(2))
-    agg = _corrections(site, m1, m0, p, "clb")
+    agg = _corrections(site, np.zeros(2), np.zeros(2), p, "clb")
     raw = clb_site_aggregates(site, p)
     assert (agg.G1, agg.N1, agg.G0, agg.N0) == (raw.G1, raw.N1, raw.G0, raw.N0)
-    d = _corrections(site, m1, m0, p, "meta")
+    d = _corrections(site, np.zeros(2), np.zeros(2), p, "meta")
     assert d.d1 == pytest.approx(2.0)  # Hajek mean of y over the treated unit
     assert d.d0 == pytest.approx(1.0)
 
@@ -227,9 +224,7 @@ def test_corrections_with_zero_model_equal_ipw_terms():
 def test_correction_single_unit_residual():
     site = SiteDataset.from_arrays(1, np.array([[3.0]]), [1], [2.0])
     p = score_table([site], _const_set(0.5))
-    m1 = OutcomeModel(arm=1, psi=IDENTITY, theta=np.array([0.0, 0.5]))
-    m0 = OutcomeModel(arm=0, psi=IDENTITY, theta=np.zeros(2))
-    agg = _corrections(site, m1, m0, p, "clb")
+    agg = _corrections(site, np.array([0.0, 0.5]), np.zeros(2), p, "clb")
     assert agg.G1 / agg.N1 == pytest.approx(0.5)
 
 
@@ -247,9 +242,7 @@ def test_aipw_combine_lambda_one_zero_residuals():
 def test_aipw_combine_zero_models_reduces_to_clb():
     sites = [_two_unit_site(1), _two_unit_site(2)]
     p = score_table(sites, _const_set(0.5, site_ids=(1, 2)))
-    m1 = OutcomeModel(arm=1, psi=IDENTITY, theta=np.zeros(2))
-    m0 = OutcomeModel(arm=0, psi=IDENTITY, theta=np.zeros(2))
-    deltas = {s.site_id: _corrections(s, m1, m0, p, "clb") for s in sites}
+    deltas = {s.site_id: _corrections(s, np.zeros(2), np.zeros(2), p, "clb") for s in sites}
     inputs = AipwInputs(target_mean_term=0.0, target_sq_term=0.0, n_target=10,
                         deltas=deltas, n_pooled=4, fold=0)
     rep = aipw_combine([inputs], flavor="clb")
@@ -259,9 +252,8 @@ def test_aipw_combine_zero_models_reduces_to_clb():
 
 def test_aipw_meta_flavor_weighted_combine():
     site = _two_unit_site()
-    d_a = _corrections(site, OutcomeModel(arm=1, psi=IDENTITY, theta=np.zeros(2)),
-                       OutcomeModel(arm=0, psi=IDENTITY, theta=np.zeros(2)),
-                       score_table([site], _const_set(0.5)), "meta")
+    d_a = _corrections(site, np.zeros(2), np.zeros(2), score_table([site], _const_set(0.5)),
+                       "meta")
     inputs = AipwInputs(target_mean_term=0.25, target_sq_term=0.0, n_target=8,
                         deltas={1: d_a}, n_pooled=4, fold=0)
     rep = aipw_combine([inputs], flavor="meta", weights={1: 1.0})
@@ -484,16 +476,16 @@ def test_frame_sums_are_bitwise_the_masked_sums(psi):
     excluded = 0
     for f in range(3):
         train = {s.site_id: plan.train_mask(s.site_id, f) for s in sites}
-        m1, m0 = (solve_outcome_blocks(
+        theta1, theta0 = (solve_outcome_blocks(
             [_ref_block(s, pooled[s.site_id], psi, arm, train[s.site_id]) for s in sites],
-            arm, psi) for arm in (1, 0))
-        diff = psi.design(target.xs) @ m1.theta - psi.design(target.xs) @ m0.theta
+            arm) for arm in (1, 0))
+        diff = psi.design(target.xs) @ theta1 - psi.design(target.xs) @ theta0
         for fl in ("clb", "meta"):
             assert inputs[fl][f].target_mean_term == float(np.mean(diff))
             assert inputs[fl][f].target_sq_term == float(np.var(diff, ddof=1))
         for s in sites:
             d = psi.design(s.x_matrix)
-            resid = np.where(s.z_vec == 1, s.y_vec - d @ m1.theta, s.y_vec - d @ m0.theta)
+            resid = np.where(s.z_vec == 1, s.y_vec - d @ theta1, s.y_vec - d @ theta0)
             keep = plan.eval_mask(s.site_id, f)
             clb = _ref_clb(s, resid, pooled[s.site_id], keep)
             assert repr(inputs["clb"][f].deltas[s.site_id]) == repr(clb)

@@ -402,7 +402,8 @@ def _meta_transcript():
     rep, log = run_algorithm2(sites, target, {pair: score.ratio for pair, score in p.e.items()},
                               psi_om=IDENTITY_PLUS_INTERCEPT, flavor="meta", F=2,
                               rng=np.random.default_rng(4))
-    assert replay(log) == rep and log.by_kind("aggregates")[0].payload["excluded"]
+    first = next(m for m in log if m.kind == "aggregates")
+    assert replay(log) == rep and first.payload["excluded"]
     return log.messages
 
 
@@ -640,13 +641,13 @@ def test_block_solve_matches_stacked_weighted_lstsq():
              for k in (1, 2, 3) for z in (0, 1)}
         table = score_table(sites, PropensitySet(e=e))
         for arm in (1, 0):
-            m = solve_outcome_blocks([nuisance.outcome_block(s, table, IDENTITY, arm)
-                                      for s in sites], arm, IDENTITY)
+            theta = solve_outcome_blocks([nuisance.outcome_block(s, table, IDENTITY, arm)
+                                          for s in sites], arm)
             parts = [usable_arm_rows(table, s, arm) for s in sites]
             x, y, w = (np.concatenate([t[j] for t in parts]) for j in range(3))
             D = IDENTITY.design(x)
             ref, *_ = np.linalg.lstsq(D * np.sqrt(w)[:, None], y * np.sqrt(w), rcond=None)
-            worst = max(worst, np.max(np.abs(m.theta - ref)) / np.max(np.abs(ref)))
+            worst = max(worst, np.max(np.abs(theta - ref)) / np.max(np.abs(ref)))
     assert worst <= 1e-12, worst
 
 
@@ -698,11 +699,11 @@ def test_outcome_blocks_are_bitwise_the_in_memory_fit():
     include = {s.site_id: rng.random(s.n) < 0.7 for s in sites}
     include[3] &= sites[2].z_vec == 1  # site 3 trains no control units
     log = MessageLog()
-    m1, m0 = fit_outcome_blocks(sites, table, IDENTITY_PLUS_INTERCEPT, include, 4, log)
-    for m, arm in ((m1, 1), (m0, 0)):
+    theta1, theta0 = fit_outcome_blocks(sites, table, IDENTITY_PLUS_INTERCEPT, include, 4, log)
+    for theta, arm in ((theta1, 1), (theta0, 0)):
         ref = fit_outcome_direct(sites, arm, IDENTITY_PLUS_INTERCEPT, table, include=include)
-        assert m.theta.tobytes() == ref.theta.tobytes()
-        assert not np.array_equal(m.theta, 0.0)
+        assert theta.tobytes() == ref.tobytes()
+        assert not np.array_equal(theta, 0.0)
     # site 3 sends zeros for its empty control arm
     assert log.messages[2].payload["gram0"] == [0.0] * 6
     assert audit_messages(log) == []
@@ -742,7 +743,7 @@ def test_factored_models_round_trip_exactly_and_audit_clean():
     _, log = run_algorithm2(sites, target, ratios, psi_om=IDENTITY_PLUS_INTERCEPT,
                             F=2, rng=np.random.default_rng(0))
     assert audit_messages(log) == []
-    for msg in log.by_kind("publish_ratio_model"):
+    for msg in (m for m in log if m.kind == "publish_ratio_model"):
         for slot in ("model1", "model0"):
             assert list(msg.payload[slot]) == ["backend", "gamma", "beta", "psi"]
 
@@ -759,7 +760,7 @@ def test_a_protocol_two_run_on_ten_covariates_audits_clean_and_replays(tmp_path)
     target = TargetCovariates(rng.normal(size=(300, 10)))
     rep, log = run_algorithm2(sites, target, _fitted_ratios(sites, target),
                               psi_om=IDENTITY_PLUS_INTERCEPT, F=2, rng=np.random.default_rng(0))
-    assert [len(m.payload["gram1"]) for m in log.by_kind("outcome_blocks")] == [66] * 4
+    assert [len(m.payload["gram1"]) for m in log if m.kind == "outcome_blocks"] == [66] * 4
     assert audit_messages(log) == []
     log.save(tmp_path / "run.msgs.jsonl")
     assert replay(MessageLog.load(tmp_path / "run.msgs.jsonl")) == rep

@@ -12,7 +12,7 @@ from fedcause import (decoupled_aipw, density_ratio, estimators, harness,
                       nuisance)
 from fedcause.density_ratio import (IDENTITY_PLUS_INTERCEPT,
                                     oracle_gaussian_ratio)
-from fedcause.harness import CI_GRID_COLUMNS, SWEEP_COLUMNS, _build_nuisance
+from fedcause.harness import CI_GRID_COLUMNS, SWEEP_COLUMNS, _build_scores
 
 
 def _tiny_spec(**kw) -> SweepSpec:
@@ -99,6 +99,27 @@ def test_ci_grid_covers_specification_cells(tmp_path):
                           for ps in ("correct", "wrong") for om in ("correct", "wrong")}
 
 
+# a four-covariate design, which the misspecified map cannot read
+SHIFT_D4 = ShiftConfig(site_sizes=(50, 60, 70), n_target=150, d=4,
+                       prop_coef=(1.2, 0.3, -1.2, 0.5), beta1=(1.0,) * 4, beta0=(0.5,) * 4)
+
+
+@pytest.mark.parametrize("ps,om", [("wrong", "correct"), ("correct", "wrong")])
+def test_spec_refuses_a_wrong_map_on_a_design_it_cannot_read(ps, om):
+    with pytest.raises(ValueError, match="needs shift.d = 3"):
+        SweepSpec(nuisance_mode="tilting", ps_spec=ps, om_spec=om, shift=SHIFT_D4)
+    SweepSpec(nuisance_mode="tilting", shift=SHIFT_D4)
+
+
+def test_ci_grid_refuses_a_four_covariate_design_before_any_replication(monkeypatch,
+                                                                        tmp_path):
+    reps = []
+    monkeypatch.setattr(harness, "_run_one_rep", lambda *a: reps.append(a))
+    with pytest.raises(ValueError, match="needs shift.d = 3"):
+        ci_grid(SweepSpec(replications=2, shift=SHIFT_D4), 0, tmp_path / "ci.csv")
+    assert reps == [] and not (tmp_path / "ci.csv").exists()
+
+
 def test_spec_json_round_trip():
     spec = _tiny_spec(nuisance_mode="tilting", ps_spec="wrong")
     back = SweepSpec.from_json_obj(spec.to_json_obj())
@@ -114,8 +135,7 @@ def large_fit():
     rng = np.random.default_rng(7)
     means = place_site_means(shift.d_kl, shift.n_sites, shift.sigma, shift.mu_target, rng)
     sites, target, _ = gen_covariate_shift(shift, rng, means=means)
-    spec = SweepSpec(d_kl_grid=(3.0,), nuisance_mode="tilting", shift=shift)
-    fitted, live, failed = _build_nuisance(spec, sites, target, means)
+    fitted, live, failed = _build_scores("tilting", sites, target)
     assert failed == {} and [s.site_id for s in live] == [s.site_id for s in sites]
     return fitted, oracle_shift_propensity(shift, means, sites), target
 
@@ -213,7 +233,8 @@ EXCISED_SWEEP_SHA256 = {
 }
 
 
-# the name in nuisance through which each kind of fit is made, once per site
+# the name in nuisance through which each kind of fit is made, once per site;
+# the keys, which name the site ratio fit and the arm fit, are the test ids
 FIT_CALLS = {"fit_logistic_ratio": "fit_logistic_ratio_blocks",
              "fit_logistic": "fit_logistic_blocks"}
 
@@ -270,7 +291,7 @@ def test_replication_evaluates_each_score_once_per_unit(monkeypatch, mode):
     # a score row is one unit under one site's model: score_table evaluates
     # an arm's ratio scores that share a feature map (or a knn target) in one
     # pass, and any other score through PropensitySet.eval
-    real = harness._build_nuisance
+    real = harness._build_scores
     real_eval, real_ratios = nuisance.PropensitySet.eval, nuisance.eval_ratios
     rows = []
     failed = []
@@ -288,7 +309,7 @@ def test_replication_evaluates_each_score_once_per_unit(monkeypatch, mode):
         failed.append(site_failures)
         return p, live, site_failures
 
-    monkeypatch.setattr(harness, "_build_nuisance", counted)
+    monkeypatch.setattr(harness, "_build_scores", counted)
     monkeypatch.setattr(nuisance.PropensitySet, "eval", counted_eval)
     monkeypatch.setattr(nuisance, "eval_ratios", counted_ratios)
     spec = SweepSpec(d_kl_grid=(1.0,), replications=1, nuisance_mode=mode,
@@ -396,7 +417,7 @@ def _rep_inputs(spec, seed, means):
     # what _run_one_rep builds before its estimators run
     rng = np.random.default_rng((seed, 0, 0))
     sites, target, _ = gen_covariate_shift(spec.shift, rng, means=np.asarray(means))
-    p, live, _ = _build_nuisance(spec, sites, target, means)
+    p, live, _ = _build_scores(spec.nuisance_mode, sites, target, spec.shift, means)
     table = nuisance.score_table(live, p)
     return live, target, table, nuisance.crossfit_split(sites, spec.folds, rng)
 

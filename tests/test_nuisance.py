@@ -7,7 +7,6 @@ import pytest
 
 from fedcause import (
     IDENTITY_PLUS_INTERCEPT,
-    OutcomeModel,
     PropensitySet,
     ShiftConfig,
     SiteDataset,
@@ -18,11 +17,11 @@ from fedcause import (
     oracle_shift_propensity,
     score_table,
 )
-from fedcause.density_ratio import (IDENTITY, FeatureMap, RatioModel, expit,
-                                    fit_logistic, fit_logistic_ratio)
-from fedcause.nuisance import SCORE_FLOOR, FoldPlan, fit_scores, outcome_block
+from fedcause.density_ratio import IDENTITY, FeatureMap, RatioModel, expit
+from fedcause.nuisance import (SCORE_FLOOR, FoldPlan, fit_scores, outcome_block,
+                               solve_outcome_blocks)
 from fedcause.synthgen import place_site_means
-from conftest import usable_arm_rows
+from conftest import logistic, logistic_ratio, usable_arm_rows
 
 
 def test_assemble_uniform_ratio_reduces_to_count_share():
@@ -56,8 +55,8 @@ def test_factored_score_is_site_share_times_ratio_times_arm_propensity():
     x = target.xs[:200]
     eta_x = IDENTITY_PLUS_INTERCEPT.apply(x)
     for s in sites:
-        r = fit_logistic_ratio(s.x_matrix, target.xs).eval(x)
-        beta, _ = fit_logistic(s.x_matrix, s.z_vec)
+        r = logistic_ratio(s.x_matrix, target.xs).eval(x)
+        beta, _ = logistic(s.x_matrix, s.z_vec)
         for z, sign in ((1, 1.0), (0, -1.0)):
             assert p.e[(s.site_id, z)].ratio.backend == "factored"
             want = (s.n / n_pooled) * r * expit(sign * (eta_x @ beta))
@@ -75,7 +74,7 @@ def test_a_site_with_one_arm_scores_by_its_site_ratio():
     p, failed = fit_scores(sites, target, "tilting", wrong=False)
     assert failed == {} and (s.site_id, 0) not in p.e
     score = p.e[(s.site_id, 1)]
-    ratio = fit_logistic_ratio(treated.x_matrix, target.xs)
+    ratio = logistic_ratio(treated.x_matrix, target.xs)
     assert score.ratio.backend == "tilting"
     assert np.array_equal(score.ratio.gamma, ratio.gamma)
     assert score.share == treated.n / sum(t.n for t in sites)
@@ -266,14 +265,6 @@ def test_crossfit_rejects_tiny_site(rng):
         crossfit_split([small], 1, rng)
 
 
-def test_outcome_model_predict_and_json():
-    m = OutcomeModel(arm=1, psi=IDENTITY_PLUS_INTERCEPT, theta=np.array([1.0, 2.0, -1.0]))
-    x = np.array([[0.5, 0.25], [1.0, 1.0]])
-    assert np.allclose(m.predict(x), [1.0 + 1.0 - 0.25, 2.0])
-    zm = OutcomeModel(arm=0, psi=IDENTITY, theta=np.zeros(4))
-    assert np.allclose(zm.predict(np.ones((2, 3))), 0.0)
-
-
 def _const_score_set(val: float):
     return PropensitySet(e={(1, 1): lambda x: np.full(len(np.atleast_2d(x)), val),
                             (1, 0): lambda x: np.full(len(np.atleast_2d(x)), val)})
@@ -346,13 +337,13 @@ def test_weighted_loss_counts_zero_score_exclusions():
 
 def test_constant_weights_recover_plain_least_squares(rng):
     sites = _toy_sites(rng, sizes=(40, 40))
-    m = fit_outcome_direct(sites, arm=1, psi=IDENTITY_PLUS_INTERCEPT,
-                           table=score_table(sites, _const_score_set(0.3)))
+    theta = fit_outcome_direct(sites, arm=1, psi=IDENTITY_PLUS_INTERCEPT,
+                               table=score_table(sites, _const_score_set(0.3)))
     rows = np.vstack([s.x_matrix[s.z_vec == 1] for s in sites])
     ys = np.concatenate([s.y_vec[s.z_vec == 1] for s in sites])
     D = np.hstack([np.ones((len(rows), 1)), rows])
     ref, *_ = np.linalg.lstsq(D, ys, rcond=None)
-    assert np.allclose(m.theta, ref, atol=1e-10)
+    assert np.allclose(theta, ref, atol=1e-10)
 
 
 def test_direct_fit_recovers_exact_linear_outcomes():
@@ -361,11 +352,18 @@ def test_direct_fit_recovers_exact_linear_outcomes():
     sites, _, _ = gen_covariate_shift(cfg, rng)
     means = [1.0, -0.5, 0.2]
     p = score_table(sites, oracle_shift_propensity(cfg, means, sites))
-    m1 = fit_outcome_direct(sites, 1, IDENTITY, p)
-    m0 = fit_outcome_direct(sites, 0, IDENTITY, p)
+    theta1 = fit_outcome_direct(sites, 1, IDENTITY, p)
+    theta0 = fit_outcome_direct(sites, 0, IDENTITY, p)
     # outcomes have no intercept, so the guaranteed constant column gets ~0
-    assert np.allclose(m1.theta, np.r_[0.0, cfg.beta1], atol=1e-8)
-    assert np.allclose(m0.theta, np.r_[0.0, cfg.beta0], atol=1e-8)
+    assert np.allclose(theta1, np.r_[0.0, cfg.beta1], atol=1e-8)
+    assert np.allclose(theta0, np.r_[0.0, cfg.beta0], atol=1e-8)
+
+
+def test_block_solve_refuses_non_finite_coefficients():
+    # a finite system whose solution overflows: 1e308 / 1e-10
+    with pytest.raises(ValueError, match="non-finite outcome-model parameters"):
+        solve_outcome_blocks([([1e-10], [1e308])], 1)
+    assert solve_outcome_blocks([([2.0], [3.0])], 1).tolist() == [1.5]
 
 
 def test_direct_fit_ignores_score_scale(rng):
@@ -375,10 +373,10 @@ def test_direct_fit_ignores_score_scale(rng):
         (k, z): (lambda x, a=a, k=k, z=z:
                  0.05 * k + 0.3 / (1 + np.exp((-1) ** z * np.atleast_2d(x) @ a)))
         for k in (1, 2) for z in (0, 1)})
-    m = fit_outcome_direct(sites, 1, IDENTITY_PLUS_INTERCEPT, score_table(sites, p))
-    ms = fit_outcome_direct(sites, 1, IDENTITY_PLUS_INTERCEPT,
-                            score_table(sites, p.scaled(137.0)))
-    assert np.allclose(m.theta, ms.theta, rtol=1e-9)
+    theta = fit_outcome_direct(sites, 1, IDENTITY_PLUS_INTERCEPT, score_table(sites, p))
+    scaled = fit_outcome_direct(sites, 1, IDENTITY_PLUS_INTERCEPT,
+                                score_table(sites, p.scaled(137.0)))
+    assert np.allclose(theta, scaled, rtol=1e-9)
 
 
 def test_fold_plan_masks_are_consistent():

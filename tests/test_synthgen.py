@@ -43,6 +43,23 @@ def test_place_means_constraint_and_sign_flip():
         assert np.sum(mus - mu_t < 0) == 1
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"site_sizes": (100.5, 200, 300)}, "must be integers"),
+    ({"site_sizes": (True, 200, 300)}, "must be integers"),
+    ({"n_target": 500.0}, "must be integers"),
+    ({"n_sites": True, "site_sizes": (100,)}, "must be integers"),
+    ({"d": 3.0}, "must be integers"),
+    ({"d": 0, "prop_coef": (), "beta1": (), "beta0": ()}, "sizes and d must be positive"),
+    ({"n_target": 0}, "sizes and d must be positive")],
+    ids=["float-size", "bool-size", "float-target", "bool-sites", "float-d", "zero-d",
+         "zero-target"])
+def test_shift_config_refuses_a_size_that_is_not_a_positive_integer(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ShiftConfig(**fields)
+    # numpy integers are integers
+    assert ShiftConfig(site_sizes=np.array([10, 20, 30])).site_sizes == (10, 20, 30)
+
+
 def test_place_means_rejects_bad_args():
     with pytest.raises(ValueError):
         place_site_means(1.0, 0, 2.0, 0.0, np.random.default_rng(0))

@@ -24,10 +24,13 @@ the base spreads wider than the bound (its interquartile range above the
 bound's fraction of its median), so neither verdict can be read from the
 medians, unless every change run beats every base run. ``outputs_differ_pairs`` counts
 the pairs whose two sides printed different digests: 0 means the change
-left every output unchanged.
+left every output unchanged. ``design`` gives each checkout's design size
+(``design_size``): the lines of its ``src/fedcause`` modules and the length
+of the package's ``__all__``.
 """
 
 import argparse
+import ast
 import json
 import os
 import statistics
@@ -47,6 +50,23 @@ def workloads(checkout: str) -> list:
     """The workload names of checkout's BENCHMARK.json, in its order."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         return [w["name"] for w in json.load(fh)["workloads"]]
+
+
+def design_size(checkout: str) -> dict:
+    """The lines of checkout's src/fedcause/*.py, counted as wc -l counts
+    them, and the names in the package's __all__, read by parsing
+    __init__.py, so the package is never imported."""
+    pkg = os.path.join(checkout, "src", "fedcause")
+    lines = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                lines += fh.read().count("\n")
+    with open(os.path.join(pkg, "__init__.py")) as fh:
+        tree = ast.parse(fh.read())
+    names = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    return {"src_lines": lines, "all_names": len(ast.literal_eval(names))}
 
 
 def _commit(checkout: str) -> str:
@@ -125,10 +145,12 @@ def bench(sides: dict, workload: str, args, metrics) -> dict:
             f"{m} {pair['base'][m]:.4g} -> {pair['change'][m]:.4g}" for m in metrics)
             + ("" if pair["base"]["digest"] == pair["change"]["digest"] else ", outputs differ"),
             file=sys.stderr)
+    summary = summarize(pairs, metrics)
+    summary["design"] = {side: design_size(path) for side, path in sides.items()}
     return {"label": args.label, "workload": workload, "seconds": args.seconds,
             "pairs_run": args.pairs, "host": host,
             "commits": {side: _commit(path) for side, path in sides.items()},
-            "summary": summarize(pairs, metrics), "pairs": pairs}
+            "summary": summary, "pairs": pairs}
 
 
 def main(argv=None) -> int:
